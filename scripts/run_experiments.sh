@@ -51,18 +51,7 @@ JOBS="${JOBS:-$DEFAULT_JOBS}"
 # doing so, the artifact fails rather than quietly recording a loss.
 ./build/bench/ouessant_bench --filter DPRF \
   --json BENCH_dpr.json | tee build/experiment-logs/dpr.txt
-python3 - BENCH_dpr.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-av = {r["params"]["policy"]: r["metrics"]["completed"] / r["metrics"]["jobs"]
-      for r in doc["results"] if r["scenario"] == "dpr_adapt"}
-print(f"dpr_adapt availability: " +
-      ", ".join(f"{p}={av[p]:.3f}" for p in sorted(av)))
-if av["hysteresis"] <= av["static"]:
-    sys.exit("dpr guard: the swap scheduler lost to static slot "
-             f"assignment ({av['hysteresis']:.3f} <= {av['static']:.3f})")
-print("dpr guard OK: scheduler beats static on the shifted mix")
-EOF
+python3 scripts/bench_guards.py dpr BENCH_dpr.json
 # The accelerator-chaining record (docs/chaining.md): p2p link vs SRAM
 # bounce at equal payload, the conduit cost sweep, a chained worker
 # under load, and the end-to-end JPEG decode. The guard is the
@@ -70,22 +59,7 @@ EOF
 # store-and-forward ablation on both cycles and bus beats.
 ./build/bench/ouessant_bench --filter CHAIN \
   --json BENCH_chain.json | tee build/experiment-logs/chain.txt
-python3 - BENCH_chain.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-rows = [r for r in doc["results"] if r["scenario"] == "chain_traffic"]
-if not rows:
-    sys.exit("chain guard: no chain_traffic rows in BENCH_chain.json")
-for r in rows:
-    m, batch = r["metrics"], r["params"]["batch"]
-    if m["linked_cycles"] >= m["sf_cycles"]:
-        sys.exit(f"chain guard: linked lost on cycles at batch {batch} "
-                 f"({m['linked_cycles']} >= {m['sf_cycles']})")
-    if m["linked_beats"] >= m["sf_beats"]:
-        sys.exit(f"chain guard: linked lost on bus beats at batch {batch} "
-                 f"({m['linked_beats']} >= {m['sf_beats']})")
-print("chain guard OK: linked beats store-and-forward on cycles and beats")
-EOF
+python3 scripts/bench_guards.py chain BENCH_chain.json
 
 echo
 echo "transcript in build/experiment-logs/sweep.txt, results in BENCH_sweep.json"

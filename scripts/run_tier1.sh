@@ -22,18 +22,20 @@
 #      decode cache on vs off) must stay within 2x of the committed
 #      BENCH_speed.json cycles/sec baseline
 #   8. the snapshot-determinism stage: the mid-run restore bit-identity
-#      proofs (E1, serve, fault-armed) re-run on the sanitizer build,
-#      then the bench-level --snapshot/--restore flow round-trips a
-#      serve_mixed image through disk
+#      proofs (E1, serve, fault-armed, every worker kind) re-run on the
+#      sanitizer build, then the bench-level --snapshot/--restore flow
+#      round-trips a serve_mixed image through disk
 #   9. the slot-farm stage: test_dpr on the sanitizer build (exact ICAP
 #      cycle accounting, preemptive swaps, cache LRU), then the DPRF
-#      scenarios with a guard that the demand-driven swap scheduler
-#      beats static slot assignment on the shifted demand mix
+#      scenarios with a guard (scripts/bench_guards.py dpr) that the
+#      demand-driven swap scheduler beats static slot assignment on the
+#      shifted demand mix
 #  10. the chain stage: test_chain on the sanitizer build (CHAIN CSR
 #      semantics, ChainLink timing, linked vs store-and-forward
 #      bit-identity, the mid-batch snapshot round trip), then the CHAIN
-#      scenarios with a guard that the p2p linked mode beats the
-#      store-and-forward ablation on cycles and bus beats
+#      scenarios with a guard (scripts/bench_guards.py chain) that the
+#      p2p linked mode beats the store-and-forward ablation on cycles
+#      and bus beats
 #  11. the fleet-observability stage: a 16-shard fault-armed fleet run
 #      twice, unarmed vs fully armed (sampling profiler + quantile
 #      sketches + SLO monitors + flight recorders) — every shard must be
@@ -42,6 +44,9 @@
 #      exact histogram within the documented relative-error bound, and
 #      an auto-dumped flight trace must round-trip through
 #      `ouessant_trace flight`
+#  12. the host-speed benchmark's correctness gate: its self-test, then
+#      a 2-second run of each workload (ocp_stream, serve_mix,
+#      fleet_fork), each checked against perfbench/golden.txt
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,18 +89,7 @@ echo "==== tier-1: reconfigurable slot farm (DPRF) ===="
 ./build-san/tests/test_dpr
 ./build/bench/ouessant_bench --filter DPRF \
   --json build/bench/BENCH_dpr.json > /dev/null
-python3 - build/bench/BENCH_dpr.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-av = {r["params"]["policy"]: r["metrics"]["completed"] / r["metrics"]["jobs"]
-      for r in doc["results"] if r["scenario"] == "dpr_adapt"}
-print("  dpr_adapt availability: " +
-      ", ".join(f"{p}={av[p]:.3f}" for p in sorted(av)))
-if av["hysteresis"] <= av["static"]:
-    sys.exit("dpr guard: the swap scheduler lost to static slot "
-             f"assignment ({av['hysteresis']:.3f} <= {av['static']:.3f})")
-print("dpr guard OK")
-EOF
+python3 scripts/bench_guards.py dpr build/bench/BENCH_dpr.json
 
 echo "==== tier-1: accelerator chaining (CHAIN) ===="
 # The conduit-timing and session-protocol proofs on the sanitizer build
@@ -107,23 +101,7 @@ echo "==== tier-1: accelerator chaining (CHAIN) ===="
 ./build-san/tests/test_chain
 ./build/bench/ouessant_bench --filter CHAIN \
   --json build/bench/BENCH_chain.json > /dev/null
-python3 - build/bench/BENCH_chain.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-rows = [r for r in doc["results"] if r["scenario"] == "chain_traffic"]
-if not rows:
-    sys.exit("chain guard: no chain_traffic rows")
-for r in rows:
-    m, batch = r["metrics"], r["params"]["batch"]
-    print(f"  batch {batch}: linked {m['linked_cycles']} cycles / "
-          f"{m['linked_beats']} beats | store_forward {m['sf_cycles']} "
-          f"cycles / {m['sf_beats']} beats")
-    if m["linked_cycles"] >= m["sf_cycles"] or \
-       m["linked_beats"] >= m["sf_beats"]:
-        sys.exit(f"chain guard: linked lost to store-and-forward at "
-                 f"batch {batch}")
-print("chain guard OK")
-EOF
+python3 scripts/bench_guards.py chain build/bench/BENCH_chain.json
 
 echo "==== tier-1: TSan parallel sweep ===="
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
@@ -215,5 +193,17 @@ EOF
 ./build/tools/ouessant_trace slo build/bench/fleet_slo.slo.json \
   > /dev/null 2>&1 || true  # rendered when the FLEET sweep has run
 echo "fleet observability guard OK"
+
+echo "==== tier-1: host-speed benchmark correctness gate ===="
+# The benchmark's own tests, then a short run of every workload. Each
+# run checks its pinned smoke-round fingerprint in perfbench/golden.txt
+# (cycles, Stats digest, outputs; serve_mix also snapshot bytes) and
+# exits non-zero on a mismatch. Host times of a 2 s run mean nothing.
+python3 perfbench/run.py --self-test
+for workload in ocp_stream serve_mix fleet_fork; do
+  python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 2 \
+    --trace 0 > /dev/null
+done
+echo "benchmark correctness gate OK"
 
 echo "tier-1 OK"

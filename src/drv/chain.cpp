@@ -171,7 +171,7 @@ void ChainSession::set_tracer(obs::EventTracer* tracer) {
   tail_.set_tracer(tracer);
 }
 
-void ChainSession::save_state(snap::StateWriter& w) {
+void ChainSession::save_state(snap::StateWriter& w) const {
   head_.driver().save_state(w);
   tail_.driver().save_state(w);
   w.write_u8("chain_stage", static_cast<u8>(stage_));

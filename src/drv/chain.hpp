@@ -104,14 +104,13 @@ class ChainSession {
   [[nodiscard]] const ChainLayout& layout() const { return layout_; }
   [[nodiscard]] OcpSession& head() { return head_; }
   [[nodiscard]] OcpSession& tail() { return tail_; }
+  [[nodiscard]] const OcpSession& tail() const { return tail_; }
   [[nodiscard]] fifo::ChainLink& link() { return link_; }
 
   void set_tracer(obs::EventTracer* tracer);
 
-  // Host-stack snapshot hooks (the Dispatcher embeds these per worker).
-  // save_state is non-const only because it reaches the composed
-  // sessions' drivers; it performs no accesses and mutates nothing.
-  void save_state(snap::StateWriter& w);
+  // Host-stack snapshot hooks (svc::ChainBackend embeds these).
+  void save_state(snap::StateWriter& w) const;
   void restore_state(snap::StateReader& r);
 
  private:

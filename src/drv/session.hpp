@@ -73,9 +73,10 @@ class OcpSession {
   void recover();
 
   [[nodiscard]] OcpDriver& driver() { return drv_; }
+  [[nodiscard]] const OcpDriver& driver() const { return drv_; }
   [[nodiscard]] const SessionLayout& layout() const { return layout_; }
   [[nodiscard]] mem::Sram& memory() { return mem_; }
-  [[nodiscard]] core::Ocp& ocp() { return ocp_; }
+  [[nodiscard]] core::Ocp& ocp() const { return ocp_; }
 
   /// Attach (or detach, nullptr) an event tracer. install/run_poll/
   /// run_irq become spans on a track "drv.<ocp name>"; start_async an

@@ -141,12 +141,12 @@ void Controller::fault(const char* why) {
 
 void Controller::do_soft_reset() {
   // Abort in the hardware order: master transaction first (releases the
-  // bus grant), then the datapath FIFOs, then a hung RAC op. Banks and
-  // program size live in the interface and survive.
+  // bus grant), then the datapath FIFOs, then whatever RAC op is open.
+  // Banks and program size live in the interface and survive.
   if (iface_.master().busy()) iface_.master().abort();
   for (fifo::WidthFifo* f : in_fifos_) f->flush();
   for (fifo::WidthFifo* f : out_fifos_) f->flush();
-  rac_.soft_reset();
+  rac_.abort_op();
   flush_decode_cache();
   loop_active_ = false;
   loop_iter_ = 0;

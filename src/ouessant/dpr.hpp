@@ -114,12 +114,12 @@ class ReconfigSlot : public Rac {
   void set_tracer(obs::EventTracer* tracer) override {
     for (Rac* cand : candidates_) cand->set_tracer(tracer);
   }
-  /// A controller reset on a DPR region genuinely aborts the resident
-  /// accelerator: the decouple logic isolates the region, so whatever
-  /// the candidate had in flight is gone (slot preemption relies on
-  /// this — the quiesce sequence must leave the region idle).
-  void soft_reset() override {
-    Rac::soft_reset();
+  /// A controller reset on a DPR region aborts the resident accelerator
+  /// through the decouple logic: whatever the candidate had in flight is
+  /// gone (slot preemption relies on this — the quiesce sequence must
+  /// leave the region idle).
+  void abort_op() override {
+    Rac::abort_op();
     for (Rac* cand : candidates_) cand->abort_op();
   }
 

@@ -85,9 +85,14 @@ class Rac : public sim::Component, public res::ResourceAware {
   [[nodiscard]] bool exec_pending() const { return busy() || hung_; }
   [[nodiscard]] bool hung() const { return hung_; }
 
-  /// kCtrlRst: drop a hung operation. Closes the open busy window at the
-  /// reset cycle (so cycle attribution stays exact) and clears hung_.
-  virtual void soft_reset() {
+  /// kCtrlRst (and slot preemption): discard whatever operation is open
+  /// — a hung one whose end_op was swallowed, or one genuinely mid-block
+  /// (the other stage of a faulted linked chain, a preempted slot) — and
+  /// return to idle: busy() low, no pending output. The base part closes
+  /// the open busy window at the reset cycle (so cycle attribution stays
+  /// exact) and clears hung_. Subclasses with mid-op datapath state
+  /// override and call it; the default covers stateless RACs.
+  virtual void abort_op() {
     hung_ = false;
     if (op_open_) {
       const Cycle now = kernel().now();
@@ -96,15 +101,6 @@ class Rac : public sim::Component, public res::ResourceAware {
       op_open_ = false;
     }
   }
-
-  /// Hard abort: discard any operation genuinely in flight and return to
-  /// idle (busy() low, no pending output). soft_reset() only settles the
-  /// bookkeeping of a *hung* op — one whose datapath already finished —
-  /// because that is all the plain reset path ever interrupts. Slot
-  /// preemption (docs/reconfiguration.md) stops an accelerator mid-op,
-  /// so the region's decouple logic needs a true abort. Subclasses with
-  /// mid-op state must override; the default covers stateless RACs.
-  virtual void abort_op() { soft_reset(); }
 
  protected:
   /// Snapshot helpers for the base-class op bookkeeping (open busy

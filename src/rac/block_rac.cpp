@@ -69,7 +69,7 @@ void BlockRac::start() {
 }
 
 void BlockRac::abort_op() {
-  core::Rac::soft_reset();  // close the open busy window, clear hung_
+  core::Rac::abort_op();  // close the open busy window, clear hung_
   phase_ = Phase::kIdle;
   busy_ = false;
   in_buf_.clear();

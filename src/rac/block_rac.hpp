@@ -38,10 +38,10 @@ class BlockRac : public core::Rac {
   void start() override;
   [[nodiscard]] bool busy() const override { return busy_; }
   [[nodiscard]] u64 completed_ops() const override { return completed_; }
-  /// Slot preemption: drop the in-flight block (collected inputs and
-  /// un-emitted outputs included) and return to idle. The interrupted
-  /// op's busy window closes at the abort cycle; it never counts as
-  /// completed.
+  /// RST / slot preemption: drop the in-flight block (collected inputs
+  /// and un-emitted outputs included) and return to idle. The
+  /// interrupted op's busy window closes at the abort cycle; it never
+  /// counts as completed.
   void abort_op() override;
 
   // sim::Component

@@ -38,6 +38,16 @@ class ConfigurableFirRac : public core::Rac {
   void start() override;
   [[nodiscard]] bool busy() const override { return busy_; }
   [[nodiscard]] u64 completed_ops() const override { return completed_; }
+  /// RST: drop the in-flight block and return to idle. Taps an
+  /// interrupted reload already wrote stay; the delay line clears on the
+  /// next start_op anyway.
+  void abort_op() override {
+    core::Rac::abort_op();
+    phase_ = Phase::kIdle;
+    busy_ = false;
+    taps_loaded_ = 0;
+    remaining_ = 0;
+  }
 
   // sim::Component
   void tick_compute() override;

@@ -31,10 +31,10 @@ class FirRac : public core::Rac {
   void start() override;
   [[nodiscard]] bool busy() const override { return busy_; }
   [[nodiscard]] u64 completed_ops() const override { return completed_; }
-  /// Slot preemption: drop the in-flight block and return to idle (the
-  /// delay line clears on the next start_op anyway).
+  /// RST / slot preemption: drop the in-flight block and return to idle
+  /// (the delay line clears on the next start_op anyway).
   void abort_op() override {
-    core::Rac::soft_reset();
+    core::Rac::abort_op();
     busy_ = false;
     remaining_ = 0;
   }

@@ -29,6 +29,13 @@ class VecAddRac : public core::Rac {
   void start() override;
   [[nodiscard]] bool busy() const override { return busy_; }
   [[nodiscard]] u64 completed_ops() const override { return completed_; }
+  /// RST: drop the in-flight vector (elements already summed are lost
+  /// with the flushed FIFOs) and return to idle.
+  void abort_op() override {
+    core::Rac::abort_op();
+    busy_ = false;
+    remaining_ = 0;
+  }
 
   // sim::Component
   void tick_compute() override;

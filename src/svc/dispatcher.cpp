@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ouessant/codegen.hpp"
 #include "svc/workload.hpp"
 
 namespace ouessant::svc {
@@ -52,111 +51,43 @@ Dispatcher::Dispatcher(sim::Kernel& kernel, std::string name, cpu::Gpp& gpp,
       irq_ctl_base_(irq_ctl_base),
       queue_(queue_depth) {}
 
-u32 Dispatcher::add_worker(core::Ocp& ocp, JobKind kind,
-                           drv::SessionLayout layout, u32 max_batch) {
+u32 Dispatcher::add_worker(std::unique_ptr<Backend> backend, JobKind kind,
+                           u32 max_batch) {
   if (max_batch == 0) {
     throw ConfigError("Dispatcher: max_batch must be >= 1");
   }
-  const u32 block = block_words(kind);
-  if (layout.in_words < max_batch * block ||
-      layout.out_words < max_batch * block) {
-    throw ConfigError("Dispatcher: layout too small for max_batch blocks");
-  }
   Worker w;
-  w.session = std::make_unique<drv::OcpSession>(gpp_, mem_, ocp, layout);
+  w.backend = std::move(backend);
   w.kind = kind;
   w.max_batch = max_batch;
-  w.irq_source = irq_ctl_.attach(ocp.irq());
   workers_.push_back(std::move(w));
   return static_cast<u32>(workers_.size() - 1);
 }
 
-u32 Dispatcher::add_chain_worker(core::Ocp& head, core::Ocp& tail,
-                                 fifo::ChainLink& link, JobKind kind,
-                                 drv::ChainLayout layout, u32 max_batch,
-                                 drv::ChainMode mode) {
-  if (max_batch == 0) {
-    throw ConfigError("Dispatcher: max_batch must be >= 1");
-  }
-  if (layout.block_words != block_words(kind) ||
-      layout.max_batch < max_batch) {
-    throw ConfigError("Dispatcher: chain layout too small for max_batch");
-  }
-  Worker w;
-  w.chain = std::make_unique<drv::ChainSession>(gpp_, mem_, head, tail, link,
-                                                layout, mode);
-  w.kind = kind;
-  w.max_batch = max_batch;
-  w.irq_source = irq_ctl_.attach(tail.irq());
-  w.head_irq_source = irq_ctl_.attach(head.irq());
-  workers_.push_back(std::move(w));
-  return static_cast<u32>(workers_.size() - 1);
-}
-
-drv::OcpDriver& Dispatcher::retire_driver(Worker& w) {
-  return w.chain ? w.chain->tail().driver() : w.session->driver();
-}
-
-drv::OcpDriver& Dispatcher::active_driver(Worker& w) {
-  if (w.chain) {
-    return w.chain->awaiting_tail() ? w.chain->head().driver()
-                                    : w.chain->tail().driver();
-  }
-  return w.session->driver();
-}
-
-core::Ocp& Dispatcher::worker_ocp(const Worker& w) {
-  return w.chain ? w.chain->tail().ocp() : w.session->ocp();
-}
-
-Addr Dispatcher::worker_in_base(const Worker& w) {
-  return w.chain ? w.chain->layout().in_base : w.session->layout().in_base;
-}
-
-Addr Dispatcher::worker_out_base(const Worker& w) {
-  return w.chain ? w.chain->layout().out_base : w.session->layout().out_base;
-}
-
-void Dispatcher::recover_worker(Worker& w) {
-  if (w.chain) {
-    w.chain->recover();
-  } else {
-    w.session->recover();
+void Dispatcher::open_tracks() {
+  sched_track_ = tracer_->track("svc.sched");
+  jobs_track_ = tracer_->track("svc.jobs");
+  for (auto& w : workers_) {
+    w.track = tracer_->track("svc.worker." + w.backend->name());
   }
 }
 
 void Dispatcher::set_tracer(obs::EventTracer* tracer) {
   tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    sched_track_ = tracer_->track("svc.sched");
-    jobs_track_ = tracer_->track("svc.jobs");
-    for (auto& w : workers_) {
-      w.track = tracer_->track("svc.worker." + worker_ocp(w).name());
-    }
-  }
-  for (auto& w : workers_) {
-    if (w.chain) {
-      w.chain->set_tracer(tracer);
-    } else {
-      w.session->set_tracer(tracer);
-    }
-  }
+  if (tracer_ != nullptr) open_tracks();
+  for (auto& w : workers_) w.backend->set_tracer(tracer);
 }
 
 void Dispatcher::set_job_sampler(const obs::SamplingProfiler* prof) {
   sampler_ = prof;
   if (prof == nullptr) return;
-  // Job-level hooks only: the worker sessions (driver spans) and queue
+  // Job-level hooks only: the worker backends (driver spans) and queue
   // counters stay detached — sampled tracing is the subset that stays
   // affordable with hundreds of shards, and a sampled job's events
   // (enqueue instant, flow arrows, dispatch/retire spans) are coherent
   // end-to-end because job_traced() is a pure function of the id.
   tracer_ = &prof->tracer();
-  sched_track_ = tracer_->track("svc.sched");
-  jobs_track_ = tracer_->track("svc.jobs");
-  for (auto& w : workers_) {
-    w.track = tracer_->track("svc.worker." + worker_ocp(w).name());
-  }
+  open_tracks();
 }
 
 bool Dispatcher::batch_traced(const std::vector<Job>& batch) const {
@@ -200,16 +131,23 @@ void Dispatcher::load_schedule(std::vector<Job> arrivals) {
 
 bool Dispatcher::submit_now(Job job) {
   job.arrival = gpp_.now();
+  return enqueue(std::move(job));
+}
+
+bool Dispatcher::enqueue(Job job) {
   charge_enqueue(gpp_);
   const u64 id = job.id;
   const JobKind kind = job.kind;
   if (!servable(kind)) {
+    // A kind no worker will ever serve (static farm, image never
+    // loaded): refuse at the door rather than strand it in the queue.
     queue_.refuse();
     return false;
   }
-  const bool accepted = queue_.push(std::move(job));
-  if (accepted) trace_enqueue(id, kind);
-  return accepted;
+  // reject-on-full counted by the queue
+  if (!queue_.push(std::move(job))) return false;
+  trace_enqueue(id, kind);
+  return true;
 }
 
 bool Dispatcher::servable(JobKind kind) const {
@@ -221,22 +159,7 @@ bool Dispatcher::servable(JobKind kind) const {
 
 void Dispatcher::configure_irqs() {
   u32 mask = 0;
-  for (auto& w : workers_) {
-    mask |= 1u << w.irq_source;
-    if (w.chain) {
-      // The tail's completion retires the chain in both modes. The head
-      // interrupts only in store-and-forward mode, where the CPU must
-      // relay the bounce buffer to the tail stage; a linked head runs
-      // IE-off and its latched D is acknowledged at retire time.
-      w.chain->tail().driver().enable_irq(true);
-      if (w.chain->mode() == drv::ChainMode::kStoreForward) {
-        mask |= 1u << w.head_irq_source;
-        w.chain->head().driver().enable_irq(true);
-      }
-    } else {
-      w.session->driver().enable_irq(true);
-    }
-  }
+  for (auto& w : workers_) mask |= w.backend->enable_irqs();
   gpp_.write32(irq_ctl_base_ + cpu::kIrqCtlMask, mask);
 }
 
@@ -281,19 +204,7 @@ void Dispatcher::ingest_arrivals() {
   // is ingested in one pass without losing the per-job CPU cost.
   while (next_arrival_ < schedule_.size() &&
          schedule_[next_arrival_].arrival <= gpp_.now()) {
-    Job job = std::move(schedule_[next_arrival_]);
-    ++next_arrival_;
-    charge_enqueue(gpp_);
-    const u64 id = job.id;
-    const JobKind kind = job.kind;
-    if (!servable(kind)) {
-      // A kind no worker will ever serve (static farm, image never
-      // loaded): refuse at the door rather than strand it in the queue.
-      queue_.refuse();
-      continue;
-    }
-    // reject-on-full counted by the queue
-    if (queue_.push(std::move(job))) trace_enqueue(id, kind);
+    (void)enqueue(std::move(schedule_[next_arrival_++]));
   }
   arrival_due_ = false;
   if (next_arrival_ < schedule_.size()) {
@@ -310,70 +221,41 @@ void Dispatcher::retire_completions() {
     bool served = false;
     for (auto& w : workers_) {
       if (!w.busy) continue;
-      if (w.chain && w.chain->awaiting_tail() &&
-          ((pending >> w.head_irq_source) & 1u)) {
-        // Store-and-forward half-way point: the head filled the bounce
-        // buffer; relay to the tail stage.
-        advance_chain(w);
-        served = true;
-        continue;
-      }
-      if ((pending >> w.irq_source) & 1u) {
-        retire_worker(w);
-        served = true;
-      }
+      const PollResult result = w.backend->poll(pending, policy_.armed());
+      if (result == PollResult::kIdle) continue;
+      serve_poll(w, result);
+      served = true;
     }
     if (!served) break;
   }
 }
 
-void Dispatcher::advance_chain(Worker& w) {
-  auto& drv = w.chain->head().driver();
-  if (policy_.armed()) {
-    const u32 ctrl = drv.read_ctrl();
-    if ((ctrl & core::kCtrlErr) != 0) {
+void Dispatcher::serve_poll(Worker& w, PollResult result) {
+  switch (result) {
+    case PollResult::kIdle:
+    case PollResult::kSpurious:  // level raced with an ack
+      return;
+    case PollResult::kError:
       handle_worker_fault(w, fault::FaultClass::kErrBit);
       return;
-    }
-    if ((ctrl & core::kCtrlDone) == 0) return;  // spurious
-  } else {
-    if (!drv.done_bit_set()) return;  // spurious
-  }
-  // advance_to_tail acknowledges the head's D and issues the tail start
-  // — both timed accesses, so the store-and-forward baseline pays its
-  // second ISR in full.
-  w.chain->advance_to_tail();
-  if (tracer_ != nullptr) {
-    tracer_->instant(w.track, "chain_advance",
-                     {obs::arg("kind", kind_name(w.kind)),
-                      obs::arg("jobs", u64{w.batch.size()})});
+    case PollResult::kAdvanced:
+      if (tracer_ != nullptr) {
+        tracer_->instant(w.track, "chain_advance",
+                         {obs::arg("kind", kind_name(w.kind)),
+                          obs::arg("jobs", u64{w.batch.size()})});
+      }
+      return;
+    case PollResult::kDone:
+      retire_worker(w);
+      return;
   }
 }
 
 void Dispatcher::retire_worker(Worker& w) {
-  auto& drv = retire_driver(w);
-  if (policy_.armed()) {
-    // Same single CTRL read as the unarmed path, but ERR diverts into
-    // the recovery machinery instead of staying invisible.
-    const u32 ctrl = drv.read_ctrl();
-    if ((ctrl & core::kCtrlErr) != 0) {
-      handle_worker_fault(w, fault::FaultClass::kErrBit);
-      return;
-    }
-    if ((ctrl & core::kCtrlDone) == 0) return;  // spurious
-    drv.clear_done();
-  } else {
-    if (!drv.done_bit_set()) return;  // spurious (level raced with ack)
-    drv.clear_done();
-  }
-  // Chain workers: also acknowledge the head's latched D (linked mode
-  // ran it IE-off) — part of the same ISR, so it lands inside the
-  // batch's service time.
-  if (w.chain) w.chain->retire_ack();
+  // The backend's poll acknowledged every stage: the batch is done now.
   const Cycle done_at = gpp_.now();
-
   const u32 block = block_words(w.kind);
-  const Addr out_base = worker_out_base(w);
+  const Addr out_base = w.backend->out_base();
   std::vector<Job> batch = std::move(w.batch);
   w.batch.clear();
   w.busy = false;
@@ -397,7 +279,7 @@ void Dispatcher::retire_worker(Worker& w) {
       if (!policy_.armed()) {
         throw SimError("svc: output mismatch for job " +
                        std::to_string(job.id) + " (" + kind_name(job.kind) +
-                       ") on " + worker_ocp(w).name() + " at cycle " +
+                       ") on " + w.backend->name() + " at cycle " +
                        std::to_string(done_at));
       }
       // Corrupted output (fifo_corrupt): only the mismatching job
@@ -420,7 +302,7 @@ void Dispatcher::retire_worker(Worker& w) {
           jobs_track_, kind_name(job.kind), job.arrival, job.complete,
           {obs::arg("id", job.id), obs::arg("wait", job.queue_wait()),
            obs::arg("service", job.service()),
-           obs::arg("worker", worker_ocp(w).name())});
+           obs::arg("worker", w.backend->name())});
       tracer_->flow_end(jobs_track_, "job", job.id);
     }
     if (completion_hook_) completion_hook_(job);
@@ -451,7 +333,7 @@ void Dispatcher::dispatch_ready() {
 void Dispatcher::launch(std::size_t wi, std::vector<Job> batch) {
   Worker& w = workers_[wi];
   const u32 block = block_words(w.kind);
-  const Addr in_base = worker_in_base(w);
+  const Addr in_base = w.backend->in_base();
 
   // Stage the inputs contiguously, one block per batch slot, so the
   // batch program's post-increment addressing walks them in order.
@@ -464,21 +346,7 @@ void Dispatcher::launch(std::size_t wi, std::vector<Job> batch) {
   // it when the size repeats (the common steady state), pay the timed
   // word-by-word reinstall when it changes.
   if (w.installed_batch != batch.size()) {
-    if (w.chain) {
-      w.chain->install(static_cast<u32>(batch.size()),
-                       /*timed_program=*/true);
-      w.stats.installs += 2;  // one program image per stage
-    } else {
-      core::StreamJob per_block;
-      per_block.in_words = block;
-      per_block.out_words = block;
-      per_block.burst = block;
-      per_block.use_loop = true;
-      const auto prog =
-          core::build_batch_program(per_block, static_cast<u32>(batch.size()));
-      w.session->install(prog, /*timed_program=*/true);
-      ++w.stats.installs;
-    }
+    w.stats.installs += w.backend->install(static_cast<u32>(batch.size()));
     w.installed_batch = static_cast<u32>(batch.size());
   }
 
@@ -489,11 +357,7 @@ void Dispatcher::launch(std::size_t wi, std::vector<Job> batch) {
     job.worker = static_cast<int>(wi);
     if (job_traced(job.id)) tracer_->flow_step(w.track, "job", job.id);
   }
-  if (w.chain) {
-    w.chain->start_async();
-  } else {
-    w.session->start_async();
-  }
+  w.backend->start();
   w.busy = true;
   w.busy_since = dispatched;
   ++w.stats.launches;
@@ -517,20 +381,8 @@ u32 Dispatcher::preempt_worker(std::size_t i) {
   }
   // Timed quiesce: the same RST pulse + settle polling the fault path
   // uses — the region must be provably idle before the bitstream moves.
-  recover_worker(w);
-  const Cycle now = gpp_.now();
-  w.stats.busy_cycles += now - w.busy_since;
-  if (tracer_ != nullptr) {
-    tracer_->complete(w.track, "batch", w.busy_since, now,
-                      {obs::arg("jobs", u64{w.batch.size()}),
-                       obs::arg("kind", kind_name(w.kind)),
-                       obs::arg("preempted", u64{1})});
-  }
-  std::vector<Job> batch = std::move(w.batch);
-  w.batch.clear();
-  w.busy = false;
-  in_flight_ -= static_cast<u32>(batch.size());
-  charge_retire(gpp_, batch.size());
+  Cycle recovered_at = 0;
+  std::vector<Job> batch = abort_batch(w, "preempted", recovered_at);
   // Head of the queue, original order, no attempts bump: the jobs did
   // nothing wrong and must not lose their place.
   for (std::size_t j = batch.size(); j-- > 0;) {
@@ -540,14 +392,35 @@ u32 Dispatcher::preempt_worker(std::size_t i) {
   return static_cast<u32>(batch.size());
 }
 
+std::vector<Job> Dispatcher::abort_batch(Worker& w, const char* flag,
+                                         Cycle& recovered_at) {
+  // Timed recovery sequence (ERR W1C + RST pulse + settle polls). The
+  // resident program survives the soft reset, so installed_batch stays.
+  w.backend->recover();
+  recovered_at = gpp_.now();
+  w.stats.busy_cycles += recovered_at - w.busy_since;  // recovery bills it
+  if (tracer_ != nullptr) {
+    tracer_->complete(w.track, "batch", w.busy_since, recovered_at,
+                      {obs::arg("jobs", u64{w.batch.size()}),
+                       obs::arg("kind", kind_name(w.kind)),
+                       obs::arg(flag, u64{1})});
+  }
+  std::vector<Job> batch = std::move(w.batch);
+  w.batch.clear();
+  w.busy = false;
+  in_flight_ -= static_cast<u32>(batch.size());
+  charge_retire(gpp_, batch.size());
+  return batch;
+}
+
 void Dispatcher::retarget_worker(std::size_t i, JobKind kind) {
   Worker& w = workers_.at(i);
   if (w.busy) {
     throw SimError("Dispatcher: retarget of busy worker " +
-                   worker_ocp(w).name() + " (preempt first)");
+                   w.backend->name() + " (preempt first)");
   }
   if (!w.retargetable) {
-    throw SimError("Dispatcher: worker " + worker_ocp(w).name() +
+    throw SimError("Dispatcher: worker " + w.backend->name() +
                    " is not slot-backed");
   }
   // block_words is kind-invariant, so the resident v2-loop program still
@@ -573,26 +446,25 @@ void Dispatcher::check_watchdogs() {
   for (auto& w : workers_) {
     if (!w.busy) continue;
     if (gpp_.now() < w.busy_since + policy_.watchdog_cycles) continue;
-    // One timed CTRL read decides: completion whose interrupt edge was
-    // lost, a latched fault, or a genuine hang. Chain workers poll the
-    // stage currently executing (the head during a store-and-forward
-    // head stage, the tail otherwise).
-    const u32 ctrl = active_driver(w).read_ctrl();
-    if ((ctrl & core::kCtrlDone) != 0) {
-      ++irq_recoveries_;
-      if (tracer_ != nullptr) {
-        tracer_->instant(w.track, "irq_recovered",
-                         {obs::arg("kind", kind_name(w.kind))});
-      }
-      if (w.chain && w.chain->awaiting_tail()) {
-        advance_chain(w);  // re-reads CTRL; D is still set
-      } else {
-        retire_worker(w);  // re-reads CTRL; D is still set
-      }
-    } else if ((ctrl & core::kCtrlErr) != 0) {
-      handle_worker_fault(w, fault::FaultClass::kErrBit);
-    } else {
-      handle_worker_fault(w, fault::FaultClass::kTimeout);
+    // One timed CTRL read of the executing stage decides: completion
+    // whose interrupt edge was lost, a latched fault, or a genuine hang.
+    switch (w.backend->diagnose()) {
+      case Stall::kLostIrq:
+        ++irq_recoveries_;
+        if (tracer_ != nullptr) {
+          tracer_->instant(w.track, "irq_recovered",
+                           {obs::arg("kind", kind_name(w.kind))});
+        }
+        // Serve it as if the executing stage's source were pending: the
+        // poll re-reads CTRL (D is still set) and retires or relays.
+        serve_poll(w, w.backend->poll(~u32{0}, policy_.armed()));
+        break;
+      case Stall::kError:
+        handle_worker_fault(w, fault::FaultClass::kErrBit);
+        break;
+      case Stall::kHung:
+        handle_worker_fault(w, fault::FaultClass::kTimeout);
+        break;
     }
   }
 }
@@ -600,19 +472,15 @@ void Dispatcher::check_watchdogs() {
 void Dispatcher::handle_worker_fault(Worker& w, fault::FaultClass cls) {
   ++faults_;
   ++w.stats.faults;
-  // For chain workers the stage currently executing is the one whose
-  // fault state is diagnostic (a linked chain's head fault surfaces as
-  // the tail's watchdog expiry — recover_worker resets both stages).
-  core::Ocp& ocp = w.chain ? (w.chain->awaiting_tail()
-                                  ? w.chain->head().ocp()
-                                  : w.chain->tail().ocp())
-                           : w.session->ocp();
+  // The executing stage's controller is the diagnostic one (a linked
+  // chain's head fault surfaces as the tail's watchdog expiry; recovery
+  // resets both stages).
   FaultInfo info;
   if (cls == fault::FaultClass::kErrBit) {
-    info = ocp.controller().last_fault();
+    info = w.backend->last_fault();
     if (info.empty()) info = FaultInfo{gpp_.now(), 0, "ERR set"};
   } else {
-    info = FaultInfo{gpp_.now(), ocp.controller().pc(),
+    info = FaultInfo{gpp_.now(), w.backend->pc(),
                      "watchdog deadline (" +
                          std::to_string(policy_.watchdog_cycles) +
                          " cycles busy)"};
@@ -620,7 +488,7 @@ void Dispatcher::handle_worker_fault(Worker& w, fault::FaultClass cls) {
   if (flight_ != nullptr && cls == fault::FaultClass::kTimeout) {
     // A hang is exactly the moment the ring was kept for: latch it so
     // the owning layer dumps the post-mortem window.
-    flight_->trigger("watchdog:" + worker_ocp(w).name());
+    flight_->trigger("watchdog:" + w.backend->name());
   }
   if (tracer_ != nullptr) {
     tracer_->instant(w.track, "fault",
@@ -629,22 +497,8 @@ void Dispatcher::handle_worker_fault(Worker& w, fault::FaultClass cls) {
                       obs::arg("jobs", u64{w.batch.size()})});
   }
 
-  // Timed recovery sequence (ERR W1C + RST pulse + settle polls). The
-  // resident program survives the soft reset, so installed_batch stays.
-  recover_worker(w);
-  const Cycle now = gpp_.now();
-  w.stats.busy_cycles += now - w.busy_since;  // recovery bills the worker
-  if (tracer_ != nullptr) {
-    tracer_->complete(w.track, "batch", w.busy_since, now,
-                      {obs::arg("jobs", u64{w.batch.size()}),
-                       obs::arg("kind", kind_name(w.kind)),
-                       obs::arg("aborted", u64{1})});
-  }
-  std::vector<Job> batch = std::move(w.batch);
-  w.batch.clear();
-  w.busy = false;
-  in_flight_ -= static_cast<u32>(batch.size());
-  charge_retire(gpp_, batch.size());
+  Cycle now = 0;
+  std::vector<Job> batch = abort_batch(w, "aborted", now);
   for (auto& job : batch) fault_job(std::move(job), cls, now);
   penalize_worker(w);
   trace_queue_counters();
@@ -661,7 +515,7 @@ void Dispatcher::penalize_worker(Worker& w) {
                        {obs::arg("consecutive", u64{w.consecutive_faults})});
     }
     if (flight_ != nullptr) {
-      flight_->trigger("quarantine:" + worker_ocp(w).name());
+      flight_->trigger("quarantine:" + w.backend->name());
     }
   }
 }
@@ -677,11 +531,7 @@ void Dispatcher::fault_job(Job job, fault::FaultClass cls, Cycle now) {
                         obs::arg("attempt", u64{job.attempts}),
                         obs::arg("class", fault::class_name(cls))});
     }
-    const auto it = std::upper_bound(
-        retry_queue_.begin(), retry_queue_.end(), ready,
-        [](Cycle r, const PendingRetry& p) { return r < p.ready_at; });
-    retry_queue_.insert(it, PendingRetry{ready, std::move(job)});
-    wake_at(ready);
+    schedule_retry(PendingRetry{ready, std::move(job)});
   } else {
     fail_job(job, cls);
   }
@@ -702,36 +552,33 @@ void Dispatcher::fail_job(const Job& job, fault::FaultClass cls) {
   if (failure_hook_) failure_hook_(job);
 }
 
+void Dispatcher::schedule_retry(PendingRetry p) {
+  const auto it = std::upper_bound(
+      retry_queue_.begin(), retry_queue_.end(), p.ready_at,
+      [](Cycle r, const PendingRetry& q) { return r < q.ready_at; });
+  wake_at(p.ready_at);
+  retry_queue_.insert(it, std::move(p));
+}
+
 void Dispatcher::requeue_retries() {
   while (retry_due()) {
+    PendingRetry p = std::move(retry_queue_.front());
+    retry_queue_.erase(retry_queue_.begin());
     if (queue_.size() >= queue_.depth()) {
       // Full queue: postpone instead of burning an attempt on a
       // guaranteed reject. The backoff keeps the retry alive until
       // dispatches drain the queue.
-      PendingRetry p = std::move(retry_queue_.front());
-      retry_queue_.erase(retry_queue_.begin());
       p.ready_at = gpp_.now() + policy_.backoff_base;
-      const auto it = std::upper_bound(
-          retry_queue_.begin(), retry_queue_.end(), p.ready_at,
-          [](Cycle r, const PendingRetry& q) { return r < q.ready_at; });
-      wake_at(p.ready_at);
-      retry_queue_.insert(it, std::move(p));
+      schedule_retry(std::move(p));
       break;
     }
-    Job job = std::move(retry_queue_.front().job);
-    retry_queue_.erase(retry_queue_.begin());
-    charge_enqueue(gpp_);
-    const u64 id = job.id;
-    const JobKind kind = job.kind;
-    if (queue_.push(std::move(job))) trace_enqueue(id, kind);
+    (void)enqueue(std::move(p.job));
   }
   if (!retry_queue_.empty()) wake_at(retry_queue_.front().ready_at);
 }
 
 void Dispatcher::fail_unservable() {
-  bool any_quarantined = false;
-  for (const auto& w : workers_) any_quarantined |= w.quarantined;
-  if (!any_quarantined) return;
+  if (quarantined_count() == 0) return;
 
   for (std::size_t k = 0; k < kNumJobKinds; ++k) {
     const auto kind = static_cast<JobKind>(k);
@@ -768,14 +615,7 @@ void Dispatcher::save_state(snap::StateWriter& w) const {
   w.write_u32("workers", static_cast<u32>(workers_.size()));
   for (const Worker& wk : workers_) {
     w.write_u8("kind", static_cast<u8>(wk.kind));
-    // Chain presence is structural (fixed by ServiceConfig), so the
-    // branch is deterministic per image — like the retargetable
-    // conditional below, chain-less images stay byte-identical.
-    if (wk.chain) {
-      wk.chain->save_state(w);
-    } else {
-      wk.session->driver().save_state(w);
-    }
+    wk.backend->save_state(w);
     w.write_u32("installed_batch", wk.installed_batch);
     w.write_bool("busy", wk.busy);
     w.write_u64("busy_since", wk.busy_since);
@@ -838,11 +678,7 @@ void Dispatcher::restore_state(snap::StateReader& r) {
       }
       wk.kind = static_cast<JobKind>(kind);
     }
-    if (wk.chain) {
-      wk.chain->restore_state(r);
-    } else {
-      wk.session->driver().restore_state(r);
-    }
+    wk.backend->restore_state(r);
     wk.installed_batch = r.read_u32("installed_batch");
     wk.busy = r.read_bool("busy");
     wk.busy_since = r.read_u64("busy_since");

@@ -1,5 +1,7 @@
 // The offload service's scheduler: a bounded JobQueue in front of a set
-// of OCP workers, drained by a CPU-driven dispatch loop.
+// of workers, drained by a CPU-driven dispatch loop. Every worker is one
+// svc::Backend (a single OCP or a two-stage chain); the Dispatcher never
+// asks which.
 //
 // Split of responsibilities (DESIGN.md §9): the Dispatcher is a
 // sim::Component only as a *doorbell* — its tick raises arrival_due_
@@ -25,13 +27,12 @@
 
 #include "cpu/gpp.hpp"
 #include "cpu/irq_controller.hpp"
-#include "drv/chain.hpp"
-#include "drv/session.hpp"
 #include "fault/report.hpp"
 #include "obs/flight.hpp"
 #include "obs/profile.hpp"
 #include "obs/tracer.hpp"
 #include "sim/kernel.hpp"
+#include "svc/backend.hpp"
 #include "svc/job.hpp"
 
 namespace ouessant::svc {
@@ -101,24 +102,13 @@ class Dispatcher : public sim::Component {
              mem::Sram& mem, cpu::IrqController& irq_ctl, Addr irq_ctl_base,
              std::size_t queue_depth);
 
-  /// Register @p ocp as a worker for @p kind jobs. Batches of up to
-  /// @p max_batch same-kind jobs are launched as one v2-loop program.
-  /// Returns the worker index. The OCP's IRQ line is attached to the
-  /// controller here; configure_irqs() later unmasks it.
-  u32 add_worker(core::Ocp& ocp, JobKind kind, drv::SessionLayout layout,
+  /// Register @p backend as a worker for @p kind jobs. Batches of up to
+  /// @p max_batch same-kind jobs are launched as one v2-loop program; the
+  /// backend's staging windows must hold that many blocks. Returns the
+  /// worker index. The backend attached its IRQ sources when it was
+  /// built; configure_irqs() later unmasks them.
+  u32 add_worker(std::unique_ptr<Backend> backend, JobKind kind,
                  u32 max_batch);
-
-  /// Register a two-OCP chain (head -> ChainLink -> tail, or the
-  /// store-and-forward ablation) as ONE worker for @p kind jobs: the
-  /// dispatcher stages payloads at the chain's input window, launches
-  /// through drv::ChainSession, and retires on the tail's completion.
-  /// Both OCPs' IRQ lines are attached here (the head's only ever fires
-  /// in store-and-forward mode, where the bounce-buffer hand-off is a
-  /// second CPU-visible completion).
-  u32 add_chain_worker(core::Ocp& head, core::Ocp& tail,
-                       fifo::ChainLink& link, JobKind kind,
-                       drv::ChainLayout layout, u32 max_batch,
-                       drv::ChainMode mode);
 
   /// Hand the open-loop arrival schedule over (must be sorted by
   /// arrival; ConfigError otherwise). The doorbell arms itself.
@@ -151,10 +141,9 @@ class Dispatcher : public sim::Component {
   /// quarantine). Call before the run loop; an unarmed policy (the
   /// default) leaves every timed access sequence untouched.
   void set_retry_policy(const RetryPolicy& policy) { policy_ = policy; }
-  [[nodiscard]] const RetryPolicy& retry_policy() const { return policy_; }
 
-  /// Timed IRQ setup: unmask every attached source at the controller and
-  /// enable the per-OCP interrupt in each driver. First timed accesses
+  /// Timed IRQ setup: enable every backend's interrupting stages, then
+  /// unmask their sources at the controller. First timed accesses
   /// of a run — call after VCD signals are attached, before the loop.
   void configure_irqs();
 
@@ -199,9 +188,6 @@ class Dispatcher : public sim::Component {
   /// worker is skipped by dispatch_ready().
   void set_worker_reconfiguring(std::size_t i, bool on) {
     workers_.at(i).reconfiguring = on;
-  }
-  [[nodiscard]] bool worker_reconfiguring(std::size_t i) const {
-    return workers_.at(i).reconfiguring;
   }
   /// Quiesce a busy worker for a swap: timed recovery sequence (the same
   /// RST + settle the fault path uses), then its in-flight batch goes
@@ -250,14 +236,14 @@ class Dispatcher : public sim::Component {
   /// per-job span (arrival -> completion, annotated with wait/service
   /// split) on "svc.jobs", and a flow arrow stitching each job's
   /// enqueue -> dispatch -> retire across those tracks. Also forwards to
-  /// every worker session (driver spans land on their "drv.*" tracks).
+  /// every backend (driver spans land on their "drv.*" tracks).
   void set_tracer(obs::EventTracer* tracer);
 
   /// Attach a sampling profiler: the job-level trace hooks (enqueue
   /// instants, flow arrows, dispatch/retire spans) arm for the
   /// profiler's 1-in-N job subset only, writing into the profiler's
   /// tracer. Unlike set_tracer this does NOT forward to the worker
-  /// sessions or emit queue counters — sampled tracing is the
+  /// backends or emit queue counters — sampled tracing is the
   /// fleet-affordable subset (docs/observability.md). Purely host-side:
   /// sim clocks are bit-identical armed or not.
   void set_job_sampler(const obs::SamplingProfiler* prof);
@@ -274,8 +260,9 @@ class Dispatcher : public sim::Component {
   [[nodiscard]] bool is_quiescent() const override;
   /// Queue contents, schedule position, per-worker in-flight batches and
   /// stats, retry backlog, and the run counters. Worker count/kind must
-  /// match the image (same ServiceConfig); sessions carry only their
-  /// driver's IE shadow. The retry policy and hooks are host wiring.
+  /// match the image (same ServiceConfig); backends carry only their
+  /// drivers' shadows (and a chain's stage). The retry policy and hooks
+  /// are host wiring.
   void save_state(snap::StateWriter& w) const override;
   void restore_state(snap::StateReader& r) override;
 
@@ -287,15 +274,9 @@ class Dispatcher : public sim::Component {
 
  private:
   struct Worker {
-    std::unique_ptr<drv::OcpSession> session;
-    /// Chain-backed worker: set instead of `session` (exactly one of the
-    /// two is non-null). The chain's tail session owns the completion
-    /// the dispatcher retires on.
-    std::unique_ptr<drv::ChainSession> chain;
+    std::unique_ptr<Backend> backend;
     JobKind kind = JobKind::kIdct;
     u32 max_batch = 1;
-    u32 irq_source = 0;        ///< bit index at the IrqController
-    u32 head_irq_source = 0;   ///< chain workers: the head OCP's source
     std::vector<Job> batch;    ///< jobs of the in-flight launch
     u32 installed_batch = 0;   ///< batch size the resident program serves
     bool busy = false;
@@ -306,7 +287,7 @@ class Dispatcher : public sim::Component {
     bool retargetable = false;   ///< slot-backed: kind may change at runtime
     bool reconfiguring = false;  ///< region mid-swap: no dispatches
     WorkerStats stats;
-    obs::TrackId track = 0;    ///< "svc.worker.<ocp>" (tracer attached)
+    obs::TrackId track = 0;    ///< "svc.worker.<name>" (tracer attached)
   };
 
   /// A job waiting out its retry backoff.
@@ -323,28 +304,28 @@ class Dispatcher : public sim::Component {
            (sampler_ == nullptr || sampler_->sampled(id));
   }
   [[nodiscard]] bool batch_traced(const std::vector<Job>& batch) const;
+  /// Open the scheduler, job and per-worker tracks on tracer_.
+  void open_tracks();
 
+  /// Charge the CPU enqueue cost and admit @p job: refused at the door
+  /// when no worker can ever serve its kind, rejected when the queue is
+  /// full. True when the job was queued.
+  bool enqueue(Job job);
   void ingest_arrivals();
   void retire_completions();
+  /// Act on what a backend poll found (retire, relay, or fault).
+  void serve_poll(Worker& w, PollResult result);
   void dispatch_ready();
   void launch(std::size_t wi, std::vector<Job> batch);
   void retire_worker(Worker& w);
-  /// Store-and-forward chain ISR half: acknowledge the head stage and
-  /// launch the tail over the bounce buffer.
-  void advance_chain(Worker& w);
+  /// Quiesce a busy worker (timed recovery) and take its batch back,
+  /// billing the busy time; @p flag marks the trace span ("preempted",
+  /// "aborted"). Returns the batch; @p recovered_at is when recovery
+  /// finished, sampled before the retire charge.
+  std::vector<Job> abort_batch(Worker& w, const char* flag,
+                               Cycle& recovered_at);
   void trace_enqueue(u64 id, JobKind kind);
   void trace_queue_counters();
-
-  // -- worker-kind-agnostic accessors (plain OCP vs chain) --------------
-  /// The driver whose D bit retires the worker's batch (chain: the tail).
-  [[nodiscard]] static drv::OcpDriver& retire_driver(Worker& w);
-  /// The driver of the stage currently executing (chain in the
-  /// store-and-forward head stage: the head) — what watchdogs poll.
-  [[nodiscard]] static drv::OcpDriver& active_driver(Worker& w);
-  [[nodiscard]] static core::Ocp& worker_ocp(const Worker& w);
-  [[nodiscard]] static Addr worker_in_base(const Worker& w);
-  [[nodiscard]] static Addr worker_out_base(const Worker& w);
-  static void recover_worker(Worker& w);
 
   // -- fault handling (all early-return when policy_ is unarmed) --------
   [[nodiscard]] bool retry_due() const {
@@ -359,6 +340,8 @@ class Dispatcher : public sim::Component {
   void penalize_worker(Worker& w);
   void fault_job(Job job, fault::FaultClass cls, Cycle now);
   void fail_job(const Job& job, fault::FaultClass cls);
+  /// Insert into the ready_at-sorted retry queue and arm its wake.
+  void schedule_retry(PendingRetry p);
 
   cpu::Gpp& gpp_;
   mem::Sram& mem_;

@@ -8,6 +8,7 @@
 #include "rac/dft.hpp"
 #include "rac/fir.hpp"
 #include "rac/idct.hpp"
+#include "svc/backend.hpp"
 
 namespace ouessant::svc {
 
@@ -32,6 +33,10 @@ constexpr Addr kChainBounceOff = 0x000C'0000;
 /// here over the shared bus.
 constexpr Addr kBitstreamBase = 0x40C0'0000;
 constexpr u32 kBitstreamSpan = 0x0040'0000;
+
+Addr worker_base(std::size_t wi) {
+  return kWorkerBase + static_cast<Addr>(wi) * kWorkerStride;
+}
 
 std::unique_ptr<core::Rac> make_rac(sim::Kernel& kernel, JobKind kind,
                                     const std::string& name) {
@@ -115,22 +120,20 @@ OffloadService::OffloadService(ServiceConfig cfg)
   if (cfg_.ocps.empty() && !cfg_.slots.enabled() && cfg_.chains.empty()) {
     throw ConfigError("OffloadService: at least one OCP worker required");
   }
+  const std::size_t slot_count = cfg_.slots.enabled() ? cfg_.slots.count : 0;
+  if ((slot_count > 0 || !cfg_.chains.empty()) &&
+      worker_base(cfg_.ocps.size() + slot_count + cfg_.chains.size()) >
+          kBitstreamBase) {
+    throw ConfigError(
+        "OffloadService: worker windows would overlap the bitstream store");
+  }
   soc_.bus().connect_slave(irq_ctl_, kSvcIrqCtlBase, cpu::kIrqCtlSpanBytes);
   for (std::size_t i = 0; i < cfg_.ocps.size(); ++i) {
     const OcpSpec& spec = cfg_.ocps[i];
     const std::string name = std::string("svc_") + kind_name(spec.kind) +
                              std::to_string(i);
     racs_.push_back(make_rac(soc_.kernel(), spec.kind, name + "_rac"));
-    core::Ocp& ocp = soc_.add_ocp(*racs_.back());
-    const Addr base = kWorkerBase + static_cast<Addr>(i) * kWorkerStride;
-    const u32 words = spec.max_batch * block_words(spec.kind);
-    dispatcher_.add_worker(ocp, spec.kind,
-                           drv::SessionLayout{.prog_base = base,
-                                              .in_base = base + kWorkerInOff,
-                                              .out_base = base + kWorkerOutOff,
-                                              .in_words = words,
-                                              .out_words = words},
-                           spec.max_batch);
+    add_ocp_worker(soc_.add_ocp(*racs_.back()), spec.kind, spec.max_batch);
   }
 
   if (cfg_.slots.enabled()) build_slot_farm();
@@ -147,6 +150,22 @@ OffloadService::OffloadService(ServiceConfig cfg)
   dispatcher_.set_retry_policy(cfg_.retry);
 }
 
+u32 OffloadService::add_ocp_worker(core::Ocp& ocp, JobKind kind,
+                                   u32 max_batch) {
+  const Addr base = worker_base(dispatcher_.worker_count());
+  const u32 words = max_batch * block_words(kind);
+  return dispatcher_.add_worker(
+      std::make_unique<OcpBackend>(
+          soc_.cpu(), soc_.sram(), ocp,
+          drv::SessionLayout{.prog_base = base,
+                             .in_base = base + kWorkerInOff,
+                             .out_base = base + kWorkerOutOff,
+                             .in_words = words,
+                             .out_words = words},
+          block_words(kind), irq_ctl_),
+      kind, max_batch);
+}
+
 void OffloadService::build_slot_farm() {
   const SlotFarmConfig& fc = cfg_.slots;
   if (fc.candidates.empty()) {
@@ -154,12 +173,6 @@ void OffloadService::build_slot_farm() {
   }
   if (!fc.initial.empty() && fc.initial.size() != fc.count) {
     throw ConfigError("OffloadService: slots.initial must name every slot");
-  }
-  const std::size_t total = cfg_.ocps.size() + fc.count;
-  if (kWorkerBase + static_cast<Addr>(total) * kWorkerStride >
-      kBitstreamBase) {
-    throw ConfigError(
-        "OffloadService: worker windows would overlap the bitstream store");
   }
 
   bitstreams_ = std::make_unique<dpr::BitstreamStore>(soc_.sram(),
@@ -185,22 +198,14 @@ void OffloadService::build_slot_farm() {
                                 : fc.initial[si];
     // Candidate 0 is the region's initial configuration — rotate the
     // candidate list so each slot boots resident on its initial kind.
-    std::size_t pivot = fc.candidates.size();
-    for (std::size_t j = 0; j < fc.candidates.size(); ++j) {
-      if (fc.candidates[j] == initial) {
-        pivot = j;
-        break;
-      }
-    }
-    if (pivot == fc.candidates.size()) {
+    const auto pivot =
+        std::find(fc.candidates.begin(), fc.candidates.end(), initial);
+    if (pivot == fc.candidates.end()) {
       throw ConfigError(
           "OffloadService: slot initial kind is not a farm candidate");
     }
-    std::vector<JobKind> kinds;
-    kinds.reserve(fc.candidates.size());
-    for (std::size_t j = 0; j < fc.candidates.size(); ++j) {
-      kinds.push_back(fc.candidates[(pivot + j) % fc.candidates.size()]);
-    }
+    std::vector<JobKind> kinds(pivot, fc.candidates.end());
+    kinds.insert(kinds.end(), fc.candidates.begin(), pivot);
 
     const std::string base_name = "svc_slot" + std::to_string(si);
     std::vector<core::Rac*> cands;
@@ -211,19 +216,8 @@ void OffloadService::build_slot_farm() {
     }
     regions_.push_back(std::make_unique<core::ReconfigSlot>(
         soc_.kernel(), base_name, cands, fc.icap));
-    core::Ocp& ocp = soc_.add_ocp(*regions_.back());
-
-    const std::size_t wi = cfg_.ocps.size() + si;
-    const Addr base = kWorkerBase + static_cast<Addr>(wi) * kWorkerStride;
-    const u32 words = fc.max_batch * block_words(initial);
-    const u32 worker =
-        dispatcher_.add_worker(ocp, initial,
-                               drv::SessionLayout{.prog_base = base,
-                                                  .in_base = base + kWorkerInOff,
-                                                  .out_base = base + kWorkerOutOff,
-                                                  .in_words = words,
-                                                  .out_words = words},
-                               fc.max_batch);
+    const u32 worker = add_ocp_worker(soc_.add_ocp(*regions_.back()),
+                                      initial, fc.max_batch);
 
     // One partial bitstream per (slot, candidate): bitstreams are
     // region-specific, so two slots hosting the same kind carry distinct
@@ -242,15 +236,6 @@ void OffloadService::build_slot_farm() {
 }
 
 void OffloadService::build_chains() {
-  const std::size_t first =
-      cfg_.ocps.size() + (cfg_.slots.enabled() ? cfg_.slots.count : 0);
-  const std::size_t total = first + cfg_.chains.size();
-  if (kWorkerBase + static_cast<Addr>(total) * kWorkerStride >
-      kBitstreamBase) {
-    throw ConfigError(
-        "OffloadService: chain windows would overlap the bitstream store");
-  }
-
   // Both halves of the chain are fixed by the service contract: the
   // dequantize table is jpeg_chain_quality()'s, the reorder map the
   // standard zigzag — exactly what reference_output(kJpegChain) models.
@@ -274,18 +259,19 @@ void OffloadService::build_chains() {
         soc_.kernel(), name + "_link",
         fifo::ChainLinkConfig{.cycles_per_word = spec.link_cycles_per_word}));
 
-    const Addr base =
-        kWorkerBase + static_cast<Addr>(first + ci) * kWorkerStride;
-    dispatcher_.add_chain_worker(
-        head, tail, *links_.back(), JobKind::kJpegChain,
-        drv::ChainLayout{.head_prog_base = base,
-                         .tail_prog_base = base + kChainTailProgOff,
-                         .in_base = base + kWorkerInOff,
-                         .bounce_base = base + kChainBounceOff,
-                         .out_base = base + kWorkerOutOff,
-                         .block_words = block_words(JobKind::kJpegChain),
-                         .max_batch = spec.max_batch},
-        spec.max_batch, spec.mode);
+    const Addr base = worker_base(dispatcher_.worker_count());
+    dispatcher_.add_worker(
+        std::make_unique<ChainBackend>(
+            soc_.cpu(), soc_.sram(), head, tail, *links_.back(),
+            drv::ChainLayout{.head_prog_base = base,
+                             .tail_prog_base = base + kChainTailProgOff,
+                             .in_base = base + kWorkerInOff,
+                             .bounce_base = base + kChainBounceOff,
+                             .out_base = base + kWorkerOutOff,
+                             .block_words = block_words(JobKind::kJpegChain),
+                             .max_batch = spec.max_batch},
+            spec.mode, irq_ctl_),
+        JobKind::kJpegChain, spec.max_batch);
   }
 }
 
@@ -354,19 +340,12 @@ void OffloadService::validate(const WorkloadConfig& workload) const {
     throw ConfigError("OffloadService: workload submits no jobs");
   }
   for (JobKind kind : workload.kinds) {
-    bool served = false;
-    for (std::size_t i = 0; i < dispatcher_.worker_count(); ++i) {
-      if (dispatcher_.worker_kind(i) == kind) {
-        served = true;
-        break;
-      }
-    }
     // A slot farm accepts any *candidate* kind: an adaptive policy swaps
     // the region in when demand appears; a static farm refuses the jobs
     // at submission (the measured ablation baseline — a fixed-function
     // device returning ENOSYS, not a configuration error).
-    if (!served && slot_mgr_ != nullptr) served = slot_mgr_->candidate(kind);
-    if (!served) {
+    if (!dispatcher_.servable(kind) &&
+        (slot_mgr_ == nullptr || !slot_mgr_->candidate(kind))) {
       throw ConfigError(std::string("OffloadService: no worker serves ") +
                         kind_name(kind) + " jobs — they would wait forever");
     }

@@ -230,9 +230,6 @@ class OffloadService {
   /// The slot farm's pieces, or nullptr when cfg.slots is disabled.
   [[nodiscard]] SlotManager* slot_manager() { return slot_mgr_.get(); }
   [[nodiscard]] dpr::IcapPort* icap() { return icap_.get(); }
-  [[nodiscard]] dpr::BitstreamCache* bitstream_cache() {
-    return bitstream_cache_.get();
-  }
   /// The chain conduits, one per cfg.chains entry (empty when none) —
   /// bench scenarios read words_moved/busy_cycles and hand them to the
   /// ledger's collect_chain.
@@ -244,6 +241,8 @@ class OffloadService {
  private:
   void validate(const WorkloadConfig& workload) const;
   void install_completion_hook();
+  /// Register @p ocp as the next worker, staged in its own SRAM window.
+  u32 add_ocp_worker(core::Ocp& ocp, JobKind kind, u32 max_batch);
   void build_slot_farm();
   void build_chains();
 

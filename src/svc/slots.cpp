@@ -63,10 +63,6 @@ void SlotManager::add_slot(core::ReconfigSlot& region, u32 worker,
   slots_.push_back(std::move(s));
 }
 
-JobKind SlotManager::slot_kind(std::size_t i) const {
-  return dispatcher_.worker_kind(slots_.at(i).worker);
-}
-
 bool SlotManager::candidate(JobKind kind) const {
   for (const auto& s : slots_) {
     for (JobKind k : s.kinds) {
@@ -77,14 +73,9 @@ bool SlotManager::candidate(JobKind kind) const {
 }
 
 bool SlotManager::serves(JobKind kind) const {
+  if (cfg_.policy != SwapPolicy::kStatic) return candidate(kind);
   for (const auto& s : slots_) {
-    if (cfg_.policy == SwapPolicy::kStatic) {
-      if (dispatcher_.worker_kind(s.worker) == kind) return true;
-    } else {
-      for (JobKind k : s.kinds) {
-        if (k == kind) return true;
-      }
-    }
+    if (dispatcher_.worker_kind(s.worker) == kind) return true;
   }
   return false;
 }

@@ -102,19 +102,7 @@ class SlotManager : public sim::Component, public SlotDirector {
   /// the Dispatcher refuses jobs for unprovisioned kinds at submission.
   [[nodiscard]] bool serves(JobKind kind) const override;
 
-  // -- introspection (report, tests) ------------------------------------
-  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
-  [[nodiscard]] core::ReconfigSlot& region(std::size_t i) {
-    return *slots_.at(i).region;
-  }
-  [[nodiscard]] u32 slot_worker(std::size_t i) const {
-    return slots_.at(i).worker;
-  }
-  [[nodiscard]] JobKind slot_kind(std::size_t i) const;
-  [[nodiscard]] bool slot_swapping(std::size_t i) const {
-    return slots_.at(i).swapping;
-  }
-  [[nodiscard]] SwapPolicy policy() const { return cfg_.policy; }
+  // -- run counters (report) ---------------------------------------------
   [[nodiscard]] u64 swaps_started() const { return swaps_started_; }
   [[nodiscard]] u64 swaps_completed() const { return swaps_completed_; }
   [[nodiscard]] u64 preemptions() const { return preemptions_; }

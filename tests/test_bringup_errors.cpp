@@ -209,5 +209,48 @@ TEST(VecAdd, LockStepHandlesSkewedArrival) {
   }
 }
 
+TEST(VecAdd, RstMidOperationThenRelaunch) {
+  // Operand B stops after two elements: the core blocks mid-op and the
+  // controller waits in exec. RST must return the core to idle; a core
+  // left mid-op eats the relaunch's operands as the rest of its old
+  // vector, and the relaunch never completes.
+  platform::Soc soc;
+  rac::VecAddRac add(soc.kernel(), "vadd", 16);
+  core::Ocp& ocp = soc.add_ocp(add);
+  drv::OcpSession session(soc.cpu(), soc.sram(), ocp,
+                          {.prog_base = kProg, .in_base = kIn,
+                           .out_base = kOut, .in_words = 16,
+                           .out_words = 16});
+  core::Program stalled;
+  stalled.mvtc(1, 0, 16, 0).mvtc(3, 0, 2, 1).exec().mvfc(2, 0, 16, 0).eop();
+  session.install(stalled);
+  session.driver().set_bank(3, kIn2);
+  std::vector<u32> a(16), b(16);
+  for (u32 i = 0; i < 16; ++i) {
+    a[i] = util::to_word(static_cast<i32>(i));
+    b[i] = util::to_word(static_cast<i32>(100 * i));
+  }
+  session.put_input(a);
+  soc.sram().load(kIn2, b);
+  session.start_async();
+  soc.cpu().spend(2000);
+  ASSERT_TRUE(add.busy());
+  ASSERT_TRUE(ocp.controller().running());
+
+  session.recover();
+  EXPECT_FALSE(add.busy());
+  EXPECT_FALSE(add.exec_pending());
+
+  core::Program p;
+  p.mvtc(1, 0, 16, 0).mvtc(3, 0, 16, 1).exec().mvfc(2, 0, 16, 0).eop();
+  session.install(p);
+  session.run_poll();
+  const auto out = session.get_output();
+  for (u32 i = 0; i < 16; ++i) {
+    EXPECT_EQ(util::from_word(out[i]), static_cast<i32>(101 * i)) << i;
+  }
+  EXPECT_EQ(add.completed_ops(), 1u);
+}
+
 }  // namespace
 }  // namespace ouessant

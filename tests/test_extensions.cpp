@@ -305,6 +305,38 @@ TEST(ConfigFifo, VerifierKnowsAboutBothInputFifos) {
   EXPECT_THROW(rig.session.install(p), ConfigError);
 }
 
+TEST(ConfigFifo, RstMidOperationThenRelaunch) {
+  // Identity taps, then only two of the 16 samples: the filter blocks
+  // mid-block and the controller waits in exec. RST must return the core
+  // to idle, keeping the loaded taps; a core left mid-block eats the
+  // relaunch's samples as the rest of its old block, and the relaunch
+  // never completes.
+  CfgFirRig rig;
+  core::Program stalled;
+  stalled.mvtc(3, 0, 4, /*fifo=*/1).mvtc(1, 0, 2, 0).exec();
+  stalled.mvfc(2, 0, 16, 0).eop();
+  rig.session.install(stalled);
+  rig.session.driver().set_bank(3, kCfg);
+  rig.soc.sram().load(kCfg, {static_cast<u32>(1 << 16), 0, 0, 0});
+  std::vector<u32> in(16);
+  for (u32 i = 0; i < 16; ++i) in[i] = util::to_word(static_cast<i32>(i) << 16);
+  rig.session.put_input(in);
+  rig.session.start_async();
+  rig.soc.cpu().spend(2000);
+  ASSERT_TRUE(rig.fir.busy());
+  ASSERT_TRUE(rig.ocp.controller().running());
+
+  rig.session.recover();
+  EXPECT_FALSE(rig.fir.busy());
+  EXPECT_FALSE(rig.fir.exec_pending());
+
+  rig.session.install(rig.program(/*with_config=*/false));
+  rig.session.run_poll();
+  EXPECT_EQ(rig.session.get_output(), in);
+  EXPECT_EQ(rig.fir.completed_ops(), 1u);
+  EXPECT_EQ(rig.fir.reconfig_count(), 1u);
+}
+
 // ----------------------------------------------------------- batch mode --
 
 TEST(BatchProgram, OneInvocationManyBlocks) {

@@ -313,6 +313,48 @@ TEST(FaultService, WatchdogRescuesEverySuppressedIrq) {
   EXPECT_EQ(rep.irq_recoveries, rep.batches);
 }
 
+TEST(FaultService, ChainedWorkersRecoverWithoutLosingJobs) {
+  // A chains-only service (one dequant->IDCT pair: ocp 0 = head, ocp 1 =
+  // tail; irq_drop counts IRQ sources, which a chain attaches tail
+  // first) with one fault at a time on either stage, in both chain
+  // modes. The faulted stage's recovery must also settle the other
+  // stage, which in linked mode is still mid-block on its RAC: a retry
+  // that finds it busy aborts the run with "start_op while busy".
+  constexpr u32 kJobs = 120;
+  for (const drv::ChainMode mode :
+       {drv::ChainMode::kLinked, drv::ChainMode::kStoreForward}) {
+    for (const FaultKind kind : {FaultKind::kRacHang, FaultKind::kBusError,
+                                 FaultKind::kCtrlFlip, FaultKind::kIrqDrop}) {
+      for (const int ocp : {0, 1}) {
+        SCOPED_TRACE(std::string(drv::chain_mode_name(mode)) + " " +
+                     fault::kind_name(kind) + "@ocp=" + std::to_string(ocp));
+        svc::ServiceConfig cfg;
+        cfg.ocps.clear();
+        cfg.chains = {svc::ChainSpec{.max_batch = 2, .mode = mode}};
+        cfg.faults.add({.kind = kind, .ocp = ocp, .at = 5000});
+        cfg.retry = svc::RetryPolicy{.max_attempts = 4,
+                                     .watchdog_cycles = 20'000};
+        svc::OffloadService service(std::move(cfg));
+        svc::WorkloadConfig wl;
+        wl.jobs = kJobs;
+        wl.mean_gap = 300.0;
+        wl.kinds = {svc::JobKind::kJpegChain};
+        wl.seed = svc::kDefaultServiceSeed;
+        svc::ServiceReport rep;
+        try {
+          rep = service.run(wl);
+        } catch (const SimError& e) {
+          ADD_FAILURE() << e.what();
+          continue;
+        }
+        EXPECT_EQ(rep.completed + rep.rejected + rep.failed, kJobs);
+        EXPECT_EQ(rep.failed, 0u);
+        (void)svc::validate_service_ledger(service);
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------------- emulator --
 
 TEST(EmulatorFault, CarriesStructuredFaultInfo) {

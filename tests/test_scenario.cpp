@@ -1,10 +1,13 @@
 // Experiment-layer tests: the scenario registry is complete, every
 // scenario builds a working simulation and completes, the headline cycle
-// counts match the pre-refactor bench transcripts (golden values), and
-// the parallel sweep is bit-identical to the serial one in deterministic
+// counts match the pre-refactor bench transcripts (golden values), every
+// dispatcher-driven point matches its pinned metric digest, and the
+// parallel sweep is bit-identical to the serial one in deterministic
 // order.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -221,6 +224,114 @@ TEST(Golden, E12Contention) {
 }
 
 // ---------------------------------------------------------------------
+// Dispatcher-driven goldens: every point of the service, fault, slot-farm
+// and chained-worker families runs through svc::Dispatcher. A digest pins
+// every metric of a point (58 metric names across these families, none
+// host-timed); the headline cycle count and completion count are spelled
+// out so a failure names what moved. serve_jpeg reports a decode rather
+// than a service run, so its literals are `cycles` and `blocks`. The
+// serial sweep below (Sweep.EveryScenarioCompletesAndPasses) checks them
+// against its rows, so no point is simulated twice.
+
+/// FNV-1a over "name=<json value>;" for every metric, in insertion order.
+u64 metrics_digest(const exp::Result& r) {
+  u64 h = 0xcbf29ce484222325ull;
+  for (const auto& [name, value] : r.metrics.entries()) {
+    for (const char c : name + "=" + value.json() + ";") {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+bool dispatcher_driven(const std::string& scenario) {
+  return scenario.rfind("serve_", 0) == 0 || scenario.rfind("dpr_", 0) == 0 ||
+         scenario == "chain_service";
+}
+
+struct DispatcherGolden {
+  const char* scenario;
+  std::size_t point;
+  i64 cycles;  ///< makespan_cycles (serve_jpeg: cycles)
+  i64 count;   ///< completed (serve_jpeg: blocks)
+  u64 digest;
+};
+
+constexpr DispatcherGolden kDispatcherGoldens[] = {
+    // serve_single_ocp: mean_gap 1200, 600, 400
+    {"serve_single_ocp", 0, 155389, 120, 0xcb0bf804e79f8e88ull},
+    {"serve_single_ocp", 1, 77896, 120, 0xf94efb440a3747dbull},
+    {"serve_single_ocp", 2, 54956, 120, 0x007bd8e525f111d9ull},
+    // serve_multi_ocp: ocps 1, 2, 4
+    {"serve_multi_ocp", 0, 68846, 160, 0x0ce7bb1306c8dc2cull},
+    {"serve_multi_ocp", 1, 45983, 160, 0x2cd2d6a81944e982ull},
+    {"serve_multi_ocp", 2, 39662, 160, 0xf9f8d38507d4d0b1ull},
+    // serve_batching: batch 1, 2, 4, 8, 16
+    {"serve_batching", 0, 86221, 192, 0x1af7ded689f87fb7ull},
+    {"serve_batching", 1, 81902, 192, 0xf15404be57ff42afull},
+    {"serve_batching", 2, 79358, 192, 0xb09a384703f70b73ull},
+    {"serve_batching", 3, 78086, 192, 0x433a50784e0c5ac5ull},
+    {"serve_batching", 4, 77450, 192, 0x5013b947e827aeb3ull},
+    // serve_overload: depth 16, 64
+    {"serve_overload", 0, 19756, 44, 0x943fe5f89a51ee92ull},
+    {"serve_overload", 1, 39772, 92, 0x09214205af7c1ee8ull},
+    {"serve_mixed", 0, 38314, 160, 0x1f5ad1a35c487d53ull},
+    // serve_faulty_rate: fault_ppm 100, 500, 2000
+    {"serve_faulty_rate", 0, 45754, 100, 0x6a2c64ea7dca1591ull},
+    {"serve_faulty_rate", 1, 46724, 100, 0xde4bf75cee5a06c3ull},
+    {"serve_faulty_rate", 2, 50332, 100, 0x546d80fbde698c72ull},
+    {"serve_faulty_hang", 0, 47685, 80, 0x1c2493e825e3071eull},
+    {"serve_faulty_irq", 0, 175308, 60, 0x5d159cf756a7953bull},
+    // dpr_adapt: policy static, greedy, hysteresis
+    {"dpr_adapt", 0, 359986, 597, 0x6691d8a1a257ac9bull},
+    {"dpr_adapt", 1, 416715, 888, 0x2429e957f36ab438ull},
+    {"dpr_adapt", 2, 405210, 974, 0x53238c112d82adc3ull},
+    // dpr_slots: slots 1, 2, 4
+    {"dpr_slots", 0, 154774, 96, 0x55d996aaef63cbe1ull},
+    {"dpr_slots", 1, 128655, 96, 0xb5d964d0f6e029f2ull},
+    {"dpr_slots", 2, 56714, 96, 0xb8c9b4aeeda5fcd0ull},
+    // dpr_icap: icap/cache_kb shared/0, shared/256, free/0, free/256
+    {"dpr_icap", 0, 169609, 240, 0x48b6e14bb4e7a4aaull},
+    {"dpr_icap", 1, 140902, 240, 0x7f56807fe70968c6ull},
+    {"dpr_icap", 2, 109878, 240, 0x812ad12a8cbcf8ecull},
+    {"dpr_icap", 3, 109878, 240, 0x81707e195e183ce9ull},
+    // chain_service: mode linked, store_forward
+    {"chain_service", 0, 49564, 64, 0x9559e116fd399882ull},
+    {"chain_service", 1, 52149, 64, 0xa157c5f80257a360ull},
+    // serve_jpeg: dim/mode 32/linked, 32/store_forward, 64/linked,
+    // 64/store_forward
+    {"serve_jpeg", 0, 9244, 16, 0x720bdc2d685e2224ull},
+    {"serve_jpeg", 1, 15742, 16, 0x93a60913e95e7275ull},
+    {"serve_jpeg", 2, 37042, 64, 0x2c4d5f5871887323ull},
+    {"serve_jpeg", 3, 63034, 64, 0xd8fb80e9f9166286ull},
+};
+
+/// Check every pinned point against a full serial sweep's rows, which
+/// come in registry order and, within a scenario, in points() order.
+void expect_dispatcher_goldens(const std::vector<exp::Result>& results) {
+  std::map<std::string, std::vector<const exp::Result*>> rows;
+  for (const auto& r : results) rows[r.scenario].push_back(&r);
+  std::size_t points = 0;
+  for (const auto& spec : registry().scenarios()) {
+    if (dispatcher_driven(spec.name)) points += spec.point_count();
+  }
+  EXPECT_EQ(points, std::size(kDispatcherGoldens))
+      << "a dispatcher-driven point is not pinned";
+  for (const DispatcherGolden& g : kDispatcherGoldens) {
+    SCOPED_TRACE(std::string(g.scenario) + " point " +
+                 std::to_string(g.point));
+    const auto& scenario_rows = rows[g.scenario];
+    ASSERT_LT(g.point, scenario_rows.size());
+    const exp::Result& r = *scenario_rows[g.point];
+    const bool decode = std::string(g.scenario) == "serve_jpeg";
+    EXPECT_EQ(metric(r, decode ? "cycles" : "makespan_cycles"), g.cycles);
+    EXPECT_EQ(metric(r, decode ? "blocks" : "completed"), g.count);
+    EXPECT_EQ(metrics_digest(r), g.digest);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Sweep engine.
 
 TEST(Sweep, EveryScenarioCompletesAndPasses) {
@@ -236,6 +347,7 @@ TEST(Sweep, EveryScenarioCompletesAndPasses) {
     expected += spec.point_count();
   }
   EXPECT_EQ(outcome.results.size(), expected);
+  expect_dispatcher_goldens(outcome.results);
 }
 
 TEST(Sweep, FilterSelectsByNameExperimentAndTitle) {

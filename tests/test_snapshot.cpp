@@ -12,13 +12,16 @@
 //      restore into a fresh stack, run to the end, and the clocks,
 //      Stats::all(), outputs and latency histograms are bit-identical
 //      to the run that never stopped: proven for E1 (IDCT sessions), a
-//      serve_* service run, and a fault-armed run (injector RNG
-//      streams and firing log resume exactly).
+//      serve_* service run, a fault-armed run (injector RNG streams and
+//      firing log resume exactly), and a stack carrying every worker
+//      kind (static, slot, linked and store-and-forward chains) frozen
+//      mid store-and-forward head stage.
 //   5. Warm-boot guard rails: restore into a differently-shaped stack
 //      throws instead of corrupting, and the fleet layer's fixed-seed
 //      shard replay reproduces bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -379,15 +382,67 @@ void expect_reports_identical(const svc::ServiceReport& a,
   EXPECT_EQ(a.retries, b.retries);
 }
 
-/// Shared skeleton for the plain and fault-armed cases: begin a run,
-/// step it partway, snapshot, let the original run to the end, then
-/// restore the image into a fresh stack and finish there. Everything
-/// observable must be bit-identical.
-void check_serve_midrun(bool faulty) {
-  svc::OffloadService a(serve_config(faulty));
-  a.begin(serve_workload());
-  for (int i = 0; i < 5 && !a.step(); ++i) {
+/// Every worker kind in one stack: a static IDCT OCP, a 1-slot greedy
+/// DFT/FIR farm, a linked and a store-and-forward dequant->IDCT chain.
+/// OCPs 0 static, 1 slot, 2/3 linked head/tail, 4/5 store-and-forward
+/// head/tail. IRQ sources follow the same order, except that each chain
+/// attaches its tail first (4 = store-and-forward tail, 5 = its head).
+/// Faults, when armed, hit the store-and-forward chain only. The
+/// watchdog is long because the ICAP outranks OCPs 2 and up on the bus,
+/// so the linked chain behind the swapping farm needs ~29k cycles per
+/// batch (ROADMAP.md).
+svc::ServiceConfig mixed_config(bool faulty) {
+  svc::ServiceConfig cfg;
+  cfg.ocps = {svc::OcpSpec{.kind = svc::JobKind::kIdct, .max_batch = 2}};
+  cfg.queue_depth = 64;
+  cfg.slots.count = 1;
+  cfg.slots.candidates = {svc::JobKind::kDft, svc::JobKind::kFir};
+  cfg.slots.initial = {svc::JobKind::kDft};
+  cfg.slots.max_batch = 2;
+  cfg.slots.policy = svc::SwapPolicy::kGreedyQueueDepth;
+  cfg.chains = {
+      svc::ChainSpec{.max_batch = 2, .mode = drv::ChainMode::kLinked},
+      svc::ChainSpec{.max_batch = 2, .mode = drv::ChainMode::kStoreForward}};
+  if (faulty) {
+    cfg.faults
+        .add({.kind = fault::FaultKind::kBusError, .ocp = 4, .prob = 0.01})
+        .add({.kind = fault::FaultKind::kIrqDrop, .ocp = 5, .prob = 0.2});
+    cfg.retry = svc::RetryPolicy{.max_attempts = 4,
+                                 .backoff_base = 2048,
+                                 .watchdog_cycles = 100'000};
   }
+  return cfg;
+}
+
+svc::WorkloadConfig mixed_workload() {
+  svc::WorkloadConfig wl;
+  wl.jobs = 80;
+  wl.mean_gap = 250.0;
+  wl.kinds = {svc::JobKind::kIdct, svc::JobKind::kDft, svc::JobKind::kFir,
+              svc::JobKind::kJpegChain};
+  wl.seed = svc::kDefaultServiceSeed;
+  return wl;
+}
+
+/// Once a quarter of the mixed workload completed: true while the
+/// store-and-forward head stage runs (the head OCP executes, the tail
+/// has not been launched yet).
+bool store_forward_head_in_flight(svc::OffloadService& s) {
+  return s.dispatcher().completed() >= 20 &&
+         s.soc().ocp(4).controller().running() &&
+         !s.soc().ocp(5).controller().running();
+}
+
+/// Shared skeleton of the mid-run restore proofs: begin a run, step it
+/// until @p snapshot_now, snapshot, let the original run to the end,
+/// then restore the image into a fresh stack and finish there.
+/// Everything observable must be bit-identical.
+void check_serve_midrun(
+    const svc::ServiceConfig& cfg, const svc::WorkloadConfig& wl,
+    const std::function<bool(svc::OffloadService&)>& snapshot_now) {
+  svc::OffloadService a(cfg);
+  a.begin(wl);
+  while (!a.finished() && !snapshot_now(a)) (void)a.step();
   ASSERT_FALSE(a.finished()) << "workload too small: nothing left to resume";
   const std::vector<u8> image = a.snapshot().serialize();
   while (!a.step()) {
@@ -396,7 +451,7 @@ void check_serve_midrun(bool faulty) {
   const Cycle end_a = a.soc().kernel().now();
   const std::map<std::string, u64> stats_a = a.soc().kernel().stats().all();
 
-  svc::OffloadService b(serve_config(faulty));
+  svc::OffloadService b(cfg);
   b.restore(Snapshot::deserialize(image));
   while (!b.step()) {
   }
@@ -406,7 +461,7 @@ void check_serve_midrun(bool faulty) {
   EXPECT_EQ(b.soc().kernel().now(), end_a);
   EXPECT_EQ(b.soc().kernel().stats().all(), stats_a);
 
-  if (faulty) {
+  if (cfg.faults.armed()) {
     // The injector's xoshiro streams and firing log resumed exactly:
     // the full logs agree event for event.
     ASSERT_NE(a.injector(), nullptr);
@@ -423,9 +478,27 @@ void check_serve_midrun(bool faulty) {
   }
 }
 
-TEST(MidRun, ServeRestoredRunIsBitIdentical) { check_serve_midrun(false); }
+TEST(MidRun, ServeRestoredRunIsBitIdentical) {
+  int steps = 0;
+  check_serve_midrun(serve_config(false), serve_workload(),
+                     [&steps](svc::OffloadService&) { return steps++ == 5; });
+}
 
-TEST(MidRun, FaultArmedRestoredRunIsBitIdentical) { check_serve_midrun(true); }
+TEST(MidRun, FaultArmedRestoredRunIsBitIdentical) {
+  int steps = 0;
+  check_serve_midrun(serve_config(true), serve_workload(),
+                     [&steps](svc::OffloadService&) { return steps++ == 5; });
+}
+
+TEST(MidRun, EveryWorkerKindRestoredRunIsBitIdentical) {
+  check_serve_midrun(mixed_config(false), mixed_workload(),
+                     store_forward_head_in_flight);
+}
+
+TEST(MidRun, EveryWorkerKindFaultArmedRestoredRunIsBitIdentical) {
+  check_serve_midrun(mixed_config(true), mixed_workload(),
+                     store_forward_head_in_flight);
+}
 
 TEST(MidRun, MidSwapRestoredFarmRunIsBitIdentical) {
   // Snapshot taken while a bitstream is *in flight* on the ICAP: the
