@@ -63,7 +63,8 @@ u64 run_dft(platform::BusKind bus) {
   return cycles;
 }
 
-void run_point(const exp::ParamMap& params, exp::Result& result) {
+void run_point(const exp::ParamMap& params, const exp::RunContext&,
+               exp::Result& result) {
   const bool dft = params.get_str("workload") == "dft";
   auto run = [&](platform::BusKind kind) {
     return dft ? run_dft(kind) : run_idct(kind);

@@ -365,7 +365,7 @@ void register_chain(exp::Registry& r) {
       .title = "p2p link vs SRAM bounce, same payload: cycles + bus beats",
       .grid = {{.name = "batch", .values = {1, 4, 8}}},
       .default_seed = svc::kDefaultServiceSeed,
-      .run_ctx = run_traffic,
+      .run = run_traffic,
   });
   r.add(exp::ScenarioSpec{
       .name = "chain_link_cost",
@@ -373,7 +373,7 @@ void register_chain(exp::Registry& r) {
       .title = "link cycles_per_word swept in linked mode",
       .grid = {{.name = "cpw", .values = {1, 2, 4, 8}}},
       .default_seed = svc::kDefaultServiceSeed,
-      .run_ctx = run_link_cost,
+      .run = run_link_cost,
   });
   r.add(exp::ScenarioSpec{
       .name = "chain_service",
@@ -381,7 +381,7 @@ void register_chain(exp::Registry& r) {
       .title = "one chained worker serving kJpegChain under open-loop load",
       .grid = {{.name = "mode", .values = {"linked", "store_forward"}}},
       .default_seed = svc::kDefaultServiceSeed,
-      .run_ctx = run_service,
+      .run = run_service,
   });
   r.add(exp::ScenarioSpec{
       .name = "serve_jpeg",
@@ -390,7 +390,7 @@ void register_chain(exp::Registry& r) {
       .grid = {{.name = "dim", .values = {32, 64}},
                {.name = "mode", .values = {"linked", "store_forward"}}},
       .default_seed = 1,
-      .run_ctx = run_serve_jpeg,
+      .run = run_serve_jpeg,
   });
 }
 

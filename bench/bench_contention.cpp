@@ -25,7 +25,8 @@ namespace {
 
 constexpr u32 kWords = 512;
 
-void run_point(const exp::ParamMap& params, exp::Result& result) {
+void run_point(const exp::ParamMap& params, const exp::RunContext&,
+               exp::Result& result) {
   const u32 n_ocps = params.get_u32("ocps");
   platform::Soc soc;
   std::vector<std::unique_ptr<rac::FirRac>> racs;

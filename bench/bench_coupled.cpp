@@ -75,7 +75,8 @@ std::pair<u64, u64> run_ocp(u64 cpu_work) {
   return {lat, total};
 }
 
-void run_latency_point(const exp::ParamMap&, exp::Result& result) {
+void run_latency_point(const exp::ParamMap&, const exp::RunContext&,
+                       exp::Result& result) {
   const auto [molen_lat, molen0] = run_coupled(0);
   const auto [ocp_lat, ocp0] = run_ocp(0);
   (void)molen0;
@@ -87,7 +88,8 @@ void run_latency_point(const exp::ParamMap&, exp::Result& result) {
       100.0 * (static_cast<double>(ocp_lat) / molen_lat - 1.0));
 }
 
-void run_overlap_point(const exp::ParamMap& params, exp::Result& result) {
+void run_overlap_point(const exp::ParamMap& params, const exp::RunContext&,
+                       exp::Result& result) {
   const u64 k = static_cast<u64>(params.get_int("k"));
   const u64 molen = run_coupled(k).second;
   const u64 ocp = run_ocp(k).second;

@@ -103,7 +103,8 @@ u64 run_static(u32 batches, u32 batch_len) {
   return soc.kernel().now() - t0;
 }
 
-void run_area_point(const exp::ParamMap&, exp::Result& result) {
+void run_area_point(const exp::ParamMap&, const exp::RunContext&,
+                    exp::Result& result) {
   platform::Soc soc;
   const util::Q q(16);
   rac::ScaleRac a(soc.kernel(), "a", kWords, q.from_double(2.0), 18);
@@ -130,7 +131,8 @@ void run_area_point(const exp::ParamMap&, exp::Result& result) {
   result.add_metric("static_dsp", static_area.dsps);
 }
 
-void run_time_point(const exp::ParamMap& params, exp::Result& result) {
+void run_time_point(const exp::ParamMap& params, const exp::RunContext&,
+                    exp::Result& result) {
   const u32 batch_len = params.get_u32("batch_len");
   const u32 batches = 8;
   u32 swaps = 0;

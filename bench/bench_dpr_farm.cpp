@@ -196,7 +196,7 @@ void register_dpr_farm(exp::Registry& r) {
       .grid = {{.name = "policy", .values = {"static", "greedy",
                                              "hysteresis"}}},
       .default_seed = svc::kDefaultServiceSeed,
-      .run_ctx = run_adapt,
+      .run = run_adapt,
   });
   r.add(exp::ScenarioSpec{
       .name = "dpr_slots",
@@ -204,7 +204,7 @@ void register_dpr_farm(exp::Registry& r) {
       .title = "uniform 4-kind mix over 1/2/4 hysteresis slots",
       .grid = {{.name = "slots", .values = {1, 2, 4}}},
       .default_seed = svc::kDefaultServiceSeed,
-      .run_ctx = run_slots,
+      .run = run_slots,
   });
   r.add(exp::ScenarioSpec{
       .name = "dpr_icap",
@@ -214,7 +214,7 @@ void register_dpr_farm(exp::Registry& r) {
       .grid = {{.name = "icap", .values = {"shared", "free"}},
                {.name = "cache_kb", .values = {0, 256}}},
       .default_seed = svc::kDefaultServiceSeed,
-      .run_ctx = run_icap,
+      .run = run_icap,
   });
 }
 

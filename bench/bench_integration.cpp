@@ -84,7 +84,8 @@ u64 run_dma(u32 words) {
   return cycles;
 }
 
-void run_point(const exp::ParamMap& params, exp::Result& result) {
+void run_point(const exp::ParamMap& params, const exp::RunContext&,
+               exp::Result& result) {
   const u32 words = params.get_u32("words");
   const u64 pio = run_pio(words);
   const u64 dma = run_dma(words);

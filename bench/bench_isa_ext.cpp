@@ -54,7 +54,8 @@ Measurement measure(u32 words, u32 burst, bool use_loop, bool overlap) {
           .data_ok = session.get_output() == in};
 }
 
-void run_isa_point(const exp::ParamMap& params, exp::Result& result) {
+void run_isa_point(const exp::ParamMap& params, const exp::RunContext&,
+                   exp::Result& result) {
   const u32 words = params.get_u32("words");
   const u32 burst = params.get_u32("burst");
   const bool use_loop = params.get_str("isa") == "v2";
@@ -65,7 +66,8 @@ void run_isa_point(const exp::ParamMap& params, exp::Result& result) {
   result.add_metric("cycles", m.cycles);
 }
 
-void run_overlap_point(const exp::ParamMap& params, exp::Result& result) {
+void run_overlap_point(const exp::ParamMap& params, const exp::RunContext&,
+                       exp::Result& result) {
   const bool overlapped = params.get_str("mode") == "execs";
   const Measurement m = measure(512, 64, /*use_loop=*/false, overlapped);
   if (!m.data_ok) result.fail("data mismatch");

@@ -101,7 +101,8 @@ Times run_decode(u32 dim, u32 quality, codec::EntropyKind entropy) {
   return t;
 }
 
-void run_point(const exp::ParamMap& params, exp::Result& result) {
+void run_point(const exp::ParamMap& params, const exp::RunContext&,
+               exp::Result& result) {
   const u32 dim = params.get_u32("dim");
   const u32 quality = params.get_u32("quality");
   const auto entropy = params.get_str("entropy") == "rle"

@@ -66,7 +66,8 @@ std::pair<u64, double> run_idle_heavy_dft(bool gating, int invocations) {
           std::chrono::duration<double>(t1 - t0).count()};
 }
 
-void run_point(const exp::ParamMap&, exp::Result& result) {
+void run_point(const exp::ParamMap&, const exp::RunContext&,
+               exp::Result& result) {
   constexpr int kInvocations = 50;
   const auto [gated_cycles, gated_s] =
       run_idle_heavy_dft(/*gating=*/true, kInvocations);

@@ -79,7 +79,8 @@ u64 run_hw_idct() {
   return cycles;
 }
 
-void run_point(const exp::ParamMap&, exp::Result& result) {
+void run_point(const exp::ParamMap&, const exp::RunContext&,
+               exp::Result& result) {
   bool bit_exact = false;
   const u64 executed = run_asm_idct(&bit_exact);
   const u64 analytic = cpu::sw::cost_idct8x8(cpu::CpuCosts{});

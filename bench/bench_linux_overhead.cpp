@@ -49,7 +49,8 @@ struct Rig {
   drv::OcpSession session;
 };
 
-void run_point(const exp::ParamMap&, exp::Result& result) {
+void run_point(const exp::ParamMap&, const exp::RunContext&,
+               exp::Result& result) {
   u64 bm_poll = 0;
   u64 bm_irq = 0;
   u64 lx_mmap = 0;

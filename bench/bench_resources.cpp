@@ -58,7 +58,8 @@ void add_estimate(exp::Result& result, const std::string& prefix,
   result.add_metric(prefix + "_dsp", e.dsps);
 }
 
-void run_point(const exp::ParamMap& params, exp::Result& result) {
+void run_point(const exp::ParamMap& params, const exp::RunContext&,
+               exp::Result& result) {
   const std::string& which = params.get_str("rac");
 
   // Accelerator alone.

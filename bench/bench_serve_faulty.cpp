@@ -15,7 +15,7 @@
 //                      watchdog poll rescues the lost doorbells
 //                      (irq_recoveries) and nothing fails or retries.
 //
-// All three are seeded (run_ctx) scenarios; the RunContext's --faults
+// All three are seeded scenarios; the RunContext's --faults
 // override replaces the built-in plan, so any site/rate mix can be
 // explored from the command line without recompiling. Fixed seed + fixed
 // plan ⇒ bit-identical reports (the --compare-jobs identity check covers
@@ -144,21 +144,21 @@ void register_serve_faulty(exp::Registry& r) {
       .title = "availability and p99 vs bus/FIFO fault rate (ppm)",
       .grid = {{.name = "fault_ppm", .values = {100, 500, 2000}}},
       .default_seed = svc::kDefaultServiceSeed,
-      .run_ctx = run_rate,
+      .run = run_rate,
   });
   r.add(exp::ScenarioSpec{
       .name = "serve_faulty_hang",
       .experiment = "FAULT",
       .title = "hung RAC quarantined, load drains via the healthy worker",
       .default_seed = svc::kDefaultServiceSeed,
-      .run_ctx = run_hang,
+      .run = run_hang,
   });
   r.add(exp::ScenarioSpec{
       .name = "serve_faulty_irq",
       .experiment = "FAULT",
       .title = "suppressed completion IRQs rescued by the watchdog poll",
       .default_seed = svc::kDefaultServiceSeed,
-      .run_ctx = run_irq,
+      .run = run_irq,
   });
 }
 

@@ -169,7 +169,8 @@ std::pair<u64, double> run_serve_multi(bool optimized) {
   return timed(service.soc().kernel(), [&] { service.run(wl); });
 }
 
-void run_point(const exp::ParamMap& params, exp::Result& result) {
+void run_point(const exp::ParamMap& params, const exp::RunContext&,
+               exp::Result& result) {
   const std::string& workload = params.get_str("workload");
   std::pair<u64, double> (*one)(bool) = nullptr;
   if (workload == "idct_invoke") {

@@ -55,7 +55,8 @@ u64 run_hw_linux(platform::Soc& soc, core::Ocp& ocp, u32 words, u32 burst) {
   return linux_env.invoke(session, drv::XferMode::kMmap);
 }
 
-void run_point(const exp::ParamMap& params, exp::Result& result) {
+void run_point(const exp::ParamMap& params, const exp::RunContext&,
+               exp::Result& result) {
   const std::string& workload = params.get_str("workload");
   u64 lat = 0;
   u64 hw = 0;

@@ -23,7 +23,8 @@ constexpr Addr kProg = 0x4000'0000;
 constexpr Addr kIn = 0x4001'0000;
 constexpr Addr kOut = 0x4002'0000;
 
-void run_point(const exp::ParamMap& params, exp::Result& result) {
+void run_point(const exp::ParamMap& params, const exp::RunContext&,
+               exp::Result& result) {
   const u32 words = 512;
   const u32 burst = params.get_u32("burst");
   const bool use_loop = params.get_str("isa") == "v2";

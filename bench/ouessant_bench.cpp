@@ -13,13 +13,15 @@
 //                                       payload bit-identity, record both
 //                                       wall clocks + speedup in the JSON
 //   ouessant_bench --seed 42            override the built-in seed of every
-//                                       seeded (run_ctx) scenario
+//                                       seeded scenario
 //   ouessant_bench --trace STEM         write STEM_<scenario>_<point>.vcd
 //                                       for every seeded scenario run
 //   ouessant_bench --trace-events STEM  write Chrome trace-event JSON
 //                                       (STEM_<scenario>_<point>.trace.json
 //                                       + .metrics.json time-series) for
-//                                       every seeded scenario run; view
+//                                       every traced serve run, and the
+//                                       fleet runs' SLO report + flight
+//                                       dumps under the same stem; view
 //                                       with ouessant_trace or Perfetto
 //   ouessant_bench --faults SPEC        override the fault plan of every
 //                                       fault-aware (serve_faulty)
@@ -43,7 +45,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,17 +60,9 @@ using namespace ouessant;
 struct Options {
   bool list = false;
   bool help = false;
-  std::string filter;
-  int jobs = 1;
   int compare_jobs = 0;  // 0 = off
   std::string json_path;
-  std::optional<ouessant::u64> seed;
-  std::string trace_stem;
-  std::string trace_events_stem;
-  std::string faults;
-  std::string snapshot_stem;
-  std::string restore_path;
-  std::string chain;
+  exp::SweepOptions sweep;  ///< --filter, --jobs and the per-run flags
 };
 
 /// The one flag list, printed to stdout for --help (exit 0) and stderr
@@ -116,14 +109,14 @@ bool parse_args(int argc, char** argv, Options* opt) {
     } else if (arg == "--faults") {
       const char* v = next();
       if (v == nullptr) return false;
-      opt->faults = v;
+      opt->sweep.faults = v;
     } else if (arg == "--filter") {
       const char* v = next();
       if (v == nullptr) return false;
-      opt->filter = v;
+      opt->sweep.filter = v;
     } else if (arg == "--jobs") {
       const char* v = next();
-      if (v == nullptr || !parse_int(v, &opt->jobs)) return false;
+      if (v == nullptr || !parse_int(v, &opt->sweep.jobs)) return false;
     } else if (arg == "--compare-jobs") {
       const char* v = next();
       if (v == nullptr || !parse_int(v, &opt->compare_jobs)) return false;
@@ -135,30 +128,30 @@ bool parse_args(int argc, char** argv, Options* opt) {
       const char* v = next();
       ouessant::u64 seed = 0;
       if (v == nullptr || !parse_u64(v, &seed)) return false;
-      opt->seed = seed;
+      opt->sweep.seed = seed;
     } else if (arg == "--trace") {
       const char* v = next();
       if (v == nullptr) return false;
-      opt->trace_stem = v;
+      opt->sweep.trace_stem = v;
     } else if (arg == "--trace-events") {
       const char* v = next();
       if (v == nullptr) return false;
-      opt->trace_events_stem = v;
+      opt->sweep.trace_events_stem = v;
     } else if (arg == "--snapshot") {
       const char* v = next();
       if (v == nullptr) return false;
-      opt->snapshot_stem = v;
+      opt->sweep.snapshot_stem = v;
     } else if (arg == "--restore") {
       const char* v = next();
       if (v == nullptr) return false;
-      opt->restore_path = v;
+      opt->sweep.restore_path = v;
     } else if (arg == "--chain") {
       const char* v = next();
       if (v == nullptr ||
           (std::string(v) != "linked" && std::string(v) != "store_forward")) {
         return false;
       }
-      opt->chain = v;
+      opt->sweep.chain = v;
     } else {
       usage(argv[0], stderr);
       return false;
@@ -248,16 +241,17 @@ int main(int argc, char** argv) {
   exp::Registry registry;
   scenarios::register_all_scenarios(registry);
 
+  const std::string& filter = opt.sweep.filter;
   if (opt.list) {
-    list_scenarios(registry, opt.filter);
+    list_scenarios(registry, filter);
     return 0;
   }
 
-  if (!opt.filter.empty() && !any_scenario_matches(registry, opt.filter)) {
+  if (!filter.empty() && !any_scenario_matches(registry, filter)) {
     std::fprintf(stderr,
                  "ouessant_bench: no scenarios matched --filter \"%s\"\n"
                  "available scenarios:\n",
-                 opt.filter.c_str());
+                 filter.c_str());
     for (const auto& spec : registry.scenarios()) {
       std::fprintf(stderr, "  %s\n", spec.name.c_str());
     }
@@ -270,34 +264,19 @@ int main(int argc, char** argv) {
   // All free-form strings go through exp::json_escape — a filter (or any
   // future meta value) containing a quote or backslash must not corrupt
   // the document.
-  meta.push_back("\"filter\": \"" + exp::json_escape(opt.filter) + "\"");
-  if (opt.seed) {
-    meta.push_back("\"seed\": " + std::to_string(*opt.seed));
+  meta.push_back("\"filter\": \"" + exp::json_escape(filter) + "\"");
+  if (opt.sweep.seed) {
+    meta.push_back("\"seed\": " + std::to_string(*opt.sweep.seed));
   }
 
   try {
     if (opt.compare_jobs > 0) {
-      const auto jobs = exp::expand_jobs(registry, opt.filter);
-      const auto serial = exp::run_sweep(
-          registry, {.jobs = 1,
-                     .filter = opt.filter,
-                     .seed = opt.seed,
-                     .trace_stem = opt.trace_stem,
-                     .trace_events_stem = opt.trace_events_stem,
-                     .faults = opt.faults,
-                     .snapshot_stem = opt.snapshot_stem,
-                     .restore_path = opt.restore_path,
-                     .chain = opt.chain});
-      const auto parallel = exp::run_sweep(
-          registry, {.jobs = opt.compare_jobs,
-                     .filter = opt.filter,
-                     .seed = opt.seed,
-                     .trace_stem = opt.trace_stem,
-                     .trace_events_stem = opt.trace_events_stem,
-                     .faults = opt.faults,
-                     .snapshot_stem = opt.snapshot_stem,
-                     .restore_path = opt.restore_path,
-                     .chain = opt.chain});
+      const auto jobs = exp::expand_jobs(registry, filter);
+      exp::SweepOptions sweep = opt.sweep;
+      sweep.jobs = 1;
+      const auto serial = exp::run_sweep(registry, sweep);
+      sweep.jobs = opt.compare_jobs;
+      const auto parallel = exp::run_sweep(registry, sweep);
       const bool identical =
           payloads_identical(jobs, serial.results, parallel.results);
       const double speedup = serial.wall_seconds / parallel.wall_seconds;
@@ -324,16 +303,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const auto outcome = exp::run_sweep(
-        registry, {.jobs = opt.jobs,
-                   .filter = opt.filter,
-                   .seed = opt.seed,
-                   .trace_stem = opt.trace_stem,
-                   .trace_events_stem = opt.trace_events_stem,
-                   .faults = opt.faults,
-                   .snapshot_stem = opt.snapshot_stem,
-                   .restore_path = opt.restore_path,
-                   .chain = opt.chain});
+    const auto outcome = exp::run_sweep(registry, opt.sweep);
     print_tables(registry, outcome.results);
     std::printf("sweep: %zu runs | jobs=%d | %.3fs | %zu failed\n",
                 outcome.results.size(), outcome.jobs, outcome.wall_seconds,

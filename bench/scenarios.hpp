@@ -32,4 +32,16 @@ void register_chain(exp::Registry& r);              // bench_chain.cpp
 /// Everything above, in E-order. Call once at startup.
 void register_all_scenarios(exp::Registry& r);
 
+/// Host CPU seconds the calling thread has consumed. The passivity guards
+/// time both sides of their host budget with it: sweep workers share the
+/// host, and wall time would charge one run for its neighbours' load.
+[[nodiscard]] double thread_cpu_seconds();
+
+/// A passivity guard's host budget: the instrumented run (@p armed_s) may
+/// cost at most @p factor x the bare run (@p bare_s) plus a 0.25 s slack
+/// floor that keeps short runs from flaking on scheduler noise. Records
+/// all three as metrics and fails @p result when the budget is exceeded.
+void check_host_budget(double bare_s, double armed_s, double factor,
+                       exp::Result& result);
+
 }  // namespace ouessant::scenarios

@@ -1,58 +1,44 @@
 #!/usr/bin/env python3
-"""Headline-claim guards over a scenario sweep's JSON record.
+"""The guard that compares a fresh sweep record against a committed one.
 
-    python3 scripts/bench_guards.py dpr BENCH_dpr.json
-    python3 scripts/bench_guards.py chain BENCH_chain.json
+    python3 scripts/bench_guards.py speed BENCH_speed.json \
+        build/bench/BENCH_speed.json
 
-dpr:   on dpr_adapt's shifted demand mix, the demand-driven swap
-       scheduler (hysteresis) must beat static slot assignment on
-       availability.
-chain: on every chain_traffic point, the p2p linked mode must beat the
-       store-and-forward ablation on both cycles and bus beats.
+speed: sim_speed's per-workload opt_cps in the fresh record (third
+       argument) must be at least half the committed baseline (second
+       argument). A host can easily be 2x slower than the one that
+       recorded BENCH_speed.json, but a value below half of it means the
+       fast paths stopped engaging.
 
-Prints what it compared; exits 0 when the claim holds and 1 (with the
-reason on stderr) when it does not. scripts/run_tier1.sh and
-scripts/run_experiments.sh both call it.
+Every other guard is a registered scenario of ouessant_bench or a ctest
+assertion. Prints what it compared; exits 0 when the floor holds and 1
+(with the reason on stderr) when it does not. scripts/run_tier1.sh
+calls it.
 """
 
 import json
 import sys
 
 
-def dpr(doc):
-    av = {r["params"]["policy"]:
-          r["metrics"]["completed"] / r["metrics"]["jobs"]
-          for r in doc["results"] if r["scenario"] == "dpr_adapt"}
-    print("  dpr_adapt availability: " +
-          ", ".join(f"{p}={av[p]:.3f}" for p in sorted(av)))
-    if av["hysteresis"] <= av["static"]:
-        sys.exit("dpr guard: the swap scheduler lost to static slot "
-                 f"assignment ({av['hysteresis']:.3f} <= {av['static']:.3f})")
-    print("dpr guard OK: scheduler beats static on the shifted mix")
+def cps(path):
+    with open(path) as f:
+        doc = json.load(f)
+    return {r["params"]["workload"]: r["metrics"]["opt_cps"]
+            for r in doc["results"]}
 
 
-def chain(doc):
-    rows = [r for r in doc["results"] if r["scenario"] == "chain_traffic"]
-    if not rows:
-        sys.exit("chain guard: no chain_traffic rows")
-    for r in rows:
-        m, batch = r["metrics"], r["params"]["batch"]
-        print(f"  batch {batch}: linked {m['linked_cycles']} cycles / "
-              f"{m['linked_beats']} beats | store_forward {m['sf_cycles']} "
-              f"cycles / {m['sf_beats']} beats")
-        if m["linked_cycles"] >= m["sf_cycles"]:
-            sys.exit(f"chain guard: linked lost on cycles at batch {batch} "
-                     f"({m['linked_cycles']} >= {m['sf_cycles']})")
-        if m["linked_beats"] >= m["sf_beats"]:
-            sys.exit(f"chain guard: linked lost on bus beats at batch {batch} "
-                     f"({m['linked_beats']} >= {m['sf_beats']})")
-    print("chain guard OK: linked beats store-and-forward on cycles and beats")
+def speed(baseline_path, fresh_path):
+    base, now = cps(baseline_path), cps(fresh_path)
+    bad = [w for w, v in base.items() if now.get(w, 0.0) < v / 2.0]
+    for w in sorted(base):
+        print(f"  {w:12s} baseline {base[w]:12.0f} cps | now "
+              f"{now.get(w, 0.0):12.0f} cps")
+    if bad:
+        sys.exit(f"speed guard: opt_cps regressed >2x on {', '.join(bad)}")
+    print("speed guard OK")
 
-
-GUARDS = {"dpr": dpr, "chain": chain}
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3 or sys.argv[1] not in GUARDS:
-        sys.exit(f"usage: {sys.argv[0]} {{{'|'.join(GUARDS)}}} RESULTS.json")
-    with open(sys.argv[2]) as f:
-        GUARDS[sys.argv[1]](json.load(f))
+    if len(sys.argv) != 4 or sys.argv[1] != "speed":
+        sys.exit(f"usage: {sys.argv[0]} speed BASELINE.json FRESH.json")
+    speed(sys.argv[2], sys.argv[3])

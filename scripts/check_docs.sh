@@ -7,7 +7,7 @@
 #      honest — adding a flag without documenting it fails tier-1);
 #   3. every repo path a doc references must exist — as-is, or as the
 #      <path>.cpp / <path>.hpp source of a same-named binary target
-#      (docs say `bench/trace_guard`, the file is bench/trace_guard.cpp);
+#      (docs say `bench/svc_soak`, the file is bench/svc_soak.cpp);
 #   4. every committed BENCH_*.json artifact must be named in
 #      EXPERIMENTS.md — a benchmark record nobody documents is a
 #      benchmark nobody can interpret or regenerate.

@@ -39,27 +39,24 @@ JOBS="${JOBS:-$DEFAULT_JOBS}"
 # burn-rate alerts, flight-recorder dumps, sketch-derived quantiles).
 # Host wall times make both non-deterministic, so the family gets its
 # own artifact instead of riding in the compare-jobs sweep. fleet_slo
-# also leaves build/bench/fleet_slo.slo.json and the per-shard
-# *.flight.json dumps behind for `ouessant_trace slo` / `flight`.
+# also leaves build/experiment-logs/trace_fleet_slo_0.slo.json and the
+# per-shard *.flight.json dumps behind for `ouessant_trace slo` / `flight`.
 ./build/bench/ouessant_bench --filter FLEET \
+  --trace-events build/experiment-logs/trace \
   --json BENCH_fleet.json | tee build/experiment-logs/fleet.txt
 # The reconfigurable-slot-farm record (docs/reconfiguration.md):
 # demand-shift adaptation by policy, farm sizing, and the shared-vs-free
-# configuration-port ablation. The guard below is the subsystem's
-# headline claim: on the shifted demand mix the demand-driven scheduler
-# must beat the static residency on availability — if it ever stops
-# doing so, the artifact fails rather than quietly recording a loss.
+# configuration-port ablation. Its headline claim (hysteresis beats
+# static on the shifted demand mix) is asserted in ctest's sweep.
 ./build/bench/ouessant_bench --filter DPRF \
   --json BENCH_dpr.json | tee build/experiment-logs/dpr.txt
-python3 scripts/bench_guards.py dpr BENCH_dpr.json
 # The accelerator-chaining record (docs/chaining.md): p2p link vs SRAM
 # bounce at equal payload, the conduit cost sweep, a chained worker
-# under load, and the end-to-end JPEG decode. The guard is the
-# subsystem's headline claim: the linked mode must beat the
-# store-and-forward ablation on both cycles and bus beats.
+# under load, and the end-to-end JPEG decode. chain_traffic fails any
+# point where the linked mode does not beat the store-and-forward
+# ablation on both cycles and bus beats.
 ./build/bench/ouessant_bench --filter CHAIN \
   --json BENCH_chain.json | tee build/experiment-logs/chain.txt
-python3 scripts/bench_guards.py chain BENCH_chain.json
 
 echo
 echo "transcript in build/experiment-logs/sweep.txt, results in BENCH_sweep.json"

@@ -27,12 +27,8 @@ void Registry::add(ScenarioSpec spec) {
   if (spec.name.empty()) {
     throw ConfigError("Registry::add: scenario needs a name");
   }
-  if (!spec.run && !spec.run_ctx) {
+  if (!spec.run) {
     throw ConfigError("Registry::add(" + spec.name + "): no run function");
-  }
-  if (spec.run && spec.run_ctx) {
-    throw ConfigError("Registry::add(" + spec.name +
-                      "): provide run or run_ctx, not both");
   }
   if (find(spec.name) != nullptr) {
     throw ConfigError("Registry::add: duplicate scenario \"" + spec.name +

@@ -19,11 +19,11 @@
 
 namespace ouessant::exp {
 
-/// Per-run context the sweep threads into context-aware scenarios: the
-/// seed the run must use (the spec's default_seed unless the driver's
-/// --seed overrides it) and optional trace destinations ("" = off) — a
-/// VCD waveform path and a Chrome trace-event JSON path. Plain runs
-/// (ScenarioSpec::run) never see it.
+/// Per-run context the sweep hands every run: the seed the run must use
+/// (the spec's default_seed unless the driver's --seed overrides it) and
+/// optional artifact destinations ("" = off) — a VCD waveform path and a
+/// Chrome trace-event JSON path. Scenarios without randomness or
+/// artifacts ignore it.
 struct RunContext {
   u64 seed = 0;
   std::string trace_path;
@@ -76,19 +76,15 @@ struct ScenarioSpec {
   /// skip non-deterministic scenarios.
   bool deterministic = true;
 
-  /// Seed handed to run_ctx scenarios when the driver does not override
-  /// it. Scenarios without randomness leave it at 0 and ignore it.
+  /// Seed handed to the run when the driver does not override it.
+  /// Scenarios without randomness leave it at 0 and ignore it.
   u64 default_seed = 0;
 
-  /// Execute one grid point. Must build all simulation state locally,
-  /// must not touch global mutable state, and reports failures by
-  /// filling @p result (throwing is also safe: the sweep converts the
-  /// exception into result.fail()).
-  std::function<void(const ParamMap&, Result&)> run;
-
-  /// Context-aware alternative to run: also receives the RunContext
-  /// (seed + trace path). A spec provides exactly one of run / run_ctx.
-  std::function<void(const ParamMap&, const RunContext&, Result&)> run_ctx;
+  /// Execute one grid point with its RunContext. Must build all
+  /// simulation state locally, must not touch global mutable state, and
+  /// reports failures by filling @p result (throwing is also safe: the
+  /// sweep converts the exception into result.fail()).
+  std::function<void(const ParamMap&, const RunContext&, Result&)> run;
 
   /// Number of points after skip-filtering.
   [[nodiscard]] std::size_t point_count() const;

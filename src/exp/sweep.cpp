@@ -44,6 +44,7 @@ std::vector<SweepJob> expand_jobs(const Registry& registry,
     if (!matches_filter(spec, filter)) continue;
     for (ParamMap& point : spec.points()) {
       jobs.push_back(SweepJob{.spec = &spec, .params = std::move(point)});
+      jobs.back().ctx.seed = spec.default_seed;
     }
   }
   return jobs;
@@ -55,15 +56,11 @@ std::vector<SweepJob> expand_jobs(const Registry& registry,
   const ScenarioSpec* last = nullptr;
   std::size_t point = 0;
   for (SweepJob& job : jobs) {
-    if (!job.spec->run_ctx) continue;  // plain runs take no context
-    job.seed = options.seed;
-    job.faults = options.faults;
-    job.restore_path = options.restore_path;
-    job.chain = options.chain;
-    if (options.trace_stem.empty() && options.trace_events_stem.empty() &&
-        options.snapshot_stem.empty()) {
-      continue;
-    }
+    RunContext& ctx = job.ctx;
+    ctx.seed = options.seed.value_or(ctx.seed);
+    ctx.faults = options.faults;
+    ctx.restore_path = options.restore_path;
+    ctx.chain = options.chain;
     // One per-spec point counter shared by all artifact kinds, so the
     // VCD, event trace and snapshot of the same run carry the same
     // suffix.
@@ -72,14 +69,14 @@ std::vector<SweepJob> expand_jobs(const Registry& registry,
     const std::string suffix =
         "_" + job.spec->name + "_" + std::to_string(point);
     if (!options.trace_stem.empty()) {
-      job.trace_path = options.trace_stem + suffix + ".vcd";
+      ctx.trace_path = options.trace_stem + suffix + ".vcd";
     }
     if (!options.trace_events_stem.empty()) {
-      job.trace_events_path =
+      ctx.trace_events_path =
           options.trace_events_stem + suffix + ".trace.json";
     }
     if (!options.snapshot_stem.empty()) {
-      job.snapshot_path = options.snapshot_stem + suffix + ".snap";
+      ctx.snapshot_path = options.snapshot_stem + suffix + ".snap";
     }
   }
   return jobs;
@@ -92,19 +89,7 @@ Result run_job(const SweepJob& job) {
   r.params = job.params;
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    if (job.spec->run_ctx) {
-      RunContext ctx;
-      ctx.seed = job.seed.value_or(job.spec->default_seed);
-      ctx.trace_path = job.trace_path;
-      ctx.trace_events_path = job.trace_events_path;
-      ctx.faults = job.faults;
-      ctx.snapshot_path = job.snapshot_path;
-      ctx.restore_path = job.restore_path;
-      ctx.chain = job.chain;
-      job.spec->run_ctx(job.params, ctx, r);
-    } else {
-      job.spec->run(job.params, r);
-    }
+    job.spec->run(job.params, job.ctx, r);
   } catch (const std::exception& e) {
     r.fail(e.what());
   } catch (...) {

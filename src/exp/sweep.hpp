@@ -25,28 +25,28 @@ struct SweepOptions {
   /// Comma-separated list of substrings; a scenario runs when its name,
   /// experiment id or title contains any of them. Empty = everything.
   std::string filter;
-  /// Override every run_ctx scenario's default_seed (ouessant_bench
-  /// --seed). Unset = each spec's built-in seed, so the default sweep
-  /// stays bit-identical run to run.
+  /// Override every scenario's default_seed (ouessant_bench --seed).
+  /// Unset = each spec's built-in seed, so the default sweep stays
+  /// bit-identical run to run.
   std::optional<u64> seed;
-  /// When non-empty, each run_ctx job gets a VCD trace written to
+  /// When non-empty, each job gets a VCD trace written to
   /// "<stem>_<scenario>_<point>.vcd" (ouessant_bench --trace).
   std::string trace_stem;
-  /// When non-empty, each run_ctx job gets a Chrome trace-event JSON
-  /// (plus a "<...>.metrics.json" time-series) written to
+  /// When non-empty, each job gets a Chrome trace-event JSON (plus a
+  /// "<...>.metrics.json" time-series) written to
   /// "<stem>_<scenario>_<point>.trace.json" (--trace-events).
   std::string trace_events_stem;
-  /// Fault plan spec forwarded to every run_ctx job (ouessant_bench
-  /// --faults). "" = scenarios keep their built-in plans.
+  /// Fault plan spec forwarded to every job (ouessant_bench --faults).
+  /// "" = scenarios keep their built-in plans.
   std::string faults;
-  /// When non-empty, each run_ctx job gets a snapshot destination
+  /// When non-empty, each job gets a snapshot destination
   /// "<stem>_<scenario>_<point>.snap" (ouessant_bench --snapshot).
   std::string snapshot_stem;
-  /// Snapshot file every run_ctx job warm-boots from (ouessant_bench
-  /// --restore). "" = cold boot. Only meaningful with a --filter that
-  /// selects the configuration the snapshot was taken from.
+  /// Snapshot file every job warm-boots from (ouessant_bench --restore).
+  /// "" = cold boot. Only meaningful with a --filter that selects the
+  /// configuration the snapshot was taken from.
   std::string restore_path;
-  /// Chain-mode override forwarded to every run_ctx job (ouessant_bench
+  /// Chain-mode override forwarded to every job (ouessant_bench
   /// --chain). "" = scenarios keep their built-in chain grids.
   std::string chain;
 };
@@ -55,20 +55,9 @@ struct SweepOptions {
 struct SweepJob {
   const ScenarioSpec* spec = nullptr;
   ParamMap params;
-  /// Seed override for run_ctx specs (from SweepOptions::seed).
-  std::optional<u64> seed;
-  /// Per-job VCD destination ("" = no tracing).
-  std::string trace_path;
-  /// Per-job trace-event JSON destination ("" = no tracing).
-  std::string trace_events_path;
-  /// Fault plan spec override ("" = scenario default).
-  std::string faults;
-  /// Per-job snapshot destination ("" = off).
-  std::string snapshot_path;
-  /// Snapshot file to warm-boot from ("" = cold boot).
-  std::string restore_path;
-  /// Chain-mode override ("" = scenario default).
-  std::string chain;
+  /// What the run receives: the seed (spec default or --seed override)
+  /// and the per-job artifact paths / overrides ("" = off).
+  RunContext ctx;
 };
 
 struct SweepOutcome {
@@ -84,12 +73,13 @@ struct SweepOutcome {
 [[nodiscard]] bool matches_filter(const ScenarioSpec& spec,
                                   const std::string& filter);
 
-/// Expand every matching scenario's grid into the deterministic job list.
+/// Expand every matching scenario's grid into the deterministic job list,
+/// each job carrying its spec's default seed.
 [[nodiscard]] std::vector<SweepJob> expand_jobs(const Registry& registry,
                                                 const std::string& filter);
 
-/// Same, but also stamping each job with the options' seed override and
-/// per-job trace path (see SweepOptions).
+/// Same, but also stamping each job's context with the options' seed
+/// override and per-job artifact paths (see SweepOptions).
 [[nodiscard]] std::vector<SweepJob> expand_jobs(const Registry& registry,
                                                 const SweepOptions& options);
 

@@ -20,7 +20,7 @@
 // monitors folded into one ouessant.slo.v1 report, and per-shard flight
 // recorders dumped automatically when the fault layer quarantines a
 // worker or a watchdog expires. All of it is passive: armed or not,
-// shard sim clocks are bit-identical (the fleet_obs_guard proof).
+// shard sim clocks are bit-identical (the fleet_passivity guard).
 #pragma once
 
 #include <string>

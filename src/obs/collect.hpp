@@ -5,7 +5,8 @@
 // platform types, while the obs *library* depends only on sim — linking
 // the other way around would cycle. Bench scenarios and tests include
 // this header and call validate_soc_ledger() after a run, so every
-// experiment's Table-I decomposition is proven, not assumed.
+// experiment's Table-I decomposition is proven, not assumed. Passivity
+// proofs compare invariant_stats() of their two runs.
 //
 // Attribution map (and the identity each close relies on):
 //   bus    transfer=beats, control=grants, wait=waits+stalls, idle=idle.
@@ -22,7 +23,9 @@
 //   rac    compute=busy window total; everything else pads into kIdle.
 #pragma once
 
+#include <map>
 #include <span>
+#include <string>
 
 #include "bus/interconnect.hpp"
 #include "cpu/gpp.hpp"
@@ -157,6 +160,21 @@ inline CycleLedger validate_soc_ledger(
   }
   ledger.validate(wall);
   return ledger;
+}
+
+/// Stats::all() minus the published speed counters (`*.batched_chunks`,
+/// `*.decode_hits`, `*.decode_misses`). Those differ by design between
+/// runs that toggle a fast path or attach a per-beat observer (a tracer
+/// forces the per-beat bus path); every other counter must be
+/// bit-identical, so this is the map passivity proofs compare.
+inline std::map<std::string, u64> invariant_stats(const sim::Stats& stats) {
+  std::map<std::string, u64> all = stats.all();
+  std::erase_if(all, [](const auto& kv) {
+    return kv.first.ends_with(".batched_chunks") ||
+           kv.first.ends_with(".decode_hits") ||
+           kv.first.ends_with(".decode_misses");
+  });
+  return all;
 }
 
 }  // namespace ouessant::obs

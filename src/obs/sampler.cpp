@@ -1,9 +1,5 @@
 #include "obs/sampler.hpp"
 
-#include <cctype>
-#include <fstream>
-#include <sstream>
-
 #include "obs/artifact.hpp"
 
 namespace ouessant::obs {
@@ -122,98 +118,20 @@ void MetricsSampler::write_json(const std::string& path) const {
 
 namespace {
 
-/// Minimal JSON cursor for the metrics.v1 subset (mirrors the
-/// trace-reader and slo.v1 parsers: objects, arrays, strings,
-/// non-negative integers).
-class Cursor {
- public:
-  Cursor(std::string text, std::string context)
-      : text_(std::move(text)), context_(std::move(context)) {}
-
-  void ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  [[nodiscard]] char peek() {
-    ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  [[nodiscard]] bool accept(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-  u64 number() {
-    ws();
-    std::size_t end = pos_;
-    while (end < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[end]))) {
-      ++end;
-    }
-    if (end == pos_) fail("expected a number");
-    const u64 v = std::stoull(text_.substr(pos_, end - pos_));
-    pos_ = end;
-    return v;
-  }
-  [[noreturn]] void fail(const std::string& why) const {
-    throw SimError(context_ + ": " + why + " at offset " +
-                   std::to_string(pos_));
-  }
-
- private:
-  std::string text_;
-  std::size_t pos_ = 0;
-  std::string context_;
-};
-
-std::vector<std::string> string_array(Cursor& cur) {
+std::vector<std::string> string_array(JsonCursor& cur) {
   std::vector<std::string> out;
-  cur.expect('[');
-  if (cur.accept(']')) return out;
-  do {
-    out.push_back(cur.string());
-  } while (cur.accept(','));
-  cur.expect(']');
+  cur.array([&] { out.push_back(cur.string()); });
   return out;
 }
 
 }  // namespace
 
 MetricsSampler::File read_metrics(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw SimError("read_metrics: cannot open " + path);
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  Cursor cur(ss.str(), "read_metrics(" + path + ")");
-
+  const std::string text = read_artifact(path, "read_metrics");
+  JsonCursor cur(text, "read_metrics(" + path + ")");
   MetricsSampler::File file;
   bool saw_schema = false;
-  cur.expect('{');
-  while (true) {
-    const std::string key = cur.string();
-    cur.expect(':');
+  cur.object([&](const std::string& key) {
     if (key == "schema") {
       const std::string schema = cur.string();
       if (schema != "ouessant.metrics.v1") {
@@ -221,7 +139,7 @@ MetricsSampler::File read_metrics(const std::string& path) {
       }
       saw_schema = true;
     } else if (key == "period") {
-      file.period = cur.number();
+      file.period = cur.uint();
     } else if (key == "columns") {
       file.columns = string_array(cur);
     } else if (key == "units") {
@@ -229,24 +147,18 @@ MetricsSampler::File read_metrics(const std::string& path) {
     } else if (key == "descriptions") {
       file.descriptions = string_array(cur);
     } else if (key == "samples") {
-      cur.expect('[');
-      if (!cur.accept(']')) {
-        do {
-          cur.expect('[');
-          MetricsSampler::Sample s;
-          s.cycle = cur.number();
-          while (cur.accept(',')) s.values.push_back(cur.number());
-          cur.expect(']');
-          file.samples.push_back(std::move(s));
-        } while (cur.accept(','));
+      cur.array([&] {
+        MetricsSampler::Sample& s = file.samples.emplace_back();
+        cur.expect('[');
+        s.cycle = cur.uint();
+        while (cur.consume(',')) s.values.push_back(cur.uint());
         cur.expect(']');
-      }
+      });
     } else {
       cur.fail("unknown field \"" + key + "\"");
     }
-    if (!cur.accept(',')) break;
-  }
-  cur.expect('}');
+  });
+  cur.finish();
   if (!saw_schema) {
     cur.fail("missing \"schema\" field (not an ouessant.metrics.v1 file?)");
   }

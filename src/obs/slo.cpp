@@ -1,10 +1,7 @@
 #include "obs/slo.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "obs/artifact.hpp"
 
@@ -164,90 +161,12 @@ void SloReport::write_json(const std::string& path) const {
 
 // ----------------------------------------------------------------- parser
 
-namespace {
-
-/// Minimal JSON cursor for the slo.v1 subset (mirrors the trace-reader
-/// parser: objects, arrays, strings, non-negative numbers).
-class Cursor {
- public:
-  Cursor(std::string text, std::string context)
-      : text_(std::move(text)), context_(std::move(context)) {}
-
-  void ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  [[nodiscard]] char peek() {
-    ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  [[nodiscard]] bool accept(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-  double number() {
-    ws();
-    std::size_t end = pos_;
-    while (end < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-            text_[end] == '.' || text_[end] == '-' || text_[end] == '+' ||
-            text_[end] == 'e' || text_[end] == 'E')) {
-      ++end;
-    }
-    if (end == pos_) fail("expected a number");
-    const double v = std::stod(text_.substr(pos_, end - pos_));
-    pos_ = end;
-    return v;
-  }
-  [[noreturn]] void fail(const std::string& why) const {
-    throw SimError(context_ + ": " + why + " at offset " +
-                   std::to_string(pos_));
-  }
-
- private:
-  std::string text_;
-  std::size_t pos_ = 0;
-  std::string context_;
-};
-
-}  // namespace
-
 SloReport read_slo_report(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw SimError("read_slo_report: cannot open " + path);
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  Cursor cur(ss.str(), "read_slo_report(" + path + ")");
-
+  const std::string text = read_artifact(path, "read_slo_report");
+  JsonCursor cur(text, "read_slo_report(" + path + ")");
   SloReport rep;
   bool saw_schema = false;
-  cur.expect('{');
-  while (true) {
-    const std::string key = cur.string();
-    cur.expect(':');
+  cur.object([&](const std::string& key) {
     if (key == "schema") {
       const std::string schema = cur.string();
       if (schema != "ouessant.slo.v1") {
@@ -255,53 +174,43 @@ SloReport read_slo_report(const std::string& path) {
       }
       saw_schema = true;
     } else if (key == "long_window") {
-      rep.long_window = static_cast<u64>(cur.number());
+      rep.long_window = cur.uint();
     } else if (key == "short_window") {
-      rep.short_window = static_cast<u64>(cur.number());
+      rep.short_window = cur.uint();
     } else if (key == "burn_threshold") {
-      rep.burn_threshold = cur.number();
+      rep.burn_threshold = cur.real();
     } else if (key == "shards") {
-      rep.shards = static_cast<u64>(cur.number());
+      rep.shards = cur.uint();
     } else if (key == "classes") {
-      cur.expect('[');
-      if (!cur.accept(']')) {
-        do {
-          cur.expect('{');
-          SloClassReport c;
-          do {
-            const std::string f = cur.string();
-            cur.expect(':');
-            if (f == "name") {
-              c.name = cur.string();
-            } else if (f == "latency_cycles") {
-              c.latency_cycles = static_cast<u64>(cur.number());
-            } else if (f == "target") {
-              c.target = cur.number();
-            } else if (f == "jobs") {
-              c.jobs = static_cast<u64>(cur.number());
-            } else if (f == "good") {
-              c.good = static_cast<u64>(cur.number());
-            } else if (f == "alerts") {
-              c.alerts = static_cast<u64>(cur.number());
-            } else if (f == "first_alert_cycle") {
-              c.first_alert = static_cast<u64>(cur.number());
-            } else if (f == "worst_burn") {
-              c.worst_burn = cur.number();
-            } else {
-              cur.fail("unknown class field \"" + f + "\"");
-            }
-          } while (cur.accept(','));
-          cur.expect('}');
-          rep.classes.push_back(std::move(c));
-        } while (cur.accept(','));
-        cur.expect(']');
-      }
+      cur.array([&] {
+        SloClassReport& c = rep.classes.emplace_back();
+        cur.object([&](const std::string& f) {
+          if (f == "name") {
+            c.name = cur.string();
+          } else if (f == "latency_cycles") {
+            c.latency_cycles = cur.uint();
+          } else if (f == "target") {
+            c.target = cur.real();
+          } else if (f == "jobs") {
+            c.jobs = cur.uint();
+          } else if (f == "good") {
+            c.good = cur.uint();
+          } else if (f == "alerts") {
+            c.alerts = cur.uint();
+          } else if (f == "first_alert_cycle") {
+            c.first_alert = cur.uint();
+          } else if (f == "worst_burn") {
+            c.worst_burn = cur.real();
+          } else {
+            cur.fail("unknown class field \"" + f + "\"");
+          }
+        });
+      });
     } else {
       cur.fail("unknown field \"" + key + "\"");
     }
-    if (!cur.accept(',')) break;
-  }
-  cur.expect('}');
+  });
+  cur.finish();
   if (!saw_schema) {
     cur.fail("missing \"schema\" field (not an ouessant.slo.v1 file?)");
   }

@@ -1,222 +1,55 @@
 #include "obs/trace_reader.hpp"
 
-#include <fstream>
-#include <sstream>
+#include "obs/artifact.hpp"
 
 namespace ouessant::obs {
 
 namespace {
 
-/// Cursor over the JSON text with the handful of primitives the trace
-/// schema needs. All parse errors throw SimError with a byte offset.
-class Cursor {
- public:
-  explicit Cursor(const std::string& text) : text_(text) {}
+/// Track ids index ParsedTrace::track_names; bound them so a hostile
+/// metadata record cannot demand a multi-gigabyte name table.
+constexpr u64 kMaxTid = u64{1} << 20;
 
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        return;
-      }
-    }
-  }
-
-  [[nodiscard]] char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'");
-    }
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    if (peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"':
-        case '\\':
-        case '/':
-          out += e;
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape digit");
-            }
-          }
-          // The tracer only escapes control bytes; anything else is
-          // stored as the low byte (good enough for ASCII traces).
-          out += static_cast<char>(code & 0xFF);
-          break;
-        }
-        default:
-          fail(std::string("unsupported escape \\") + e);
-      }
-    }
-  }
-
-  [[nodiscard]] u64 number() {
-    skip_ws();
-    // Negative numbers never appear in the schema; a leading '-' is
-    // parsed and rejected explicitly for a clear message.
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      fail("negative number in trace");
-    }
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      fail("expected number");
-    }
-    u64 v = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      v = v * 10 + static_cast<u64>(text_[pos_++] - '0');
-    }
-    // Fractional parts are truncated (cycle timestamps are integral).
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    return v;
-  }
-
-  /// Skip any value: object, array, string, number, or literal.
-  void skip_value() {
-    const char c = peek();
-    if (c == '{') {
-      expect('{');
-      if (consume('}')) return;
-      do {
-        (void)string();
-        expect(':');
-        skip_value();
-      } while (consume(','));
-      expect('}');
-    } else if (c == '[') {
-      expect('[');
-      if (consume(']')) return;
-      do {
-        skip_value();
-      } while (consume(','));
-      expect(']');
-    } else if (c == '"') {
-      (void)string();
-    } else if (c == 't' || c == 'f' || c == 'n') {
-      while (pos_ < text_.size() &&
-             ((text_[pos_] >= 'a' && text_[pos_] <= 'z'))) {
-        ++pos_;
-      }
-    } else {
-      (void)number();
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw SimError("trace parse error at byte " + std::to_string(pos_) +
-                   ": " + why);
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-ParsedEvent::Value parse_arg_value(Cursor& cur) {
+ParsedEvent::Value parse_arg_value(JsonCursor& cur) {
   ParsedEvent::Value v;
   if (cur.peek() == '"') {
     v.is_str = true;
     v.s = cur.string();
   } else {
-    v.u = cur.number();
+    v.u = cur.uint();
   }
   return v;
 }
 
 /// Parse one event object; returns false (skipping it) for metadata
 /// records after folding thread_name records into @p track_names.
-bool parse_event(Cursor& cur, ParsedEvent& ev,
+bool parse_event(JsonCursor& cur, ParsedEvent& ev,
                  std::vector<std::string>& track_names) {
-  cur.expect('{');
   std::string meta_name;  // args.name of an 'M' record
-  if (!cur.consume('}')) {
-    do {
-      const std::string key = cur.string();
-      cur.expect(':');
-      if (key == "name") {
-        ev.name = cur.string();
-      } else if (key == "ph") {
-        const std::string ph = cur.string();
-        ev.ph = ph.empty() ? '?' : ph[0];
-      } else if (key == "tid") {
-        ev.tid = static_cast<u32>(cur.number());
-      } else if (key == "ts") {
-        ev.ts = cur.number();
-      } else if (key == "dur") {
-        ev.dur = cur.number();
-      } else if (key == "id") {
-        ev.id = cur.number();
-      } else if (key == "args") {
-        cur.expect('{');
-        if (!cur.consume('}')) {
-          do {
-            const std::string akey = cur.string();
-            cur.expect(':');
-            ParsedEvent::Value v = parse_arg_value(cur);
-            if (akey == "name" && v.is_str) meta_name = v.s;
-            ev.args.emplace(akey, std::move(v));
-          } while (cur.consume(','));
-          cur.expect('}');
-        }
-      } else {
-        cur.skip_value();
-      }
-    } while (cur.consume(','));
-    cur.expect('}');
-  }
+  cur.object([&](const std::string& key) {
+    if (key == "name") {
+      ev.name = cur.string();
+    } else if (key == "ph") {
+      const std::string ph = cur.string();
+      ev.ph = ph.empty() ? '?' : ph[0];
+    } else if (key == "tid") {
+      ev.tid = static_cast<u32>(cur.uint(kMaxTid));
+    } else if (key == "ts") {
+      ev.ts = cur.uint();
+    } else if (key == "dur") {
+      ev.dur = cur.uint();
+    } else if (key == "id") {
+      ev.id = cur.uint();
+    } else if (key == "args") {
+      cur.object([&](const std::string& akey) {
+        ParsedEvent::Value v = parse_arg_value(cur);
+        if (akey == "name" && v.is_str) meta_name = v.s;
+        ev.args.emplace(akey, std::move(v));
+      });
+    } else {
+      cur.skip_value();
+    }
+  });
   if (ev.ph == 'M') {
     if (ev.name == "thread_name") {
       if (track_names.size() <= ev.tid) track_names.resize(ev.tid + 1);
@@ -238,45 +71,28 @@ std::string ParsedTrace::track_name(u32 tid) const {
 
 ParsedTrace parse_trace(const std::string& json) {
   ParsedTrace trace;
-  Cursor cur(json);
-  cur.expect('{');
+  JsonCursor cur(json, "trace parse error");
   bool saw_events = false;
-  if (!cur.consume('}')) {
-    do {
-      const std::string key = cur.string();
-      cur.expect(':');
-      if (key == "traceEvents") {
-        saw_events = true;
-        cur.expect('[');
-        if (!cur.consume(']')) {
-          do {
-            ParsedEvent ev;
-            if (parse_event(cur, ev, trace.track_names)) {
-              trace.events.push_back(std::move(ev));
-            }
-          } while (cur.consume(','));
-          cur.expect(']');
-        }
-      } else {
-        cur.skip_value();
+  cur.object([&](const std::string& key) {
+    if (key != "traceEvents") {
+      cur.skip_value();
+      return;
+    }
+    saw_events = true;
+    cur.array([&] {
+      ParsedEvent ev;
+      if (parse_event(cur, ev, trace.track_names)) {
+        trace.events.push_back(std::move(ev));
       }
-    } while (cur.consume(','));
-    cur.expect('}');
-  }
-  if (!saw_events) {
-    throw SimError("trace parse error: no traceEvents array");
-  }
+    });
+  });
+  cur.finish();
+  if (!saw_events) cur.fail("no traceEvents array");
   return trace;
 }
 
 ParsedTrace read_trace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw SimError("trace reader: cannot open " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_trace(buf.str());
+  return parse_trace(read_artifact(path, "trace reader"));
 }
 
 }  // namespace ouessant::obs

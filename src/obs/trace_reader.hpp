@@ -4,7 +4,9 @@
 // the tracer emits (objects, arrays, strings with the tracer's escapes,
 // unsigned integers) which also makes it robust to hand-edited or
 // pretty-printed variants of the same structure. Unknown keys are
-// skipped, so schema-compatible extensions stay readable.
+// skipped, so schema-compatible extensions stay readable. It parses
+// with obs::JsonCursor (obs/artifact.hpp), like the SLO and metrics
+// readers, so every malformed file is a SimError.
 #pragma once
 
 #include <map>

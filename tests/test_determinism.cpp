@@ -30,7 +30,7 @@ struct RunResult {
   Cycle final_cycle = 0;
   std::vector<u64> invocation_cycles;
   std::vector<u32> output;
-  std::map<std::string, u64> stats;
+  std::map<std::string, u64> stats;  ///< obs::invariant_stats
 
   bool operator==(const RunResult& o) const {
     return final_cycle == o.final_cycle &&
@@ -38,23 +38,6 @@ struct RunResult {
            stats == o.stats;
   }
 };
-
-/// The published speed counters are configuration-dependent by design:
-/// bus batching only engages under gating, and a wired tracer forces the
-/// per-beat path. Capture Stats without them so the bit-identity checks
-/// compare what must actually be invariant.
-std::map<std::string, u64> stats_without_speed_counters(
-    const sim::Stats& stats) {
-  std::map<std::string, u64> all = stats.all();
-  for (auto it = all.begin(); it != all.end();) {
-    const std::string& key = it->first;
-    const bool speed_counter = key.ends_with(".batched_chunks") ||
-                               key.ends_with(".decode_hits") ||
-                               key.ends_with(".decode_misses");
-    it = speed_counter ? all.erase(it) : std::next(it);
-  }
-  return all;
-}
 
 void expect_identical(const RunResult& gated, const RunResult& ungated) {
   EXPECT_EQ(gated.final_cycle, ungated.final_cycle);
@@ -108,7 +91,7 @@ RunResult run_e1_idct(bool gating, bool traced = false) {
     soc.cpu().spend(777);  // inter-frame idle: gated run fast-forwards here
   }
   r.final_cycle = soc.kernel().now();
-  r.stats = stats_without_speed_counters(soc.kernel().stats());
+  r.stats = obs::invariant_stats(soc.kernel().stats());
   if (traced) {
     EXPECT_GT(tracer->event_count(), 0u);
     EXPECT_FALSE(metrics->samples().empty());
@@ -148,7 +131,7 @@ RunResult run_e3_dft(bool gating) {
     soc.cpu().spend(5000);
   }
   r.final_cycle = soc.kernel().now();
-  r.stats = stats_without_speed_counters(soc.kernel().stats());
+  r.stats = obs::invariant_stats(soc.kernel().stats());
   return r;
 }
 

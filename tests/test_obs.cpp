@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "obs/collect.hpp"
 #include "obs/ledger.hpp"
 #include "obs/sampler.hpp"
+#include "obs/slo.hpp"
 #include "obs/trace_reader.hpp"
 #include "obs/tracer.hpp"
 #include "ouessant/codegen.hpp"
@@ -151,6 +153,40 @@ TEST(TraceReader, RejectsMalformedJson) {
   EXPECT_THROW(obs::read_trace("/nonexistent/trace.json"), SimError);
 }
 
+// The trace, SLO and metrics readers share one JSON cursor: a hostile
+// number is a SimError, never a std::out_of_range / std::invalid_argument
+// escaping std::sto*, and never a silently wrapped value.
+TEST(ArtifactReaders, RejectHostileNumbersWithSimError) {
+  const auto file = [](const std::string& body) {
+    const std::string path = ::testing::TempDir() + "hostile_artifact.json";
+    std::ofstream(path) << body;
+    return path;
+  };
+  const std::string metrics = "{\"schema\": \"ouessant.metrics.v1\", ";
+  EXPECT_THROW(
+      obs::read_metrics(file(metrics + "\"period\": 99999999999999999999999}")),
+      SimError);
+  const std::string slo = "{\"schema\": \"ouessant.slo.v1\", ";
+  for (const char* hostile : {"\"shards\": e}", "\"shards\": 1e999}",
+                              "\"shards\": -5}", "\"target\": 1e999}",
+                              "\"burn_threshold\": 1e999}"}) {
+    EXPECT_THROW(obs::read_slo_report(file(slo + hostile)), SimError)
+        << hostile;
+  }
+  EXPECT_EQ(obs::read_slo_report(file(slo + "\"shards\": 3}")).shards, 3u);
+  const std::string trace = "{\"traceEvents\": [{\"ph\": \"X\", ";
+  EXPECT_THROW(obs::parse_trace(trace + "\"ts\": 12345678901234567890123}]}"),
+               SimError);
+  EXPECT_THROW(obs::parse_trace(trace + "\"tid\": 4294967296}]}"), SimError);
+  EXPECT_THROW(obs::parse_trace(trace + "\"x\": " + std::string(100, '[')),
+               SimError);
+  EXPECT_THROW(obs::parse_trace("{\"traceEvents\": []} trailing"), SimError);
+  EXPECT_EQ(obs::parse_trace(trace + "\"ts\": 18446744073709551615}]}")
+                .events.at(0)
+                .ts,
+            ~u64{0});
+}
+
 TEST(TraceReader, UnknownTrackGetsFallbackName) {
   obs::ParsedTrace t;
   EXPECT_EQ(t.track_name(3), "track3");
@@ -251,7 +287,9 @@ TEST_P(LedgerExactness, FirstGridPointValidates) {
   ASSERT_NE(spec, nullptr) << GetParam();
   const auto points = spec->points();
   ASSERT_FALSE(points.empty());
-  const exp::Result r = exp::run_job({.spec = spec, .params = points[0]});
+  exp::SweepJob job{.spec = spec, .params = points[0]};
+  job.ctx.seed = spec->default_seed;
+  const exp::Result r = exp::run_job(job);
   EXPECT_TRUE(r.ok) << r.error;
 }
 

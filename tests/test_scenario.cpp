@@ -1,7 +1,8 @@
-// Experiment-layer tests: the scenario registry is complete, every
-// scenario builds a working simulation and completes, the headline cycle
-// counts match the pre-refactor bench transcripts (golden values), every
-// dispatcher-driven point matches its pinned metric digest, and the
+// Experiment-layer tests: the scenario registry is complete (guards
+// included), every scenario builds a working simulation and completes,
+// the headline cycle counts match the pre-refactor bench transcripts
+// (golden values), every dispatcher-driven point matches its pinned
+// metric digest, the DPRF claim holds across dpr_adapt's points, and the
 // parallel sweep is bit-identical to the serial one in deterministic
 // order.
 #include <gtest/gtest.h>
@@ -34,7 +35,9 @@ exp::Result run_point(const std::string& name, std::size_t index = 0) {
   EXPECT_NE(spec, nullptr) << name;
   const auto points = spec->points();
   EXPECT_LT(index, points.size()) << name;
-  return exp::run_job({.spec = spec, .params = points[index]});
+  exp::SweepJob job{.spec = spec, .params = points[index]};
+  job.ctx.seed = spec->default_seed;
+  return exp::run_job(job);
 }
 
 i64 metric(const exp::Result& r, const std::string& name) {
@@ -55,14 +58,21 @@ TEST(Registry, ContainsEveryExperiment) {
                         "E9", "E10", "E11", "E12", "guard"}) {
     EXPECT_TRUE(experiments.count(e)) << "no scenario registered for " << e;
   }
+  // The passivity guards are scenarios: deleting one fails here instead
+  // of quietly dropping the guard from every sweep.
+  for (const char* guard : {"trace_passivity", "fleet_passivity"}) {
+    const exp::ScenarioSpec* spec = registry().find(guard);
+    ASSERT_NE(spec, nullptr) << "guard scenario " << guard << " missing";
+    EXPECT_EQ(spec->experiment, "guard");
+  }
 }
 
 TEST(Registry, RejectsDuplicatesAndMissingRun) {
   exp::Registry r;
-  r.add({.name = "a", .run = [](const exp::ParamMap&, exp::Result&) {}});
-  EXPECT_THROW(
-      r.add({.name = "a", .run = [](const exp::ParamMap&, exp::Result&) {}}),
-      ConfigError);
+  const auto noop = [](const exp::ParamMap&, const exp::RunContext&,
+                       exp::Result&) {};
+  r.add({.name = "a", .run = noop});
+  EXPECT_THROW(r.add({.name = "a", .run = noop}), ConfigError);
   EXPECT_THROW(r.add({.name = "b"}), ConfigError);
 }
 
@@ -331,6 +341,22 @@ void expect_dispatcher_goldens(const std::vector<exp::Result>& results) {
   }
 }
 
+/// DPRF's headline claim, the one that spans grid points: on dpr_adapt's
+/// shifted demand mix the hysteresis scheduler must beat static slot
+/// assignment on availability (completed / jobs).
+void expect_dpr_claim(const std::vector<exp::Result>& results) {
+  std::map<std::string, double> availability;
+  for (const auto& r : results) {
+    if (r.scenario != "dpr_adapt") continue;
+    availability[r.params.get_str("policy")] =
+        static_cast<double>(metric(r, "completed")) /
+        static_cast<double>(metric(r, "jobs"));
+  }
+  ASSERT_EQ(availability.size(), 3u);
+  EXPECT_GT(availability["hysteresis"], availability["static"])
+      << "the swap scheduler lost to static slot assignment";
+}
+
 // ---------------------------------------------------------------------
 // Sweep engine.
 
@@ -348,6 +374,7 @@ TEST(Sweep, EveryScenarioCompletesAndPasses) {
   }
   EXPECT_EQ(outcome.results.size(), expected);
   expect_dispatcher_goldens(outcome.results);
+  expect_dpr_claim(outcome.results);
 }
 
 TEST(Sweep, FilterSelectsByNameExperimentAndTitle) {
@@ -378,8 +405,8 @@ TEST(Sweep, RunCtxThreadsSeedAndTracePath) {
   r.add({.name = "ctx_spec",
          .grid = {{.name = "i", .values = {1, 2}}},
          .default_seed = 7,
-         .run_ctx = [](const exp::ParamMap&, const exp::RunContext& ctx,
-                       exp::Result& res) {
+         .run = [](const exp::ParamMap&, const exp::RunContext& ctx,
+                   exp::Result& res) {
            res.add_metric("seed", static_cast<i64>(ctx.seed));
            res.add_metric("traced", ctx.trace_path.empty() ? 0 : 1);
          }});
@@ -394,31 +421,16 @@ TEST(Sweep, RunCtxThreadsSeedAndTracePath) {
   const auto jobs =
       exp::expand_jobs(r, {.jobs = 1, .seed = 42u, .trace_stem = "tr"});
   ASSERT_EQ(jobs.size(), 2u);
-  ASSERT_TRUE(jobs[0].seed.has_value());
-  EXPECT_EQ(*jobs[0].seed, 42u);
-  EXPECT_EQ(jobs[0].trace_path, "tr_ctx_spec_0.vcd");
-  EXPECT_EQ(jobs[1].trace_path, "tr_ctx_spec_1.vcd");
-}
-
-TEST(Registry, RequiresExactlyOneRunFunction) {
-  exp::Registry none;
-  EXPECT_THROW(none.add({.name = "none"}), ConfigError);
-
-  exp::Registry both;
-  EXPECT_THROW(
-      both.add({.name = "both",
-                .run = [](const exp::ParamMap&, exp::Result&) {},
-                .run_ctx = [](const exp::ParamMap&, const exp::RunContext&,
-                              exp::Result&) {}}),
-      ConfigError);
+  EXPECT_EQ(jobs[0].ctx.seed, 42u);
+  EXPECT_EQ(jobs[0].ctx.trace_path, "tr_ctx_spec_0.vcd");
+  EXPECT_EQ(jobs[1].ctx.trace_path, "tr_ctx_spec_1.vcd");
 }
 
 TEST(Sweep, ExceptionBecomesFailedResult) {
   exp::Registry r;
   r.add({.name = "boom",
-         .run = [](const exp::ParamMap&, exp::Result&) {
-           throw SimError("deliberate");
-         }});
+         .run = [](const exp::ParamMap&, const exp::RunContext&,
+                   exp::Result&) { throw SimError("deliberate"); }});
   const auto outcome = exp::run_sweep(r, {.jobs = 1});
   ASSERT_EQ(outcome.results.size(), 1u);
   EXPECT_FALSE(outcome.results[0].ok);

@@ -19,6 +19,7 @@
 #include "baseline/dma.hpp"
 #include "drv/session.hpp"
 #include "fault/hooks.hpp"
+#include "obs/collect.hpp"
 #include "obs/tracer.hpp"
 #include "ouessant/codegen.hpp"
 #include "platform/soc.hpp"
@@ -44,31 +45,16 @@ struct Config {
 struct RunResult {
   Cycle final_cycle = 0;
   std::vector<u32> memory;
-  std::map<std::string, u64> stats;
+  std::map<std::string, u64> stats;  ///< obs::invariant_stats
   u64 batched_chunks = 0;
   u64 decode_hits = 0;
   std::size_t awake_at_end = 0;
 };
 
-/// The published speed counters legitimately differ between the on/off
-/// configurations under comparison (that is what the knobs do) — drop
-/// them before demanding bit-identity of everything else.
-std::map<std::string, u64> without_speed_counters(
-    std::map<std::string, u64> stats) {
-  for (auto it = stats.begin(); it != stats.end();) {
-    const std::string& key = it->first;
-    const bool speed_counter = key.ends_with(".batched_chunks") ||
-                               key.ends_with(".decode_hits") ||
-                               key.ends_with(".decode_misses");
-    it = speed_counter ? stats.erase(it) : std::next(it);
-  }
-  return stats;
-}
-
 void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.final_cycle, b.final_cycle);
   EXPECT_EQ(a.memory, b.memory);
-  EXPECT_EQ(without_speed_counters(a.stats), without_speed_counters(b.stats));
+  EXPECT_EQ(a.stats, b.stats);
 }
 
 /// Never fires — its mere installation must force per-beat arbitration.
@@ -137,7 +123,7 @@ RunResult run_dma_copy(const Config& cfg) {
   r.final_cycle = soc.kernel().now();
   r.memory = soc.sram().dump(kDst, kWords);
   EXPECT_EQ(r.memory, in);
-  r.stats = soc.kernel().stats().all();
+  r.stats = obs::invariant_stats(soc.kernel().stats());
   r.batched_chunks = soc.bus().batched_chunks();
   r.awake_at_end = soc.kernel().awake_count();
   return r;
@@ -178,7 +164,7 @@ RunResult run_idct_frames(const Config& cfg) {
     soc.cpu().spend(500);  // idle gap: the gated run fast-forwards here
   }
   r.final_cycle = soc.kernel().now();
-  r.stats = soc.kernel().stats().all();
+  r.stats = obs::invariant_stats(soc.kernel().stats());
   r.batched_chunks = soc.bus().batched_chunks();
   r.decode_hits = ocp.controller().decode_cache_hits();
   r.awake_at_end = soc.kernel().awake_count();
