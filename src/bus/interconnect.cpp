@@ -1,7 +1,6 @@
 #include "bus/interconnect.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "snap/state.hpp"
 
@@ -56,13 +55,7 @@ BusSlave& InterconnectModel::decode(Addr addr) const {
   for (const auto& m : map_) {
     if (addr >= m.base && addr - m.base < m.size) return *m.slave;
   }
-  throw SimError(name() + ": bus error (no slave at 0x" +
-                 [addr] {
-                   char buf[16];
-                   std::snprintf(buf, sizeof buf, "%08X", addr);
-                   return std::string(buf);
-                 }() +
-                 ")");
+  throw SimError(name() + ": bus error (no slave at " + hex(addr) + ")");
 }
 
 bool InterconnectModel::is_mapped(Addr addr) const {

@@ -35,8 +35,7 @@ void Cpu::restart(Addr pc) {
 }
 
 void Cpu::fault(const std::string& why) {
-  throw SimError("l3::Cpu " + name() + " @pc=0x" + std::to_string(pc_) +
-                 ": " + why);
+  throw SimError("l3::Cpu " + name() + " @pc=" + hex(pc_) + ": " + why);
 }
 
 void Cpu::tick_compute() {

@@ -8,12 +8,6 @@ namespace ouessant::l3 {
 
 namespace {
 
-std::string hex(Addr a) {
-  std::ostringstream os;
-  os << "0x" << std::hex << a;
-  return os.str();
-}
-
 /// Emit the unrolled even/odd accumulation for one parity class.
 /// Accumulates in[k]*basis[k][n] for k in {first, first+2, first+4,
 /// first+6} into @p acc_reg; r11 holds (table + n*4), r1 the input row.

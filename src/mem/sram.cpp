@@ -1,12 +1,15 @@
 #include "mem/sram.hpp"
 
+#include <algorithm>
+
 namespace ouessant::mem {
 
 Sram::Sram(std::string name, Addr base, u32 size_bytes, u32 read_wait,
            u32 write_wait)
     : name_(std::move(name)),
       base_(base),
-      data_(size_bytes / 4, 0),
+      words_(size_bytes / 4),
+      pages_((words_ + kPageWords - 1) / kPageWords),
       read_wait_(read_wait),
       write_wait_(write_wait) {
   if (size_bytes == 0 || size_bytes % 4 != 0) {
@@ -18,29 +21,42 @@ Sram::Sram(std::string name, Addr base, u32 size_bytes, u32 read_wait,
 }
 
 u32 Sram::index_for(Addr addr, const char* what) const {
-  if (addr < base_ || (addr - base_) / 4 >= data_.size()) {
-    throw SimError("Sram " + name_ + ": " + what + " out of range");
+  if (addr < base_ || (addr - base_) / 4 >= words_) {
+    throw SimError("Sram " + name_ + ": " + what + " at " + hex(addr) +
+                   " out of range");
   }
   if (addr % 4 != 0) {
-    throw SimError("Sram " + name_ + ": unaligned " + std::string(what));
+    throw SimError("Sram " + name_ + ": unaligned " + what + " at " +
+                   hex(addr));
   }
   return (addr - base_) / 4;
 }
 
+void Sram::store(Pages& pages, u32 index, u32 value) {
+  auto& page = pages[index / kPageWords];
+  if (!page) {
+    if (value == 0) return;
+    page = std::make_unique<Page>();
+  }
+  page->words[index % kPageWords] = value;
+}
+
 bus::SlaveResponse Sram::read_word(Addr addr) {
   ++reads_;
-  return {.data = data_[index_for(addr, "read")], .wait_states = read_wait_};
+  return {.data = word_at(index_for(addr, "read")), .wait_states = read_wait_};
 }
 
 u32 Sram::write_word(Addr addr, u32 data) {
   ++writes_;
-  data_[index_for(addr, "write")] = data;
+  store(pages_, index_for(addr, "write"), data);
   return write_wait_;
 }
 
-u32 Sram::peek(Addr addr) const { return data_[index_for(addr, "peek")]; }
+u32 Sram::peek(Addr addr) const { return word_at(index_for(addr, "peek")); }
 
-void Sram::poke(Addr addr, u32 data) { data_[index_for(addr, "poke")] = data; }
+void Sram::poke(Addr addr, u32 data) {
+  store(pages_, index_for(addr, "poke"), data);
+}
 
 void Sram::load(Addr addr, const std::vector<u32>& words) {
   for (std::size_t i = 0; i < words.size(); ++i) {
@@ -56,14 +72,30 @@ std::vector<u32> Sram::dump(Addr addr, u32 words) const {
 }
 
 void Sram::fill(u32 value) {
-  for (auto& w : data_) w = value;
+  for (auto& page : pages_) {
+    if (value == 0) {
+      page.reset();
+    } else {
+      if (!page) page = std::make_unique<Page>();
+      std::fill_n(page->words, kPageWords, value);
+    }
+  }
+}
+
+std::size_t Sram::resident_bytes() const {
+  return std::count_if(pages_.begin(), pages_.end(),
+                       [](const auto& p) { return p != nullptr; }) *
+         std::size_t{kPageWords} * 4;
 }
 
 void Sram::save_state(snap::StateWriter& w) const {
   w.write_string("name", name_);
   w.write_u64("reads", reads_);
   w.write_u64("writes", writes_);
-  w.write_words32("data", data_);
+  std::vector<const u32*> pages(pages_.size());
+  std::transform(pages_.begin(), pages_.end(), pages.begin(),
+                 [](const auto& p) { return p ? p->words : nullptr; });
+  w.write_words32("data", words_, pages, kPageWords);
 }
 
 void Sram::restore_state(snap::StateReader& r) {
@@ -72,26 +104,31 @@ void Sram::restore_state(snap::StateReader& r) {
     throw snap::SnapshotError("Sram " + name_ + ": snapshot is for '" +
                               saved + "'");
   }
-  reads_ = r.read_u64("reads");
-  writes_ = r.read_u64("writes");
-  std::vector<u32> data = r.read_words32("data");
-  if (data.size() != data_.size()) {
-    throw snap::SnapshotError(
-        "Sram " + name_ + ": snapshot holds " + std::to_string(data.size()) +
-        " words, memory has " + std::to_string(data_.size()));
-  }
-  data_ = std::move(data);
+  const u64 reads = r.read_u64("reads");
+  const u64 writes = r.read_u64("writes");
+  // Fill a fresh table so a malformed image leaves the contents as they
+  // were. A zero run costs nothing: every page starts absent.
+  Pages pages(pages_.size());
+  r.read_words32("data", words_, [&pages](const snap::Words32Block& b) {
+    if (b.literal.empty() && b.value == 0) return;
+    for (u32 k = 0; k < b.n; ++k) {
+      store(pages, b.at + k, b.literal.empty() ? b.value : b.literal[k]);
+    }
+  });
+  pages_ = std::move(pages);
+  reads_ = reads;
+  writes_ = writes;
 }
 
 Rom::Rom(std::string name, Addr base, std::vector<u32> contents, u32 read_wait)
     : Sram(std::move(name), base, static_cast<u32>(contents.size() * 4),
            read_wait, 0) {
-  data_ = std::move(contents);
+  for (u32 i = 0; i < words_; ++i) store(pages_, i, contents[i]);
 }
 
 u32 Rom::write_word(Addr addr, u32) {
-  throw SimError("Rom " + name_ + ": write to read-only memory at 0x" +
-                 std::to_string(addr));
+  throw SimError("Rom " + name_ + ": write to read-only memory at " +
+                 hex(addr));
 }
 
 }  // namespace ouessant::mem

@@ -17,7 +17,7 @@ BusInterface::BusInterface(std::string name, Addr base,
 u32 BusInterface::reg_index(Addr addr, const char* what) const {
   if (addr < base_ || addr - base_ >= kRegSpanBytes || addr % 4 != 0) {
     throw SimError("BusInterface " + name_ + ": bad register " + what +
-                   " at 0x" + std::to_string(addr));
+                   " at " + hex(addr));
   }
   return (addr - base_) / 4;
 }

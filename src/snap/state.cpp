@@ -1,5 +1,6 @@
 #include "snap/state.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace ouessant::snap {
@@ -83,8 +84,24 @@ void StateWriter::write_string(std::string_view name, std::string_view v) {
 
 void StateWriter::write_words32(std::string_view name,
                                 const std::vector<u32>& v) {
+  const u32* page = v.data();
+  write_words32(name, static_cast<u32>(v.size()), {&page, 1},
+                static_cast<u32>(v.size()));
+}
+
+void StateWriter::write_words32(std::string_view name, u32 count,
+                                std::span<const u32* const> pages,
+                                u32 page_words) {
+  if (count > pages.size() * std::size_t{page_words}) {
+    throw SnapshotError("words32 '" + std::string(name) + "': " +
+                        std::to_string(count) + " words overrun its pages");
+  }
   field(Tag::kWords32, name);
-  raw_u32(static_cast<u32>(v.size()));
+  raw_u32(count);
+  auto word = [&](std::size_t i) {
+    const u32* p = pages[i / page_words];
+    return p != nullptr ? p[i % page_words] : 0u;
+  };
   // Greedy RLE: runs of >= 4 equal words become a run block, everything
   // between them a literal block. The 4-word threshold keeps a literal
   // stream from degenerating into per-word blocks.
@@ -95,27 +112,34 @@ void StateWriter::write_words32(std::string_view name,
     while (b < end) {
       const std::size_t n = std::min<std::size_t>(end - b, kMaxBlockWords);
       raw_u32(kLiteralBit | static_cast<u32>(n));
-      for (std::size_t k = 0; k < n; ++k) raw_u32(v[b + k]);
+      for (std::size_t k = 0; k < n; ++k) raw_u32(word(b + k));
       b += n;
     }
   };
-  while (i < v.size()) {
-    std::size_t run = 1;
-    while (i + run < v.size() && v[i + run] == v[i] &&
-           run < kMaxBlockWords) {
-      ++run;
+  while (i < count) {
+    const u32 value = word(i);
+    const std::size_t limit =
+        std::min<std::size_t>(count, i + kMaxBlockWords);
+    std::size_t end = i + 1;
+    while (end < limit) {
+      if (value == 0 && pages[end / page_words] == nullptr) {
+        // An absent page extends a zero run to the page's end at once.
+        end = std::min(limit, (end / page_words + 1) * page_words);
+      } else if (word(end) == value) {
+        ++end;
+      } else {
+        break;
+      }
     }
-    if (run >= 4) {
+    if (end - i >= 4) {
       flush_literal(i);
-      raw_u32(static_cast<u32>(run));
-      raw_u32(v[i]);
-      i += run;
-      lit_begin = i;
-    } else {
-      i += run;
+      raw_u32(static_cast<u32>(end - i));
+      raw_u32(value);
+      lit_begin = end;
     }
+    i = end;
   }
-  flush_literal(v.size());
+  flush_literal(count);
 }
 
 void StateWriter::write_words64(std::string_view name,
@@ -225,26 +249,54 @@ std::string StateReader::read_string(std::string_view name) {
   return v;
 }
 
-std::vector<u32> StateReader::read_words32(std::string_view name) {
-  expect_field(Tag::kWords32, name);
-  const u32 count = raw_u32();
-  std::vector<u32> v;
-  v.reserve(count);
-  while (v.size() < count) {
+void StateReader::read_blocks(
+    u32 count, const std::function<void(const Words32Block&)>& sink) {
+  std::vector<u32> literal;
+  u32 at = 0;
+  while (at < count) {
     const u32 block = raw_u32();
     if ((block & kLiteralBit) != 0) {
       const u32 n = block & kMaxBlockWords;
-      if (v.size() + n > count) fail("RLE literal overruns word count");
-      for (u32 k = 0; k < n; ++k) v.push_back(raw_u32());
+      if (n > count - at) fail("RLE literal overruns word count");
+      need(std::size_t{n} * 4);
+      literal.resize(n);
+      for (u32& w : literal) w = raw_u32();
+      sink({.at = at, .n = n, .literal = literal});
+      at += n;
     } else {
-      if (block == 0 || v.size() + block > count) {
+      if (block == 0 || block > count - at) {
         fail("RLE run overruns word count");
       }
-      const u32 value = raw_u32();
-      v.insert(v.end(), block, value);
+      sink({.at = at, .n = block, .value = raw_u32(), .literal = {}});
+      at += block;
     }
   }
+}
+
+std::vector<u32> StateReader::read_words32(std::string_view name) {
+  expect_field(Tag::kWords32, name);
+  std::vector<u32> v;
+  read_blocks(raw_u32(), [&v](const Words32Block& b) {
+    if (b.literal.empty()) {
+      v.insert(v.end(), b.n, b.value);
+    } else {
+      v.insert(v.end(), b.literal.begin(), b.literal.end());
+    }
+  });
   return v;
+}
+
+void StateReader::read_words32(
+    std::string_view name, u32 count,
+    const std::function<void(const Words32Block&)>& sink) {
+  expect_field(Tag::kWords32, name);
+  const u32 declared = raw_u32();
+  if (declared != count) {
+    fail("words32 '" + std::string(name) + "' holds " +
+         std::to_string(declared) + " words, expected " +
+         std::to_string(count));
+  }
+  read_blocks(count, sink);
 }
 
 std::vector<u64> StateReader::read_words64(std::string_view name) {

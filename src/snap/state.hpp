@@ -23,10 +23,14 @@
 // literal block of (n & 0x7fffffff) words follows; otherwise one u32
 // value follows, repeated n times. Blocks concatenate until `count`
 // words are produced. Memories are mostly zero or mostly repetitive, so
-// this keeps SRAM sections proportional to touched data.
+// this keeps SRAM sections proportional to touched data. The writer
+// takes words as a table of pages in which a null page is all zeros,
+// so a paged memory encodes in time proportional to its present pages.
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,6 +62,15 @@ enum class Tag : u8 {
   kBytes = 9,
 };
 
+/// One decoded words32 RLE block: @c n words starting at word @c at,
+/// either the words of a literal block or @c n copies of @c value.
+struct Words32Block {
+  u32 at = 0;
+  u32 n = 0;
+  u32 value = 0;                  ///< the repeated word of a run block
+  std::span<const u32> literal;   ///< a literal block's words; empty for a run
+};
+
 /// Builds one component's byte stream, field by field.
 class StateWriter {
  public:
@@ -68,6 +81,11 @@ class StateWriter {
   void write_double(std::string_view name, double v);
   void write_string(std::string_view name, std::string_view v);
   void write_words32(std::string_view name, const std::vector<u32>& v);
+  /// words32 of the first @p count words of @p pages, each @p page_words
+  /// long; a null page stands for @p page_words zeros. Emits exactly the
+  /// bytes of the dense overload for the same words.
+  void write_words32(std::string_view name, u32 count,
+                     std::span<const u32* const> pages, u32 page_words);
   void write_words64(std::string_view name, const std::vector<u64>& v);
   void write_bytes(std::string_view name, const std::vector<u8>& v);
 
@@ -97,6 +115,11 @@ class StateReader {
   double read_double(std::string_view name);
   std::string read_string(std::string_view name);
   std::vector<u32> read_words32(std::string_view name);
+  /// Streams a words32 field of exactly @p count words into @p sink, one
+  /// RLE block at a time, without materialising the words. A declared
+  /// count other than @p count throws before any block is decoded.
+  void read_words32(std::string_view name, u32 count,
+                    const std::function<void(const Words32Block&)>& sink);
   std::vector<u64> read_words64(std::string_view name);
   std::vector<u8> read_bytes(std::string_view name);
 
@@ -107,6 +130,8 @@ class StateReader {
  private:
   [[noreturn]] void fail(const std::string& why) const;
   void expect_field(Tag tag, std::string_view name);
+  void read_blocks(u32 count,
+                   const std::function<void(const Words32Block&)>& sink);
   u8 raw_u8();
   u32 raw_u32();
   u64 raw_u64();

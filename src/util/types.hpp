@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -36,6 +37,14 @@ class SimError : public std::runtime_error {
  public:
   explicit SimError(const std::string& what) : std::runtime_error(what) {}
 };
+
+/// "0x" and eight upper-case hex digits — how messages and generated
+/// assembly spell an address or a word.
+inline std::string hex(u32 v) {
+  char buf[11];
+  std::snprintf(buf, sizeof buf, "0x%08X", v);
+  return buf;
+}
 
 /// Number of 32-bit words needed to hold @p bits bits.
 constexpr u32 words_for_bits(u32 bits) { return (bits + 31u) / 32u; }

@@ -270,11 +270,57 @@ TEST(Sram, AccessCountsAndWaits) {
   EXPECT_EQ(s.writes(), 1u);
 }
 
+TEST(Sram, PagesHoldOnlyNonZeroWrites) {
+  constexpr u32 kWords = 3 * mem::Sram::kPageWords;
+  mem::Sram s{"s", 0, kWords * 4};
+  EXPECT_EQ(s.write_word(0x8, 0), 0u);  // a zero write allocates nothing
+  EXPECT_EQ(s.resident_bytes(), 0u);
+  s.poke(mem::Sram::kPageWords * 4, 5);  // first word of page 1
+  EXPECT_EQ(s.resident_bytes(), mem::Sram::kPageWords * 4u);
+  EXPECT_EQ(s.read_word(mem::Sram::kPageWords * 4).data, 5u);
+  EXPECT_EQ(s.read_word(0x8).data, 0u);  // an absent page reads zero
+  s.fill(0xA5A5'A5A5);
+  EXPECT_EQ(s.dump(0, kWords), std::vector<u32>(kWords, 0xA5A5'A5A5));
+  s.fill(0);
+  EXPECT_EQ(s.dump(0, kWords), std::vector<u32>(kWords, 0));
+  EXPECT_EQ(s.resident_bytes(), 0u);
+}
+
 TEST(Rom, RejectsWrites) {
   mem::Rom rom{"rom", 0x0, {1, 2, 3, 4}};
   EXPECT_EQ(rom.read_word(0x8).data, 3u);
   EXPECT_THROW(rom.write_word(0x0, 9), SimError);
   EXPECT_EQ(rom.size_bytes(), 16u);
+}
+
+TEST(Rom, ContentsAcrossPagesReadBack) {
+  // Over a page boundary into a partial last page, zeros mixed in.
+  std::vector<u32> image(mem::Sram::kPageWords + 7);
+  for (u32 i = 0; i < image.size(); ++i) image[i] = i % 3 == 0 ? 0 : i;
+  mem::Rom rom{"rom", 0x1000, image};
+  EXPECT_EQ(rom.dump(0x1000, static_cast<u32>(image.size())), image);
+}
+
+/// What @p f throws as SimError, or "" when it does not throw.
+template <typename F>
+std::string sim_error(F f) {
+  try {
+    f();
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Sram, AddressErrorsNameTheAddressInHex) {
+  mem::Rom rom{"rom", 0x1000, {1, 2, 3, 4}};
+  EXPECT_EQ(sim_error([&] { (void)rom.write_word(0x1000, 9); }),
+            "Rom rom: write to read-only memory at 0x00001000");
+  mem::Sram s{"s", 0x1000, 64};
+  EXPECT_EQ(sim_error([&] { (void)s.peek(0x1040); }),
+            "Sram s: peek at 0x00001040 out of range");
+  EXPECT_EQ(sim_error([&] { (void)s.read_word(0x1002); }),
+            "Sram s: unaligned read at 0x00001002");
 }
 
 TEST(BusMapping, SlaveAtTopOfAddressSpace) {

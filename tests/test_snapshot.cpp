@@ -1,13 +1,15 @@
 // The snapshot subsystem, bottom to top:
 //
 //   1. State streams: every tagged field type round-trips; wrong name,
-//      wrong tag, truncation and trailing garbage all throw
-//      SnapshotError naming the field.
+//      wrong tag, truncation, trailing garbage and a false words32 count
+//      all throw SnapshotError naming the field; the paged words32
+//      encoder emits the dense encoder's bytes.
 //   2. Container: serialize/deserialize round-trips; corrupted bytes,
 //      short images, bad magic and a format-version skew are rejected
 //      before any component sees a byte.
-//   3. Per-component round-trips: SRAM contents + counters, RNG
-//      streams, latency histograms restore to equal objects.
+//   3. Per-component round-trips: SRAM contents + counters (also into
+//      a dirty memory), RNG streams, latency histograms restore to
+//      equal objects.
 //   4. The correctness bar of the refactor — snapshot at cycle C,
 //      restore into a fresh stack, run to the end, and the clocks,
 //      Stats::all(), outputs and latency histograms are bit-identical
@@ -17,10 +19,12 @@
 //      kind (static, slot, linked and store-and-forward chains) frozen
 //      mid store-and-forward head stage.
 //   5. Warm-boot guard rails: restore into a differently-shaped stack
-//      throws instead of corrupting, and the fleet layer's fixed-seed
+//      throws instead of corrupting, a warm-booted stack holds no more
+//      SRAM pages than its template, and the fleet layer's fixed-seed
 //      shard replay reproduces bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <string>
@@ -34,6 +38,7 @@
 #include "rac/idct.hpp"
 #include "snap/snapshot.hpp"
 #include "snap/state.hpp"
+#include "svc/job.hpp"
 #include "svc/service.hpp"
 #include "util/rng.hpp"
 
@@ -44,6 +49,7 @@ using snap::Snapshot;
 using snap::SnapshotError;
 using snap::StateReader;
 using snap::StateWriter;
+using snap::Words32Block;
 
 // ---------------------------------------------------------------- streams --
 
@@ -84,6 +90,103 @@ TEST(StateStream, Words32RleHandlesRunsAndLiterals) {
   EXPECT_LT(w.bytes().size(), v.size());  // actually compressed
   StateReader r(w.take(), "test");
   EXPECT_EQ(r.read_words32("mem"), v);
+}
+
+/// The blocks a streaming words32 read of @p count words hands out, as
+/// (at, n, value, literal) rows.
+std::vector<std::vector<u32>> words32_blocks(std::vector<u8> bytes,
+                                             u32 count) {
+  std::vector<std::vector<u32>> rows;
+  StateReader r(std::move(bytes), "test");
+  r.read_words32("m", count, [&rows](const Words32Block& b) {
+    std::vector<u32> row{b.at, b.n, b.value};
+    row.insert(row.end(), b.literal.begin(), b.literal.end());
+    rows.push_back(std::move(row));
+  });
+  r.expect_end();
+  return rows;
+}
+
+TEST(StateStream, PagedEncoderEmitsTheDenseBytes) {
+  // Four-word pages, 22 words (not a page multiple): page 0 holds a 1
+  // then zeros, page 1 is absent, pages 2/3 carry a run of 9s across
+  // their boundary, page 4 is allocated but all zeros, and page 5's
+  // words past the count are never read.
+  const std::vector<u32> p0{1, 0, 0, 0}, p2{0, 0, 9, 9}, p3{9, 9, 0, 0},
+      p4{0, 0, 0, 0}, p5{0, 0, 0xDEAD, 0xBEEF};
+  const std::vector<const u32*> pages{p0.data(), nullptr,   p2.data(),
+                                      p3.data(), p4.data(), p5.data()};
+  const std::vector<u32> dense{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9,
+                               9, 9, 9, 0, 0, 0, 0, 0, 0, 0, 0};
+  StateWriter paged;
+  paged.write_words32("m", 22, pages, 4);
+  StateWriter flat;
+  flat.write_words32("m", dense);
+  EXPECT_EQ(paged.bytes(), flat.bytes());
+  // A literal 1, then a zero run across the absent page, the 9s, zeros.
+  EXPECT_EQ(words32_blocks(paged.take(), 22),
+            (std::vector<std::vector<u32>>{
+                {0, 1, 0, 1}, {1, 9, 0}, {10, 4, 9}, {14, 8, 0}}));
+
+  // Seeded random sparse contents: runs of zeros, of a repeated word and
+  // of random words, cut into pages of 4..32 words. An all-zero page is
+  // absent or allocated at random; allocated pages carry garbage past
+  // the count.
+  util::Rng rng(20260415);
+  for (int trial = 0; trial < 400; ++trial) {
+    const u32 page_words = 4u << rng.below(4);
+    const u32 count = 1 + rng.below(12 * page_words);
+    std::vector<u32> words;
+    while (words.size() < count) {
+      const u32 len = 1 + rng.below(rng.chance(0.3) ? 3 * page_words : 6);
+      const u32 kind = rng.below(4);
+      for (u32 k = 0; k < len && words.size() < count; ++k) {
+        words.push_back(kind < 2 ? 0u : kind == 2 ? 7u : rng.next_u32());
+      }
+    }
+    const u32 n_pages = (count + page_words - 1) / page_words;
+    std::vector<std::vector<u32>> store(n_pages);
+    std::vector<const u32*> table(n_pages, nullptr);
+    for (u32 p = 0; p < n_pages; ++p) {
+      const auto first = words.begin() + p * page_words;
+      const auto last = words.begin() + std::min((p + 1) * page_words, count);
+      const bool zero = std::all_of(first, last, [](u32 w) { return w == 0; });
+      if (zero && rng.chance(0.5)) continue;
+      store[p].assign(first, last);
+      store[p].resize(page_words, 0xA5A5'A5A5);
+      table[p] = store[p].data();
+    }
+    StateWriter a;
+    a.write_words32("m", words);
+    StateWriter b;
+    b.write_words32("m", count, table, page_words);
+    ASSERT_EQ(a.bytes(), b.bytes()) << "trial " << trial;
+    StateReader r(b.take(), "test");
+    ASSERT_EQ(r.read_words32("m"), words) << "trial " << trial;
+  }
+}
+
+TEST(StateStream, FalseWords32CountIsASnapshotError) {
+  // The streaming read checks the declared count before any block.
+  StateWriter w;
+  w.write_words32("m", std::vector<u32>(8, 0));
+  StateReader r(w.take(), "test");
+  EXPECT_THROW(r.read_words32("m", 16,
+                              [](const Words32Block&) { ADD_FAILURE(); }),
+               SnapshotError);
+
+  // A job payload declaring 2^32-1 words with no blocks after it is a
+  // truncated field, not a 16 GiB allocation.
+  StateWriter job;
+  job.write_u64("id", 1);
+  job.write_u8("kind", 0);
+  job.write_u8("prio", 0);
+  job.write_u64("arrival", 0);
+  job.write_words32("payload", {});
+  std::vector<u8> bytes = job.take();
+  std::fill(bytes.end() - 4, bytes.end(), u8{0xFF});  // the word count
+  StateReader jr(std::move(bytes), "job");
+  EXPECT_THROW((void)svc::load_job(jr), SnapshotError);
 }
 
 TEST(StateStream, WrongNameWrongTagAndTruncationThrow) {
@@ -199,6 +302,24 @@ TEST(ComponentState, SramRestoresContentsAndCounters) {
   EXPECT_EQ(b.dump(0x4000'0000, 1u << 14), a.dump(0x4000'0000, 1u << 14));
   EXPECT_EQ(b.reads(), a.reads());
   EXPECT_EQ(b.writes(), a.writes());
+}
+
+TEST(ComponentState, SramRestoreIntoDirtyMemoryZeroesUnsavedWords) {
+  constexpr u32 kBytes = 8 * mem::Sram::kPageWords * 4;
+  mem::Sram a("sram", 0, kBytes);
+  a.load(4 * mem::Sram::kPageWords - 8, {1, 2, 3, 4});  // spans pages 0/1
+  a.poke(kBytes - 4, 5);
+
+  mem::Sram b("sram", 0, kBytes);
+  b.fill(0xFFFF'FFFF);
+  b.poke(0x40, 0);
+  StateWriter w;
+  a.save_state(w);
+  StateReader r(w.take(), "sram");
+  b.restore_state(r);
+  r.expect_end();
+  EXPECT_EQ(b.dump(0, kBytes / 4), a.dump(0, kBytes / 4));
+  EXPECT_EQ(b.resident_bytes(), 3 * mem::Sram::kPageWords * 4u);
 }
 
 TEST(ComponentState, RngStreamResumesExactly) {
@@ -339,6 +460,31 @@ TEST(MidRun, SocFingerprintMismatchIsRejectedBeforeMutation) {
   // The reject must come before any mutation: the target still runs.
   with_ocp.cpu().spend(10);
   EXPECT_EQ(with_ocp.kernel().now(), 10u);
+}
+
+TEST(MidRun, FalseSramWordCountIsRejected) {
+  // A soc section whose framing is valid but whose SRAM data field
+  // declares 2^32-1 words, followed by one run block of 16 zeros.
+  platform::Soc a;
+  const Snapshot good = a.snapshot();
+  StateReader in(good.section("soc").bytes, "soc");
+  StateWriter out;
+  out.write_u8("bus_kind", in.read_u8("bus_kind"));
+  out.write_u32("sram_bytes", in.read_u32("sram_bytes"));
+  out.write_u64("sram_base", in.read_u64("sram_base"));
+  out.write_u32("ocp_count", in.read_u32("ocp_count"));
+  out.write_string("name", in.read_string("name"));
+  out.write_u64("reads", in.read_u64("reads"));
+  out.write_u64("writes", in.read_u64("writes"));
+  out.write_words32("data", std::vector<u32>(16, 0));
+  std::vector<u8> soc = out.take();
+  std::fill(soc.end() - 12, soc.end() - 8, u8{0xFF});  // the word count
+  Snapshot bad;
+  for (const snap::Section& s : good.sections()) {
+    bad.add(s.name, s.version, s.name == "soc" ? soc : s.bytes);
+  }
+  platform::Soc b;
+  EXPECT_THROW(b.restore(bad), SnapshotError);
 }
 
 // ------------------------------------------- service mid-run bit-identity --
@@ -568,6 +714,20 @@ TEST(MidRun, RestoreIntoDifferentlyShapedServiceThrows) {
   // Injector presence is part of the shape too.
   svc::OffloadService c(serve_config(true));
   EXPECT_THROW(c.restore(image), SnapshotError);
+}
+
+TEST(MidRun, WarmBootHoldsNoMorePagesThanItsTemplate) {
+  // O(touched state): a restore allocates only the SRAM pages that hold
+  // a non-zero word, never the whole 16 MB the SoC maps.
+  svc::OffloadService tmpl(serve_config(false));
+  (void)tmpl.run(serve_workload());
+  const Snapshot image = tmpl.snapshot();
+  svc::OffloadService clone(serve_config(false));
+  clone.restore(image);
+  const mem::Sram& sram = clone.soc().sram();
+  EXPECT_GT(sram.resident_bytes(), 0u);
+  EXPECT_LE(sram.resident_bytes(), tmpl.soc().sram().resident_bytes());
+  EXPECT_LT(sram.resident_bytes(), sram.size_bytes() / 64);
 }
 
 // -------------------------------------------------------------- fleet layer
