@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "obs/collect.hpp"
+#include "obs/gauges.hpp"
 #include "obs/tracer.hpp"
 #include "svc/service.hpp"
 
@@ -37,11 +38,10 @@ namespace {
 /// flatten the report + farm counters and prove the extended ledger.
 void farm_point(svc::OffloadService& service, std::vector<svc::Job> schedule,
                 const exp::RunContext& ctx, exp::Result& result) {
-  std::unique_ptr<sim::VcdTrace> trace;
+  std::unique_ptr<obs::VcdTrace> trace;
   if (!ctx.trace_path.empty()) {
-    trace = std::make_unique<sim::VcdTrace>(service.soc().kernel(),
-                                            ctx.trace_path, "dprf");
-    service.attach_trace(*trace);
+    trace = std::make_unique<obs::VcdTrace>(
+        service.soc().kernel(), ctx.trace_path, service.gauges(), "dprf");
   }
   std::unique_ptr<obs::EventTracer> tracer;
   if (!ctx.trace_events_path.empty()) {

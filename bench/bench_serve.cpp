@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "obs/collect.hpp"
-#include "obs/sampler.hpp"
+#include "obs/gauges.hpp"
 #include "obs/tracer.hpp"
 #include "snap/snapshot.hpp"
 #include "svc/service.hpp"
@@ -55,20 +55,18 @@ constexpr u64 kMetricsPeriod = 64;
 void serve_point(svc::ServiceConfig cfg, svc::WorkloadConfig wl,
                  const exp::RunContext& ctx, exp::Result& result) {
   svc::OffloadService service(std::move(cfg));
-  std::unique_ptr<sim::VcdTrace> trace;
+  std::unique_ptr<obs::VcdTrace> trace;
   if (!ctx.trace_path.empty()) {
-    trace = std::make_unique<sim::VcdTrace>(service.soc().kernel(),
-                                            ctx.trace_path, "svc");
-    service.attach_trace(*trace);
+    trace = std::make_unique<obs::VcdTrace>(
+        service.soc().kernel(), ctx.trace_path, service.gauges(), "svc");
   }
   std::unique_ptr<obs::EventTracer> tracer;
   std::unique_ptr<obs::MetricsSampler> metrics;
   if (!ctx.trace_events_path.empty()) {
     tracer = std::make_unique<obs::EventTracer>(service.soc().kernel());
     service.attach_tracer(*tracer);
-    metrics = std::make_unique<obs::MetricsSampler>(service.soc().kernel(),
-                                                    kMetricsPeriod);
-    service.attach_metrics(*metrics);
+    metrics = std::make_unique<obs::MetricsSampler>(
+        service.soc().kernel(), kMetricsPeriod, service.gauges());
   }
   wl.seed = ctx.seed;
   svc::ServiceReport rep;
@@ -213,9 +211,8 @@ PassivityRun serve_three_kinds(bool traced, const exp::RunContext& ctx) {
   if (traced) {
     tracer = std::make_unique<obs::EventTracer>(service.soc().kernel());
     service.attach_tracer(*tracer);
-    metrics = std::make_unique<obs::MetricsSampler>(service.soc().kernel(),
-                                                    kMetricsPeriod);
-    service.attach_metrics(*metrics);
+    metrics = std::make_unique<obs::MetricsSampler>(
+        service.soc().kernel(), kMetricsPeriod, service.gauges());
   }
   const svc::ServiceReport rep = service.run(wl);
   const sim::Kernel& kernel = service.soc().kernel();

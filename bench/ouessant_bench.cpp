@@ -51,6 +51,7 @@
 
 #include "exp/param.hpp"
 #include "exp/sweep.hpp"
+#include "obs/artifact.hpp"
 #include "scenarios.hpp"
 
 namespace {
@@ -261,10 +262,10 @@ int main(int argc, char** argv) {
   const unsigned host_cpus = std::thread::hardware_concurrency();
   std::vector<std::string> meta;
   meta.push_back("\"host_cpus\": " + std::to_string(host_cpus));
-  // All free-form strings go through exp::json_escape — a filter (or any
+  // All free-form strings go through obs::json_escape — a filter (or any
   // future meta value) containing a quote or backslash must not corrupt
   // the document.
-  meta.push_back("\"filter\": \"" + exp::json_escape(filter) + "\"");
+  meta.push_back("\"filter\": \"" + obs::json_escape(filter) + "\"");
   if (opt.sweep.seed) {
     meta.push_back("\"seed\": " + std::to_string(*opt.sweep.seed));
   }

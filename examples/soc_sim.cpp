@@ -112,10 +112,10 @@ int main(int argc, char** argv) {
 
   core::Ocp& ocp = soc.add_ocp(*rac);
 
-  std::unique_ptr<sim::VcdTrace> trace;
+  std::unique_ptr<obs::VcdTrace> trace;
   if (!opt.trace.empty()) {
-    trace = std::make_unique<sim::VcdTrace>(soc.kernel(), opt.trace);
-    platform::attach_standard_probes(*trace, soc, ocp);
+    trace = std::make_unique<obs::VcdTrace>(
+        soc.kernel(), opt.trace, platform::standard_probes(soc, ocp));
   }
 
   drv::OcpSession session(soc.cpu(), soc.sram(), ocp,

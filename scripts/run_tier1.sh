@@ -25,11 +25,12 @@
 #   8. the raw-speed guard: the sim_speed scenario (batched bus windows +
 #      decode cache on vs off), then scripts/bench_guards.py speed holds
 #      its opt_cps to at least half the committed BENCH_speed.json
-#   9. the passivity guards with their artifacts kept: trace_passivity
-#      (one serve workload traced vs untraced), fleet_passivity (16
-#      fault-armed shards unarmed vs fully armed, sketch within alpha)
-#      and fleet_slo, then every written trace, metrics file, flight
-#      dump and SLO report round-trips through ouessant_trace
+#   9. scripts/check_artifacts.sh: the passivity guards with their
+#      artifacts kept (trace_passivity, fleet_passivity, fleet_slo) plus
+#      a serve_single_ocp run with --trace and --trace-events; every
+#      written trace, metrics file, flight dump and SLO report
+#      round-trips through ouessant_trace, and every JSON artifact must
+#      pass python3 -m json.tool
 #  10. the host-speed benchmark's correctness gate: its self-test, then
 #      a 2-second run of each workload (ocp_stream, serve_mix,
 #      fleet_fork), each checked against perfbench/golden.txt
@@ -95,23 +96,8 @@ echo "==== tier-1: raw simulator speed guard ===="
 python3 scripts/bench_guards.py speed BENCH_speed.json \
   build/bench/BENCH_speed.json
 
-echo "==== tier-1: passivity guards + ouessant_trace round-trips ===="
-# The guard scenarios fail the run on any divergence or budget overrun;
-# --trace-events keeps what they wrote. The armed fleet's hung RAC makes
-# every shard dump a flight trace; shard 0's must parse back, as must
-# the traced serve run's trace and metrics and fleet_slo's SLO report.
-./build/bench/ouessant_bench \
-  --filter trace_passivity,fleet_passivity,fleet_slo \
-  --trace-events build/bench/tier1
-TRACE=build/bench/tier1_trace_passivity_0.trace.json
-./build/tools/ouessant_trace "$TRACE" --top 5 > /dev/null
-./build/tools/ouessant_trace "$TRACE" --json --top 5 > /dev/null
-./build/tools/ouessant_trace metrics "$TRACE.metrics.json" > /dev/null
-./build/tools/ouessant_trace flight \
-  build/bench/tier1_fleet_passivity_0_shard0.flight.json --top 5 > /dev/null
-./build/tools/ouessant_trace slo build/bench/tier1_fleet_slo_0.slo.json \
-  > /dev/null
-echo "ouessant_trace round-trips OK"
+echo "==== tier-1: passivity guards + artifact round-trips ===="
+scripts/check_artifacts.sh build
 
 echo "==== tier-1: host-speed benchmark correctness gate ===="
 # The benchmark's own tests, then a short run of every workload. Each

@@ -4,37 +4,9 @@
 #include <cstdio>
 #include <sstream>
 
-namespace ouessant::exp {
+#include "obs/artifact.hpp"
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace ouessant::exp {
 
 i64 Value::as_int() const {
   if (kind_ != Kind::kInt) {
@@ -82,7 +54,7 @@ std::string Value::json() const {
       return buf;
     }
     case Kind::kStr:
-      return '"' + json_escape(s_) + '"';
+      return '"' + obs::json_escape(s_) + '"';
   }
   return "null";
 }

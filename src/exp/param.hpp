@@ -13,14 +13,6 @@
 
 namespace ouessant::exp {
 
-/// JSON string-literal escape of @p s (backslash, quote, control
-/// characters; the result is NOT quoted). Every place that interpolates a
-/// runtime string into hand-built JSON — sweep metadata, trace args,
-/// scenario names — must route it through here: a filter expression or
-/// file path containing a quote or backslash would otherwise corrupt the
-/// document.
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 /// One typed parameter (or metric) value. Kept deliberately small: the
 /// experiment grids only need integers, reals and labels.
 class Value {

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <map>
 
+#include "obs/artifact.hpp"
+
 namespace ouessant::obs {
 
 namespace {
@@ -158,7 +160,8 @@ std::string render_json(const ParsedTrace& t, std::size_t top_n) {
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const PhaseStat& st = phases[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"track\": \"" + st.track + "\", \"span\": \"" + st.name +
+    out += "{\"track\": \"" + json_escape(st.track) + "\", \"span\": \"" +
+           json_escape(st.name) +
            "\", \"count\": " + std::to_string(st.count) +
            ", \"total_cycles\": " + std::to_string(st.total_dur) +
            ", \"max_cycles\": " + std::to_string(st.max_dur) + "}";
@@ -168,8 +171,9 @@ std::string render_json(const ParsedTrace& t, std::size_t top_n) {
   for (std::size_t i = 0; i < jobs.size() && i < top_n; ++i) {
     const JobPath& j = jobs[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"job\": " + std::to_string(j.id) + ", \"kind\": \"" + j.kind +
-           "\", \"worker\": \"" + j.worker +
+    out += "{\"job\": " + std::to_string(j.id) + ", \"kind\": \"" +
+           json_escape(j.kind) +
+           "\", \"worker\": \"" + json_escape(j.worker) +
            "\", \"arrival\": " + std::to_string(j.arrival) +
            ", \"wait\": " + std::to_string(j.wait) +
            ", \"service\": " + std::to_string(j.service) +
@@ -180,9 +184,10 @@ std::string render_json(const ParsedTrace& t, std::size_t top_n) {
   for (std::size_t i = 0; i < pcs.size() && i < top_n; ++i) {
     const PcStat& st = pcs[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"track\": \"" + st.track +
+    out += "{\"track\": \"" + json_escape(st.track) +
            "\", \"pc\": " + std::to_string(st.pc) + ", \"op\": \"" +
-           st.mnemonic + "\", \"count\": " + std::to_string(st.count) +
+           json_escape(st.mnemonic) +
+           "\", \"count\": " + std::to_string(st.count) +
            ", \"total_cycles\": " + std::to_string(st.total_dur) + "}";
   }
   out += "\n]\n}\n";

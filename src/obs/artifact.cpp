@@ -1,6 +1,7 @@
 #include "obs/artifact.hpp"
 
 #include <charconv>
+#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <system_error>
@@ -30,6 +31,36 @@ std::string read_artifact(const std::string& path, const char* who) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 void JsonCursor::skip_ws() {
@@ -66,6 +97,9 @@ std::string JsonCursor::string() {
     if (pos_ >= text_.size()) fail("unterminated string");
     const char c = text_[pos_++];
     if (c == '"') return out;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      fail("raw control byte in a string");
+    }
     if (c != '\\') {
       out += c;
       continue;

@@ -1,6 +1,7 @@
 // Shared file I/O for every obs artifact (traces, flight dumps, metrics
-// files, SLO reports): the open-for-write helper their serializers use
-// and the one JSON cursor their readers parse with.
+// files, SLO reports, analysis reports): the open-for-write helper and
+// the one string escaper their serializers use, and the one JSON cursor
+// their readers parse with.
 //
 // Artifact paths are usually relative stems ("build/bench/run42"), and
 // the writer runs from whatever working directory the harness chose —
@@ -27,11 +28,18 @@ namespace ouessant::obs {
 [[nodiscard]] std::string read_artifact(const std::string& path,
                                         const char* who);
 
+/// JSON string-literal escape of @p s: quote, backslash and every
+/// control byte (the result is not quoted). Every writer routes runtime
+/// strings (names, units, args, sweep metadata) through here, so a quote
+/// in a name cannot corrupt the file and JsonCursor reads it back.
+[[nodiscard]] std::string json_escape(std::string_view s);
+
 /// Cursor over the JSON the obs writers emit: objects, arrays, strings
-/// with the writers' escapes, numbers and true/false/null. Not a general
-/// JSON parser, but every malformed input — bad syntax, a negative or
-/// 64-bit-overflowing integer, an out-of-range real — throws SimError
-/// naming @p context and the byte offset. The text must outlive it.
+/// with json_escape's escapes, numbers and true/false/null. Not a
+/// general JSON parser, but every malformed input — bad syntax, a raw
+/// control byte inside a string, a negative or 64-bit-overflowing
+/// integer, an out-of-range real — throws SimError naming @p context
+/// and the byte offset. The text must outlive it.
 class JsonCursor {
  public:
   JsonCursor(std::string_view text, std::string context)

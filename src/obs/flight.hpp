@@ -31,7 +31,6 @@ class FlightRecorder final : public EventTracer {
 
   /// Events overwritten since the ring filled.
   [[nodiscard]] u64 dropped() const { return dropped_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Mark the ring "worth dumping": records a `flight_trigger` instant
   /// (with @p reason) on the "flight" track and latches the trigger so

@@ -139,34 +139,4 @@ std::string CycleLedger::render(Cycle wall) const {
   return out;
 }
 
-void CycleLedger::save_state(snap::StateWriter& w) const {
-  w.write_u32("tracks", static_cast<u32>(tracks_.size()));
-  for (const Track& tr : tracks_) {
-    w.write_string("name", tr.name);
-    std::vector<u64> cats(tr.cat, tr.cat + kNumCategories);
-    w.write_words64("cats", cats);
-    w.write_u64("pad", tr.pad);
-    w.write_bool("closed", tr.closed);
-  }
-}
-
-void CycleLedger::restore_state(snap::StateReader& r) {
-  const u32 n = r.read_u32("tracks");
-  std::vector<Track> tracks;
-  tracks.reserve(n);
-  for (u32 i = 0; i < n; ++i) {
-    Track tr;
-    tr.name = r.read_string("name");
-    const std::vector<u64> cats = r.read_words64("cats");
-    if (cats.size() != kNumCategories) {
-      throw snap::SnapshotError("CycleLedger: bad category count");
-    }
-    for (std::size_t c = 0; c < kNumCategories; ++c) tr.cat[c] = cats[c];
-    tr.pad = r.read_u64("pad");
-    tr.closed = r.read_bool("closed");
-    tracks.push_back(std::move(tr));
-  }
-  tracks_ = std::move(tracks);
-}
-
 }  // namespace ouessant::obs

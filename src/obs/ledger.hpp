@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "snap/state.hpp"
 #include "util/types.hpp"
 
 namespace ouessant::obs {
@@ -64,13 +63,6 @@ class CycleLedger {
   /// Table-I-style text table: one row per track, cycle counts plus the
   /// percentage split against @p wall.
   [[nodiscard]] std::string render(Cycle wall) const;
-
-  // Snapshot hooks (host-stack analysis object; the embedding scenario
-  // drives these). Track names, per-category credits, padding and the
-  // closed flags round-trip, so a restored ledger renders and validates
-  // identically.
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
 
  private:
   struct Track {

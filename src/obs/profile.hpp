@@ -41,8 +41,6 @@ class SamplingProfiler {
   [[nodiscard]] bool sampled(u64 job_id) const;
 
   [[nodiscard]] EventTracer& tracer() const { return tracer_; }
-  [[nodiscard]] u64 period() const { return cfg_.period; }
-  [[nodiscard]] u64 seed() const { return cfg_.seed; }
 
  private:
   EventTracer& tracer_;

@@ -15,16 +15,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- monitor
@@ -141,7 +131,7 @@ std::string SloReport::to_json() const {
   for (std::size_t i = 0; i < classes.size(); ++i) {
     const SloClassReport& c = classes[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"name\": \"" + escape(c.name) + "\", ";
+    out += "{\"name\": \"" + json_escape(c.name) + "\", ";
     out += "\"latency_cycles\": " + std::to_string(c.latency_cycles) + ", ";
     out += "\"target\": " + fmt_double(c.target) + ", ";
     out += "\"jobs\": " + std::to_string(c.jobs) + ", ";

@@ -8,48 +8,16 @@ namespace ouessant::obs {
 
 namespace {
 
-/// Minimal JSON string escaping (names and args are controlled
-/// identifiers, but a stray quote must not corrupt the file).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void append_args(std::string& out, const std::vector<Arg>& args) {
   out += "\"args\":{";
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i > 0) out += ',';
     out += '"';
-    out += escape(args[i].key);
+    out += json_escape(args[i].key);
     out += "\":";
     if (args[i].is_str) {
       out += '"';
-      out += escape(args[i].s);
+      out += json_escape(args[i].s);
       out += '"';
     } else {
       out += std::to_string(args[i].u);
@@ -147,13 +115,13 @@ std::string EventTracer::to_json() const {
     out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":";
     out += std::to_string(i);
     out += ",\"args\":{\"name\":\"";
-    out += escape(track_names_[i]);
+    out += json_escape(track_names_[i]);
     out += "\"}}";
   }
   for (const Event* ep : chronological()) {
     const Event& e = *ep;
     out += ",\n{\"name\":\"";
-    out += escape(e.name);
+    out += json_escape(e.name);
     out += "\",\"cat\":\"";
     out += (e.ph == 's' || e.ph == 't' || e.ph == 'f') ? "flow" : "sim";
     out += "\",\"ph\":\"";

@@ -47,24 +47,32 @@ UtilizationReport make_report(Soc& soc) {
   return r;
 }
 
-void attach_standard_probes(sim::VcdTrace& trace, Soc& soc, core::Ocp& ocp) {
-  trace.add_signal("bus_busy", 1,
-                   [&soc] { return soc.bus().granted_now() ? 1 : 0; });
-  trace.add_signal("ctrl_pc", 14, [&ocp] { return ocp.controller().pc(); });
-  trace.add_signal("ctrl_state", 3,
-                   [&ocp] { return ocp.controller().state_id(); });
-  trace.add_signal("rac_busy", 1, [&ocp] { return ocp.rac().busy() ? 1 : 0; });
-  trace.add_signal("irq", 1, [&ocp] { return ocp.irq().raised() ? 1 : 0; });
-  trace.add_signal("done", 1, [&ocp] { return ocp.iface().done() ? 1 : 0; });
+obs::Gauges standard_probes(Soc& soc, core::Ocp& ocp) {
+  obs::Gauges probes = {
+      {.name = "bus_busy", .width = 1,
+       .read = [&soc] { return soc.bus().granted_now() ? 1 : 0; }},
+      {.name = "ctrl_pc", .width = 14,
+       .read = [&ocp] { return ocp.controller().pc(); }},
+      {.name = "ctrl_state", .width = 3,
+       .read = [&ocp] { return ocp.controller().state_id(); }},
+      {.name = "rac_busy", .width = 1,
+       .read = [&ocp] { return ocp.rac().busy() ? 1 : 0; }},
+      {.name = "irq", .width = 1,
+       .read = [&ocp] { return ocp.irq().raised() ? 1 : 0; }},
+      {.name = "done", .width = 1,
+       .read = [&ocp] { return ocp.iface().done() ? 1 : 0; }},
+  };
   for (std::size_t i = 0; i < ocp.input_fifos().size(); ++i) {
-    trace.add_signal("fifo_in" + std::to_string(i) + "_level", 16,
-                     [&ocp, i] { return ocp.input_fifos()[i]->level_bits(); });
+    probes.push_back(
+        {.name = "fifo_in" + std::to_string(i) + "_level", .width = 16,
+         .read = [&ocp, i] { return ocp.input_fifos()[i]->level_bits(); }});
   }
   for (std::size_t i = 0; i < ocp.output_fifos().size(); ++i) {
-    trace.add_signal(
-        "fifo_out" + std::to_string(i) + "_level", 16,
-        [&ocp, i] { return ocp.output_fifos()[i]->level_bits(); });
+    probes.push_back(
+        {.name = "fifo_out" + std::to_string(i) + "_level", .width = 16,
+         .read = [&ocp, i] { return ocp.output_fifos()[i]->level_bits(); }});
   }
+  return probes;
 }
 
 }  // namespace ouessant::platform

@@ -1,12 +1,13 @@
-// System-level observability: utilization reporting and waveform tracing
-// for a running SoC. Benches print the report; debugging sessions attach
-// the standard VCD probes ("the result was easy to simulate" — §V-B).
+// System-level observability: utilization reporting and waveform probes
+// for a running SoC. Benches print the report; debugging sessions hand
+// the standard probes to an obs::VcdTrace ("the result was easy to
+// simulate" — §V-B).
 #pragma once
 
 #include <string>
 
+#include "obs/gauges.hpp"
 #include "platform/soc.hpp"
-#include "sim/trace.hpp"
 
 namespace ouessant::platform {
 
@@ -39,9 +40,9 @@ struct UtilizationReport {
 /// Snapshot the SoC's counters into a report.
 [[nodiscard]] UtilizationReport make_report(Soc& soc);
 
-/// Attach the standard probe set for one OCP to a VCD trace: bus
-/// occupancy, controller PC and phase, FIFO levels, RAC busy, IRQ.
-/// Call before the first kernel tick.
-void attach_standard_probes(sim::VcdTrace& trace, Soc& soc, core::Ocp& ocp);
+/// The standard probe set for one OCP: bus occupancy, controller PC and
+/// phase, RAC busy, IRQ, done and FIFO levels. The gauges read @p soc
+/// and @p ocp, so a writer over them must not outlive either.
+[[nodiscard]] obs::Gauges standard_probes(Soc& soc, core::Ocp& ocp);
 
 }  // namespace ouessant::platform

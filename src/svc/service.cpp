@@ -275,17 +275,30 @@ void OffloadService::build_chains() {
   }
 }
 
-void OffloadService::attach_trace(sim::VcdTrace& trace) {
-  trace.add_signal("svc_queue_depth", 16, [this] {
-    return static_cast<u64>(dispatcher_.queue().size());
-  });
-  trace.add_signal("svc_in_flight", 16,
-                   [this] { return static_cast<u64>(dispatcher_.in_flight()); });
+obs::Gauges OffloadService::gauges() {
+  obs::Gauges gauges = {
+      {.name = "queue_depth", .width = 16, .unit = "jobs",
+       .desc = "jobs waiting in the bounded dispatch queue",
+       .read = [this] {
+         return static_cast<u64>(dispatcher_.queue().size());
+       }},
+      {.name = "in_flight", .width = 16, .unit = "jobs",
+       .desc = "jobs launched on some worker, not yet retired",
+       .read = [this] { return static_cast<u64>(dispatcher_.in_flight()); }},
+      {.name = "bus_granted", .width = 1, .unit = "bool",
+       .desc = "interconnect grant active this cycle",
+       .read = [this] { return static_cast<u64>(soc_.bus().granted_now()); }},
+  };
   for (std::size_t i = 0; i < dispatcher_.worker_count(); ++i) {
-    trace.add_signal("svc_ocp" + std::to_string(i) + "_busy", 1, [this, i] {
-      return static_cast<u64>(dispatcher_.worker_busy(i));
-    });
+    gauges.push_back(
+        {.name = "ocp" + std::to_string(i) + "_busy", .width = 1,
+         .unit = "bool",
+         .desc = "worker " + std::to_string(i) + " serving a batch",
+         .read = [this, i] {
+           return static_cast<u64>(dispatcher_.worker_busy(i));
+         }});
   }
+  return gauges;
 }
 
 void OffloadService::attach_tracer(obs::EventTracer& tracer) {
@@ -298,27 +311,6 @@ void OffloadService::attach_tracer(obs::EventTracer& tracer) {
   // Last, so the scheduler/job/worker tracks land after the hardware
   // ones and the per-session "drv.*" tracks get wired too.
   dispatcher_.set_tracer(&tracer);
-}
-
-void OffloadService::attach_metrics(obs::MetricsSampler& sampler) {
-  sampler.add_gauge(
-      "queue_depth",
-      [this] { return static_cast<u64>(dispatcher_.queue().size()); },
-      "jobs", "jobs waiting in the bounded dispatch queue");
-  sampler.add_gauge(
-      "in_flight",
-      [this] { return static_cast<u64>(dispatcher_.in_flight()); }, "jobs",
-      "jobs launched on some worker, not yet retired");
-  sampler.add_gauge(
-      "bus_granted",
-      [this] { return static_cast<u64>(soc_.bus().granted_now()); }, "bool",
-      "interconnect grant active this cycle");
-  for (std::size_t i = 0; i < dispatcher_.worker_count(); ++i) {
-    sampler.add_gauge(
-        "ocp" + std::to_string(i) + "_busy",
-        [this, i] { return static_cast<u64>(dispatcher_.worker_busy(i)); },
-        "bool", "worker " + std::to_string(i) + " serving a batch");
-  }
 }
 
 void OffloadService::attach_profiler(obs::SamplingProfiler& prof) {

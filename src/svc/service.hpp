@@ -3,10 +3,11 @@
 // their completion interrupts, and the Dispatcher serving a workload.
 //
 // This is the top of DESIGN.md §9: a scenario (or application)
-// constructs an OffloadService, optionally attaches VCD trace signals,
-// then calls run(workload) and reads the ServiceReport. Construction
-// performs NO timed accesses — the first kernel activity happens inside
-// run() — so trace signals can always be registered in between.
+// constructs an OffloadService, optionally attaches writers over its
+// gauges() or a tracer, then calls run(workload) and reads the
+// ServiceReport. Construction performs NO timed accesses — the first
+// kernel activity happens inside run() — so writers can always be
+// attached in between.
 #pragma once
 
 #include <memory>
@@ -17,11 +18,10 @@
 #include "fault/injector.hpp"
 #include "fifo/chain_link.hpp"
 #include "obs/flight.hpp"
+#include "obs/gauges.hpp"
 #include "obs/profile.hpp"
-#include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
 #include "platform/soc.hpp"
-#include "sim/trace.hpp"
 #include "svc/dispatcher.hpp"
 #include "svc/latency.hpp"
 #include "svc/slots.hpp"
@@ -137,18 +137,16 @@ class OffloadService {
  public:
   explicit OffloadService(ServiceConfig cfg = {});
 
-  /// Register queue-depth / per-worker-busy / in-flight signals. Must be
-  /// called before run() (trace signals must precede the first tick).
-  void attach_trace(sim::VcdTrace& trace);
+  /// The standard service gauges: queue depth, in-flight jobs, bus
+  /// grant and per-worker busy. Hand them to an obs::VcdTrace or
+  /// obs::MetricsSampler before run(); they read this service, so the
+  /// writer must not outlive it.
+  [[nodiscard]] obs::Gauges gauges();
 
   /// Wire @p tracer through every layer of the stack: dispatcher flows
   /// and job spans, driver session spans, bus transactions, controller
   /// instruction spans, RAC busy windows. Call before run().
   void attach_tracer(obs::EventTracer& tracer);
-
-  /// Register the standard service gauges (queue depth, in-flight,
-  /// per-worker busy, bus occupancy) on @p sampler. Call before run().
-  void attach_metrics(obs::MetricsSampler& sampler);
 
   /// Arm the sampling profiler: job-level trace hooks (enqueue,
   /// flow arrows, dispatch/retire spans) fire for the profiler's 1-in-N

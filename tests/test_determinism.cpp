@@ -14,7 +14,7 @@
 
 #include "drv/session.hpp"
 #include "obs/collect.hpp"
-#include "obs/sampler.hpp"
+#include "obs/gauges.hpp"
 #include "obs/tracer.hpp"
 #include "ouessant/codegen.hpp"
 #include "platform/soc.hpp"
@@ -72,8 +72,10 @@ RunResult run_e1_idct(bool gating, bool traced = false) {
     ocp.controller().set_tracer(tracer.get());
     idct.set_tracer(tracer.get());
     session.set_tracer(tracer.get());
-    metrics = std::make_unique<obs::MetricsSampler>(soc.kernel(), 32);
-    metrics->add_gauge("rac_busy", [&] { return idct.busy() ? 1 : 0; });
+    metrics = std::make_unique<obs::MetricsSampler>(
+        soc.kernel(), 32,
+        obs::Gauges{{.name = "rac_busy",
+                     .read = [&] { return idct.busy() ? 1 : 0; }}});
   }
   session.install(
       core::build_stream_program({.in_words = 64, .out_words = 64,

@@ -1,6 +1,6 @@
 // Observability layer (src/obs/): the CycleLedger attribution proof, the
-// EventTracer -> trace_reader -> analysis round trip, the MetricsSampler
-// registration discipline, and — the Table-I reproduction — the analytic
+// EventTracer -> trace_reader -> analysis round trip, the gauge writers'
+// registration checks, and — the Table-I reproduction — the analytic
 // transfer/compute/control decomposition of the E1 invocations. Every
 // E-scenario self-validates its ledger in-run (bench_* call
 // validate_soc_ledger), so the registry sweep here turns a single
@@ -9,15 +9,19 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "drv/session.hpp"
 #include "exp/sweep.hpp"
 #include "obs/analysis.hpp"
+#include "obs/artifact.hpp"
 #include "obs/collect.hpp"
+#include "obs/gauges.hpp"
 #include "obs/ledger.hpp"
-#include "obs/sampler.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace_reader.hpp"
 #include "obs/tracer.hpp"
@@ -187,6 +191,73 @@ TEST(ArtifactReaders, RejectHostileNumbersWithSimError) {
             ~u64{0});
 }
 
+// Strict JSON forbids raw control bytes inside strings, and json_escape
+// never writes one, so every reader rejects them with SimError.
+TEST(ArtifactReaders, RejectRawControlBytesInStrings) {
+  for (const char raw : {'\n', '\t', '\x01', '\x1f'}) {
+    const std::string text = std::string("\"a") + raw + "b\"";
+    obs::JsonCursor cur(text, "raw");
+    EXPECT_THROW((void)cur.string(), SimError) << static_cast<int>(raw);
+  }
+  EXPECT_THROW(
+      obs::parse_trace("{\"traceEvents\": [{\"name\": \"a\nb\"}]}"),
+      SimError);
+  obs::JsonCursor escaped("\"a\\nb\\u0001\"", "escaped");
+  EXPECT_EQ(escaped.string(), "a\nb\x01");
+}
+
+// Every writer escapes through obs::json_escape, so a name holding a
+// quote, a backslash and control bytes reads back equal, and the
+// analysis report rendered from such a trace is still valid JSON.
+TEST(ArtifactWriters, HostileNamesRoundTrip) {
+  const std::string hostile = "q\"x\\y\nz\x01";
+  const std::string dir = ::testing::TempDir();
+  sim::Kernel k;
+  {
+    obs::MetricsSampler m(k, 1,
+                          {{.name = hostile, .unit = hostile, .desc = hostile,
+                            .read = [] { return u64{7}; }}});
+    k.run(1);
+    m.write_json(dir + "hostile.metrics.json");
+  }
+  const obs::MetricsSampler::File metrics =
+      obs::read_metrics(dir + "hostile.metrics.json");
+  EXPECT_EQ(metrics.columns, std::vector<std::string>{hostile});
+  EXPECT_EQ(metrics.units, std::vector<std::string>{hostile});
+  EXPECT_EQ(metrics.descriptions, std::vector<std::string>{hostile});
+
+  obs::EventTracer tracer(k);
+  tracer.complete(tracer.track(hostile), hostile, 0, 1);
+  tracer.write_json(dir + "hostile.trace.json");
+  const obs::ParsedTrace trace = obs::read_trace(dir + "hostile.trace.json");
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_EQ(trace.events[0].name, hostile);
+  EXPECT_EQ(trace.track_name(trace.events[0].tid), hostile);
+  const std::string analysis = obs::render_json(trace, 5);
+  obs::JsonCursor cur(analysis, "render_json");
+  std::vector<std::string> phase_names;
+  cur.object([&](const std::string& key) {
+    if (key != "phases") return cur.skip_value();
+    cur.array([&] {
+      cur.object([&](const std::string& field) {
+        if (field == "track" || field == "span") {
+          phase_names.push_back(cur.string());
+        } else {
+          cur.skip_value();
+        }
+      });
+    });
+  });
+  cur.finish();
+  EXPECT_EQ(phase_names, (std::vector<std::string>{hostile, hostile}));
+
+  const obs::SloMonitor slo(
+      {.classes = {{.name = hostile, .latency_cycles = 10}}});
+  slo.report().write_json(dir + "hostile.slo.json");
+  EXPECT_EQ(obs::read_slo_report(dir + "hostile.slo.json").classes.at(0).name,
+            hostile);
+}
+
 TEST(TraceReader, UnknownTrackGetsFallbackName) {
   obs::ParsedTrace t;
   EXPECT_EQ(t.track_name(3), "track3");
@@ -197,32 +268,35 @@ TEST(TraceReader, UnknownTrackGetsFallbackName) {
 
 TEST(Sampler, RecordsEveryPeriodCycles) {
   sim::Kernel k;
-  obs::MetricsSampler m(k, 10);
-  m.add_gauge("now", [&] { return k.now(); });
-  m.add_stat("bus.beats");  // never interned: passive zero column
+  obs::MetricsSampler m(
+      k, 10,
+      {{.name = "now", .read = [&] { return k.now(); }},
+       // A Stats column is an ordinary gauge; never interned, it reads 0.
+       {.name = "bus.beats", .unit = "count",
+        .read = [&] { return k.stats().get("bus.beats"); }}});
   k.run(25);
   ASSERT_EQ(m.samples().size(), 2u);
   EXPECT_EQ(m.samples()[0].cycle, 10u);
   EXPECT_EQ(m.samples()[1].cycle, 20u);
-  ASSERT_EQ(m.columns().size(), 2u);
-  EXPECT_EQ(m.columns()[0], "now");
-  EXPECT_EQ(m.columns()[1], "bus.beats");
-  EXPECT_EQ(m.samples()[0].values[0], 10u);
-  EXPECT_EQ(m.samples()[0].values[1], 0u);
-  const std::string json = m.to_json();
-  EXPECT_NE(json.find("ouessant.metrics.v1"), std::string::npos);
-  EXPECT_NE(json.find("\"now\""), std::string::npos);
+  EXPECT_EQ(m.samples()[0].values, (std::vector<u64>{10, 0}));
+  const std::string path = ::testing::TempDir() + "sampler.metrics.json";
+  m.write_json(path);
+  const obs::MetricsSampler::File file = obs::read_metrics(path);
+  EXPECT_EQ(file.period, 10u);
+  EXPECT_EQ(file.columns, (std::vector<std::string>{"now", "bus.beats"}));
+  EXPECT_EQ(file.units, (std::vector<std::string>{"", "count"}));
 }
 
 TEST(Sampler, RegistrationDiscipline) {
   sim::Kernel k;
-  EXPECT_THROW(obs::MetricsSampler(k, 0), ConfigError);
-  obs::MetricsSampler m(k, 5);
-  m.add_gauge("g", [] { return u64{0}; });
-  EXPECT_THROW(m.add_gauge("g", [] { return u64{0}; }), ConfigError);
-  k.run(6);  // first sample taken at cycle 5
-  EXPECT_THROW(m.add_gauge("late", [] { return u64{0}; }), SimError);
-  EXPECT_THROW(m.add_stat("late.stat"), SimError);
+  const auto zero = [] { return u64{0}; };
+  EXPECT_THROW(obs::MetricsSampler(k, 0, {{.name = "g", .read = zero}}),
+               ConfigError);
+  EXPECT_THROW(obs::MetricsSampler(k, 5,
+                                   {{.name = "g", .read = zero},
+                                    {.name = "g", .read = zero}}),
+               ConfigError);
+  EXPECT_THROW(obs::MetricsSampler(k, 5, {{.name = "unread"}}), ConfigError);
 }
 
 // ---------------------------------------------------------------------
@@ -438,6 +512,90 @@ TEST(ServeTrace, JobSpansMatchLatencyHistograms) {
   const obs::CycleLedger ledger = obs::validate_soc_ledger(service.soc());
   EXPECT_EQ(ledger.track_count(),
             2 + 2 * service.soc().ocp_count());  // bus, cpu, ctrl+rac each
+}
+
+// The service's gauges through both writers: the VCD declares exactly
+// the metrics columns, every metrics row equals the VCD's value at that
+// row's cycle, and neither writer moves the simulation.
+TEST(ServeGauges, VcdAndMetricsAgreeAndArePassive) {
+  const std::string vcd_path = ::testing::TempDir() + "serve_gauges.vcd";
+  const std::string metrics_path =
+      ::testing::TempDir() + "serve_gauges.metrics.json";
+  struct Run {
+    Cycle cycles = 0;
+    std::map<std::string, u64> stats;
+    std::vector<u64> e2e;
+  };
+  const auto serve = [&](bool watched) {
+    svc::ServiceConfig cfg;
+    cfg.ocps = {svc::OcpSpec{.kind = svc::JobKind::kIdct, .max_batch = 2},
+                svc::OcpSpec{.kind = svc::JobKind::kDft, .max_batch = 1}};
+    svc::OffloadService service(std::move(cfg));
+    sim::Kernel& kernel = service.soc().kernel();
+    std::unique_ptr<obs::VcdTrace> vcd;
+    std::unique_ptr<obs::MetricsSampler> metrics;
+    if (watched) {
+      vcd = std::make_unique<obs::VcdTrace>(kernel, vcd_path,
+                                            service.gauges(), "svc");
+      metrics =
+          std::make_unique<obs::MetricsSampler>(kernel, 16, service.gauges());
+    }
+    svc::WorkloadConfig wl;
+    wl.jobs = 40;
+    wl.mean_gap = 250.0;
+    wl.kinds = {svc::JobKind::kIdct, svc::JobKind::kDft};
+    const svc::ServiceReport rep = service.run(wl);
+    if (watched) metrics->write_json(metrics_path);
+    return Run{.cycles = kernel.now(),
+               .stats = obs::invariant_stats(kernel.stats()),
+               .e2e = rep.e2e.samples()};
+  };
+  const Run bare = serve(false);
+  const Run watched = serve(true);
+  EXPECT_EQ(bare.cycles, watched.cycles);
+  EXPECT_EQ(bare.stats, watched.stats);
+  EXPECT_EQ(bare.e2e, watched.e2e);
+
+  // Read the dump back: declared names in order, then each gauge's value
+  // changes keyed by cycle.
+  std::vector<std::string> names;
+  std::map<std::string, std::size_t> index_of;
+  std::vector<std::map<Cycle, u64>> changes;
+  std::ifstream in(vcd_path);
+  Cycle now = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("$var", 0) == 0) {
+      std::istringstream fields(line);
+      std::string var, wire, width, id, name;
+      fields >> var >> wire >> width >> id >> name;
+      index_of[id] = names.size();
+      names.push_back(name);
+      changes.emplace_back();
+    } else if (line[0] == '#') {
+      now = std::stoull(line.substr(1));
+    } else if (line[0] == 'b') {
+      const std::size_t space = line.find(' ');
+      changes.at(index_of.at(line.substr(space + 1)))[now] =
+          std::stoull(line.substr(1, space - 1), nullptr, 2);
+    } else if (line[0] == '0' || line[0] == '1') {
+      changes.at(index_of.at(line.substr(1)))[now] =
+          static_cast<u64>(line[0] - '0');
+    }
+  }
+  const obs::MetricsSampler::File metrics = obs::read_metrics(metrics_path);
+  EXPECT_EQ(names, metrics.columns);
+  EXPECT_EQ(names, (std::vector<std::string>{"queue_depth", "in_flight",
+                                             "bus_granted", "ocp0_busy",
+                                             "ocp1_busy"}));
+  ASSERT_FALSE(metrics.samples.empty());
+  for (const obs::MetricsSampler::Sample& row : metrics.samples) {
+    for (std::size_t j = 0; j < names.size(); ++j) {
+      auto it = changes[j].upper_bound(row.cycle);
+      ASSERT_NE(it, changes[j].begin()) << names[j] << " @" << row.cycle;
+      EXPECT_EQ((--it)->second, row.values[j])
+          << names[j] << " @" << row.cycle;
+    }
+  }
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/gauges.hpp"
 #include "sim/kernel.hpp"
-#include "sim/trace.hpp"
 #include "sim/wire.hpp"
 
 namespace ouessant {
@@ -162,9 +162,11 @@ TEST(Trace, WritesValidVcd) {
   {
     sim::Kernel k;
     Counter a(k, "a");
-    sim::VcdTrace trace(k, path);
-    trace.add_signal("count", 8, [&] { return a.value() & 0xFF; });
-    trace.add_signal("bit", 1, [&] { return a.value() & 1; });
+    obs::VcdTrace trace(
+        k, path,
+        {{.name = "count", .width = 8,
+          .read = [&] { return a.value() & 0xFF; }},
+         {.name = "bit", .width = 1, .read = [&] { return a.value() & 1; }}});
     k.run(4);
   }
   std::ifstream in(path);
@@ -185,8 +187,8 @@ TEST(Trace, OnlyChangesEmitted) {
   {
     sim::Kernel k;
     Counter a(k, "a");
-    sim::VcdTrace trace(k, path);
-    trace.add_signal("constant", 4, [] { return 7; });
+    obs::VcdTrace trace(
+        k, path, {{.name = "constant", .width = 4, .read = [] { return 7; }}});
     k.run(10);
   }
   std::ifstream in(path);
@@ -200,16 +202,6 @@ TEST(Trace, OnlyChangesEmitted) {
     ++occurrences;
   }
   EXPECT_EQ(occurrences, 1u);
-  std::remove(path.c_str());
-}
-
-TEST(Trace, RejectsLateSignalRegistration) {
-  sim::Kernel k;
-  const std::string path = ::testing::TempDir() + "ouessant_trace_test3.vcd";
-  sim::VcdTrace trace(k, path);
-  trace.add_signal("ok", 1, [] { return 0; });
-  k.tick();
-  EXPECT_THROW(trace.add_signal("late", 1, [] { return 0; }), SimError);
   std::remove(path.c_str());
 }
 

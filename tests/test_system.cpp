@@ -161,8 +161,8 @@ TEST(Probes, StandardVcdProbesCaptureARun) {
     platform::Soc soc;
     rac::PassthroughRac rac(soc.kernel(), "pass", 16, 32);
     core::Ocp& ocp = soc.add_ocp(rac);
-    sim::VcdTrace trace(soc.kernel(), path);
-    platform::attach_standard_probes(trace, soc, ocp);
+    obs::VcdTrace trace(soc.kernel(), path,
+                        platform::standard_probes(soc, ocp));
     drv::OcpSession session(soc.cpu(), soc.sram(), ocp,
                             {.prog_base = 0x4000'0000,
                              .in_base = 0x4001'0000,

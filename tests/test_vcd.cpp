@@ -1,7 +1,7 @@
 // VCD writer golden-parse: the header structure, $enddefinitions
 // placement, value-change ordering and wide-signal formatting of
-// sim::VcdTrace, plus the registration discipline (no signals after the
-// header freezes, no duplicate names).
+// obs::VcdTrace, plus its construction-time checks (no duplicate names,
+// no width the dump cannot express).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/gauges.hpp"
 #include "sim/kernel.hpp"
-#include "sim/trace.hpp"
 
 namespace ouessant {
 namespace {
@@ -41,10 +41,13 @@ TEST(Vcd, GoldenParse) {
   const std::string path = temp_path("vcd_golden.vcd");
   sim::Kernel k;
   {
-    sim::VcdTrace trace(k, path, "dut");
-    trace.add_signal("busy", 1, [&] { return k.now() >= 2 ? 1 : 0; });
-    trace.add_signal("count", 4, [&] { return k.now(); });
-    trace.add_signal("constant", 8, [] { return u64{0xAB}; });
+    obs::VcdTrace trace(
+        k, path,
+        {{.name = "busy", .width = 1,
+          .read = [&] { return k.now() >= 2 ? 1 : 0; }},
+         {.name = "count", .width = 4, .read = [&] { return k.now(); }},
+         {.name = "constant", .width = 8, .read = [] { return u64{0xAB}; }}},
+        "dut");
     k.run(3);
     trace.close();
   }
@@ -102,11 +105,21 @@ TEST(Vcd, GoldenParse) {
 TEST(Vcd, WideValueTruncatedToDeclaredWidth) {
   const std::string path = temp_path("vcd_width.vcd");
   sim::Kernel k;
+  // A width the dump cannot express is rejected before the file opens.
+  for (const unsigned width : {0u, 65u}) {
+    EXPECT_THROW(obs::VcdTrace(k, path,
+                               {{.name = "bad", .width = width,
+                                 .read = [] { return u64{0}; }}}),
+                 ConfigError)
+        << width;
+  }
   {
-    sim::VcdTrace trace(k, path, "dut");
     // A 4-bit signal fed a value wider than its declaration: the dump
     // must carry exactly the low 4 bits, never more.
-    trace.add_signal("nibble", 4, [] { return u64{0xFF}; });
+    obs::VcdTrace trace(
+        k, path,
+        {{.name = "nibble", .width = 4, .read = [] { return u64{0xFF}; }}},
+        "dut");
     k.run(1);
     trace.close();
   }
@@ -117,26 +130,13 @@ TEST(Vcd, WideValueTruncatedToDeclaredWidth) {
   }
 }
 
-TEST(Vcd, LateRegistrationRejectedWithCycle) {
-  sim::Kernel k;
-  sim::VcdTrace trace(k, temp_path("vcd_late.vcd"), "dut");
-  trace.add_signal("early", 1, [] { return u64{0}; });
-  k.run(5);  // first tick writes the header
-  try {
-    trace.add_signal("late", 1, [] { return u64{0}; });
-    FAIL() << "late add_signal did not throw";
-  } catch (const SimError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("late"), std::string::npos);
-    EXPECT_NE(what.find("cycle 5"), std::string::npos);
-  }
-}
-
 TEST(Vcd, DuplicateSignalNameRejected) {
   sim::Kernel k;
-  sim::VcdTrace trace(k, temp_path("vcd_dup.vcd"), "dut");
-  trace.add_signal("sig", 1, [] { return u64{0}; });
-  EXPECT_THROW(trace.add_signal("sig", 2, [] { return u64{0}; }), SimError);
+  const auto zero = [] { return u64{0}; };
+  EXPECT_THROW(obs::VcdTrace(k, temp_path("vcd_dup.vcd"),
+                             {{.name = "sig", .width = 1, .read = zero},
+                              {.name = "sig", .width = 2, .read = zero}}),
+               ConfigError);
 }
 
 }  // namespace

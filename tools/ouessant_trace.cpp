@@ -23,7 +23,7 @@
 #include <string>
 
 #include "obs/analysis.hpp"
-#include "obs/sampler.hpp"
+#include "obs/gauges.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace_reader.hpp"
 
