@@ -17,8 +17,6 @@ void register_all_scenarios(exp::Registry& r) {
   register_e10_coupled(r);
   register_e11_l3_validation(r);
   register_e12_contention(r);
-  register_kernel_guard(r);
-  register_speed(r);
   register_serve(r);
   register_serve_faulty(r);
   register_fleet_warmboot(r);

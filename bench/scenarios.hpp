@@ -21,8 +21,6 @@ void register_e9_jpeg(exp::Registry& r);            // bench_jpeg.cpp
 void register_e10_coupled(exp::Registry& r);        // bench_coupled.cpp
 void register_e11_l3_validation(exp::Registry& r);  // bench_l3_validation.cpp
 void register_e12_contention(exp::Registry& r);     // bench_contention.cpp
-void register_kernel_guard(exp::Registry& r);       // bench_kernel_guard.cpp
-void register_speed(exp::Registry& r);              // bench_speed.cpp
 void register_serve(exp::Registry& r);              // bench_serve.cpp
 void register_serve_faulty(exp::Registry& r);       // bench_serve_faulty.cpp
 void register_fleet_warmboot(exp::Registry& r);     // bench_fleet.cpp

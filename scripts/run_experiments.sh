@@ -26,12 +26,6 @@ JOBS="${JOBS:-$DEFAULT_JOBS}"
 # percentile), so reviewers diff BENCH_serve.json on its own.
 ./build/bench/ouessant_bench --filter serve --compare-jobs "$JOBS" \
   --json BENCH_serve.json | tee build/experiment-logs/serve.txt
-# Raw-simulator-speed baseline for run_tier1.sh's speed guard: host
-# cycles/sec with the batched bus windows and decode cache on vs forced
-# off. Re-recording on a new reference host is how the guard's floor is
-# moved; meta.host_cpus records what produced it.
-./build/bench/ouessant_bench --filter sim_speed \
-  --json BENCH_speed.json | tee build/experiment-logs/speed.txt
 # The fleet record (docs/fleet.md): fleet_warmboot — >= 8 shards forked
 # from one snapshot per point, with the cold-boot vs per-shard-fork
 # wall-time comparison and the fixed-seed shard-replay check — plus
@@ -58,10 +52,21 @@ JOBS="${JOBS:-$DEFAULT_JOBS}"
 ./build/bench/ouessant_bench --filter CHAIN \
   --json BENCH_chain.json | tee build/experiment-logs/chain.txt
 
+# The host-speed record (perfbench/README.md): one 30 s run of each
+# perfbench workload, its meta and result lines kept by workload.
+# run_tier1.sh holds fresh 2 s runs to half of each recorded sim_cps;
+# meta.nproc and meta.probe_ms_median say what host produced it.
+for workload in ocp_stream serve_mix fleet_fork; do
+  python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 30 \
+    --trace 0 | tee "build/experiment-logs/perf_$workload.txt"
+done
+python3 scripts/bench_guards.py record BENCH_perf.json \
+  build/experiment-logs/perf_*.txt
+
 echo
 echo "transcript in build/experiment-logs/sweep.txt, results in BENCH_sweep.json"
 echo "service scenarios in build/experiment-logs/serve.txt, results in BENCH_serve.json"
-echo "speed baseline in build/experiment-logs/speed.txt, results in BENCH_speed.json"
 echo "fleet warm-boot record in build/experiment-logs/fleet.txt, results in BENCH_fleet.json"
 echo "slot-farm record in build/experiment-logs/dpr.txt, results in BENCH_dpr.json"
 echo "chaining record in build/experiment-logs/chain.txt, results in BENCH_chain.json"
+echo "host-speed record in build/experiment-logs/perf_*.txt, results in BENCH_perf.json"

@@ -24,6 +24,9 @@ const char* tag_name(Tag t) {
 
 constexpr u32 kLiteralBit = 0x8000'0000u;
 constexpr u32 kMaxBlockWords = 0x7fff'ffffu;
+/// The most words the dense read_words32() accepts: far above any
+/// component's register-sized field.
+constexpr u32 kMaxDenseWords32 = 1u << 20;
 
 }  // namespace
 
@@ -275,8 +278,13 @@ void StateReader::read_blocks(
 
 std::vector<u32> StateReader::read_words32(std::string_view name) {
   expect_field(Tag::kWords32, name);
+  const u32 count = raw_u32();
+  if (count > kMaxDenseWords32) {
+    fail("words32 '" + std::string(name) + "' declares " +
+         std::to_string(count) + " words, more than a dense field may hold");
+  }
   std::vector<u32> v;
-  read_blocks(raw_u32(), [&v](const Words32Block& b) {
+  read_blocks(count, [&v](const Words32Block& b) {
     if (b.literal.empty()) {
       v.insert(v.end(), b.n, b.value);
     } else {

@@ -114,6 +114,10 @@ class StateReader {
   u64 read_u64(std::string_view name);
   double read_double(std::string_view name);
   std::string read_string(std::string_view name);
+  /// A whole words32 field as one vector. A declared count above 1 Mi
+  /// words throws before any block is decoded: one 8-byte run block
+  /// could otherwise make it allocate gigabytes. Memories stream through
+  /// the overload below instead.
   std::vector<u32> read_words32(std::string_view name);
   /// Streams a words32 field of exactly @p count words into @p sink, one
   /// RLE block at a time, without materialising the words. A declared

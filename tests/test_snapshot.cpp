@@ -185,8 +185,17 @@ TEST(StateStream, FalseWords32CountIsASnapshotError) {
   job.write_words32("payload", {});
   std::vector<u8> bytes = job.take();
   std::fill(bytes.end() - 4, bytes.end(), u8{0xFF});  // the word count
-  StateReader jr(std::move(bytes), "job");
+  StateReader jr(bytes, "job");
   EXPECT_THROW((void)svc::load_job(jr), SnapshotError);
+
+  // The same count backed by one run block of 2^31-1 zero words: eight
+  // bytes that the dense reader must refuse before it inflates them into
+  // 8 GiB.
+  for (const u8 b : {0xFF, 0xFF, 0xFF, 0x7F, 0x00, 0x00, 0x00, 0x00}) {
+    bytes.push_back(b);
+  }
+  StateReader run(std::move(bytes), "job");
+  EXPECT_THROW((void)svc::load_job(run), SnapshotError);
 }
 
 TEST(StateStream, WrongNameWrongTagAndTruncationThrow) {

@@ -90,11 +90,18 @@ std::unique_ptr<obs::EventTracer> arm(platform::Soc& soc, const Config& cfg,
   return tracer;
 }
 
-/// The batched window's best case: the discrete DMA engine moving
-/// 1024 words SRAM-to-SRAM at 64 beats per grant, interrupt completion,
-/// two passes (the second re-uses the programmed engine).
-RunResult run_dma_copy(const Config& cfg) {
-  constexpr u32 kWords = 1024;
+/// A DMA copy: @c words per pass, @c passes passes, @c burst beats per
+/// grant.
+struct DmaShape {
+  u32 words = 1024;
+  int passes = 2;
+  u32 burst = 64;
+};
+
+/// The batched window's best case: the discrete DMA engine copying
+/// SRAM-to-SRAM with interrupt completion, pass after pass (later passes
+/// re-use the programmed engine).
+RunResult run_dma_copy(const Config& cfg, const DmaShape& shape = {}) {
   constexpr Addr kSrc = 0x4010'0000;
   constexpr Addr kDst = 0x4020'0000;
   platform::Soc soc;
@@ -104,15 +111,15 @@ RunResult run_dma_copy(const Config& cfg) {
   u64 scratch = 0;
   const auto tracer = arm(soc, cfg, hook, scratch);
   util::Rng rng(31);
-  std::vector<u32> in(kWords);
+  std::vector<u32> in(shape.words);
   for (auto& w : in) w = rng.next_u32();
   soc.sram().load(kSrc, in);
   cpu::Gpp& gpp = soc.cpu();
-  for (int pass = 0; pass < 2; ++pass) {
+  for (int pass = 0; pass < shape.passes; ++pass) {
     gpp.write32(dma.reg_base() + baseline::kDmaSrc, kSrc);
     gpp.write32(dma.reg_base() + baseline::kDmaDst, kDst);
-    gpp.write32(dma.reg_base() + baseline::kDmaLen, kWords);
-    gpp.write32(dma.reg_base() + baseline::kDmaBurst, 64);
+    gpp.write32(dma.reg_base() + baseline::kDmaLen, shape.words);
+    gpp.write32(dma.reg_base() + baseline::kDmaBurst, shape.burst);
     gpp.write32(dma.reg_base() + baseline::kDmaCtrl,
                 baseline::kDmaGo | baseline::kDmaIe);
     gpp.wait_for_irq(dma.irq());
@@ -121,7 +128,7 @@ RunResult run_dma_copy(const Config& cfg) {
   }
   RunResult r;
   r.final_cycle = soc.kernel().now();
-  r.memory = soc.sram().dump(kDst, kWords);
+  r.memory = soc.sram().dump(kDst, shape.words);
   EXPECT_EQ(r.memory, in);
   r.stats = obs::invariant_stats(soc.kernel().stats());
   r.batched_chunks = soc.bus().batched_chunks();
@@ -174,19 +181,35 @@ RunResult run_idct_frames(const Config& cfg) {
 // ---------------------------------------------------------------------
 // Passivity: optimizations on == optimizations off, bit for bit.
 
+// The fast runs pin their exact engagement counts: a fast path that
+// stops engaging on some windows or fetches fails here on any host, not
+// only one that stops engaging entirely.
+
 TEST(SpeedOpts, DmaBatchingOnMatchesOff) {
-  const RunResult on = run_dma_copy({});
-  const RunResult off = run_dma_copy({.batching = false});
-  expect_identical(on, off);
-  EXPECT_GT(on.batched_chunks, 0u) << "batched fast path never engaged";
-  EXPECT_EQ(off.batched_chunks, 0u);
+  struct Case {
+    DmaShape shape;
+    Cycle cycles;
+    u64 batched_chunks;
+  };
+  // Short grants, then long ones: 4096 words x 16 passes at 256 beats.
+  for (const Case& c :
+       {Case{{}, 6'232, 64},
+        Case{{.words = 4096, .passes = 16, .burst = 256}, 197'312, 512}}) {
+    SCOPED_TRACE("burst " + std::to_string(c.shape.burst));
+    const RunResult on = run_dma_copy({}, c.shape);
+    const RunResult off = run_dma_copy({.batching = false}, c.shape);
+    expect_identical(on, off);
+    EXPECT_EQ(on.final_cycle, c.cycles);
+    EXPECT_EQ(on.batched_chunks, c.batched_chunks);
+    EXPECT_EQ(off.batched_chunks, 0u);
+  }
 }
 
 TEST(SpeedOpts, IdctDecodeCacheOnMatchesOff) {
   const RunResult on = run_idct_frames({});
   const RunResult off = run_idct_frames({.decode_cache = false});
   expect_identical(on, off);
-  EXPECT_GT(on.decode_hits, 0u) << "decode cache never hit";
+  EXPECT_EQ(on.decode_hits, 8u);
   EXPECT_EQ(off.decode_hits, 0u);
 }
 
@@ -195,7 +218,10 @@ TEST(SpeedOpts, IdctAllOptsOnMatchesAllOff) {
   const RunResult off =
       run_idct_frames({.batching = false, .decode_cache = false});
   expect_identical(on, off);
-  EXPECT_GT(on.batched_chunks, 0u);
+  EXPECT_EQ(on.batched_chunks, 16u);
+  EXPECT_EQ(on.decode_hits, 8u);
+  EXPECT_EQ(off.batched_chunks, 0u);
+  EXPECT_EQ(off.decode_hits, 0u);
 }
 
 TEST(SpeedOpts, OptimizedRunIsRepeatable) {

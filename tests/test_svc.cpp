@@ -1,8 +1,9 @@
 // Tests for the offload service layer: the bounded JobQueue, latency
 // accounting, the load generators, and whole OffloadService runs
-// (determinism, gating differential, overload, batching).
+// (determinism, gating and fast-path differentials, overload, batching).
 #include <gtest/gtest.h>
 
+#include "obs/collect.hpp"
 #include "svc/job.hpp"
 #include "svc/latency.hpp"
 #include "svc/service.hpp"
@@ -204,6 +205,39 @@ TEST(OffloadService, GatingDifferentialIsBitIdentical) {
   const ServiceReport a = gated.run(small_workload());
   const ServiceReport b = free_running.run(small_workload());
   expect_same_report(a, b);
+}
+
+TEST(OffloadService, FastPathDifferentialIsBitIdentical) {
+  // Four IDCT workers contending for one AHB: the batched bus windows
+  // and the decode cache must be invisible to every report field and
+  // Stats counter. The fast run pins its exact engagement counts.
+  const auto multi_ocp = [] {
+    ServiceConfig cfg;
+    for (int i = 0; i < 4; ++i) {
+      cfg.ocps.push_back(OcpSpec{.kind = JobKind::kIdct, .max_batch = 1});
+    }
+    cfg.queue_depth = 256;
+    return cfg;
+  };
+  WorkloadConfig wl;
+  wl.jobs = 160;
+  wl.mean_gap = 40.0;
+  OffloadService fast(multi_ocp());
+  OffloadService slow(multi_ocp());
+  slow.soc().bus().set_batching(false);
+  for (std::size_t i = 0; i < slow.soc().ocp_count(); ++i) {
+    slow.soc().ocp(i).controller().set_decode_cache(false);
+  }
+  expect_same_report(fast.run(wl), slow.run(wl));
+  EXPECT_EQ(obs::invariant_stats(fast.soc().kernel().stats()),
+            obs::invariant_stats(slow.soc().kernel().stats()));
+  u64 decode_hits = 0;
+  for (std::size_t i = 0; i < fast.soc().ocp_count(); ++i) {
+    decode_hits += fast.soc().ocp(i).controller().decode_cache_hits();
+  }
+  EXPECT_EQ(fast.soc().bus().batched_chunks(), 965u);
+  EXPECT_EQ(decode_hits, 620u);
+  EXPECT_EQ(slow.soc().bus().batched_chunks(), 0u);
 }
 
 TEST(OffloadService, OverloadRejectsWithoutLivelock) {
