@@ -3,6 +3,7 @@
 
     python3 scripts/bench_guards.py record BENCH_perf.json RUN.out...
     python3 scripts/bench_guards.py floor BENCH_perf.json RUN.out...
+    python3 scripts/bench_guards.py pairs BASE.out... -- NEW.out...
 
 Each RUN.out is the saved stdout of one `python3 perfbench/run.py
 --workload W --seed 7 --seconds S --trace 0` run: its meta line, then
@@ -14,13 +15,25 @@ floor:  fails when a fresh run is not correct, when a recorded workload
         has no fresh run, or when a fresh sim_cps is below half the
         recorded one. A host can easily be 2x slower than the one that
         recorded the file; a simulator that is must be looked at.
+pairs:  compares two builds from alternating runs: the i-th BASE run of
+        a workload is paired with its i-th NEW run. For each workload and
+        each end-to-end metric of BENCHMARK.json it prints both sides'
+        median and quartiles, the ratio of the medians (NEW / BASE), the
+        pairs NEW won in the metric's `better` direction, and whether
+        the claim rule holds: NEW wins at least 9 of every 10 pairs (and
+        there are at least 10), and the medians differ, in that
+        direction, by more than BASE's interquartile range. It only
+        reports; a rule that does not hold is not an error.
 
 Prints what it compared; exits 0 when every run passes and 1 (with the
-reason on stderr) when one does not. scripts/run_experiments.sh records,
-scripts/run_tier1.sh checks the floor.
+reason on stderr) when one does not, or when the input is malformed.
+scripts/run_experiments.sh records, scripts/run_tier1.sh checks the
+floor, docs/performance.md ("Comparing two builds") describes pairs.
 """
 
 import json
+import os
+import statistics
 import sys
 
 
@@ -72,9 +85,67 @@ def floor(record_path, paths):
     print("speed floor OK")
 
 
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def spread(median, q1, q3):
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def by_workload(paths):
+    runs = {}
+    for path in paths:
+        workload, run = load_run(path)
+        if not run["result"]["correct"]:
+            sys.exit(f"{path}: perfbench run not correct")
+        runs.setdefault(workload, []).append(run["result"]["metrics"])
+    return runs
+
+
+def pairs(base_paths, new_paths):
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+    base, new = by_workload(base_paths), by_workload(new_paths)
+    if sorted(base) != sorted(new):
+        sys.exit(f"pairs: BASE runs {sorted(base)}, NEW runs {sorted(new)}")
+    for w in sorted(base):
+        n = len(base[w])
+        if len(new[w]) != n:
+            sys.exit(f"pairs: {w} has {n} BASE runs, {len(new[w])} NEW runs")
+        print(f"{w}: {n} pairs")
+        print(f"  {'metric':12s} {'BASE median [q1, q3]':32s} "
+              f"{'NEW median [q1, q3]':32s} {'ratio':>6s} {'won':>7s}  rule")
+        for m in metrics:
+            name, higher = m["name"], m["better"] == "higher"
+            a = [r[name]["value"] for r in base[w]]
+            b = [r[name]["value"] for r in new[w]]
+            (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
+            won = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+            gap = (bm - am) if higher else (am - bm)
+            holds = n >= 10 and 10 * won >= 9 * n and gap > a3 - a1
+            ratio = bm / am if am else float("nan")
+            print(f"  {name:12s} {spread(am, a1, a3):32s} "
+                  f"{spread(bm, b1, b3):32s} {ratio:6.3f} {won:3d}/{n:<3d}  "
+                  f"{'holds' if holds else 'does not hold'}")
+
+
 if __name__ == "__main__":
+    if len(sys.argv) > 1 and sys.argv[1] == "pairs":
+        args = sys.argv[2:]
+        if "--" not in args:
+            sys.exit(f"usage: {sys.argv[0]} pairs BASE.out... -- NEW.out...")
+        cut = args.index("--")
+        if cut == 0 or cut == len(args) - 1:
+            sys.exit("pairs: need at least one BASE and one NEW run")
+        pairs(args[:cut], args[cut + 1:])
+        sys.exit(0)
     modes = {"record": record, "floor": floor}
     if len(sys.argv) < 4 or sys.argv[1] not in modes:
         sys.exit(f"usage: {sys.argv[0]} record|floor BENCH_perf.json "
-                 f"RUN.out...")
+                 f"RUN.out... | pairs BASE.out... -- NEW.out...")
     modes[sys.argv[1]](sys.argv[2], sys.argv[3:])

@@ -1,6 +1,7 @@
 #include "sim/kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,6 +13,8 @@ namespace ouessant::sim {
 
 namespace {
 constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+constexpr u64 slot_bit(std::size_t slot) { return u64{1} << (slot & 63); }
 
 struct HeapOrder {
   bool operator()(const std::pair<Cycle, Component*>& a,
@@ -30,48 +33,48 @@ Component::~Component() { kernel_.remove(this); }
 
 void Kernel::add(Component* c) {
   ++live_count_;
-  ++awake_count_;  // components are born awake; they may sleep after a tick
   if (in_tick_) {
     // Joining mid-sweep would let a half-constructed object tick this
     // cycle (and grow the vector under the sweep). Park it; it joins at
     // the cycle boundary and first ticks next cycle.
     pending_adds_.push_back(c);
   } else {
+    c->slot_ = static_cast<u32>(components_.size());
     components_.push_back(c);
+    if ((c->slot_ & 63) == 0) awake_bits_.push_back(0);
+    // Components are born awake; they may sleep after a tick.
+    awake_bits_[c->slot_ >> 6] |= slot_bit(c->slot_);
   }
 }
 
 void Kernel::remove(Component* c) {
   --live_count_;
-  if (c->awake_) --awake_count_;
   // Null any armed timer so the heap never holds a dangling pointer.
   for (auto& e : wake_heap_) {
     if (e.second == c) e.second = nullptr;
   }
-  if (in_tick_) {
-    // Tombstone in place: the sweep skips null slots, so the destroyed
-    // object never ticks again while every later component still ticks
-    // this cycle. The vector is compacted at the cycle boundary.
-    auto it = std::find(components_.begin(), components_.end(), c);
-    if (it != components_.end()) {
-      *it = nullptr;
-      compact_needed_ = true;
-    } else {
-      // Added and destroyed within the same tick: it never joined.
-      pending_adds_.erase(
-          std::remove(pending_adds_.begin(), pending_adds_.end(), c),
-          pending_adds_.end());
-    }
+  const auto it = std::find(pending_adds_.begin(), pending_adds_.end(), c);
+  if (it != pending_adds_.end()) {
+    pending_adds_.erase(it);  // added and destroyed within one tick
+  } else if (in_tick_) {
+    // Tombstone in place: the sweep skips null slots and clear bits, so
+    // the destroyed object never ticks again while every later component
+    // still ticks this cycle. The vector is compacted at the cycle
+    // boundary.
+    components_[c->slot_] = nullptr;
+    awake_bits_[c->slot_ >> 6] &= ~slot_bit(c->slot_);
+    compact_needed_ = true;
   } else {
-    components_.erase(std::remove(components_.begin(), components_.end(), c),
-                      components_.end());
+    components_.erase(components_.begin() +
+                      static_cast<std::ptrdiff_t>(c->slot_));
+    reindex();
   }
 }
 
 void Kernel::wake(Component* c) {
-  if (c->awake_) return;
+  if (c->awake_) return;  // pending adds are always awake
   c->awake_ = true;
-  ++awake_count_;
+  awake_bits_[c->slot_ >> 6] |= slot_bit(c->slot_);
   ++sched_.wakeups;
 }
 
@@ -104,27 +107,55 @@ Cycle Kernel::next_wake_cycle() {
 }
 
 void Kernel::apply_registry_changes() {
+  if (!compact_needed_ && pending_adds_.empty()) return;
   if (compact_needed_) {
     components_.erase(
         std::remove(components_.begin(), components_.end(), nullptr),
         components_.end());
     compact_needed_ = false;
   }
-  if (!pending_adds_.empty()) {
-    components_.insert(components_.end(), pending_adds_.begin(),
-                       pending_adds_.end());
-    pending_adds_.clear();
+  components_.insert(components_.end(), pending_adds_.begin(),
+                     pending_adds_.end());
+  pending_adds_.clear();
+  reindex();
+}
+
+void Kernel::reindex() {
+  awake_bits_.assign((components_.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < components_.size(); ++i) {
+    components_[i]->slot_ = static_cast<u32>(i);
+    if (components_[i]->awake_) awake_bits_[i >> 6] |= slot_bit(i);
+  }
+}
+
+std::size_t Kernel::awake_count() const {
+  std::size_t n = pending_adds_.size();
+  for (const u64 w : awake_bits_) n += static_cast<std::size_t>(std::popcount(w));
+  return n;
+}
+
+// Calls f on every awake component in slot order. The word is re-read
+// after each call, masked to the slots above the one just visited, so a
+// component woken by an earlier slot is visited in the same walk and one
+// woken behind it waits for the next walk, as in a full linear sweep.
+template <class F>
+void Kernel::for_each_awake(F f) {
+  for (std::size_t w = 0; w < awake_bits_.size(); ++w) {
+    for (u64 bits = awake_bits_[w]; bits != 0;) {
+      const int b = std::countr_zero(bits);
+      f(components_[w * 64 + static_cast<std::size_t>(b)]);
+      bits = awake_bits_[w] & (~u64{1} << b);
+    }
   }
 }
 
 void Kernel::sleep_pass() {
-  for (Component* c : components_) {
-    if (c != nullptr && c->awake_ && c->is_quiescent()) {
-      c->awake_ = false;
-      --awake_count_;
-      ++sched_.sleeps;
-    }
-  }
+  for_each_awake([this](Component* c) {
+    if (!c->is_quiescent()) return;
+    c->awake_ = false;
+    awake_bits_[c->slot_ >> 6] &= ~slot_bit(c->slot_);
+    ++sched_.sleeps;
+  });
 }
 
 void Kernel::tick() {
@@ -132,12 +163,8 @@ void Kernel::tick() {
   in_tick_ = true;
   try {
     if (gating_enabled_) {
-      for (Component* c : components_) {
-        if (c != nullptr && c->awake_) c->tick_compute();
-      }
-      for (Component* c : components_) {
-        if (c != nullptr && c->awake_) c->tick_commit();
-      }
+      for_each_awake([](Component* c) { c->tick_compute(); });
+      for_each_awake([](Component* c) { c->tick_commit(); });
     } else {
       // Seed-identical tick-everything sweep (differential reference).
       for (Component* c : components_) {
@@ -177,14 +204,14 @@ void Kernel::advance_idle(Cycle to) {
   while (cycle_ < to) {
     ++cycle_;
     for (auto& [id, fn] : samplers_) fn(cycle_);
-    if (awake_count_ != 0) return;
+    if (any_awake()) return;
   }
 }
 
 void Kernel::run(u64 n) {
   const Cycle target = cycle_ + n;
   while (cycle_ < target) {
-    if (gating_enabled_ && awake_count_ == 0) {
+    if (gating_enabled_ && !any_awake()) {
       const Cycle next = std::min(next_wake_cycle(), target);
       if (next > cycle_) {
         advance_idle(next);
@@ -204,7 +231,7 @@ void Kernel::run_until(const std::function<bool()>& done, u64 timeout) {
       throw SimError("Kernel::run_until: timeout after " +
                      std::to_string(timeout) + " cycles");
     }
-    if (gating_enabled_ && awake_count_ == 0) {
+    if (gating_enabled_ && !any_awake()) {
       // Nothing is clocked, so done() cannot change until the next wake:
       // jump straight there (or to the timeout deadline, where the loop
       // re-checks done() once more and then throws — same cycle the
@@ -229,7 +256,6 @@ void Kernel::set_gating(bool on) {
     for (Component* c : components_) {
       if (c != nullptr) wake(c);
     }
-    for (Component* c : pending_adds_) wake(c);
   }
 }
 
@@ -349,8 +375,9 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
         " components, this kernel has " + std::to_string(by_name.size()) +
         " (stacks must be constructed identically)");
   }
-  std::vector<std::pair<Component*, bool>> awake_flags;
-  awake_flags.reserve(comp_count);
+  // With the count equal to the registry size, rejecting a repeated name
+  // also rejects a missing one, so every component gets its saved flag.
+  std::unordered_map<Component*, bool> awake_flags;
   for (u32 i = 0; i < comp_count; ++i) {
     const std::string name = r.read_string("component");
     const bool awake = r.read_bool("awake");
@@ -359,7 +386,10 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
       throw snap::SnapshotError("Kernel::restore_from: snapshot component '" +
                                 name + "' is not registered here");
     }
-    awake_flags.emplace_back(it->second, awake);
+    if (!awake_flags.emplace(it->second, awake).second) {
+      throw snap::SnapshotError("Kernel::restore_from: snapshot names "
+                                "component '" + name + "' twice");
+    }
   }
 
   const u32 timer_count = r.read_u32("timer_count");
@@ -398,11 +428,8 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
 
   // Scheduler state last: restore_state() calls may have issued stray
   // wake()s — overwrite them with the saved awake set and timer heap.
-  awake_count_ = 0;
-  for (auto& [c, awake] : awake_flags) {
-    c->awake_ = awake;
-    if (awake) ++awake_count_;
-  }
+  for (auto& [c, awake] : awake_flags) c->awake_ = awake;
+  reindex();
   wake_heap_ = std::move(timers);
   std::make_heap(wake_heap_.begin(), wake_heap_.end(), HeapOrder{});
 }

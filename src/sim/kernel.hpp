@@ -32,6 +32,14 @@
 //   * wake_at(cycle): self-service timer for countdowns with a known end
 //     (RAC latency, ICAP reconfiguration, compute timers).
 //
+// The kernel mirrors every awake flag in a bitset indexed by registration
+// slot. Both tick phases and the quiescence poll walk only its set bits,
+// in slot order, re-reading the current 64-bit word after every call (so
+// wake() keeps the visibility above), and a ticked cycle costs
+// O(words + awake components), not O(registered). Slots are renumbered
+// in one place: when the registry changes at a cycle boundary or between
+// ticks, and after restore_from().
+//
 // When every component is asleep the kernel fast-forwards cycle_ in bulk
 // to the next wake-heap entry (or run target), invoking samplers for each
 // skipped cycle so traces stay bit-identical. Gating is a pure scheduling
@@ -115,6 +123,7 @@ class Component {
   Kernel& kernel_;
   std::string name_;
   bool awake_ = true;
+  u32 slot_ = 0;  // index in Kernel::components_ once it joins
 };
 
 /// Scheduler telemetry (not part of the simulated state — these differ
@@ -184,7 +193,7 @@ class Kernel {
   [[nodiscard]] bool gating() const { return gating_enabled_; }
 
   /// Number of components the next tick will clock (diagnostics).
-  [[nodiscard]] std::size_t awake_count() const { return awake_count_; }
+  [[nodiscard]] std::size_t awake_count() const;
 
   /// Names of the currently awake components (diagnostics: "who is
   /// keeping the clock tree on?").
@@ -215,6 +224,15 @@ class Kernel {
   [[nodiscard]] Cycle next_wake_cycle();
   void advance_idle(Cycle to);
   void apply_registry_changes();
+  void reindex();
+  [[nodiscard]] bool any_awake() const {
+    for (const u64 w : awake_bits_) {
+      if (w != 0) return true;
+    }
+    return false;
+  }
+  template <class F>
+  void for_each_awake(F f);
   void sleep_pass();
 
   Cycle cycle_ = 0;
@@ -233,14 +251,18 @@ class Kernel {
   std::vector<Component*> pending_adds_;
   std::size_t live_count_ = 0;
 
-  // Quiescence scheduling.
+  // Quiescence scheduling. Bit i of awake_bits_ mirrors
+  // components_[i]->awake_; pending adds are always awake and have no bit.
+  // reindex() renumbers slots and rebuilds the set from the flags.
   bool gating_enabled_ = true;
-  std::size_t awake_count_ = 0;
+  std::vector<u64> awake_bits_;
   std::vector<std::pair<Cycle, Component*>> wake_heap_;  // min-heap
   SchedulerStats sched_;
 };
 
-inline void Component::wake() { kernel_.wake(this); }
+inline void Component::wake() {
+  if (!awake_) kernel_.wake(this);  // the common case stays a flag test
+}
 inline void Component::wake_at(Cycle cycle) { kernel_.wake_at(this, cycle); }
 
 }  // namespace ouessant::sim

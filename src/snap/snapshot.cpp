@@ -9,16 +9,31 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'O', 'S', 'N', 'P'};
 
-std::array<u32, 256> make_crc_table() {
-  std::array<u32, 256> t{};
+/// Slicing-by-8 tables: t[0] is the bytewise CRC-32 table, and t[k][b]
+/// is the CRC of byte b followed by k zero bytes, so one step folds
+/// eight input bytes with eight lookups.
+constexpr std::array<std::array<u32, 256>, 8> make_crc_tables() {
+  std::array<std::array<u32, 256>, 8> t{};
   for (u32 i = 0; i < 256; ++i) {
     u32 c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? (0xEDB8'8320u ^ (c >> 1)) : (c >> 1);
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (u32 i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
   }
   return t;
+}
+
+constexpr std::array<std::array<u32, 256>, 8> kCrcTables = make_crc_tables();
+
+u32 load_le32(const u8* p) {
+  return static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
+         (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
 }
 
 void put_u16(std::vector<u8>& out, u16 v) {
@@ -37,15 +52,16 @@ void put_u64(std::vector<u8>& out, u64 v) {
 /// Bounds-checked cursor over a raw image; all failures throw with the
 /// byte offset so a truncated or bit-flipped file is diagnosable.
 struct Cursor {
-  const std::vector<u8>& buf;
+  std::span<const u8> buf;
   std::size_t pos = 0;
 
   [[noreturn]] void fail(const std::string& why) const {
     throw SnapshotError("snapshot image at byte " + std::to_string(pos) +
                         ": " + why);
   }
-  void need(std::size_t n) const {
-    if (pos + n > buf.size()) fail("truncated");
+  // pos <= buf.size() always holds, so this cannot wrap for any u64 n.
+  void need(u64 n) const {
+    if (n > buf.size() - pos) fail("truncated");
   }
   u16 u16_() {
     need(2);
@@ -71,10 +87,19 @@ struct Cursor {
 
 }  // namespace
 
-u32 crc32(const std::vector<u8>& data) {
-  static const std::array<u32, 256> table = make_crc_table();
+u32 crc32(std::span<const u8> data) {
+  const auto& t = kCrcTables;
   u32 c = 0xFFFF'FFFFu;
-  for (u8 b : data) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const u8* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const u32 lo = c ^ load_le32(p);
+    const u32 hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFF'FFFFu;
 }
 
@@ -127,12 +152,8 @@ Snapshot Snapshot::deserialize(const std::vector<u8>& image) {
     throw SnapshotError("snapshot image too short (" +
                         std::to_string(image.size()) + " bytes)");
   }
-  std::vector<u8> body(image.begin(), image.end() - 4);
-  u32 stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<u32>(image[image.size() - 4 + i]) << (8 * i);
-  }
-  if (crc32(body) != stored_crc) {
+  const std::span<const u8> body(image.data(), image.size() - 4);
+  if (crc32(body) != load_le32(image.data() + body.size())) {
     throw SnapshotError("snapshot CRC mismatch (corrupted image)");
   }
 
@@ -160,9 +181,8 @@ Snapshot Snapshot::deserialize(const std::vector<u8>& image) {
     const u32 sec_version = c.u32_();
     const u64 size = c.u64_();
     c.need(size);
-    std::vector<u8> bytes(body.begin() + static_cast<std::ptrdiff_t>(c.pos),
-                          body.begin() +
-                              static_cast<std::ptrdiff_t>(c.pos + size));
+    const auto payload = body.subspan(c.pos, size);
+    std::vector<u8> bytes(payload.begin(), payload.end());
     c.pos += size;
     snap.add(std::move(name), sec_version, std::move(bytes));
   }

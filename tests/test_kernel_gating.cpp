@@ -1,6 +1,7 @@
 // Tests for the quiescence-aware scheduler: gating/fast-forward
 // semantics, the wake()/wake_at() protocol, the run_until ordering
-// contract, mid-tick registry mutation, and the interned Stats handles.
+// contract, mid-tick registry mutation, the awake set across 64-bit
+// words, and the interned Stats handles.
 //
 // The registry-mutation tests double as regressions for the seed kernel,
 // whose tick loop erased/reallocated the component vector under the
@@ -8,10 +9,15 @@
 // victim was silently skipped that cycle, and ASan flags the stale read).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/kernel.hpp"
+#include "snap/snapshot.hpp"
+#include "snap/state.hpp"
 
 namespace ouessant {
 namespace {
@@ -362,6 +368,223 @@ TEST(Registry, ExceptionInTickLeavesKernelUsable) {
   k.run(3);
   EXPECT_EQ(k.now(), 5u);
   EXPECT_EQ(ticks, 3u);
+}
+
+// ---------------------------------------------------------------------
+// The awake set across 64-bit words. The kernel keeps one bit per
+// registration slot; these tests place the actors in different words
+// (slots 0-63, 64-127, 128+) and pin the exact call order and scheduler
+// counters a full linear sweep produces.
+
+struct Call {
+  Cycle now;
+  char phase;  // 'c' compute, 'm' commit
+  int id;
+  bool operator==(const Call&) const = default;
+};
+
+/// Sleeps unless it holds work: each compute spends one unit of hold_.
+/// A one-shot action runs at its next compute, before the unit is spent.
+class Poker : public sim::Component {
+ public:
+  Poker(sim::Kernel& k, int id, std::vector<Call>& log)
+      : sim::Component(k, "p" + std::to_string(id)), id_(id), log_(log) {}
+  void tick_compute() override {
+    log_.push_back({kernel().now(), 'c', id_});
+    if (action_) std::exchange(action_, nullptr)();
+    if (hold_ > 0) --hold_;
+  }
+  void tick_commit() override { log_.push_back({kernel().now(), 'm', id_}); }
+  [[nodiscard]] bool is_quiescent() const override { return hold_ == 0; }
+  void save_state(snap::StateWriter& w) const override {
+    w.write_u32("hold", hold_);
+  }
+  void restore_state(snap::StateReader& r) override {
+    hold_ = r.read_u32("hold");
+  }
+
+  /// Give this component @p hold computes of work and wake it.
+  void poke(u32 hold) {
+    hold_ = hold;
+    wake();
+  }
+  void then(std::function<void()> action) { action_ = std::move(action); }
+
+ private:
+  int id_;
+  std::vector<Call>& log_;
+  u32 hold_ = 0;
+  std::function<void()> action_;
+};
+
+/// 130 sleeping components: three words of the awake set, the last one
+/// holding slots 128 and 129.
+class WideKernel : public ::testing::Test {
+ protected:
+  static constexpr int kCount = 130;
+
+  void SetUp() override {
+    build(k, p);
+    k.run(1);  // every component ticks once, then all of them sleep
+    log.clear();
+  }
+  void build(sim::Kernel& kernel, std::vector<std::unique_ptr<Poker>>& out) {
+    for (int i = 0; i < kCount; ++i) {
+      out.push_back(std::make_unique<Poker>(kernel, i, log));
+    }
+  }
+  /// The scheduler counters as {ticks, wakeups, sleeps}.
+  [[nodiscard]] std::vector<u64> sched() const {
+    const auto& s = k.sched_stats();
+    return {s.ticks, s.wakeups, s.sleeps};
+  }
+
+  sim::Kernel k;
+  std::vector<Call> log;
+  std::vector<std::unique_ptr<Poker>> p;
+};
+
+TEST_F(WideKernel, EarlySlotWakesLaterWordSameCycle) {
+  ASSERT_EQ(k.component_count(), 130u);
+  ASSERT_EQ(k.awake_count(), 0u);
+  EXPECT_EQ(sched(), (std::vector<u64>{1, 0, 130}));
+  p[10]->poke(1);
+  p[10]->then([&] {
+    p[70]->poke(1);
+    p[20]->poke(1);
+  });
+  k.run(3);
+  // 20 (same word) and 70 (next word) are ahead of the walk: both
+  // compute this cycle.
+  EXPECT_EQ(log, (std::vector<Call>{{1, 'c', 10},
+                                    {1, 'c', 20},
+                                    {1, 'c', 70},
+                                    {1, 'm', 10},
+                                    {1, 'm', 20},
+                                    {1, 'm', 70}}));
+  EXPECT_EQ(k.now(), 4u);
+  EXPECT_EQ(sched(), (std::vector<u64>{2, 3, 133}));
+}
+
+TEST_F(WideKernel, LateSlotWakesEarlierWordNextCycle) {
+  p[70]->poke(1);
+  p[70]->then([&] { p[10]->poke(1); });
+  k.run(3);
+  // 10 is behind the walk: this cycle's commit, next cycle's compute.
+  EXPECT_EQ(log, (std::vector<Call>{{1, 'c', 70},
+                                    {1, 'm', 10},
+                                    {1, 'm', 70},
+                                    {2, 'c', 10},
+                                    {2, 'm', 10}}));
+  EXPECT_EQ(sched(), (std::vector<u64>{3, 2, 132}));
+}
+
+TEST_F(WideKernel, LastSlotOfAWordWakesTheFirstOfTheNext) {
+  p[63]->poke(1);
+  p[63]->then([&] { p[64]->poke(1); });
+  p[128]->poke(2);
+  k.run(3);
+  EXPECT_EQ(log, (std::vector<Call>{{1, 'c', 63},
+                                    {1, 'c', 64},
+                                    {1, 'c', 128},
+                                    {1, 'm', 63},
+                                    {1, 'm', 64},
+                                    {1, 'm', 128},
+                                    {2, 'c', 128},
+                                    {2, 'm', 128}}));
+  EXPECT_EQ(sched(), (std::vector<u64>{3, 3, 133}));
+}
+
+TEST_F(WideKernel, KillAndSpawnAcrossWords) {
+  // Mid-tick: slot 10 kills 70 (ahead of the walk, never ticks again) and
+  // 129 (the last word), then 100 spawns a component that joins at the
+  // boundary as slot 128 of 129, adding a word back. 120 still ticks.
+  std::unique_ptr<Poker> spawned;
+  p[10]->poke(1);
+  p[10]->then([&] {
+    p[70].reset();
+    p[129].reset();
+    p[100]->poke(1);
+    p[120]->poke(1);
+  });
+  p[70]->poke(1);
+  p[129]->poke(1);
+  p[100]->then([&] {
+    spawned = std::make_unique<Poker>(k, 1000, log);
+    spawned->poke(1);  // born awake: the hold keeps it so past the boundary
+  });
+  EXPECT_EQ(k.awake_count(), 3u);
+  k.tick();
+  EXPECT_EQ(k.component_count(), 129u);
+  EXPECT_EQ(log, (std::vector<Call>{{1, 'c', 10},
+                                    {1, 'c', 100},
+                                    {1, 'c', 120},
+                                    {1, 'm', 10},
+                                    {1, 'm', 100},
+                                    {1, 'm', 120}}));
+  ASSERT_EQ(k.awake_names(), (std::vector<std::string>{"p1000"}));
+  log.clear();
+  k.run(2);  // the spawned component ticks once in the new word, sleeps
+  EXPECT_EQ(log, (std::vector<Call>{{2, 'c', 1000}, {2, 'm', 1000}}));
+  EXPECT_EQ(k.awake_count(), 0u);
+  // Between ticks: a kill renumbers, an add appends one bit.
+  spawned.reset();
+  p[128].reset();
+  EXPECT_EQ(k.component_count(), 127u);
+  Poker late(k, 2000, log);
+  Poker later(k, 2001, log);
+  EXPECT_EQ(k.awake_count(), 2u);
+  p[127]->poke(1);
+  log.clear();
+  k.run(1);
+  EXPECT_EQ(log, (std::vector<Call>{{4, 'c', 127},
+                                    {4, 'c', 2000},
+                                    {4, 'c', 2001},
+                                    {4, 'm', 127},
+                                    {4, 'm', 2000},
+                                    {4, 'm', 2001}}));
+  EXPECT_EQ(sched(), (std::vector<u64>{4, 6, 137}));
+}
+
+TEST_F(WideKernel, RestoreBringsBackTheAwakeSet) {
+  p[5]->poke(2);
+  p[64]->poke(3);
+  p[129]->poke(1);
+  snap::Snapshot image;
+  k.save_to(image);
+
+  sim::Kernel other;
+  std::vector<std::unique_ptr<Poker>> q;
+  build(other, q);  // born awake: all 130 set until the restore
+  other.restore_from(image);
+  EXPECT_EQ(other.awake_names(),
+            (std::vector<std::string>{"p5", "p64", "p129"}));
+  log.clear();
+  other.run(4);
+  const std::vector<Call> restored = std::exchange(log, {});
+  k.run(4);
+  EXPECT_EQ(restored, log);
+  EXPECT_EQ(restored.size(), 12u);  // 5 twice, 64 three times, 129 once
+  EXPECT_EQ(other.sched_stats().ticks, 3u);
+  EXPECT_EQ(other.sched_stats().sleeps, 3u);
+  EXPECT_EQ(other.now(), k.now());
+}
+
+TEST_F(WideKernel, GatingOffThenOn) {
+  k.set_gating(false);
+  EXPECT_EQ(k.awake_count(), 130u);
+  k.run(2);
+  EXPECT_EQ(log.size(), 2u * 2u * 130u);  // everyone, every cycle
+  EXPECT_EQ(sched(), (std::vector<u64>{3, 130, 130}));
+  k.set_gating(true);
+  p[100]->poke(2);
+  log.clear();
+  k.run(3);
+  // One tick re-evaluates all 130; then only 100 holds work.
+  EXPECT_EQ(log.size(), 2u * 130u + 2u);
+  EXPECT_EQ(log.back(), (Call{4, 'm', 100}));
+  EXPECT_EQ(k.awake_count(), 0u);
+  EXPECT_EQ(sched(), (std::vector<u64>{5, 130, 260}));
 }
 
 // ---------------------------------------------------------------------

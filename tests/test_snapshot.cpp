@@ -5,8 +5,10 @@
 //      all throw SnapshotError naming the field; the paged words32
 //      encoder emits the dense encoder's bytes.
 //   2. Container: serialize/deserialize round-trips; corrupted bytes,
-//      short images, bad magic and a format-version skew are rejected
-//      before any component sees a byte.
+//      short images, bad magic, a format-version skew and a section size
+//      that wraps the bounds check are rejected before any component
+//      sees a byte; the CRC matches its bit-at-a-time definition. A
+//      kernel section must name every registered component exactly once.
 //   3. Per-component round-trips: SRAM contents + counters (also into
 //      a dirty memory), RNG streams, latency histograms restore to
 //      equal objects.
@@ -27,7 +29,9 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "drv/session.hpp"
@@ -36,6 +40,7 @@
 #include "ouessant/codegen.hpp"
 #include "platform/soc.hpp"
 #include "rac/idct.hpp"
+#include "sim/kernel.hpp"
 #include "snap/snapshot.hpp"
 #include "snap/state.hpp"
 #include "svc/job.hpp"
@@ -284,12 +289,147 @@ TEST(Container, FormatVersionSkewIsRejected) {
   EXPECT_THROW((void)Snapshot::deserialize(reseal(image)), SnapshotError);
 }
 
+TEST(Container, WrappingSectionSizeIsRejected) {
+  // alpha's size field, after the 12-byte header, its u16 name length,
+  // the 5-byte name and its u32 version. A size of 2^64-16 wraps
+  // `pos + size` below the image length, so a naive bounds check passes.
+  std::vector<u8> image = two_section_snapshot().serialize();
+  const std::size_t size_at = 12 + 2 + 5 + 4;
+  ASSERT_EQ(image[size_at], two_section_snapshot().section("alpha").bytes.size());
+  const u64 wrapping = ~u64{0} - 15;
+  for (std::size_t i = 0; i < 8; ++i) {
+    image[size_at + i] = static_cast<u8>(wrapping >> (8 * i));
+  }
+  EXPECT_THROW((void)Snapshot::deserialize(reseal(image)), SnapshotError);
+}
+
+TEST(Container, Crc32KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(snap::crc32(std::vector<u8>(check.begin(), check.end())),
+            0xCBF4'3926u);
+}
+
+/// CRC-32 one bit at a time: the definition the eight-byte steps and the
+/// bytewise tail must reproduce.
+u32 crc32_bitwise(std::span<const u8> data) {
+  u32 c = 0xFFFF'FFFFu;
+  for (const u8 b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (0xEDB8'8320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFF'FFFFu;
+}
+
+TEST(Container, Crc32MatchesBitwiseAtEveryLengthAndOffset) {
+  std::vector<u8> buf(8 + 64);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<u8>(i * 151 + 7);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const u8> data(buf.data() + offset, len);
+      EXPECT_EQ(snap::crc32(data), crc32_bitwise(data))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
 TEST(Container, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "snapshot_roundtrip.snap";
   two_section_snapshot().save_file(path);
   const Snapshot t = Snapshot::load_file(path);
   EXPECT_TRUE(t.has("alpha"));
   EXPECT_THROW((void)Snapshot::load_file(path + ".does-not-exist"), SimError);
+}
+
+// ------------------------------------------------------- kernel section --
+
+/// Ticks once after construction, then sleeps until woken.
+class Idler : public sim::Component {
+ public:
+  using sim::Component::Component;
+  [[nodiscard]] bool is_quiescent() const override { return true; }
+};
+
+/// @p good with the kernel section's component list replaced by
+/// @p entries (name, awake flag), re-serialized so the container's CRC
+/// holds and only the kernel can catch the defect.
+Snapshot with_component_list(
+    const Snapshot& good,
+    const std::vector<std::pair<std::string, bool>>& entries) {
+  StateReader in(good.section("kernel").bytes, "kernel");
+  StateWriter out;
+  out.write_u64("cycle", in.read_u64("cycle"));
+  const u32 stats = in.read_u32("stat_count");
+  out.write_u32("stat_count", stats);
+  for (u32 i = 0; i < stats; ++i) {
+    out.write_string("stat", in.read_string("stat"));
+    out.write_u64("value", in.read_u64("value"));
+  }
+  const u32 count = in.read_u32("component_count");
+  for (u32 i = 0; i < count; ++i) {
+    (void)in.read_string("component");
+    (void)in.read_bool("awake");
+  }
+  out.write_u32("component_count", static_cast<u32>(entries.size()));
+  for (const auto& [name, awake] : entries) {
+    out.write_string("component", name);
+    out.write_bool("awake", awake);
+  }
+  const u32 timers = in.read_u32("timer_count");
+  out.write_u32("timer_count", timers);
+  for (u32 i = 0; i < timers; ++i) {
+    out.write_u64("due", in.read_u64("due"));
+    out.write_string("component", in.read_string("component"));
+  }
+  in.expect_end();
+  Snapshot bad;
+  const std::vector<u8> kernel = out.take();
+  for (const snap::Section& s : good.sections()) {
+    bad.add(s.name, s.version, s.name == "kernel" ? kernel : s.bytes);
+  }
+  return Snapshot::deserialize(bad.serialize());
+}
+
+TEST(KernelSection, EachComponentMustAppearExactlyOnce) {
+  sim::Kernel saved;
+  Idler a(saved, "a");
+  Idler b(saved, "b");
+  saved.run(3);
+  Snapshot good;
+  saved.save_to(good);
+
+  sim::Kernel target;
+  Idler ta(target, "a");
+  Idler tb(target, "b");
+  target.run(5);
+  tb.wake();
+  const auto expect_rejected = [&](const Snapshot& bad,
+                                   const std::string& reason) {
+    try {
+      target.restore_from(bad);
+      ADD_FAILURE() << "accepted a kernel section with " << reason;
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+          << e.what();
+    }
+    // Rejected before anything changed.
+    EXPECT_EQ(target.now(), 5u);
+    EXPECT_FALSE(ta.awake());
+    EXPECT_TRUE(tb.awake());
+    EXPECT_EQ(target.awake_count(), 1u);
+  };
+  expect_rejected(with_component_list(good, {{"a", false}, {"a", false}}),
+                  "'a' twice");
+  expect_rejected(with_component_list(good, {{"a", false}, {"c", false}}),
+                  "'c' is not registered");
+  expect_rejected(with_component_list(good, {{"a", false}}),
+                  "has 1 components");
+
+  target.restore_from(good);
+  EXPECT_EQ(target.now(), 3u);
+  EXPECT_FALSE(tb.awake());
+  EXPECT_EQ(target.awake_count(), 0u);
 }
 
 // ----------------------------------------------------- component round-trips

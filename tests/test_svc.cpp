@@ -3,7 +3,12 @@
 // (determinism, gating and fast-path differentials, overload, batching).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "obs/collect.hpp"
+#include "sim/kernel.hpp"
 #include "svc/job.hpp"
 #include "svc/latency.hpp"
 #include "svc/service.hpp"
@@ -198,13 +203,74 @@ TEST(OffloadService, IdenticalSeedsGiveIdenticalReports) {
   EXPECT_NE(c.end, a.end);  // a different seed moves the schedule
 }
 
+/// Counts the cycles it is due on, every @p period cycles, and sleeps on
+/// a self-armed timer in between: kernel ballast that wakes on its own.
+class Metronome : public sim::Component {
+ public:
+  Metronome(sim::Kernel& k, std::string name, Cycle period)
+      : sim::Component(k, std::move(name)), period_(period), due_(k.now()) {}
+  void tick_compute() override {
+    if (kernel().now() < due_) return;
+    ++beats_;
+    due_ += period_;
+    wake_at(due_);
+  }
+  [[nodiscard]] bool is_quiescent() const override {
+    return kernel().now() < due_;
+  }
+  [[nodiscard]] u64 beats() const { return beats_; }
+
+ private:
+  Cycle period_;
+  Cycle due_;
+  u64 beats_ = 0;
+};
+
 TEST(OffloadService, GatingDifferentialIsBitIdentical) {
-  OffloadService gated(small_service());
-  OffloadService free_running(small_service());
-  free_running.soc().kernel().set_gating(false);
-  const ServiceReport a = gated.run(small_workload());
-  const ServiceReport b = free_running.run(small_workload());
-  expect_same_report(a, b);
+  // Config 1: one worker. Config 2: sixteen workers, the most the
+  // service's 16-source IRQ controller takes (67 components), padded
+  // with 64 metronomes on staggered timers, so the kernel's awake set
+  // spans three 64-bit words and changes in all of them while jobs run.
+  struct Config {
+    ServiceConfig service;
+    WorkloadConfig workload;
+    int metronomes;
+  };
+  ServiceConfig wide;
+  wide.ocps.assign(16, OcpSpec{.kind = JobKind::kIdct, .max_batch = 1});
+  wide.queue_depth = 256;
+  wide.soc.sram_bytes = 32u << 20;  // room for sixteen worker windows
+  WorkloadConfig busy;
+  busy.jobs = 160;
+  busy.mean_gap = 40.0;
+  for (const Config& cfg : {Config{small_service(), small_workload(), 0},
+                            Config{wide, busy, 64}}) {
+    OffloadService gated(cfg.service);
+    OffloadService free_running(cfg.service);
+    free_running.soc().kernel().set_gating(false);
+    std::vector<std::unique_ptr<Metronome>> ballast_a, ballast_b;
+    for (int i = 0; i < cfg.metronomes; ++i) {
+      const std::string name = "metronome" + std::to_string(i);
+      const Cycle period = 97 + 7 * static_cast<Cycle>(i);
+      ballast_a.push_back(
+          std::make_unique<Metronome>(gated.soc().kernel(), name, period));
+      ballast_b.push_back(std::make_unique<Metronome>(
+          free_running.soc().kernel(), name, period));
+    }
+    if (cfg.metronomes > 0) {
+      EXPECT_GT(gated.soc().kernel().component_count(), 128u);
+    }
+    const ServiceReport a = gated.run(cfg.workload);
+    const ServiceReport b = free_running.run(cfg.workload);
+    expect_same_report(a, b);
+    EXPECT_EQ(a.completed, cfg.workload.jobs);
+    EXPECT_EQ(obs::invariant_stats(gated.soc().kernel().stats()),
+              obs::invariant_stats(free_running.soc().kernel().stats()));
+    for (int i = 0; i < cfg.metronomes; ++i) {
+      EXPECT_GT(ballast_a[i]->beats(), 0u);
+      EXPECT_EQ(ballast_a[i]->beats(), ballast_b[i]->beats()) << i;
+    }
+  }
 }
 
 TEST(OffloadService, FastPathDifferentialIsBitIdentical) {
