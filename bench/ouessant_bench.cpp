@@ -33,10 +33,6 @@
 //                                       from FILE instead of cold-booting;
 //                                       use --filter to select the
 //                                       configuration FILE was saved from
-//   ouessant_bench --chain MODE         force every chain-aware (chain_*,
-//                                       serve_jpeg) run to MODE ("linked"
-//                                       or "store_forward") instead of its
-//                                       built-in grid (docs/chaining.md)
 //   ouessant_bench --help               print this usage on stdout
 //
 // Exit status is non-zero when any scenario run fails an invariant or the
@@ -75,8 +71,7 @@ void usage(const char* argv0, std::FILE* to) {
                "usage: %s [--help] [--list] [--filter SUBSTR[,SUBSTR...]]\n"
                "          [--jobs N] [--json PATH] [--compare-jobs N]\n"
                "          [--seed U64] [--trace STEM] [--trace-events STEM]\n"
-               "          [--faults SPEC] [--snapshot STEM] [--restore FILE]\n"
-               "          [--chain linked|store_forward]\n",
+               "          [--faults SPEC] [--snapshot STEM] [--restore FILE]\n",
                argv0);
 }
 
@@ -146,13 +141,6 @@ bool parse_args(int argc, char** argv, Options* opt) {
       const char* v = next();
       if (v == nullptr) return false;
       opt->sweep.restore_path = v;
-    } else if (arg == "--chain") {
-      const char* v = next();
-      if (v == nullptr ||
-          (std::string(v) != "linked" && std::string(v) != "store_forward")) {
-        return false;
-      }
-      opt->sweep.chain = v;
     } else {
       usage(argv[0], stderr);
       return false;

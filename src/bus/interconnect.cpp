@@ -361,8 +361,8 @@ void InterconnectModel::finish_batch() {
   }
 }
 
-void InterconnectModel::save_state(snap::StateWriter& w) const {
-  if (batch_error_ != nullptr) {
+void InterconnectModel::state(snap::Fields& f) {
+  if (f.saving() && batch_error_ != nullptr) {
     throw snap::SnapshotError(
         name() + ": cannot snapshot while a batched slave error is "
                  "pending delivery (advance past the window first)");
@@ -373,112 +373,61 @@ void InterconnectModel::save_state(snap::StateWriter& w) const {
   for (std::size_t i = 0; i < masters_.size(); ++i) {
     if (masters_[i].get() == granted_) granted_idx = static_cast<u32>(i);
   }
-  w.write_u32("granted", granted_idx);
-  w.write_u32("grant_addr_cycles_left", grant_addr_cycles_left_);
-  w.write_u32("grant_beats_left", grant_beats_left_);
-  w.write_u32("wait_left", wait_left_);
-  w.write_bool("beat_in_flight", beat_in_flight_);
-  w.write_u32("inflight_data", inflight_data_);
-  w.write_u64("txn_start", txn_start_);
-  w.write_u64("rr_next", rr_next_);
-  w.write_u64("busy_cycles", busy_cycles_);
-  w.write_u64("idle_cycles", idle_cycles_);
-  w.write_u64("next_expected_tick", next_expected_tick_);
+  f.field("granted", granted_idx);
+  f.field("grant_addr_cycles_left", grant_addr_cycles_left_);
+  f.field("grant_beats_left", grant_beats_left_);
+  f.field("wait_left", wait_left_);
+  f.field("beat_in_flight", beat_in_flight_);
+  f.field("inflight_data", inflight_data_);
+  f.field("txn_start", txn_start_);
+  f.field_as<u64>("rr_next", rr_next_);
+  f.field("busy_cycles", busy_cycles_);
+  f.field("idle_cycles", idle_cycles_);
+  f.field("next_expected_tick", next_expected_tick_);
 
   // Open batched-burst window (slave accesses already ran; the deferred
   // accounting re-applies on the tick at batch_end).
-  w.write_bool("batch_active", batch_active_);
-  w.write_u64("batch_end", batch_end_);
-  w.write_u32("batch_beats", batch_beats_);
-  w.write_u64("batch_waits", batch_waits_);
-  w.write_u64("batched_chunks", batched_chunks_);
+  f.field("batch_active", batch_active_);
+  f.field("batch_end", batch_end_);
+  f.field("batch_beats", batch_beats_);
+  f.field("batch_waits", batch_waits_);
+  f.field("batched_chunks", batched_chunks_);
 
-  w.write_u32("master_count", static_cast<u32>(masters_.size()));
+  f.expect<u32>("master_count", masters_.size());
   for (const auto& mp : masters_) {
-    const BusMasterPort& m = *mp;
-    w.write_string("port", m.name_);
-    w.write_bool("active", m.active_);
-    w.write_bool("faulted", m.faulted_);
-    w.write_u32("addr", m.addr_);
-    w.write_bool("write", m.write_);
-    w.write_u32("beats", m.beats_);
-    w.write_words32("wdata", m.wdata_);
-    w.write_u64("wdata_index", m.wdata_index_);
-    w.write_words32("rdata", m.rdata_);
-    // Streamed endpoints are wiring: record attachment only; the issuing
-    // controller reattaches via restore_stream().
-    w.write_bool("has_sink", m.sink_ != nullptr);
-    w.write_bool("has_source", m.source_ != nullptr);
-    w.write_u64("txns", m.stats_.transactions);
-    w.write_u64("beats_total", m.stats_.beats);
-    w.write_u64("wait_cycles", m.stats_.wait_cycles);
-    w.write_u64("stall_cycles", m.stats_.stall_cycles);
-    w.write_u64("grant_cycles", m.stats_.grant_cycles);
-  }
-}
-
-void InterconnectModel::restore_state(snap::StateReader& r) {
-  const u32 granted_idx = r.read_u32("granted");
-  grant_addr_cycles_left_ = r.read_u32("grant_addr_cycles_left");
-  grant_beats_left_ = r.read_u32("grant_beats_left");
-  wait_left_ = r.read_u32("wait_left");
-  beat_in_flight_ = r.read_bool("beat_in_flight");
-  inflight_data_ = r.read_u32("inflight_data");
-  txn_start_ = r.read_u64("txn_start");
-  rr_next_ = static_cast<std::size_t>(r.read_u64("rr_next"));
-  busy_cycles_ = r.read_u64("busy_cycles");
-  idle_cycles_ = r.read_u64("idle_cycles");
-  next_expected_tick_ = r.read_u64("next_expected_tick");
-
-  batch_active_ = r.read_bool("batch_active");
-  batch_end_ = r.read_u64("batch_end");
-  batch_beats_ = r.read_u32("batch_beats");
-  batch_waits_ = r.read_u64("batch_waits");
-  batched_chunks_ = r.read_u64("batched_chunks");
-  batch_error_ = nullptr;
-
-  const u32 count = r.read_u32("master_count");
-  if (count != masters_.size()) {
-    throw snap::SnapshotError(name() + ": snapshot has " +
-                              std::to_string(count) + " master ports, bus has " +
-                              std::to_string(masters_.size()));
-  }
-  for (auto& mp : masters_) {
     BusMasterPort& m = *mp;
-    const std::string port = r.read_string("port");
-    if (port != m.name_) {
-      throw snap::SnapshotError(name() + ": snapshot port '" + port +
-                                "' does not match '" + m.name_ + "'");
-    }
-    m.active_ = r.read_bool("active");
-    m.faulted_ = r.read_bool("faulted");
-    m.addr_ = r.read_u32("addr");
-    m.write_ = r.read_bool("write");
-    m.beats_ = r.read_u32("beats");
-    m.wdata_ = r.read_words32("wdata");
-    m.wdata_index_ = static_cast<std::size_t>(r.read_u64("wdata_index"));
-    m.rdata_ = r.read_words32("rdata");
-    // Cleared here; the issuing controller's restore_state runs later in
-    // the component walk and reattaches when its transfer is streamed.
-    const bool had_sink = r.read_bool("has_sink");
-    const bool had_source = r.read_bool("has_source");
-    (void)had_sink;
-    (void)had_source;
-    m.sink_ = nullptr;
-    m.source_ = nullptr;
-    m.stats_.transactions = r.read_u64("txns");
-    m.stats_.beats = r.read_u64("beats_total");
-    m.stats_.wait_cycles = r.read_u64("wait_cycles");
-    m.stats_.stall_cycles = r.read_u64("stall_cycles");
-    m.stats_.grant_cycles = r.read_u64("grant_cycles");
+    f.expect<std::string>("port", m.name_);
+    f.field("active", m.active_);
+    f.field("faulted", m.faulted_);
+    f.field("addr", m.addr_);
+    f.field("write", m.write_);
+    f.field("beats", m.beats_);
+    f.field("wdata", m.wdata_);
+    f.field_as<u64>("wdata_index", m.wdata_index_);
+    f.field("rdata", m.rdata_);
+    // Streamed endpoints are wiring: record attachment only. A restore
+    // clears them; the issuing controller's restore runs later in the
+    // component walk and reattaches via restore_stream().
+    bool has_sink = m.sink_ != nullptr;
+    bool has_source = m.source_ != nullptr;
+    f.field("has_sink", has_sink);
+    f.field("has_source", has_source);
+    f.field("txns", m.stats_.transactions);
+    f.field("beats_total", m.stats_.beats);
+    f.field("wait_cycles", m.stats_.wait_cycles);
+    f.field("stall_cycles", m.stats_.stall_cycles);
+    f.field("grant_cycles", m.stats_.grant_cycles);
   }
-  if (granted_idx == ~u32{0}) {
-    granted_ = nullptr;
-  } else if (granted_idx < masters_.size()) {
-    granted_ = masters_[granted_idx].get();
-  } else {
-    throw snap::SnapshotError(name() + ": granted master index " +
-                              std::to_string(granted_idx) + " out of range");
+  if (!f.restoring()) return;
+  if (granted_idx != ~u32{0} && granted_idx >= masters_.size()) {
+    f.fail("granted master index " + std::to_string(granted_idx) +
+           " out of range");
+  }
+  granted_ = granted_idx == ~u32{0} ? nullptr : masters_[granted_idx].get();
+  batch_error_ = nullptr;
+  for (const auto& mp : masters_) {
+    mp->sink_ = nullptr;
+    mp->source_ = nullptr;
   }
   // Host telemetry (log_, open_, tracer, snoopers) is not snapshot
   // state: a restored bus starts with an empty transaction log.

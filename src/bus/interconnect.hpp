@@ -72,9 +72,8 @@ class InterconnectModel : public sim::Component {
   /// every master port's transaction state (streamed endpoints as
   /// attachment flags — see BusMasterPort::restore_stream). A pending
   /// batch_error_ (a slave exception awaiting its per-beat cycle) is not
-  /// serializable and makes save_state throw.
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  /// serializable and makes a save throw.
+  void state(snap::Fields& f) override;
   /// Quiescent whenever no master holds or requests the bus: the only
   /// effect of a tick in that state is counting an idle cycle, which the
   /// sleep-credit below reproduces. BusMasterPort::begin() wakes us.
@@ -105,7 +104,6 @@ class InterconnectModel : public sim::Component {
   /// Enable/disable transaction logging (off by default).
   void set_logging(bool on) { logging_ = on; }
   [[nodiscard]] const std::vector<TxnRecord>& log() const { return log_; }
-  void clear_log() { log_.clear(); }
 
   /// Attach (or detach, nullptr) an event tracer. Every completed
   /// transaction is then emitted as one span ("wr"/"rd") on a track

@@ -161,7 +161,7 @@ class BusMasterPort {
   /// in-flight transaction. A snapshot records only *whether* a sink or
   /// source was attached (they are wiring, not state); the component
   /// that issued the streamed transfer (the OCP controller) re-selects
-  /// its FIFO adapter and calls this during its own restore_state().
+  /// its FIFO adapter and calls this at the end of its own field list.
   void restore_stream(BeatSink* sink, BeatSource* source) {
     sink_ = sink;
     source_ = source;

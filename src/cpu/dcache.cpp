@@ -58,9 +58,10 @@ void DCache::invalidate_all() {
   for (auto& l : lines_) l.valid = false;
 }
 
-void DCache::save_state(snap::StateWriter& w) const {
-  w.write_u32("lines", cfg_.lines);
-  w.write_u32("line_words", cfg_.line_words);
+void DCache::state(snap::Fields& f) {
+  f.expect<u32>("lines", cfg_.lines);
+  f.expect<u32>("line_words", cfg_.line_words);
+  // Lines travel as three columns: valid flags, tags, and words.
   std::vector<u32> valid;
   std::vector<u64> tags;
   std::vector<u32> words;
@@ -69,44 +70,27 @@ void DCache::save_state(snap::StateWriter& w) const {
     tags.push_back(l.tag);
     words.insert(words.end(), l.words.begin(), l.words.end());
   }
-  w.write_words32("valid", valid);
-  w.write_words64("tags", tags);
-  w.write_words32("words", words);
-  w.write_u64("hits", stats_.hits);
-  w.write_u64("misses", stats_.misses);
-  w.write_u64("snoop_invalidations", stats_.snoop_invalidations);
-  w.write_u64("writes_through", stats_.writes_through);
-}
-
-void DCache::restore_state(snap::StateReader& r) {
-  const u32 lines = r.read_u32("lines");
-  const u32 line_words = r.read_u32("line_words");
-  if (lines != cfg_.lines || line_words != cfg_.line_words) {
-    throw snap::SnapshotError("DCache: geometry mismatch (image " +
-                              std::to_string(lines) + "x" +
-                              std::to_string(line_words) + ", cache " +
-                              std::to_string(cfg_.lines) + "x" +
-                              std::to_string(cfg_.line_words) + ")");
+  f.field("valid", valid);
+  f.field("tags", tags);
+  f.field("words", words);
+  if (f.restoring()) {
+    if (valid.size() != lines_.size() || tags.size() != lines_.size() ||
+        words.size() != lines_.size() * cfg_.line_words) {
+      f.fail("line array size mismatch");
+    }
+    auto next = words.begin();
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      Line& l = lines_[i];
+      l.valid = valid[i] != 0;
+      l.tag = tags[i];
+      std::copy_n(next, cfg_.line_words, l.words.begin());
+      next += cfg_.line_words;
+    }
   }
-  const std::vector<u32> valid = r.read_words32("valid");
-  const std::vector<u64> tags = r.read_words64("tags");
-  const std::vector<u32> words = r.read_words32("words");
-  if (valid.size() != lines || tags.size() != lines ||
-      words.size() != static_cast<std::size_t>(lines) * line_words) {
-    throw snap::SnapshotError("DCache: line array size mismatch");
-  }
-  for (u32 i = 0; i < lines; ++i) {
-    Line& l = lines_[i];
-    l.valid = valid[i] != 0;
-    l.tag = tags[i];
-    l.words.assign(words.begin() + static_cast<std::ptrdiff_t>(i) * line_words,
-                   words.begin() +
-                       static_cast<std::ptrdiff_t>(i + 1) * line_words);
-  }
-  stats_.hits = r.read_u64("hits");
-  stats_.misses = r.read_u64("misses");
-  stats_.snoop_invalidations = r.read_u64("snoop_invalidations");
-  stats_.writes_through = r.read_u64("writes_through");
+  f.field("hits", stats_.hits);
+  f.field("misses", stats_.misses);
+  f.field("snoop_invalidations", stats_.snoop_invalidations);
+  f.field("writes_through", stats_.writes_through);
 }
 
 }  // namespace ouessant::cpu

@@ -72,11 +72,11 @@ class DCache {
   /// to): drop every line.
   void invalidate_all();
 
-  // Snapshot hooks — not a sim::Component (host-stack state machine);
-  // the Gpp embeds these in the SoC section. Lines are saved as
-  // (valid, tag, words) so warm-boot clones keep their working set.
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  // Snapshot field list — not a sim::Component (host-stack state
+  // machine); the Gpp lists it in the SoC section. Lines are saved as
+  // (valid, tag, words) columns so warm-boot clones keep their working
+  // set.
+  void state(snap::Fields& f);
 
  private:
   struct Line {

@@ -85,28 +85,16 @@ void Gpp::poll_until(const std::function<bool()>& done, u64 poll_interval,
 
 Cycle Gpp::now() const { return kernel_.now(); }
 
-void Gpp::save_state(snap::StateWriter& w) const {
-  if (port_.busy()) {
+void Gpp::state(snap::Fields& f) {
+  if (f.saving() && port_.busy()) {
     throw snap::SnapshotError(
         "Gpp: cannot snapshot mid-transaction (CPU port busy)");
   }
-  w.write_u64("compute_cycles", compute_cycles_);
-  w.write_u64("bus_cycles", bus_cycles_);
-  w.write_u64("idle_cycles", idle_cycles_);
-  w.write_bool("has_dcache", dcache_ != nullptr);
-  if (dcache_) dcache_->save_state(w);
-}
-
-void Gpp::restore_state(snap::StateReader& r) {
-  compute_cycles_ = r.read_u64("compute_cycles");
-  bus_cycles_ = r.read_u64("bus_cycles");
-  idle_cycles_ = r.read_u64("idle_cycles");
-  const bool has_dcache = r.read_bool("has_dcache");
-  if (has_dcache != (dcache_ != nullptr)) {
-    throw snap::SnapshotError(
-        "Gpp: dcache presence differs between image and target");
-  }
-  if (dcache_) dcache_->restore_state(r);
+  f.field("compute_cycles", compute_cycles_);
+  f.field("bus_cycles", bus_cycles_);
+  f.field("idle_cycles", idle_cycles_);
+  f.expect<bool>("has_dcache", dcache_ != nullptr);
+  if (dcache_) dcache_->state(f);
 }
 
 }  // namespace ouessant::cpu

@@ -135,12 +135,11 @@ class Gpp {
   [[nodiscard]] u64 bus_cycles() const { return bus_cycles_; }
   [[nodiscard]] u64 idle_cycles() const { return idle_cycles_; }
 
-  // -- snapshot hooks ----------------------------------------------------
+  // -- snapshot field list -----------------------------------------------
   // Not a sim::Component (the Gpp runs on the host call stack); the Soc
-  // embeds these in its own section. Only legal between blocking calls —
-  // i.e. when no driver code is mid-transaction.
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  // lists it in its own section. Saving is only legal between blocking
+  // calls — i.e. when no driver code is mid-transaction.
+  void state(snap::Fields& f);
 
  private:
   void run_transaction();

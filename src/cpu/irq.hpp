@@ -41,12 +41,6 @@ class IrqLine {
     }
   }
 
-  void unwatch(sim::Component& watcher) const {
-    watchers_.erase(
-        std::remove(watchers_.begin(), watchers_.end(), &watcher),
-        watchers_.end());
-  }
-
  private:
   void notify() const {
     for (sim::Component* w : watchers_) w->wake();

@@ -88,27 +88,15 @@ u32 IrqController::write_word(Addr addr, u32 data) {
   return 0;
 }
 
-void IrqController::save_state(snap::StateWriter& w) const {
-  w.write_u32("sources", static_cast<u32>(sources_.size()));
-  w.write_u32("pending", pending_);
-  w.write_u32("mask", mask_);
-  w.write_u32("prev_raw", prev_raw_);
-  w.write_u32("suppressed", suppressed_);
-  w.write_bool("cpu_line", cpu_line_.raised());
-}
-
-void IrqController::restore_state(snap::StateReader& r) {
-  const u32 sources = r.read_u32("sources");
-  if (sources != sources_.size()) {
-    throw snap::SnapshotError("IrqController " + name() + ": image has " +
-                              std::to_string(sources) + " sources, target " +
-                              std::to_string(sources_.size()));
-  }
-  pending_ = r.read_u32("pending");
-  mask_ = r.read_u32("mask");
-  prev_raw_ = r.read_u32("prev_raw");
-  suppressed_ = r.read_u32("suppressed");
-  cpu_line_.restore_level(r.read_bool("cpu_line"));
+void IrqController::state(snap::Fields& f) {
+  f.expect<u32>("sources", sources_.size());
+  f.field("pending", pending_);
+  f.field("mask", mask_);
+  f.field("prev_raw", prev_raw_);
+  f.field("suppressed", suppressed_);
+  bool cpu_line = cpu_line_.raised();
+  f.field("cpu_line", cpu_line);
+  if (f.restoring()) cpu_line_.restore_level(cpu_line);
 }
 
 res::ResourceNode IrqController::resource_tree() const {

@@ -56,14 +56,10 @@ class IrqController : public sim::Component,
   /// Registered pending/mask/suppression state plus the aggregated CPU
   /// line level (restored without notifying watchers). Source lines
   /// belong to the peripherals that own them.
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
 
   [[nodiscard]] u32 pending() const { return pending_; }
   [[nodiscard]] u32 mask() const { return mask_; }
-  [[nodiscard]] u32 source_count() const {
-    return static_cast<u32>(sources_.size());
-  }
 
   /// Attach (or detach, nullptr) a fault hook, consulted once per
   /// observed rising edge of a source line. A firing hook suppresses

@@ -165,42 +165,24 @@ bool IcapPort::is_quiescent() const {
   return true;
 }
 
-void IcapPort::save_state(snap::StateWriter& w) const {
-  w.write_u8("state", static_cast<u8>(state_));
-  w.write_u64("src", src_);
-  w.write_u32("words", words_);
-  w.write_u32("words_done", words_done_);
-  w.write_u32("bytes", bytes_);
-  w.write_bool("from_cache", from_cache_);
-  w.write_u32("token", token_);
-  w.write_string("label", label_);
-  w.write_u64("load_begin", load_begin_);
-  w.write_u64("phase_end", phase_end_);
-  w.write_u64("next_accept", next_accept_);
-  w.write_u64("loads", loads_);
-  w.write_u64("bytes_streamed", bytes_streamed_);
-  w.write_u64("busy_cycles_total", busy_cycles_total_);
-  w.write_u64("direct_stream_cycles", direct_stream_cycles_);
-  w.write_u64("overhead_cycles_total", overhead_cycles_total_);
-}
-
-void IcapPort::restore_state(snap::StateReader& r) {
-  state_ = static_cast<State>(r.read_u8("state"));
-  src_ = r.read_u64("src");
-  words_ = r.read_u32("words");
-  words_done_ = r.read_u32("words_done");
-  bytes_ = r.read_u32("bytes");
-  from_cache_ = r.read_bool("from_cache");
-  token_ = r.read_u32("token");
-  label_ = r.read_string("label");
-  load_begin_ = r.read_u64("load_begin");
-  phase_end_ = r.read_u64("phase_end");
-  next_accept_ = r.read_u64("next_accept");
-  loads_ = r.read_u64("loads");
-  bytes_streamed_ = r.read_u64("bytes_streamed");
-  busy_cycles_total_ = r.read_u64("busy_cycles_total");
-  direct_stream_cycles_ = r.read_u64("direct_stream_cycles");
-  overhead_cycles_total_ = r.read_u64("overhead_cycles_total");
+void IcapPort::state(snap::Fields& f) {
+  f.field_as<u8>("state", state_, State::kOverhead);
+  f.field_as<u64>("src", src_);
+  f.field("words", words_);
+  f.field("words_done", words_done_);
+  f.field("bytes", bytes_);
+  f.field("from_cache", from_cache_);
+  f.field("token", token_);
+  f.field("label", label_);
+  f.field("load_begin", load_begin_);
+  f.field("phase_end", phase_end_);
+  f.field("next_accept", next_accept_);
+  f.field("loads", loads_);
+  f.field("bytes_streamed", bytes_streamed_);
+  f.field("busy_cycles_total", busy_cycles_total_);
+  f.field("direct_stream_cycles", direct_stream_cycles_);
+  f.field("overhead_cycles_total", overhead_cycles_total_);
+  if (!f.restoring()) return;
   if (state_ == State::kStream && port_ != nullptr && port_->busy()) {
     // The bus restored the in-flight burst with a sink-attached flag;
     // re-select ourselves as that sink (wiring is not serialized).

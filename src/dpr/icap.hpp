@@ -108,8 +108,7 @@ class IcapPort : public sim::Component, public bus::BeatSink {
   // sim::Component
   void tick_compute() override;
   [[nodiscard]] bool is_quiescent() const override;
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
 
  private:
   enum class State : u8 {

@@ -76,40 +76,29 @@ void BitstreamCache::reset_counters() {
   evictions_ = 0;
 }
 
-void BitstreamCache::save_state(snap::StateWriter& w) const {
+void BitstreamCache::state(snap::Fields& f) {
+  // The LRU list travels as two columns, most recent first.
   std::vector<u32> ids;
   std::vector<u32> sizes;
-  ids.reserve(lru_.size());
-  sizes.reserve(lru_.size());
   for (const Entry& e : lru_) {
     ids.push_back(e.id);
     sizes.push_back(e.bytes);
   }
-  w.write_words32("cache_ids", ids);
-  w.write_words32("cache_sizes", sizes);
-  w.write_u64("cache_hits", hits_);
-  w.write_u64("cache_misses", misses_);
-  w.write_u64("cache_evictions", evictions_);
-}
-
-void BitstreamCache::restore_state(snap::StateReader& r) {
-  const auto ids = r.read_words32("cache_ids");
-  const auto sizes = r.read_words32("cache_sizes");
-  if (ids.size() != sizes.size()) {
-    throw snap::SnapshotError("BitstreamCache: id/size lists disagree");
+  f.field("cache_ids", ids);
+  f.field("cache_sizes", sizes);
+  if (f.restoring()) {
+    if (ids.size() != sizes.size()) f.fail("id/size lists disagree");
+    lru_.clear();
+    used_ = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      lru_.push_back(Entry{ids[i], sizes[i]});
+      used_ += sizes[i];
+    }
+    if (used_ > capacity_) f.fail("image exceeds capacity");
   }
-  lru_.clear();
-  used_ = 0;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    lru_.push_back(Entry{ids[i], sizes[i]});
-    used_ += sizes[i];
-  }
-  if (used_ > capacity_) {
-    throw snap::SnapshotError("BitstreamCache: image exceeds capacity");
-  }
-  hits_ = r.read_u64("cache_hits");
-  misses_ = r.read_u64("cache_misses");
-  evictions_ = r.read_u64("cache_evictions");
+  f.field("cache_hits", hits_);
+  f.field("cache_misses", misses_);
+  f.field("cache_evictions", evictions_);
 }
 
 }  // namespace ouessant::dpr

@@ -44,8 +44,6 @@ class BitstreamStore {
   u32 add_image(const std::string& name, u32 bytes);
 
   [[nodiscard]] const Image& image(u32 id) const { return images_.at(id); }
-  [[nodiscard]] std::size_t image_count() const { return images_.size(); }
-  [[nodiscard]] u32 bytes_used() const { return next_; }
 
  private:
   mem::Sram& sram_;
@@ -76,9 +74,8 @@ class BitstreamCache {
   /// images (they are the warm state worth cloning).
   void reset_counters();
 
-  // Snapshot hooks (host-side object; the owner embeds these).
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  // Snapshot field list (host-side object; the owner lists it).
+  void state(snap::Fields& f);
 
  private:
   struct Entry {

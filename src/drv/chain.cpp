@@ -171,21 +171,10 @@ void ChainSession::set_tracer(obs::EventTracer* tracer) {
   tail_.set_tracer(tracer);
 }
 
-void ChainSession::save_state(snap::StateWriter& w) const {
-  head_.driver().save_state(w);
-  tail_.driver().save_state(w);
-  w.write_u8("chain_stage", static_cast<u8>(stage_));
-}
-
-void ChainSession::restore_state(snap::StateReader& r) {
-  head_.driver().restore_state(r);
-  tail_.driver().restore_state(r);
-  const u8 stage = r.read_u8("chain_stage");
-  if (stage > static_cast<u8>(Stage::kTail)) {
-    throw snap::SnapshotError("ChainSession: bad stage " +
-                              std::to_string(stage));
-  }
-  stage_ = static_cast<Stage>(stage);
+void ChainSession::state(snap::Fields& f) {
+  head_.driver().state(f);
+  tail_.driver().state(f);
+  f.field_as<u8>("chain_stage", stage_, Stage::kTail);
 }
 
 }  // namespace ouessant::drv

@@ -51,7 +51,7 @@ struct ChainLayout {
   u32 max_batch = 1;        ///< blocks the windows are sized for
 };
 
-class ChainSession {
+class ChainSession : public snap::Stateful<ChainSession> {
  public:
   /// Binds @p link between @p head's output FIFO 0 and @p tail's input
   /// FIFO 0 and wires @p head's CHAIN control bit to the link's enable —
@@ -109,9 +109,9 @@ class ChainSession {
 
   void set_tracer(obs::EventTracer* tracer);
 
-  // Host-stack snapshot hooks (svc::ChainBackend embeds these).
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  // Host-stack snapshot field list (svc::ChainBackend lists it): both
+  // drivers' shadows, then the stage.
+  void state(snap::Fields& f);
 
  private:
   enum class Stage : u8 { kIdle = 0, kHead = 1, kTail = 2 };

@@ -49,9 +49,6 @@ class LinuxEnv {
  public:
   explicit LinuxEnv(LinuxCosts costs = {}) : costs_(costs) {}
 
-  /// One-time per-buffer setup cost (mmap mode only).
-  void charge_mmap_setup(cpu::Gpp& gpp) { gpp.spend(costs_.mmap_setup); }
-
   /// Run one accelerated invocation of @p session under the Linux model.
   ///
   /// kMmap: the session's in/out banks are the mmap'd buffer; no copies.

@@ -11,15 +11,6 @@ using core::kCtrlProg;
 using core::kCtrlRst;
 using core::kCtrlStart;
 
-const char* wait_result_name(WaitResult r) {
-  switch (r) {
-    case WaitResult::kDone: return "done";
-    case WaitResult::kErr: return "err";
-    case WaitResult::kTimeout: return "timeout";
-  }
-  return "?";
-}
-
 OcpDriver::OcpDriver(cpu::Gpp& gpp, Addr reg_base, cpu::IrqLine& irq,
                      std::string name)
     : gpp_(gpp), base_(reg_base), irq_(irq), name_(std::move(name)) {}
@@ -162,14 +153,9 @@ void OcpDriver::soft_reset(u64 settle) {
   }
 }
 
-void OcpDriver::save_state(snap::StateWriter& w) const {
-  w.write_bool("ie", ie_);
-  w.write_bool("chain", chain_);
-}
-
-void OcpDriver::restore_state(snap::StateReader& r) {
-  ie_ = r.read_bool("ie");
-  chain_ = r.read_bool("chain");
+void OcpDriver::state(snap::Fields& f) {
+  f.field("ie", ie_);
+  f.field("chain", chain_);
 }
 
 }  // namespace ouessant::drv

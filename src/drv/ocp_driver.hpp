@@ -29,9 +29,7 @@ enum class WaitResult : u8 {
   kTimeout,   ///< deadline expired with neither D nor ERR
 };
 
-[[nodiscard]] const char* wait_result_name(WaitResult r);
-
-class OcpDriver {
+class OcpDriver : public snap::Stateful<OcpDriver> {
  public:
   /// @p reg_base: where the OCP's 10 registers are mapped. @p name tags
   /// every SimError this driver throws (one CPU typically runs several
@@ -104,11 +102,10 @@ class OcpDriver {
   [[nodiscard]] Addr reg_base() const { return base_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  // -- snapshot hooks ------------------------------------------------------
+  // -- snapshot field list -------------------------------------------------
   // Host-stack object (not a sim::Component): the session/service layer
-  // embeds these. The driver's only mutable state is its IE/CHAIN shadow.
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  // lists it. The driver's only mutable state is its IE/CHAIN shadow.
+  void state(snap::Fields& f);
 
  private:
   cpu::Gpp& gpp_;

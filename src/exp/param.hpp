@@ -31,7 +31,6 @@ class Value {
 
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] i64 as_int() const;
-  [[nodiscard]] u64 as_u64() const { return static_cast<u64>(as_int()); }
   [[nodiscard]] double as_real() const;
   [[nodiscard]] const std::string& as_str() const;
 

@@ -41,11 +41,6 @@ struct RunContext {
   /// same configuration, or restore throws SnapshotError
   /// (ouessant_bench --restore FILE).
   std::string restore_path;
-  /// Chain-mode override (ouessant_bench --chain): "linked" or
-  /// "store_forward" forces every chain-aware scenario (the chain_* /
-  /// serve_jpeg family) to that intermediate-block routing; "" = the
-  /// scenario runs its built-in grid/default. Other scenarios ignore it.
-  std::string chain;
 };
 
 /// One named grid axis. The sweep expands axes in declaration order with

@@ -60,7 +60,6 @@ std::vector<SweepJob> expand_jobs(const Registry& registry,
     ctx.seed = options.seed.value_or(ctx.seed);
     ctx.faults = options.faults;
     ctx.restore_path = options.restore_path;
-    ctx.chain = options.chain;
     // One per-spec point counter shared by all artifact kinds, so the
     // VCD, event trace and snapshot of the same run carry the same
     // suffix.

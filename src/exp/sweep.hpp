@@ -46,9 +46,6 @@ struct SweepOptions {
   /// "" = cold boot. Only meaningful with a --filter that selects the
   /// configuration the snapshot was taken from.
   std::string restore_path;
-  /// Chain-mode override forwarded to every job (ouessant_bench
-  /// --chain). "" = scenarios keep their built-in chain grids.
-  std::string chain;
 };
 
 /// One expanded (scenario, grid point) work item.

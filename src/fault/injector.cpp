@@ -94,48 +94,20 @@ bool Injector::drop_assertion(u32 src, Cycle now) {
   return decide(FaultKind::kIrqDrop, static_cast<int>(src), now) != nullptr;
 }
 
-void Injector::save_state(snap::StateWriter& w) const {
-  w.write_u32("specs", static_cast<u32>(state_.size()));
-  for (const SpecState& st : state_) {
-    w.write_u64("fired", st.fired);
-    const auto s = st.rng.state();
-    w.write_words32("rng", {s[0], s[1], s[2], s[3]});
-  }
-  w.write_u32("log_count", static_cast<u32>(log_.size()));
-  for (const Record& rec : log_) {
-    w.write_u64("cycle", rec.cycle);
-    w.write_u8("kind", static_cast<u8>(rec.kind));
-    w.write_u32("ocp", static_cast<u32>(rec.ocp));
-    w.write_u32("spec_index", rec.spec_index);
-  }
-}
-
-void Injector::restore_state(snap::StateReader& r) {
-  const u32 specs = r.read_u32("specs");
-  if (specs != state_.size()) {
-    throw snap::SnapshotError("Injector: image has " + std::to_string(specs) +
-                              " specs, plan has " +
-                              std::to_string(state_.size()));
-  }
+void Injector::state(snap::Fields& f) {
+  f.expect<u32>("specs", state_.size());
   for (SpecState& st : state_) {
-    st.fired = r.read_u64("fired");
-    const std::vector<u32> s = r.read_words32("rng");
-    if (s.size() != 4) {
-      throw snap::SnapshotError("Injector: bad rng state width");
-    }
-    st.rng.restore_state({s[0], s[1], s[2], s[3]});
+    f.field("fired", st.fired);
+    auto s = st.rng.state();
+    f.field("rng", std::span(s));
+    if (f.restoring()) st.rng.restore_state(s);
   }
-  const u32 count = r.read_u32("log_count");
-  log_.clear();
-  log_.reserve(count);
-  for (u32 i = 0; i < count; ++i) {
-    Record rec;
-    rec.cycle = r.read_u64("cycle");
-    rec.kind = static_cast<FaultKind>(r.read_u8("kind"));
-    rec.ocp = static_cast<int>(r.read_u32("ocp"));
-    rec.spec_index = r.read_u32("spec_index");
-    log_.push_back(rec);
-  }
+  f.list("log_count", log_, [&f](Record& rec) {
+    f.field("cycle", rec.cycle);
+    f.field_as<u8>("kind", rec.kind, FaultKind::kIrqDrop);
+    f.field_as<u32>("ocp", rec.ocp);
+    f.field("spec_index", rec.spec_index);
+  });
 }
 
 const FaultSpec* Injector::decide(FaultKind kind, int target, Cycle now) {

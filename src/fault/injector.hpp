@@ -55,14 +55,13 @@ class Injector : public BusFaultHook, public IrqFaultHook {
   [[nodiscard]] u64 injected() const { return log_.size(); }
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
-  // -- snapshot hooks ---------------------------------------------------
-  // Host-stack object; the service/test embedding it drives these. The
+  // -- snapshot field list ----------------------------------------------
+  // Host-stack object; the service embedding it lists it. The
   // plan itself is configuration: the target injector must be built from
   // the same plan (spec count is validated). Per-spec fired counts and
   // RNG stream positions plus the log make a restored run fire the
   // remaining faults exactly where the uninterrupted one would.
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  void state(snap::Fields& f);
 
   // -- BusFaultHook -----------------------------------------------------
   bool beat_error(const std::string& master, Addr addr, bool write,

@@ -84,22 +84,13 @@ bool ChainLink::is_quiescent() const {
   return false;
 }
 
-void ChainLink::save_state(snap::StateWriter& w) const {
-  w.write_bool("enabled", enabled_);
-  w.write_bool("has_pending", has_pending_);
-  w.write_u64("pending", pending_);
-  w.write_u64("ready_at", ready_at_);
-  w.write_u64("words_moved", words_moved_);
-  w.write_u64("busy_cycles", busy_cycles_);
-}
-
-void ChainLink::restore_state(snap::StateReader& r) {
-  enabled_ = r.read_bool("enabled");
-  has_pending_ = r.read_bool("has_pending");
-  pending_ = r.read_u64("pending");
-  ready_at_ = r.read_u64("ready_at");
-  words_moved_ = r.read_u64("words_moved");
-  busy_cycles_ = r.read_u64("busy_cycles");
+void ChainLink::state(snap::Fields& f) {
+  f.field("enabled", enabled_);
+  f.field("has_pending", has_pending_);
+  f.field("pending", pending_);
+  f.field("ready_at", ready_at_);
+  f.field("words_moved", words_moved_);
+  f.field("busy_cycles", busy_cycles_);
 }
 
 res::ResourceNode ChainLink::resource_tree() const {

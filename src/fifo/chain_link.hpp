@@ -66,8 +66,7 @@ class ChainLink : public sim::Component, public res::ResourceAware {
   // sim::Component
   void tick_compute() override;
   [[nodiscard]] bool is_quiescent() const override;
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
 
   // res::ResourceAware
   [[nodiscard]] res::ResourceNode resource_tree() const override;

@@ -109,11 +109,6 @@ void WidthFifo::add_waiter(sim::Component& c) {
   }
 }
 
-void WidthFifo::remove_waiter(sim::Component& c) {
-  waiters_.erase(std::remove(waiters_.begin(), waiters_.end(), &c),
-                 waiters_.end());
-}
-
 void WidthFifo::notify_waiters() {
   for (sim::Component* w : waiters_) w->wake();
 }
@@ -148,38 +143,28 @@ void WidthFifo::tick_commit() {
                                   // on the registered flags
 }
 
-void WidthFifo::save_state(snap::StateWriter& w) const {
-  w.write_u64("stored_bits", storage_.size_bits());
-  w.write_words32("storage", storage_.pack_words());
-  w.write_u32("level", level_);
-  w.write_bool("wrote_this_cycle", wrote_this_cycle_);
-  w.write_bool("read_this_cycle", read_this_cycle_);
-  w.write_u64("pending_write", pending_write_);
-  w.write_bool("has_pending_write", has_pending_write_);
-  w.write_bool("pending_pop", pending_pop_);
-  w.write_u64("writes", writes_);
-  w.write_u64("reads", reads_);
-  w.write_u32("max_level", max_level_);
-}
-
-void WidthFifo::restore_state(snap::StateReader& r) {
-  const u64 stored_bits = r.read_u64("stored_bits");
-  const std::vector<u32> words = r.read_words32("storage");
-  if (words.size() != (stored_bits + 31) / 32 ||
-      stored_bits > cfg_.capacity_bits) {
-    throw snap::SnapshotError("WidthFifo " + name() +
-                              ": inconsistent storage image");
+void WidthFifo::state(snap::Fields& f) {
+  // Storage travels packed, 32 bits per word, after its bit count.
+  u64 stored_bits = storage_.size_bits();
+  f.field("stored_bits", stored_bits);
+  std::vector<u32> words = storage_.pack_words();
+  f.field("storage", words);
+  if (f.restoring()) {
+    if (words.size() != (stored_bits + 31) / 32 ||
+        stored_bits > cfg_.capacity_bits) {
+      f.fail("inconsistent storage image");
+    }
+    storage_.unpack_words(words, static_cast<std::size_t>(stored_bits));
   }
-  storage_.unpack_words(words, static_cast<std::size_t>(stored_bits));
-  level_ = r.read_u32("level");
-  wrote_this_cycle_ = r.read_bool("wrote_this_cycle");
-  read_this_cycle_ = r.read_bool("read_this_cycle");
-  pending_write_ = r.read_u64("pending_write");
-  has_pending_write_ = r.read_bool("has_pending_write");
-  pending_pop_ = r.read_bool("pending_pop");
-  writes_ = r.read_u64("writes");
-  reads_ = r.read_u64("reads");
-  max_level_ = r.read_u32("max_level");
+  f.field("level", level_);
+  f.field("wrote_this_cycle", wrote_this_cycle_);
+  f.field("read_this_cycle", read_this_cycle_);
+  f.field("pending_write", pending_write_);
+  f.field("has_pending_write", has_pending_write_);
+  f.field("pending_pop", pending_pop_);
+  f.field("writes", writes_);
+  f.field("reads", reads_);
+  f.field("max_level", max_level_);
 }
 
 res::ResourceNode WidthFifo::resource_tree() const {

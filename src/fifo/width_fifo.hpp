@@ -79,7 +79,6 @@ class WidthFifo : public sim::Component, public res::ResourceAware {
   /// committed, popped, or the FIFO is flushed). Used by components that
   /// gate their clock while blocked on full()/empty(). Idempotent.
   void add_waiter(sim::Component& c);
-  void remove_waiter(sim::Component& c);
 
   // -- lifetime stats ---------------------------------------------------
   [[nodiscard]] u64 writes() const { return writes_; }
@@ -88,8 +87,7 @@ class WidthFifo : public sim::Component, public res::ResourceAware {
 
   // sim::Component
   void tick_commit() override;
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
   /// Quiescent whenever no access is pending: commit would only clear
   /// already-clear flags and recompute an unchanged level. write()/read()
   /// wake the FIFO for the cycle they occur in.

@@ -88,36 +88,29 @@ std::size_t Sram::resident_bytes() const {
          std::size_t{kPageWords} * 4;
 }
 
-void Sram::save_state(snap::StateWriter& w) const {
-  w.write_string("name", name_);
-  w.write_u64("reads", reads_);
-  w.write_u64("writes", writes_);
-  std::vector<const u32*> pages(pages_.size());
-  std::transform(pages_.begin(), pages_.end(), pages.begin(),
-                 [](const auto& p) { return p ? p->words : nullptr; });
-  w.write_words32("data", words_, pages, kPageWords);
-}
-
-void Sram::restore_state(snap::StateReader& r) {
-  const std::string saved = r.read_string("name");
-  if (saved != name_) {
-    throw snap::SnapshotError("Sram " + name_ + ": snapshot is for '" +
-                              saved + "'");
+void Sram::state(snap::Fields& f) {
+  f.expect<std::string>("name", name_);
+  f.field("reads", reads_);
+  f.field("writes", writes_);
+  // Contents stream page by page in both directions.
+  if (f.saving()) {
+    std::vector<const u32*> pages(pages_.size());
+    std::transform(pages_.begin(), pages_.end(), pages.begin(),
+                   [](const auto& p) { return p ? p->words : nullptr; });
+    f.writer().write_words32("data", words_, pages, kPageWords);
+    return;
   }
-  const u64 reads = r.read_u64("reads");
-  const u64 writes = r.read_u64("writes");
   // Fill a fresh table so a malformed image leaves the contents as they
   // were. A zero run costs nothing: every page starts absent.
   Pages pages(pages_.size());
-  r.read_words32("data", words_, [&pages](const snap::Words32Block& b) {
-    if (b.literal.empty() && b.value == 0) return;
-    for (u32 k = 0; k < b.n; ++k) {
-      store(pages, b.at + k, b.literal.empty() ? b.value : b.literal[k]);
-    }
-  });
+  f.reader().read_words32(
+      "data", words_, [&pages](const snap::Words32Block& b) {
+        if (b.literal.empty() && b.value == 0) return;
+        for (u32 k = 0; k < b.n; ++k) {
+          store(pages, b.at + k, b.literal.empty() ? b.value : b.literal[k]);
+        }
+      });
   pages_ = std::move(pages);
-  reads_ = reads;
-  writes_ = writes;
 }
 
 Rom::Rom(std::string name, Addr base, std::vector<u32> contents, u32 read_wait)

@@ -22,7 +22,7 @@
 
 namespace ouessant::mem {
 
-class Sram : public bus::BusSlave {
+class Sram : public bus::BusSlave, public snap::Stateful<Sram> {
  public:
   static constexpr u32 kPageWords = 1024;
 
@@ -56,12 +56,11 @@ class Sram : public bus::BusSlave {
   [[nodiscard]] u64 reads() const { return reads_; }
   [[nodiscard]] u64 writes() const { return writes_; }
 
-  /// Snapshot hooks. Not a sim::Component, so Soc drives these directly
-  /// (the "soc" section). Contents are run-length encoded — a mostly
-  /// untouched 16 MB SRAM serializes in a few bytes — and a restore
-  /// allocates only the pages that hold a non-zero word.
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  /// Snapshot field list. Not a sim::Component, so Soc lists it in the
+  /// "soc" section. Contents are run-length encoded — a mostly untouched
+  /// 16 MB SRAM serializes in a few bytes — and a restore allocates only
+  /// the pages that hold a non-zero word.
+  void state(snap::Fields& f);
 
  protected:
   /// Cache-line aligned: with the allocator's 16-byte alignment the

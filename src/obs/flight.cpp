@@ -38,84 +38,59 @@ void FlightRecorder::trigger(const std::string& reason) {
   trigger_cycle_ = kernel().now();
 }
 
-void FlightRecorder::save_state(snap::StateWriter& w) const {
-  w.write_u64("capacity", capacity_);
-  w.write_u64("next", next_);
-  w.write_u64("dropped", dropped_);
-  w.write_bool("triggered", triggered_);
-  w.write_string("reason", reason_);
-  w.write_u64("trigger_cycle", trigger_cycle_);
-  const std::vector<std::string>& tracks = track_names();
-  snap::StateWriter inner;
-  inner.write_u64("tracks", tracks.size());
-  for (const std::string& t : tracks) inner.write_string("t", t);
-  inner.write_u64("events", events_.size());
-  for (const Event& e : events_) {
-    inner.write_u8("ph", static_cast<u8>(e.ph));
-    inner.write_u32("tid", e.tid);
-    inner.write_u64("ts", e.ts);
-    inner.write_u64("dur", e.dur);
-    inner.write_u64("flow", e.flow_id);
-    inner.write_string("name", e.name);
-    inner.write_u64("nargs", e.args.size());
-    for (const Arg& a : e.args) {
-      inner.write_string("k", a.key);
-      inner.write_bool("is_str", a.is_str);
-      inner.write_u64("u", a.u);
-      inner.write_string("s", a.s);
-    }
+void FlightRecorder::state(snap::Fields& f) {
+  f.expect<u64>("capacity", capacity_);
+  f.field_as<u64>("next", next_);
+  if (next_ >= capacity_) f.fail("ring cursor past its capacity");
+  f.field("dropped", dropped_);
+  f.field("triggered", triggered_);
+  f.field("reason", reason_);
+  f.field("trigger_cycle", trigger_cycle_);
+  // The ring travels as one bytes field holding its own field stream.
+  std::vector<u8> ring;
+  if (f.saving()) {
+    snap::StateWriter inner;
+    snap::Fields rf(inner);
+    ring_state(rf);
+    ring = inner.take();
   }
-  w.write_bytes("ring", inner.take());
+  f.field("ring", ring);
+  if (f.restoring()) {
+    snap::StateReader inner(std::move(ring), "obs.flight");
+    snap::Fields rf(inner);
+    ring_state(rf);
+    inner.expect_end();
+  }
 }
 
-void FlightRecorder::restore_state(snap::StateReader& r) {
-  const u64 cap = r.read_u64("capacity");
-  if (cap != capacity_) {
-    throw snap::SnapshotError(
-        "FlightRecorder: snapshot capacity does not match target recorder");
-  }
-  next_ = static_cast<std::size_t>(r.read_u64("next"));
-  dropped_ = r.read_u64("dropped");
-  triggered_ = r.read_bool("triggered");
-  reason_ = r.read_string("reason");
-  trigger_cycle_ = r.read_u64("trigger_cycle");
-  snap::StateReader inner(r.read_bytes("ring"), "obs.flight");
+void FlightRecorder::ring_state(snap::Fields& f) {
   // Tracks were interned eagerly when the stack attached this recorder
   // (same-stack restore rule), in the same deterministic order the
   // saved stack used — verify the interning agrees, re-interning any
   // tail the target has not reached yet.
-  const u64 ntracks = inner.read_u64("tracks");
-  for (u64 i = 0; i < ntracks; ++i) {
-    const std::string name = inner.read_string("t");
-    if (track(name) != static_cast<TrackId>(i)) {
-      throw snap::SnapshotError(
-          "FlightRecorder: track interning order mismatch on restore (was "
-          "the recorder attached to a different stack?)");
+  std::vector<std::string> tracks = track_names();
+  f.list<u64>("tracks", tracks, [&f](std::string& t) { f.field("t", t); });
+  for (std::size_t i = 0; f.restoring() && i < tracks.size(); ++i) {
+    if (track(tracks[i]) != static_cast<TrackId>(i)) {
+      f.fail("track interning order mismatch on restore (was the "
+             "recorder attached to a different stack?)");
     }
   }
-  const u64 nevents = inner.read_u64("events");
-  events_.clear();
-  events_.reserve(capacity_);
-  for (u64 i = 0; i < nevents; ++i) {
-    Event e;
-    e.ph = static_cast<char>(inner.read_u8("ph"));
-    e.tid = inner.read_u32("tid");
-    e.ts = inner.read_u64("ts");
-    e.dur = inner.read_u64("dur");
-    e.flow_id = inner.read_u64("flow");
-    e.name = inner.read_string("name");
-    const u64 nargs = inner.read_u64("nargs");
-    for (u64 a = 0; a < nargs; ++a) {
-      Arg ar;
-      ar.key = inner.read_string("k");
-      ar.is_str = inner.read_bool("is_str");
-      ar.u = inner.read_u64("u");
-      ar.s = inner.read_string("s");
-      e.args.push_back(std::move(ar));
-    }
-    events_.push_back(std::move(e));
-  }
-  inner.expect_end();
+  f.list<u64>("events", events_, [&f](Event& e) {
+    f.field_as<u8>("ph", e.ph);
+    f.field("tid", e.tid);
+    f.field("ts", e.ts);
+    f.field("dur", e.dur);
+    f.field("flow", e.flow_id);
+    f.field("name", e.name);
+    f.list<u64>("nargs", e.args, [&f](Arg& a) {
+      f.field("k", a.key);
+      f.field("is_str", a.is_str);
+      f.field("u", a.u);
+      f.field("s", a.s);
+    });
+  });
+  if (events_.size() > capacity_) f.fail("ring holds more events than fit");
 }
 
 }  // namespace ouessant::obs

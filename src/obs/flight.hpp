@@ -24,7 +24,8 @@
 
 namespace ouessant::obs {
 
-class FlightRecorder final : public EventTracer {
+class FlightRecorder final : public EventTracer,
+                             public snap::Stateful<FlightRecorder> {
  public:
   /// @p capacity: maximum events retained (the post-mortem window).
   FlightRecorder(sim::Kernel& kernel, std::size_t capacity);
@@ -43,9 +44,8 @@ class FlightRecorder final : public EventTracer {
   [[nodiscard]] const std::string& reason() const { return reason_; }
   [[nodiscard]] Cycle trigger_cycle() const { return trigger_cycle_; }
 
-  // -- snapshot protocol (docs/snapshots.md) ----------------------------
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  // -- snapshot field list (docs/fleet.md) -------------------------------
+  void state(snap::Fields& f);
 
  protected:
   /// Circular overwrite: O(1) per event regardless of capacity.
@@ -54,6 +54,9 @@ class FlightRecorder final : public EventTracer {
   [[nodiscard]] std::vector<const Event*> chronological() const override;
 
  private:
+  /// The ring's own field stream: track names, then events.
+  void ring_state(snap::Fields& f);
+
   std::size_t capacity_;
   std::size_t next_ = 0;  ///< ring write cursor (valid once full)
   u64 dropped_ = 0;

@@ -4,22 +4,6 @@
 
 namespace ouessant::obs {
 
-const char* category_name(Category c) {
-  switch (c) {
-    case Category::kTransfer:
-      return "transfer";
-    case Category::kCompute:
-      return "compute";
-    case Category::kControl:
-      return "control";
-    case Category::kWait:
-      return "wait";
-    case Category::kIdle:
-      return "idle";
-  }
-  return "?";
-}
-
 CycleLedger::Track& CycleLedger::at(TrackId t) {
   if (t >= tracks_.size()) {
     throw ConfigError("CycleLedger: no such track");

@@ -26,8 +26,6 @@ namespace ouessant::obs {
 enum class Category : u8 { kTransfer = 0, kCompute, kControl, kWait, kIdle };
 inline constexpr std::size_t kNumCategories = 5;
 
-[[nodiscard]] const char* category_name(Category c);
-
 class CycleLedger {
  public:
   using TrackId = u32;

@@ -86,41 +86,27 @@ bool QuantileSketch::operator==(const QuantileSketch& rhs) const {
          max_ == rhs.max_ && sum_ == rhs.sum_ && buckets_ == rhs.buckets_;
 }
 
-void QuantileSketch::save_state(snap::StateWriter& w) const {
-  w.write_double("alpha", alpha_);
-  w.write_u64("count", count_);
-  w.write_u64("zeros", zero_count_);
-  w.write_u64("min", min_);
-  w.write_u64("max", max_);
-  w.write_double("sum", sum_);
+void QuantileSketch::state(snap::Fields& f) {
+  f.expect<double>("alpha", alpha_);
+  f.field("count", count_);
+  f.field("zeros", zero_count_);
+  f.field("min", min_);
+  f.field("max", max_);
+  f.field("sum", sum_);
+  // Buckets travel as flat (index, count) pairs.
   std::vector<u64> flat;
   flat.reserve(buckets_.size() * 2);
   for (const auto& [idx, n] : buckets_) {
     flat.push_back(static_cast<u64>(idx));
     flat.push_back(n);
   }
-  w.write_words64("buckets", flat);
-}
-
-void QuantileSketch::restore_state(snap::StateReader& r) {
-  const double alpha = r.read_double("alpha");
-  if (alpha != alpha_) {
-    throw snap::SnapshotError(
-        "QuantileSketch: snapshot relative error does not match target "
-        "sketch configuration");
-  }
-  count_ = r.read_u64("count");
-  zero_count_ = r.read_u64("zeros");
-  min_ = r.read_u64("min");
-  max_ = r.read_u64("max");
-  sum_ = r.read_double("sum");
-  const std::vector<u64> flat = r.read_words64("buckets");
-  if (flat.size() % 2 != 0) {
-    throw snap::SnapshotError("QuantileSketch: odd bucket stream length");
-  }
-  buckets_.clear();
-  for (std::size_t i = 0; i < flat.size(); i += 2) {
-    buckets_[static_cast<i64>(flat[i])] = flat[i + 1];
+  f.field("buckets", flat);
+  if (f.restoring()) {
+    if (flat.size() % 2 != 0) f.fail("odd bucket stream length");
+    buckets_.clear();
+    for (std::size_t i = 0; i < flat.size(); i += 2) {
+      buckets_[static_cast<i64>(flat[i])] = flat[i + 1];
+    }
   }
 }
 

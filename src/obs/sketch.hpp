@@ -32,7 +32,7 @@ namespace ouessant::obs {
 /// value and the tier-1 fleet-observability guard enforces it.
 inline constexpr double kDefaultSketchError = 0.01;
 
-class QuantileSketch {
+class QuantileSketch : public snap::Stateful<QuantileSketch> {
  public:
   explicit QuantileSketch(double relative_error = kDefaultSketchError);
 
@@ -66,9 +66,8 @@ class QuantileSketch {
   /// contents agree — the merge-order-independence tests compare folds.
   [[nodiscard]] bool operator==(const QuantileSketch& rhs) const;
 
-  // -- snapshot protocol (docs/snapshots.md) ----------------------------
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  // -- snapshot field list (docs/fleet.md) -------------------------------
+  void state(snap::Fields& f);
 
  private:
   [[nodiscard]] i64 bucket_index(u64 value) const;

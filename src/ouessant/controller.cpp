@@ -270,36 +270,42 @@ void Controller::decode_and_issue() {
   }
 }
 
-void Controller::save_state(snap::StateWriter& w) const {
-  iface_.save_state(w);  // the interface rides in the controller section
+void Controller::state(snap::Fields& f) {
+  iface_.state(f);  // the interface rides in the controller section
 
-  w.write_u8("state", static_cast<u8>(state_));
-  w.write_u32("pc", pc_);
-  w.write_u32("ir", ir_);
-  w.write_u32("cur_word", isa::encode(cur_));
-  w.write_bool("loop_active", loop_active_);
-  w.write_u32("loop_left", loop_left_);
-  w.write_u32("loop_iter", loop_iter_);
+  f.field_as<u8>("state", state_, State::kExecWait);
+  f.field("pc", pc_);
+  f.field("ir", ir_);
+  u32 cur_word = isa::encode(cur_);
+  f.field("cur_word", cur_word);
+  if (f.restoring()) {
+    const auto cur = isa::decode(cur_word);
+    if (!cur) f.fail("current instruction does not decode");
+    cur_ = *cur;
+  }
+  f.field("loop_active", loop_active_);
+  f.field("loop_left", loop_left_);
+  f.field("loop_iter", loop_iter_);
 
-  w.write_u64("instructions", stats_.instructions);
-  w.write_u64("fetch_cycles", stats_.fetch_cycles);
-  w.write_u64("decode_cycles", stats_.decode_cycles);
-  w.write_u64("xfer_cycles", stats_.xfer_cycles);
-  w.write_u64("exec_wait_cycles", stats_.exec_wait_cycles);
-  w.write_u64("idle_cycles", stats_.idle_cycles);
-  w.write_u64("words_to_rac", stats_.words_to_rac);
-  w.write_u64("words_from_rac", stats_.words_from_rac);
-  w.write_u64("runs", stats_.runs);
-  w.write_u64("faults", stats_.faults);
-  w.write_u64("progress_irqs", stats_.progress_irqs);
+  f.field("instructions", stats_.instructions);
+  f.field("fetch_cycles", stats_.fetch_cycles);
+  f.field("decode_cycles", stats_.decode_cycles);
+  f.field("xfer_cycles", stats_.xfer_cycles);
+  f.field("exec_wait_cycles", stats_.exec_wait_cycles);
+  f.field("idle_cycles", stats_.idle_cycles);
+  f.field("words_to_rac", stats_.words_to_rac);
+  f.field("words_from_rac", stats_.words_from_rac);
+  f.field("runs", stats_.runs);
+  f.field("faults", stats_.faults);
+  f.field("progress_irqs", stats_.progress_irqs);
 
-  w.write_u64("fault_cycle", last_fault_.cycle);
-  w.write_u32("fault_pc", last_fault_.pc);
-  w.write_string("fault_reason", last_fault_.reason);
+  f.field("fault_cycle", last_fault_.cycle);
+  f.field("fault_pc", last_fault_.pc);
+  f.field("fault_reason", last_fault_.reason);
 
-  w.write_u64("instr_begin", instr_begin_);
-  w.write_u32("instr_pc", instr_pc_);
-  w.write_u64("next_expected_tick", next_expected_tick_);
+  f.field("instr_begin", instr_begin_);
+  f.field("instr_pc", instr_pc_);
+  f.field("next_expected_tick", next_expected_tick_);
 
   // Decode cache: valid entries only, as (slot, word) pairs. The decoded
   // Instruction is recomputed on restore — isa::decode is pure in the
@@ -311,82 +317,28 @@ void Controller::save_state(snap::StateWriter& w) const {
       cache.push_back(decode_cache_[i].word);
     }
   }
-  w.write_words32("decode_cache", cache);
-  w.write_u64("decode_hits", decode_hits_);
-  w.write_u64("decode_misses", decode_misses_);
-}
-
-void Controller::restore_state(snap::StateReader& r) {
-  iface_.restore_state(r);
-
-  const u8 state = r.read_u8("state");
-  if (state > static_cast<u8>(State::kExecWait)) {
-    throw snap::SnapshotError("Controller " + name() + ": bad state " +
-                              std::to_string(state));
-  }
-  state_ = static_cast<State>(state);
-  pc_ = r.read_u32("pc");
-  ir_ = r.read_u32("ir");
-  const u32 cur_word = r.read_u32("cur_word");
-  const auto cur = isa::decode(cur_word);
-  if (!cur) {
-    throw snap::SnapshotError("Controller " + name() +
-                              ": current instruction does not decode");
-  }
-  cur_ = *cur;
-  loop_active_ = r.read_bool("loop_active");
-  loop_left_ = r.read_u32("loop_left");
-  loop_iter_ = r.read_u32("loop_iter");
-
-  stats_.instructions = r.read_u64("instructions");
-  stats_.fetch_cycles = r.read_u64("fetch_cycles");
-  stats_.decode_cycles = r.read_u64("decode_cycles");
-  stats_.xfer_cycles = r.read_u64("xfer_cycles");
-  stats_.exec_wait_cycles = r.read_u64("exec_wait_cycles");
-  stats_.idle_cycles = r.read_u64("idle_cycles");
-  stats_.words_to_rac = r.read_u64("words_to_rac");
-  stats_.words_from_rac = r.read_u64("words_from_rac");
-  stats_.runs = r.read_u64("runs");
-  stats_.faults = r.read_u64("faults");
-  stats_.progress_irqs = r.read_u64("progress_irqs");
-
-  last_fault_.cycle = r.read_u64("fault_cycle");
-  last_fault_.pc = r.read_u32("fault_pc");
-  last_fault_.reason = r.read_string("fault_reason");
-
-  instr_begin_ = r.read_u64("instr_begin");
-  instr_pc_ = r.read_u32("instr_pc");
-  next_expected_tick_ = r.read_u64("next_expected_tick");
-
-  flush_decode_cache();
-  const std::vector<u32> cache = r.read_words32("decode_cache");
-  if (cache.size() % 2 != 0) {
-    throw snap::SnapshotError("Controller " + name() +
-                              ": odd decode-cache pair list");
-  }
-  for (std::size_t i = 0; i < cache.size(); i += 2) {
-    const u32 slot = cache[i];
-    const u32 word = cache[i + 1];
-    if (slot >= kDecodeCacheSize) {
-      throw snap::SnapshotError("Controller " + name() +
-                                ": decode-cache slot out of range");
+  f.field("decode_cache", cache);
+  if (f.restoring()) {
+    if (cache.size() % 2 != 0) f.fail("odd decode-cache pair list");
+    flush_decode_cache();
+    for (std::size_t i = 0; i < cache.size(); i += 2) {
+      const u32 slot = cache[i];
+      const u32 word = cache[i + 1];
+      if (slot >= kDecodeCacheSize) f.fail("decode-cache slot out of range");
+      const auto decoded = isa::decode(word);
+      if (!decoded) f.fail("cached word does not decode");
+      decode_cache_[slot] =
+          DecodeEntry{.word = word, .valid = true, .instr = *decoded};
     }
-    const auto decoded = isa::decode(word);
-    if (!decoded) {
-      throw snap::SnapshotError("Controller " + name() +
-                                ": cached word does not decode");
-    }
-    decode_cache_[slot] =
-        DecodeEntry{.word = word, .valid = true, .instr = *decoded};
   }
-  decode_hits_ = r.read_u64("decode_hits");
-  decode_misses_ = r.read_u64("decode_misses");
+  f.field("decode_hits", decode_hits_);
+  f.field("decode_misses", decode_misses_);
 
   // Mid-transfer restore: the master port's streamed endpoint is wiring
   // the bus could not restore (it cleared sink_/source_); re-select the
   // FIFO adapter and reattach. The bus restores before us — component
   // registration order puts the interconnect first.
-  if (state_ == State::kXfer && iface_.master().busy()) {
+  if (f.restoring() && state_ == State::kXfer && iface_.master().busy()) {
     if (cur_.op == isa::Opcode::kMvtc) {
       sink_.select(in_fifos_[cur_.fifo]);
       iface_.master().restore_stream(&sink_, nullptr);

@@ -66,8 +66,7 @@ class Controller : public sim::Component, public res::ResourceAware {
   /// pairs re-decoded on restore (isa::decode is pure in the word, so
   /// hit/miss counters stay bit-exact). A restored mid-transfer (kXfer)
   /// state reattaches the streamed FIFO endpoint to the master port.
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
 
   /// Snapshot of the counters with cycles spent clock-gated folded into
   /// the current wait state's counter (so a reading taken while the

@@ -180,40 +180,24 @@ void ReconfigSlot::tick_compute() {
   }
 }
 
-void ReconfigSlot::save_state(snap::StateWriter& w) const {
-  save_base_state(w);
-  w.write_u32("active", static_cast<u32>(active_));
-  w.write_u32("target", static_cast<u32>(target_));
-  w.write_u32("reconfig_left", reconfig_left_);
-  w.write_u64("swaps", swaps_);
-  w.write_u64("reconfig_cycles_total", reconfig_cycles_total_);
-  w.write_bool("countdown_timer_armed", countdown_timer_armed_);
-  w.write_u64("next_expected_tick", next_expected_tick_);
-  w.write_bool("external_swap", external_swap_);
-  w.write_u64("external_begin", external_begin_);
-}
-
-void ReconfigSlot::restore_state(snap::StateReader& r) {
-  restore_base_state(r);
-  const u32 active = r.read_u32("active");
-  const u32 target = r.read_u32("target");
-  if (active >= candidates_.size() || target >= candidates_.size()) {
-    throw snap::SnapshotError("ReconfigSlot " + name() +
-                              ": image candidate index out of range");
+void ReconfigSlot::state(snap::Fields& f) {
+  Rac::state(f);
+  f.field_as<u32>("active", active_);
+  f.field_as<u32>("target", target_);
+  if (active_ >= candidates_.size() || target_ >= candidates_.size()) {
+    f.fail("candidate index out of range");
   }
-  active_ = active;
-  target_ = target;
-  reconfig_left_ = r.read_u32("reconfig_left");
-  swaps_ = r.read_u64("swaps");
-  reconfig_cycles_total_ = r.read_u64("reconfig_cycles_total");
-  countdown_timer_armed_ = r.read_bool("countdown_timer_armed");
-  next_expected_tick_ = r.read_u64("next_expected_tick");
-  external_swap_ = r.read_bool("external_swap");
-  external_begin_ = r.read_u64("external_begin");
+  f.field("reconfig_left", reconfig_left_);
+  f.field("swaps", swaps_);
+  f.field("reconfig_cycles_total", reconfig_cycles_total_);
+  f.field("countdown_timer_armed", countdown_timer_armed_);
+  f.field("next_expected_tick", next_expected_tick_);
+  f.field("external_swap", external_swap_);
+  f.field("external_begin", external_begin_);
   // Re-arm the countdown the image implies (the kernel rebuilds its own
   // timer heap; belt and braces for hand-assembled restores). The
   // completion cycle is the last countdown tick plus the remainder.
-  if (reconfig_left_ > 0) {
+  if (f.restoring() && reconfig_left_ > 0) {
     if (countdown_timer_armed_) {
       wake_at(next_expected_tick_ - 1 + reconfig_left_);
     } else {

@@ -62,7 +62,6 @@ class ReconfigSlot : public Rac {
   /// target becomes active and the gated window is folded into
   /// reconfig_cycles_total().
   void finish_external_swap();
-  [[nodiscard]] bool external_swap_pending() const { return external_swap_; }
 
   [[nodiscard]] bool reconfiguring() const {
     return reconfig_left_ > 0 || external_swap_;
@@ -137,8 +136,7 @@ class ReconfigSlot : public Rac {
   /// external-swap gate, and the swap counters — a mid-reconfiguration
   /// snapshot resumes the countdown exactly. Candidate RACs are kernel
   /// components and carry their own state.
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
 
   /// Region resources: the max over candidates (the region must fit the
   /// largest bitstream) plus the static decoupling logic.

@@ -169,42 +169,22 @@ res::ResourceNode BusInterface::resource_tree() const {
   return n;
 }
 
-void BusInterface::save_state(snap::StateWriter& w) const {
-  std::vector<u32> banks(banks_.begin(), banks_.end());
-  w.write_words32("banks", banks);
-  w.write_u32("prog_size", prog_size_);
-  w.write_bool("ie", ie_);
-  w.write_bool("start_pending", start_pending_);
-  w.write_bool("reset_pending", reset_pending_);
-  w.write_bool("autostart_armed", autostart_armed_);
-  w.write_bool("auto_restart", auto_restart_);
-  w.write_bool("running", running_);
-  w.write_bool("chain", chain_);
-  w.write_bool("done", done_);
-  w.write_bool("error", error_);
-  w.write_bool("progress", progress_);
-  w.write_bool("irq_level", irq_.raised());
-}
-
-void BusInterface::restore_state(snap::StateReader& r) {
-  const std::vector<u32> banks = r.read_words32("banks");
-  if (banks.size() != banks_.size()) {
-    throw snap::SnapshotError("BusInterface " + name_ +
-                              ": bank register count mismatch");
-  }
-  std::copy(banks.begin(), banks.end(), banks_.begin());
-  prog_size_ = r.read_u32("prog_size");
-  ie_ = r.read_bool("ie");
-  start_pending_ = r.read_bool("start_pending");
-  reset_pending_ = r.read_bool("reset_pending");
-  autostart_armed_ = r.read_bool("autostart_armed");
-  auto_restart_ = r.read_bool("auto_restart");
-  running_ = r.read_bool("running");
-  chain_ = r.read_bool("chain");
-  done_ = r.read_bool("done");
-  error_ = r.read_bool("error");
-  progress_ = r.read_bool("progress");
-  irq_.restore_level(r.read_bool("irq_level"));
+void BusInterface::state(snap::Fields& f) {
+  f.field("banks", std::span(banks_));
+  f.field("prog_size", prog_size_);
+  f.field("ie", ie_);
+  f.field("start_pending", start_pending_);
+  f.field("reset_pending", reset_pending_);
+  f.field("autostart_armed", autostart_armed_);
+  f.field("auto_restart", auto_restart_);
+  f.field("running", running_);
+  f.field("chain", chain_);
+  f.field("done", done_);
+  f.field("error", error_);
+  f.field("progress", progress_);
+  bool irq_level = irq_.raised();
+  f.field("irq_level", irq_level);
+  if (f.restoring()) irq_.restore_level(irq_level);
 }
 
 }  // namespace ouessant::core

@@ -90,17 +90,15 @@ class BusInterface : public bus::BusSlave, public res::ResourceAware {
   [[nodiscard]] bool progress() const { return progress_; }
   [[nodiscard]] cpu::IrqLine& irq() { return irq_; }
   [[nodiscard]] Addr base() const { return base_; }
-  [[nodiscard]] u32 bank_base(u32 n) const { return banks_.at(n); }
 
   // -- res::ResourceAware -------------------------------------------------
   [[nodiscard]] res::ResourceNode resource_tree() const override;
 
-  // -- snapshot hooks -----------------------------------------------------
+  // -- snapshot field list ------------------------------------------------
   // Not a sim::Component (the slave FSM has no clocked state of its
-  // own); the controller embeds these in its own section. The IRQ line
-  // level is restored without notifying watchers.
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  // own); the controller lists these fields in its own section. The IRQ
+  // line level is restored without notifying watchers.
+  void state(snap::Fields& f);
 
  private:
   [[nodiscard]] u32 reg_index(Addr addr, const char* what) const;

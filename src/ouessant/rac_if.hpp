@@ -103,21 +103,14 @@ class Rac : public sim::Component, public res::ResourceAware {
   }
 
  protected:
-  /// Snapshot helpers for the base-class op bookkeeping (open busy
-  /// window, hang latch, busy-cycle total). Subclass save_state()
-  /// implementations call these around their own fields; the waiter,
-  /// tracer, and fault hook are wiring and stay out of the stream.
-  void save_base_state(snap::StateWriter& w) const {
-    w.write_bool("op_open", op_open_);
-    w.write_bool("hung", hung_);
-    w.write_u64("op_begin", op_begin_);
-    w.write_u64("rac_busy_cycles", busy_cycles_);
-  }
-  void restore_base_state(snap::StateReader& r) {
-    op_open_ = r.read_bool("op_open");
-    hung_ = r.read_bool("hung");
-    op_begin_ = r.read_u64("op_begin");
-    busy_cycles_ = r.read_u64("rac_busy_cycles");
+  /// The base-class op bookkeeping (open busy window, hang latch,
+  /// busy-cycle total), listed first by every subclass's field list; the
+  /// waiter, tracer, and fault hook are wiring and stay out of the stream.
+  void state(snap::Fields& f) override {
+    f.field("op_open", op_open_);
+    f.field("hung", hung_);
+    f.field("op_begin", op_begin_);
+    f.field("rac_busy_cycles", busy_cycles_);
   }
 
   /// Subclasses call this wherever they raise busy() (start_op), after

@@ -59,43 +59,36 @@ core::Ocp& Soc::add_ocp(core::Rac& rac, core::IsaLevel isa) {
 snap::Snapshot Soc::snapshot() const {
   snap::Snapshot s;
   kernel_.save_to(s);
-
   snap::StateWriter w;
-  w.write_u8("bus_kind", static_cast<u8>(cfg_.bus));
-  w.write_u32("sram_bytes", cfg_.sram_bytes);
-  w.write_u64("sram_base", cfg_.sram_base);
-  w.write_u32("ocp_count", static_cast<u32>(ocps_.size()));
-  sram_->save_state(w);
-  cpu_->save_state(w);
+  snap::Fields f(w);
+  const_cast<Soc&>(*this).state(f, s);  // a save only reads
   s.add("soc", 1, w.take());
   return s;
 }
 
 void Soc::restore(const snap::Snapshot& snap) {
-  // Validate the fingerprint before any mutation — a mismatched image
-  // must leave the target untouched.
   const snap::Section& sec = snap.section("soc");
   if (sec.version != 1) {
     throw snap::SnapshotError("soc: unsupported section version " +
                               std::to_string(sec.version));
   }
   snap::StateReader r(sec.bytes, "soc");
-  const u8 bus_kind = r.read_u8("bus_kind");
-  const u32 sram_bytes = r.read_u32("sram_bytes");
-  const u64 sram_base = r.read_u64("sram_base");
-  const u32 ocp_count = r.read_u32("ocp_count");
-  if (bus_kind != static_cast<u8>(cfg_.bus) ||
-      sram_bytes != cfg_.sram_bytes || sram_base != cfg_.sram_base ||
-      ocp_count != ocps_.size()) {
-    throw snap::SnapshotError(
-        "soc: configuration fingerprint mismatch (image was taken on a "
-        "differently shaped SoC)");
-  }
-
-  kernel_.restore_from(snap);
-  sram_->restore_state(r);
-  cpu_->restore_state(r);
+  snap::Fields f(r);
+  state(f, snap);
   r.expect_end();
+}
+
+void Soc::state(snap::Fields& f, const snap::Snapshot& image) {
+  // The configuration fingerprint comes first: a mismatched image must
+  // leave the target untouched, so the kernel walk restores only after
+  // it matched.
+  f.expect<u8>("bus_kind", cfg_.bus);
+  f.expect<u32>("sram_bytes", cfg_.sram_bytes);
+  f.expect<u64>("sram_base", cfg_.sram_base);
+  f.expect<u32>("ocp_count", ocps_.size());
+  if (f.restoring()) kernel_.restore_from(image);
+  sram_->state(f);
+  cpu_->state(f);
 }
 
 }  // namespace ouessant::platform

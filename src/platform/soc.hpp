@@ -85,6 +85,10 @@ class Soc {
   void restore(const snap::Snapshot& snap);
 
  private:
+  /// The "soc" section's field list; a restore walks the kernel's
+  /// sections from @p image once the fingerprint matched.
+  void state(snap::Fields& f, const snap::Snapshot& image);
+
   SocConfig cfg_;
   sim::Kernel kernel_;
   std::unique_ptr<bus::InterconnectModel> bus_;

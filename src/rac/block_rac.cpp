@@ -78,33 +78,16 @@ void BlockRac::abort_op() {
   compute_left_ = 0;
 }
 
-void BlockRac::save_state(snap::StateWriter& w) const {
-  save_base_state(w);
-  w.write_u8("phase", static_cast<u8>(phase_));
-  w.write_bool("busy", busy_);
-  w.write_words64("in_buf", in_buf_);
-  w.write_words64("out_buf", out_buf_);
-  w.write_u64("emit_index", emit_index_);
-  w.write_u32("compute_left", compute_left_);
-  w.write_u64("completed", completed_);
-  w.write_u64("next_expected_tick", next_expected_tick_);
-}
-
-void BlockRac::restore_state(snap::StateReader& r) {
-  restore_base_state(r);
-  const u8 phase = r.read_u8("phase");
-  if (phase > static_cast<u8>(Phase::kEmit)) {
-    throw snap::SnapshotError("BlockRac " + name() + ": bad phase " +
-                              std::to_string(phase));
-  }
-  phase_ = static_cast<Phase>(phase);
-  busy_ = r.read_bool("busy");
-  in_buf_ = r.read_words64("in_buf");
-  out_buf_ = r.read_words64("out_buf");
-  emit_index_ = static_cast<std::size_t>(r.read_u64("emit_index"));
-  compute_left_ = r.read_u32("compute_left");
-  completed_ = r.read_u64("completed");
-  next_expected_tick_ = r.read_u64("next_expected_tick");
+void BlockRac::state(snap::Fields& f) {
+  Rac::state(f);
+  f.field_as<u8>("phase", phase_, Phase::kEmit);
+  f.field("busy", busy_);
+  f.field("in_buf", in_buf_);
+  f.field("out_buf", out_buf_);
+  f.field_as<u64>("emit_index", emit_index_);
+  f.field("compute_left", compute_left_);
+  f.field("completed", completed_);
+  f.field("next_expected_tick", next_expected_tick_);
 }
 
 void BlockRac::tick_compute() {

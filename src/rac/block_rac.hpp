@@ -46,8 +46,7 @@ class BlockRac : public core::Rac {
 
   // sim::Component
   void tick_compute() override;
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
   /// Quiescent while idle, blocked on a FIFO flag, or inside the compute
   /// latency (a wake_at timer is armed for the end of the countdown, and
   /// skipped decrements are credited in bulk on wake-up).

@@ -114,47 +114,26 @@ res::ResourceNode ConfigurableFirRac::resource_tree() const {
   return n;
 }
 
-void ConfigurableFirRac::save_state(snap::StateWriter& w) const {
-  save_base_state(w);
-  w.write_u8("phase", static_cast<u8>(phase_));
-  w.write_bool("busy", busy_);
-  w.write_u32("taps_loaded", taps_loaded_);
-  w.write_u32("remaining", remaining_);
-  w.write_u64("completed", completed_);
-  w.write_u64("reconfigs", reconfigs_);
-  std::vector<u32> words(taps_.size() + delay_.size());
-  for (std::size_t i = 0; i < taps_.size(); ++i) {
-    words[i] = static_cast<u32>(taps_[i]);
-  }
-  for (std::size_t i = 0; i < delay_.size(); ++i) {
-    words[taps_.size() + i] = static_cast<u32>(delay_[i]);
-  }
-  w.write_words32("taps_and_delay", words);
-}
-
-void ConfigurableFirRac::restore_state(snap::StateReader& r) {
-  restore_base_state(r);
-  const u8 phase = r.read_u8("phase");
-  if (phase > static_cast<u8>(Phase::kStream)) {
-    throw snap::SnapshotError("ConfigurableFirRac " + name() +
-                              ": bad phase " + std::to_string(phase));
-  }
-  phase_ = static_cast<Phase>(phase);
-  busy_ = r.read_bool("busy");
-  taps_loaded_ = r.read_u32("taps_loaded");
-  remaining_ = r.read_u32("remaining");
-  completed_ = r.read_u64("completed");
-  reconfigs_ = r.read_u64("reconfigs");
-  const std::vector<u32> words = r.read_words32("taps_and_delay");
-  if (words.size() != taps_.size() + delay_.size()) {
-    throw snap::SnapshotError("ConfigurableFirRac " + name() +
-                              ": taps/delay length mismatch");
-  }
-  for (std::size_t i = 0; i < taps_.size(); ++i) {
-    taps_[i] = static_cast<i32>(words[i]);
-  }
-  for (std::size_t i = 0; i < delay_.size(); ++i) {
-    delay_[i] = static_cast<i32>(words[taps_.size() + i]);
+void ConfigurableFirRac::state(snap::Fields& f) {
+  Rac::state(f);
+  f.field_as<u8>("phase", phase_, Phase::kStream);
+  f.field("busy", busy_);
+  f.field("taps_loaded", taps_loaded_);
+  f.field("remaining", remaining_);
+  f.field("completed", completed_);
+  f.field("reconfigs", reconfigs_);
+  // Taps and delay line travel as one words32 field.
+  std::vector<u32> words(taps_.begin(), taps_.end());
+  words.insert(words.end(), delay_.begin(), delay_.end());
+  f.field("taps_and_delay", words);
+  if (f.restoring()) {
+    if (words.size() != taps_.size() + delay_.size()) {
+      f.fail("taps/delay length mismatch");
+    }
+    const auto tail =
+        words.begin() + static_cast<std::ptrdiff_t>(taps_.size());
+    std::copy(words.begin(), tail, taps_.begin());
+    std::copy(tail, words.end(), delay_.begin());
   }
 }
 

@@ -51,8 +51,7 @@ class ConfigurableFirRac : public core::Rac {
 
   // sim::Component
   void tick_compute() override;
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
   /// Quiescent while idle or blocked on the phase's FIFOs.
   [[nodiscard]] bool is_quiescent() const override {
     switch (phase_) {
@@ -68,7 +67,6 @@ class ConfigurableFirRac : public core::Rac {
 
   [[nodiscard]] u32 taps_n() const { return taps_n_; }
   [[nodiscard]] u32 block_len() const { return block_len_; }
-  [[nodiscard]] const std::vector<i32>& current_taps() const { return taps_; }
   [[nodiscard]] u64 reconfig_count() const { return reconfigs_; }
 
   [[nodiscard]] res::ResourceNode resource_tree() const override;

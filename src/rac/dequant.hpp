@@ -34,8 +34,6 @@ class DequantRac : public BlockRac {
 
   DequantRac(sim::Kernel& kernel, std::string name, DequantConfig cfg);
 
-  [[nodiscard]] const DequantConfig& dequant_config() const { return cfg_; }
-
   [[nodiscard]] res::ResourceNode resource_tree() const override;
 
  protected:

@@ -103,31 +103,12 @@ res::ResourceNode FirRac::resource_tree() const {
   return n;
 }
 
-void FirRac::save_state(snap::StateWriter& w) const {
-  save_base_state(w);
-  w.write_bool("busy", busy_);
-  w.write_u32("remaining", remaining_);
-  std::vector<u32> delay(delay_.size());
-  for (std::size_t i = 0; i < delay_.size(); ++i) {
-    delay[i] = static_cast<u32>(delay_[i]);
-  }
-  w.write_words32("delay", delay);
-  w.write_u64("completed", completed_);
-}
-
-void FirRac::restore_state(snap::StateReader& r) {
-  restore_base_state(r);
-  busy_ = r.read_bool("busy");
-  remaining_ = r.read_u32("remaining");
-  const std::vector<u32> delay = r.read_words32("delay");
-  if (delay.size() != delay_.size()) {
-    throw snap::SnapshotError("FirRac " + name() + ": delay-line length "
-                              "mismatch");
-  }
-  for (std::size_t i = 0; i < delay.size(); ++i) {
-    delay_[i] = static_cast<i32>(delay[i]);
-  }
-  completed_ = r.read_u64("completed");
+void FirRac::state(snap::Fields& f) {
+  Rac::state(f);
+  f.field("busy", busy_);
+  f.field("remaining", remaining_);
+  f.field("delay", std::span(delay_));
+  f.field("completed", completed_);
 }
 
 }  // namespace ouessant::rac

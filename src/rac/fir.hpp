@@ -41,8 +41,7 @@ class FirRac : public core::Rac {
 
   // sim::Component
   void tick_compute() override;
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
   /// Quiescent while idle or FIFO-blocked (all wait ticks are no-ops);
   /// start() and the bound FIFOs' commit edges wake the datapath.
   [[nodiscard]] bool is_quiescent() const override {

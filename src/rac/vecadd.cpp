@@ -68,18 +68,11 @@ res::ResourceNode VecAddRac::resource_tree() const {
   return {.name = name(), .self = e, .children = {}};
 }
 
-void VecAddRac::save_state(snap::StateWriter& w) const {
-  save_base_state(w);
-  w.write_bool("busy", busy_);
-  w.write_u32("remaining", remaining_);
-  w.write_u64("completed", completed_);
-}
-
-void VecAddRac::restore_state(snap::StateReader& r) {
-  restore_base_state(r);
-  busy_ = r.read_bool("busy");
-  remaining_ = r.read_u32("remaining");
-  completed_ = r.read_u64("completed");
+void VecAddRac::state(snap::Fields& f) {
+  Rac::state(f);
+  f.field("busy", busy_);
+  f.field("remaining", remaining_);
+  f.field("completed", completed_);
 }
 
 }  // namespace ouessant::rac

@@ -39,8 +39,7 @@ class VecAddRac : public core::Rac {
 
   // sim::Component
   void tick_compute() override;
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
   /// Quiescent while idle or blocked on any of the three FIFOs.
   [[nodiscard]] bool is_quiescent() const override {
     if (!busy_) return true;

@@ -377,7 +377,10 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
   }
   // With the count equal to the registry size, rejecting a repeated name
   // also rejects a missing one, so every component gets its saved flag.
-  std::unordered_map<Component*, bool> awake_flags;
+  // Between ticks every component holds its slot, so the flags are kept
+  // by slot: kUnset until the image names the component.
+  constexpr u8 kUnset = 2;
+  std::vector<u8> awake_flags(components_.size(), kUnset);
   for (u32 i = 0; i < comp_count; ++i) {
     const std::string name = r.read_string("component");
     const bool awake = r.read_bool("awake");
@@ -386,10 +389,12 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
       throw snap::SnapshotError("Kernel::restore_from: snapshot component '" +
                                 name + "' is not registered here");
     }
-    if (!awake_flags.emplace(it->second, awake).second) {
+    u8& flag = awake_flags[it->second->slot_];
+    if (flag != kUnset) {
       throw snap::SnapshotError("Kernel::restore_from: snapshot names "
                                 "component '" + name + "' twice");
     }
+    flag = awake ? 1 : 0;
   }
 
   const u32 timer_count = r.read_u32("timer_count");
@@ -428,7 +433,9 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
 
   // Scheduler state last: restore_state() calls may have issued stray
   // wake()s — overwrite them with the saved awake set and timer heap.
-  for (auto& [c, awake] : awake_flags) c->awake_ = awake;
+  for (Component* c : components_) {
+    if (c != nullptr) c->awake_ = awake_flags[c->slot_] == 1;
+  }
   reindex();
   wake_heap_ = std::move(timers);
   std::make_heap(wake_heap_.begin(), wake_heap_.end(), HeapOrder{});

@@ -54,12 +54,11 @@
 #include <vector>
 
 #include "sim/stats.hpp"
+#include "snap/state.hpp"
 #include "util/types.hpp"
 
 namespace ouessant::snap {
 class Snapshot;
-class StateReader;
-class StateWriter;
 }  // namespace ouessant::snap
 
 namespace ouessant::sim {
@@ -67,7 +66,7 @@ namespace ouessant::sim {
 class Kernel;
 
 /// Base class for every clocked hardware block in the simulation.
-class Component {
+class Component : public snap::Stateful<Component> {
  public:
   Component(Kernel& kernel, std::string name);
   virtual ~Component();
@@ -96,21 +95,17 @@ class Component {
   /// wake-ups are harmless by the quiescence contract.
   void wake_at(Cycle cycle);
 
-  /// Serialize this component's architectural state (everything a tick
-  /// reads or writes) as a tagged field stream. The default saves
+  /// This component's architectural state (everything a tick reads or
+  /// writes) as one field list in wire order; save_state() and
+  /// restore_state() (snap::Stateful) both run it. The default lists
   /// nothing — correct only for genuinely stateless components.
-  /// Together with restore_state() this is the uniform snapshot
-  /// protocol: restoring a saved stream into an identically-configured
-  /// component must make subsequent simulation bit-identical to the
-  /// original run. Host-side telemetry (tracers, samplers, scheduler
-  /// stats) is deliberately outside the protocol.
-  virtual void save_state(snap::StateWriter&) const {}
-
-  /// Inverse of save_state(). Called between ticks on a freshly
-  /// constructed (same config) component; must consume exactly the
-  /// fields save_state() wrote, in order. Wiring (pointers, waiter
-  /// lists) is reconstructed by construction, not restored.
-  virtual void restore_state(snap::StateReader&) {}
+  /// Restoring a saved stream into an identically-configured component
+  /// must make subsequent simulation bit-identical to the original run.
+  /// Restores happen between ticks on a freshly constructed (same
+  /// config) component; wiring (pointers, waiter lists) comes from
+  /// construction, not from the stream. Host-side telemetry (tracers,
+  /// samplers, scheduler stats) is deliberately outside the protocol.
+  virtual void state(snap::Fields&) {}
 
   /// True while the kernel clocks this component (diagnostics).
   [[nodiscard]] bool awake() const { return awake_; }

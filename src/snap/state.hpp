@@ -1,9 +1,11 @@
 // Tagged sequential state streams — the per-component wire format of a
 // snapshot section.
 //
-// A component's save_state() writes a sequence of named, type-tagged
-// fields through a StateWriter; restore_state() reads the same sequence
-// back through a StateReader. Names and tags are verified on read, so a
+// A component declares its state once, as one field list
+// (`void state(Fields&)`, below). Saving runs that list over a
+// StateWriter, which writes a sequence of named, type-tagged fields;
+// restoring runs the same list over a StateReader, which reads the
+// sequence back. Names and tags are verified on read, so a
 // version skew or a reordered field fails loudly with a SnapshotError
 // naming the component, the field, and what was found instead — never a
 // silent misparse. The format is deliberately sequential (no random
@@ -33,6 +35,8 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/types.hpp"
@@ -131,8 +135,13 @@ class StateReader {
   /// restore_state() that silently ignores trailing saved fields.
   void expect_end() const;
 
- private:
+  /// Bytes not yet read.
+  [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
+
+  /// Throws SnapshotError naming the context and the byte offset.
   [[noreturn]] void fail(const std::string& why) const;
+
+ private:
   void expect_field(Tag tag, std::string_view name);
   void read_blocks(u32 count,
                    const std::function<void(const Words32Block&)>& sink);
@@ -144,6 +153,171 @@ class StateReader {
   std::vector<u8> buf_;
   std::size_t pos_ = 0;
   std::string context_;
+};
+
+/// One field list, run in either direction. A stateful class declares
+/// its wire format once, as `void state(snap::Fields& f)`, naming its
+/// fields in wire order; saving runs the list over a StateWriter and
+/// restoring runs the same list over a StateReader. Only three things
+/// may depend on the direction:
+///   - an encoding whose wire form differs from the member: gather into
+///     a local before its field, scatter under restoring() after it;
+///   - a check on a restored value, written next to its field (on save
+///     it holds, because a live object is consistent);
+///   - rewiring after a restore (stream endpoints, timers), at the end.
+class Fields {
+ public:
+  explicit Fields(StateWriter& w) : w_(&w) {}
+  explicit Fields(StateReader& r) : r_(&r) {}
+
+  [[nodiscard]] bool saving() const { return w_ != nullptr; }
+  [[nodiscard]] bool restoring() const { return r_ != nullptr; }
+  /// The underlying streams, for an encoding that streams (SRAM pages).
+  [[nodiscard]] StateWriter& writer() const { return *w_; }
+  [[nodiscard]] StateReader& reader() const { return *r_; }
+
+  void field(std::string_view name, bool& v) {
+    w_ ? w_->write_bool(name, v) : void(v = r_->read_bool(name));
+  }
+  void field(std::string_view name, u8& v) {
+    w_ ? w_->write_u8(name, v) : void(v = r_->read_u8(name));
+  }
+  void field(std::string_view name, u32& v) {
+    w_ ? w_->write_u32(name, v) : void(v = r_->read_u32(name));
+  }
+  void field(std::string_view name, u64& v) {
+    w_ ? w_->write_u64(name, v) : void(v = r_->read_u64(name));
+  }
+  void field(std::string_view name, double& v) {
+    w_ ? w_->write_double(name, v) : void(v = r_->read_double(name));
+  }
+  void field(std::string_view name, std::string& v) {
+    w_ ? w_->write_string(name, v) : void(v = r_->read_string(name));
+  }
+  void field(std::string_view name, std::vector<u32>& v) {
+    w_ ? w_->write_words32(name, v) : void(v = r_->read_words32(name));
+  }
+  void field(std::string_view name, std::vector<u64>& v) {
+    w_ ? w_->write_words64(name, v) : void(v = r_->read_words64(name));
+  }
+  void field(std::string_view name, std::vector<u8>& v) {
+    w_ ? w_->write_bytes(name, v) : void(v = r_->read_bytes(name));
+  }
+
+  /// A fixed-length words32 field (a register file, a delay line): the
+  /// image must hold exactly v.size() words.
+  template <class T, std::size_t N>
+    requires(std::is_integral_v<T> && sizeof(T) == 4)
+  void field(std::string_view name, std::span<T, N> v) {
+    const auto n = static_cast<u32>(v.size());
+    if (w_ != nullptr) {
+      const u32* page = reinterpret_cast<const u32*>(v.data());
+      w_->write_words32(name, n, {&page, 1}, n);
+      return;
+    }
+    r_->read_words32(name, n, [v](const Words32Block& b) {
+      for (u32 k = 0; k < b.n; ++k) {
+        const u32 word = b.literal.empty() ? b.value : b.literal[k];
+        v[b.at + k] = static_cast<T>(word);
+      }
+    });
+  }
+
+  /// @p v carried as the wire integer @p Wire (a size_t, an int, an enum).
+  template <class Wire, class T>
+  void field_as(std::string_view name, T& v) {
+    Wire x = static_cast<Wire>(v);
+    field(name, x);
+    if (r_ != nullptr) v = static_cast<T>(x);
+  }
+
+  /// An enum carried as @p Wire; a restored value above @p last throws
+  /// before it reaches the member.
+  template <class Wire, class E>
+    requires std::is_enum_v<E>
+  void field_as(std::string_view name, E& v, E last) {
+    Wire x = static_cast<Wire>(v);
+    field(name, x);
+    if (x > static_cast<Wire>(last)) {
+      fail("'" + std::string(name) + "' holds " + std::to_string(x) +
+           ", past the last value " + std::to_string(static_cast<Wire>(last)));
+    }
+    if (r_ != nullptr) v = static_cast<E>(x);
+  }
+
+  /// A value the target already holds by construction (a configured
+  /// count, a name, a geometry), carried as @p Wire. On restore an image
+  /// with another value throws.
+  template <class Wire, class T>
+  void expect(std::string_view name, const T& have) {
+    const Wire want = static_cast<Wire>(have);
+    Wire got = want;
+    field(name, got);
+    if (got != want) {
+      fail("'" + std::string(name) + "' is " + show(got) +
+           " in the image, " + show(want) + " here");
+    }
+  }
+
+  /// A list length carried as @p Count. On restore a length that the
+  /// bytes left cannot hold (every entry takes at least one) throws.
+  template <class Count = u32>
+  std::size_t count(std::string_view name, std::size_t n) {
+    auto c = static_cast<Count>(n);
+    field(name, c);
+    if (r_ != nullptr && c > r_->remaining()) {
+      fail("'" + std::string(name) + "' declares " + std::to_string(c) +
+           " entries in " + std::to_string(r_->remaining()) + " bytes");
+    }
+    return static_cast<std::size_t>(c);
+  }
+
+  /// A variable-length list: its length under @p name, then @p each for
+  /// every entry. On restore the list is rebuilt at the saved length.
+  template <class Count = u32, class List, class Each>
+  void list(std::string_view name, List& list, Each&& each) {
+    const std::size_t n = count<Count>(name, list.size());
+    if (r_ != nullptr) {
+      list.clear();
+      list.resize(n);
+    }
+    for (auto& entry : list) each(entry);
+  }
+
+  /// Throws SnapshotError; on restore it names the section and byte.
+  [[noreturn]] void fail(const std::string& why) const {
+    if (r_ != nullptr) r_->fail(why);
+    throw SnapshotError(why);
+  }
+
+ private:
+  static std::string show(const std::string& s) { return "'" + s + "'"; }
+  template <class T>
+  static std::string show(const T& v) {
+    return std::to_string(v);
+  }
+
+  StateWriter* w_ = nullptr;
+  StateReader* r_ = nullptr;
+};
+
+/// Gives a class that declares `void state(Fields&, Args...)` the
+/// save_state()/restore_state() pair its callers use: both run the one
+/// field list. The list only reads members when saving.
+template <class Derived>
+class Stateful {
+ public:
+  template <class... Args>
+  void save_state(StateWriter& w, Args&&... args) const {
+    Fields f(w);
+    const_cast<Derived&>(static_cast<const Derived&>(*this))
+        .state(f, std::forward<Args>(args)...);
+  }
+  template <class... Args>
+  void restore_state(StateReader& r, Args&&... args) {
+    Fields f(r);
+    static_cast<Derived&>(*this).state(f, std::forward<Args>(args)...);
+  }
 };
 
 }  // namespace ouessant::snap

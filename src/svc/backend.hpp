@@ -86,8 +86,7 @@ class Backend {
 
   virtual void set_tracer(obs::EventTracer* tracer) = 0;
   /// Driver shadows (and chain stage), inside the Dispatcher's section.
-  virtual void save_state(snap::StateWriter& w) const = 0;
-  virtual void restore_state(snap::StateReader& r) = 0;
+  virtual void state(snap::Fields& f) = 0;
 
  protected:
   /// The stage currently executing: a chain's head during its
@@ -120,12 +119,7 @@ class OcpBackend final : public Backend {
   void set_tracer(obs::EventTracer* tracer) override {
     session_.set_tracer(tracer);
   }
-  void save_state(snap::StateWriter& w) const override {
-    session_.driver().save_state(w);
-  }
-  void restore_state(snap::StateReader& r) override {
-    session_.driver().restore_state(r);
-  }
+  void state(snap::Fields& f) override { session_.driver().state(f); }
 
  private:
   [[nodiscard]] drv::OcpSession& executing() override { return session_; }
@@ -159,12 +153,7 @@ class ChainBackend final : public Backend {
   void set_tracer(obs::EventTracer* tracer) override {
     chain_.set_tracer(tracer);
   }
-  void save_state(snap::StateWriter& w) const override {
-    chain_.save_state(w);
-  }
-  void restore_state(snap::StateReader& r) override {
-    chain_.restore_state(r);
-  }
+  void state(snap::Fields& f) override { chain_.state(f); }
 
  private:
   [[nodiscard]] drv::OcpSession& executing() override {

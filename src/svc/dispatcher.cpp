@@ -609,120 +609,71 @@ void Dispatcher::fail_unservable() {
   }
 }
 
-void Dispatcher::save_state(snap::StateWriter& w) const {
-  queue_.save_state(w);
+void Dispatcher::state(snap::Fields& f) {
+  queue_.state(f);
 
-  w.write_u32("workers", static_cast<u32>(workers_.size()));
-  for (const Worker& wk : workers_) {
-    w.write_u8("kind", static_cast<u8>(wk.kind));
-    wk.backend->save_state(w);
-    w.write_u32("installed_batch", wk.installed_batch);
-    w.write_bool("busy", wk.busy);
-    w.write_u64("busy_since", wk.busy_since);
-    w.write_u32("consecutive_faults", wk.consecutive_faults);
-    w.write_bool("quarantined", wk.quarantined);
-    w.write_u64("quarantine_since", wk.quarantine_since);
-    // Slot-backed workers only, so farm-less images stay byte-identical
-    // to the pre-farm format.
-    if (wk.retargetable) w.write_bool("reconfiguring", wk.reconfiguring);
-    w.write_u64("jobs", wk.stats.jobs);
-    w.write_u64("launches", wk.stats.launches);
-    w.write_u64("installs", wk.stats.installs);
-    w.write_u64("busy_cycles", wk.stats.busy_cycles);
-    w.write_u64("faults", wk.stats.faults);
-    w.write_u32("batch_size", static_cast<u32>(wk.batch.size()));
-    for (const Job& job : wk.batch) save_job(w, job);
-  }
-
-  // Remaining open-loop schedule only — ingested arrivals live in the
-  // queue / on workers already.
-  w.write_u32("schedule_left",
-              static_cast<u32>(schedule_.size() - next_arrival_));
-  for (std::size_t i = next_arrival_; i < schedule_.size(); ++i) {
-    save_job(w, schedule_[i]);
-  }
-  w.write_bool("arrival_due", arrival_due_);
-  w.write_u32("in_flight", in_flight_);
-  w.write_u64("completed", completed_);
-
-  w.write_u32("retry_count", static_cast<u32>(retry_queue_.size()));
-  for (const PendingRetry& p : retry_queue_) {
-    w.write_u64("ready_at", p.ready_at);
-    save_job(w, p.job);
-  }
-  w.write_u64("svc_faults", faults_);
-  w.write_u64("retries", retries_);
-  w.write_u64("failed", failed_);
-  w.write_u64("irq_recoveries", irq_recoveries_);
-  if (slots_ != nullptr) w.write_bool("slots_due", slots_due_);
-}
-
-void Dispatcher::restore_state(snap::StateReader& r) {
-  queue_.restore_state(r);
-
-  const u32 workers = r.read_u32("workers");
-  if (workers != workers_.size()) {
-    throw snap::SnapshotError("Dispatcher " + name() + ": image has " +
-                              std::to_string(workers) + " workers, target " +
-                              std::to_string(workers_.size()));
-  }
+  f.expect<u32>("workers", workers_.size());
   for (Worker& wk : workers_) {
-    const u8 kind = r.read_u8("kind");
+    u8 kind = static_cast<u8>(wk.kind);
+    f.field("kind", kind);
     if (kind != static_cast<u8>(wk.kind)) {
       // A slot-backed worker's kind is runtime state — adopt the
       // image's assignment (the ReconfigSlot section restores the
       // matching active candidate). Static workers still reject.
       if (!wk.retargetable || kind >= kNumJobKinds) {
-        throw snap::SnapshotError("Dispatcher " + name() +
-                                  ": worker kind mismatch");
+        f.fail("worker kind mismatch");
       }
       wk.kind = static_cast<JobKind>(kind);
     }
-    wk.backend->restore_state(r);
-    wk.installed_batch = r.read_u32("installed_batch");
-    wk.busy = r.read_bool("busy");
-    wk.busy_since = r.read_u64("busy_since");
-    wk.consecutive_faults = r.read_u32("consecutive_faults");
-    wk.quarantined = r.read_bool("quarantined");
-    wk.quarantine_since = r.read_u64("quarantine_since");
-    if (wk.retargetable) wk.reconfiguring = r.read_bool("reconfiguring");
-    wk.stats.jobs = r.read_u64("jobs");
-    wk.stats.launches = r.read_u64("launches");
-    wk.stats.installs = r.read_u64("installs");
-    wk.stats.busy_cycles = r.read_u64("busy_cycles");
-    wk.stats.faults = r.read_u64("faults");
-    const u32 batch = r.read_u32("batch_size");
-    wk.batch.clear();
-    for (u32 i = 0; i < batch; ++i) wk.batch.push_back(load_job(r));
+    wk.backend->state(f);
+    f.field("installed_batch", wk.installed_batch);
+    f.field("busy", wk.busy);
+    f.field("busy_since", wk.busy_since);
+    f.field("consecutive_faults", wk.consecutive_faults);
+    f.field("quarantined", wk.quarantined);
+    f.field("quarantine_since", wk.quarantine_since);
+    // Slot-backed workers only, so farm-less images stay byte-identical
+    // to the pre-farm format.
+    if (wk.retargetable) f.field("reconfiguring", wk.reconfiguring);
+    f.field("jobs", wk.stats.jobs);
+    f.field("launches", wk.stats.launches);
+    f.field("installs", wk.stats.installs);
+    f.field("busy_cycles", wk.stats.busy_cycles);
+    f.field("faults", wk.stats.faults);
+    f.list("batch_size", wk.batch, [&f](Job& job) { job_state(f, job); });
   }
 
-  const u32 left = r.read_u32("schedule_left");
-  schedule_.clear();
-  schedule_.reserve(left);
-  for (u32 i = 0; i < left; ++i) schedule_.push_back(load_job(r));
-  next_arrival_ = 0;
-  arrival_due_ = r.read_bool("arrival_due");
-  in_flight_ = r.read_u32("in_flight");
-  completed_ = r.read_u64("completed");
-
-  const u32 retries = r.read_u32("retry_count");
-  retry_queue_.clear();
-  for (u32 i = 0; i < retries; ++i) {
-    PendingRetry p;
-    p.ready_at = r.read_u64("ready_at");
-    p.job = load_job(r);
-    retry_queue_.push_back(std::move(p));
+  // Remaining open-loop schedule only — ingested arrivals live in the
+  // queue / on workers already, so a restored schedule starts at its
+  // head.
+  const std::size_t left =
+      f.count("schedule_left", schedule_.size() - next_arrival_);
+  if (f.restoring()) {
+    schedule_.assign(left, Job{});
+    next_arrival_ = 0;
   }
-  faults_ = r.read_u64("svc_faults");
-  retries_ = r.read_u64("retries");
-  failed_ = r.read_u64("failed");
-  irq_recoveries_ = r.read_u64("irq_recoveries");
-  if (slots_ != nullptr) slots_due_ = r.read_bool("slots_due");
+  for (std::size_t i = next_arrival_; i < schedule_.size(); ++i) {
+    job_state(f, schedule_[i]);
+  }
+  f.field("arrival_due", arrival_due_);
+  f.field("in_flight", in_flight_);
+  f.field("completed", completed_);
+
+  f.list("retry_count", retry_queue_, [&f](PendingRetry& p) {
+    f.field("ready_at", p.ready_at);
+    job_state(f, p.job);
+  });
+  f.field("svc_faults", faults_);
+  f.field("retries", retries_);
+  f.field("failed", failed_);
+  f.field("irq_recoveries", irq_recoveries_);
+  if (slots_ != nullptr) f.field("slots_due", slots_due_);
 
   // Re-arm the deadline timers the image implies (wake_at state is
   // rebuilt by the kernel from its own section; these are belt and
   // braces for hand-assembled restores, and harmless duplicates
   // otherwise).
+  if (!f.restoring()) return;
   if (!arrival_due_ && !schedule_.empty()) {
     wake_at(schedule_.front().arrival);
   }

@@ -263,8 +263,7 @@ class Dispatcher : public sim::Component {
   /// match the image (same ServiceConfig); backends carry only their
   /// drivers' shadows (and a chain's stage). The retry policy and hooks
   /// are host wiring.
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
 
   /// Warm-boot: zero every per-run counter (queue accept/reject, worker
   /// stats, fault accounting) while keeping the warm microstate —

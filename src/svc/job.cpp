@@ -81,37 +81,23 @@ std::size_t JobQueue::size_of_kind(JobKind kind) const {
   return n;
 }
 
-void save_job(snap::StateWriter& w, const Job& job) {
-  w.write_u64("id", job.id);
-  w.write_u8("kind", static_cast<u8>(job.kind));
-  w.write_u8("prio", static_cast<u8>(job.prio));
-  w.write_u64("arrival", job.arrival);
-  w.write_words32("payload", job.payload);
-  w.write_u64("dispatch", job.dispatch);
-  w.write_u64("complete", job.complete);
-  w.write_u32("worker", static_cast<u32>(job.worker));
-  w.write_u32("attempts", job.attempts);
+void job_state(snap::Fields& f, Job& job) {
+  f.field("id", job.id);
+  f.field_as<u8>("kind", job.kind, static_cast<JobKind>(kNumJobKinds - 1));
+  f.field_as<u8>("prio", job.prio,
+                 static_cast<Priority>(kNumPriorities - 1));
+  f.field("arrival", job.arrival);
+  f.field("payload", job.payload);
+  f.field("dispatch", job.dispatch);
+  f.field("complete", job.complete);
+  f.field_as<u32>("worker", job.worker);
+  f.field("attempts", job.attempts);
 }
 
 Job load_job(snap::StateReader& r) {
   Job job;
-  job.id = r.read_u64("id");
-  const u8 kind = r.read_u8("kind");
-  if (kind >= kNumJobKinds) {
-    throw snap::SnapshotError("Job: bad kind " + std::to_string(kind));
-  }
-  job.kind = static_cast<JobKind>(kind);
-  const u8 prio = r.read_u8("prio");
-  if (prio >= kNumPriorities) {
-    throw snap::SnapshotError("Job: bad priority " + std::to_string(prio));
-  }
-  job.prio = static_cast<Priority>(prio);
-  job.arrival = r.read_u64("arrival");
-  job.payload = r.read_words32("payload");
-  job.dispatch = r.read_u64("dispatch");
-  job.complete = r.read_u64("complete");
-  job.worker = static_cast<int>(r.read_u32("worker"));
-  job.attempts = r.read_u32("attempts");
+  snap::Fields f(r);
+  job_state(f, job);
   return job;
 }
 
@@ -121,28 +107,14 @@ void JobQueue::reset_counters() {
   peak_ = size();
 }
 
-void JobQueue::save_state(snap::StateWriter& w) const {
-  w.write_u64("accepted", accepted_);
-  w.write_u64("rejected", rejected_);
-  w.write_u64("peak", peak_);
-  for (std::size_t c = 0; c < kNumPriorities; ++c) {
-    w.write_u32("class_size", static_cast<u32>(classes_[c].size()));
-    for (const Job& job : classes_[c]) save_job(w, job);
+void JobQueue::state(snap::Fields& f) {
+  f.field("accepted", accepted_);
+  f.field("rejected", rejected_);
+  f.field_as<u64>("peak", peak_);
+  for (std::deque<Job>& jobs : classes_) {
+    f.list("class_size", jobs, [&f](Job& job) { job_state(f, job); });
   }
-}
-
-void JobQueue::restore_state(snap::StateReader& r) {
-  accepted_ = r.read_u64("accepted");
-  rejected_ = r.read_u64("rejected");
-  peak_ = static_cast<std::size_t>(r.read_u64("peak"));
-  for (std::size_t c = 0; c < kNumPriorities; ++c) {
-    const u32 n = r.read_u32("class_size");
-    classes_[c].clear();
-    for (u32 i = 0; i < n; ++i) classes_[c].push_back(load_job(r));
-  }
-  if (size() > depth_) {
-    throw snap::SnapshotError("JobQueue: image holds more jobs than depth");
-  }
+  if (size() > depth_) f.fail("image holds more jobs than depth");
 }
 
 }  // namespace ouessant::svc

@@ -65,9 +65,10 @@ struct Job {
   [[nodiscard]] u64 end_to_end() const { return complete - arrival; }
 };
 
-/// Serialize / reconstruct one Job (fields are sequential, so lists
-/// repeat them: a count field then save_job per element).
-void save_job(snap::StateWriter& w, const Job& job);
+/// One Job's field list (fields are sequential, so lists repeat them: a
+/// count field, then these fields per element).
+void job_state(snap::Fields& f, Job& job);
+/// Reads one Job from @p r through job_state().
 [[nodiscard]] Job load_job(snap::StateReader& r);
 
 /// Bounded multi-class FIFO. push() rejects (and counts) when the queue
@@ -113,9 +114,8 @@ class JobQueue {
   /// own run. Queued jobs are untouched.
   void reset_counters();
 
-  // Snapshot hooks (host-stack object; the Dispatcher embeds these).
-  void save_state(snap::StateWriter& w) const;
-  void restore_state(snap::StateReader& r);
+  // Snapshot field list (host-stack object; the Dispatcher lists it).
+  void state(snap::Fields& f);
 
  private:
   std::size_t depth_;

@@ -51,16 +51,12 @@ void LatencyStats::add_metrics(exp::Result& result,
   result.add_metric(prefix + "_max", max());
 }
 
-void LatencyStats::save_state(snap::StateWriter& w,
-                              const std::string& name) const {
-  w.write_words64(name, samples_);
-}
-
-void LatencyStats::restore_state(snap::StateReader& r,
-                                 const std::string& name) {
-  samples_ = r.read_words64(name);
-  sum_ = 0;
-  for (u64 s : samples_) sum_ += s;
+void LatencyStats::state(snap::Fields& f, std::string_view name) {
+  f.field(name, samples_);
+  if (f.restoring()) {
+    sum_ = 0;
+    for (u64 s : samples_) sum_ += s;
+  }
 }
 
 }  // namespace ouessant::svc

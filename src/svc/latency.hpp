@@ -13,7 +13,7 @@
 
 namespace ouessant::svc {
 
-class LatencyStats {
+class LatencyStats : public snap::Stateful<LatencyStats> {
  public:
   void add(u64 sample);
 
@@ -33,10 +33,10 @@ class LatencyStats {
   /// the trace round-trip test compares per-job span durations against.
   [[nodiscard]] const std::vector<u64>& samples() const { return samples_; }
 
-  // Snapshot hooks: the sample vector is the whole state (sum_ is
-  // recomputed on restore, so it can never drift from the samples).
-  void save_state(snap::StateWriter& w, const std::string& name) const;
-  void restore_state(snap::StateReader& r, const std::string& name);
+  // Snapshot field list: the sample vector, under @p name, is the whole
+  // state (sum_ is recomputed on restore, so it can never drift from the
+  // samples).
+  void state(snap::Fields& f, std::string_view name);
 
  private:
   std::vector<u64> samples_;

@@ -121,11 +121,23 @@ OffloadService::OffloadService(ServiceConfig cfg)
     throw ConfigError("OffloadService: at least one OCP worker required");
   }
   const std::size_t slot_count = cfg_.slots.enabled() ? cfg_.slots.count : 0;
+  const std::size_t windows =
+      cfg_.ocps.size() + slot_count + cfg_.chains.size();
   if ((slot_count > 0 || !cfg_.chains.empty()) &&
-      worker_base(cfg_.ocps.size() + slot_count + cfg_.chains.size()) >
-          kBitstreamBase) {
+      worker_base(windows) > kBitstreamBase) {
     throw ConfigError(
         "OffloadService: worker windows would overlap the bitstream store");
+  }
+  // Worker i's window ends where worker i+1's begins; each must lie
+  // inside the SRAM, or its first staged block fails mid-run.
+  const u64 sram_end = u64{cfg_.soc.sram_base} + cfg_.soc.sram_bytes;
+  for (std::size_t i = 0; i < windows; ++i) {
+    if (worker_base(i + 1) > sram_end) {
+      throw ConfigError("OffloadService: worker " + std::to_string(i) +
+                        "'s window " + hex(worker_base(i)) +
+                        " leaves the SRAM, which ends at " +
+                        hex(static_cast<u32>(sram_end)));
+    }
   }
   soc_.bus().connect_slave(irq_ctl_, kSvcIrqCtlBase, cpu::kIrqCtlSpanBytes);
   for (std::size_t i = 0; i < cfg_.ocps.size(); ++i) {
@@ -499,32 +511,9 @@ ServiceReport OffloadService::run_schedule(std::vector<Job> arrivals) {
 
 snap::Snapshot OffloadService::snapshot() const {
   snap::Snapshot s = soc_.snapshot();
-
   snap::StateWriter w;
-  w.write_bool("began", began_);
-  w.write_u8("mode", static_cast<u8>(workload_.mode));
-  w.write_u32("jobs", workload_.jobs);
-  w.write_double("mean_gap", workload_.mean_gap);
-  w.write_u32("clients", workload_.clients);
-  std::vector<u32> kinds;
-  kinds.reserve(workload_.kinds.size());
-  for (JobKind k : workload_.kinds) kinds.push_back(static_cast<u32>(k));
-  w.write_words32("kinds", kinds);
-  w.write_double("high_fraction", workload_.high_fraction);
-  w.write_u64("seed", workload_.seed);
-
-  const auto rng = rng_.state();
-  w.write_words32("rng", {rng[0], rng[1], rng[2], rng[3]});
-  w.write_u64("issued", issued_);
-  w.write_u64("rep_jobs", rep_.jobs);
-  w.write_u64("rep_start", rep_.start);
-  rep_.wait.save_state(w, "wait");
-  rep_.service.save_state(w, "service");
-  rep_.e2e.save_state(w, "e2e");
-  w.write_bool("has_injector", injector_ != nullptr);
-  if (injector_) injector_->save_state(w);
-  w.write_bool("has_flight", flight_ != nullptr);
-  if (flight_ != nullptr) flight_->save_state(w);
+  snap::Fields f(w);
+  const_cast<OffloadService&>(*this).state(f);  // a save only reads
   s.add("svc", 2, w.take());
   return s;
 }
@@ -541,49 +530,47 @@ void OffloadService::restore(const snap::Snapshot& snap) {
   // The SoC restore validates the fingerprint and walks every kernel
   // component — the dispatcher and IRQ controller included.
   soc_.restore(snap);
-
   snap::StateReader r(sec.bytes, "svc");
-  began_ = r.read_bool("began");
-  ran_ = began_;
-  workload_.mode = static_cast<LoadMode>(r.read_u8("mode"));
-  workload_.jobs = r.read_u32("jobs");
-  workload_.mean_gap = r.read_double("mean_gap");
-  workload_.clients = r.read_u32("clients");
-  workload_.kinds.clear();
-  for (u32 k : r.read_words32("kinds")) {
-    if (k >= kNumJobKinds) {
-      throw snap::SnapshotError("svc: bad workload kind " + std::to_string(k));
-    }
-    workload_.kinds.push_back(static_cast<JobKind>(k));
-  }
-  workload_.high_fraction = r.read_double("high_fraction");
-  workload_.seed = r.read_u64("seed");
-
-  const std::vector<u32> rng = r.read_words32("rng");
-  if (rng.size() != 4) throw snap::SnapshotError("svc: bad rng state width");
-  rng_.restore_state({rng[0], rng[1], rng[2], rng[3]});
-  issued_ = r.read_u64("issued");
-  rep_ = ServiceReport{};
-  rep_.jobs = r.read_u64("rep_jobs");
-  rep_.start = r.read_u64("rep_start");
-  rep_.wait.restore_state(r, "wait");
-  rep_.service.restore_state(r, "service");
-  rep_.e2e.restore_state(r, "e2e");
-  const bool has_injector = r.read_bool("has_injector");
-  if (has_injector != (injector_ != nullptr)) {
-    throw snap::SnapshotError(
-        "svc: injector presence differs between image and target");
-  }
-  if (injector_) injector_->restore_state(r);
-  const bool has_flight = r.read_bool("has_flight");
-  if (has_flight != (flight_ != nullptr)) {
-    throw snap::SnapshotError(
-        "svc: flight-recorder presence differs between image and target");
-  }
-  if (flight_ != nullptr) flight_->restore_state(r);
+  snap::Fields f(r);
+  state(f);
   r.expect_end();
-
+  ran_ = began_;
   if (began_) install_completion_hook();
+}
+
+void OffloadService::state(snap::Fields& f) {
+  f.field("began", began_);
+  f.field_as<u8>("mode", workload_.mode, LoadMode::kClosedLoop);
+  f.field("jobs", workload_.jobs);
+  f.field("mean_gap", workload_.mean_gap);
+  f.field("clients", workload_.clients);
+  std::vector<u32> kinds;
+  for (JobKind k : workload_.kinds) kinds.push_back(static_cast<u32>(k));
+  f.field("kinds", kinds);
+  if (f.restoring()) {
+    workload_.kinds.clear();
+    for (u32 k : kinds) {
+      if (k >= kNumJobKinds) f.fail("bad workload kind " + std::to_string(k));
+      workload_.kinds.push_back(static_cast<JobKind>(k));
+    }
+  }
+  f.field("high_fraction", workload_.high_fraction);
+  f.field("seed", workload_.seed);
+
+  auto rng = rng_.state();
+  f.field("rng", std::span(rng));
+  if (f.restoring()) rng_.restore_state(rng);
+  f.field("issued", issued_);
+  if (f.restoring()) rep_ = ServiceReport{};
+  f.field("rep_jobs", rep_.jobs);
+  f.field("rep_start", rep_.start);
+  rep_.wait.state(f, "wait");
+  rep_.service.state(f, "service");
+  rep_.e2e.state(f, "e2e");
+  f.expect<bool>("has_injector", injector_ != nullptr);
+  if (injector_) injector_->state(f);
+  f.expect<bool>("has_flight", flight_ != nullptr);
+  if (flight_ != nullptr) flight_->state(f);
 }
 
 }  // namespace ouessant::svc

@@ -239,6 +239,9 @@ class OffloadService {
  private:
   void validate(const WorkloadConfig& workload) const;
   void install_completion_hook();
+  /// The "svc" section's field list (run state, RNG stream, report
+  /// accumulators, injector and flight ring).
+  void state(snap::Fields& f);
   /// Register @p ocp as the next worker, staged in its own SRAM window.
   u32 add_ocp_worker(core::Ocp& ocp, JobKind kind, u32 max_batch);
   void build_slot_farm();

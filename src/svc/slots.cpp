@@ -5,18 +5,6 @@
 
 namespace ouessant::svc {
 
-const char* policy_name(SwapPolicy policy) {
-  switch (policy) {
-    case SwapPolicy::kStatic:
-      return "static";
-    case SwapPolicy::kGreedyQueueDepth:
-      return "greedy";
-    case SwapPolicy::kHysteresis:
-      return "hysteresis";
-  }
-  return "?";
-}
-
 SwapPolicy policy_from_name(const std::string& name) {
   if (name == "static") return SwapPolicy::kStatic;
   if (name == "greedy") return SwapPolicy::kGreedyQueueDepth;
@@ -239,45 +227,28 @@ void SlotManager::reset_run_counters() {
   if (cache_ != nullptr) cache_->reset_counters();
 }
 
-void SlotManager::save_state(snap::StateWriter& w) const {
-  w.write_bool("deferred_due", deferred_due_);
-  w.write_u64("deferred_at", deferred_at_);
-  w.write_u64("swaps_started", swaps_started_);
-  w.write_u64("swaps_completed", swaps_completed_);
-  w.write_u64("preemptions", preemptions_);
-  w.write_u64("preempted_jobs", preempted_jobs_);
-  for (const auto& s : slots_) {
-    w.write_u64("resident_since", s.resident_since);
-    w.write_bool("swapping", s.swapping);
-    w.write_u32("swap_target", s.target);
-    w.write_u32("challenger", s.challenger);
-    w.write_u64("challenge_since", s.challenge_since);
-  }
-  if (cache_ != nullptr) cache_->save_state(w);
-}
-
-void SlotManager::restore_state(snap::StateReader& r) {
-  deferred_due_ = r.read_bool("deferred_due");
-  deferred_at_ = r.read_u64("deferred_at");
-  swaps_started_ = r.read_u64("swaps_started");
-  swaps_completed_ = r.read_u64("swaps_completed");
-  preemptions_ = r.read_u64("preemptions");
-  preempted_jobs_ = r.read_u64("preempted_jobs");
+void SlotManager::state(snap::Fields& f) {
+  f.field("deferred_due", deferred_due_);
+  f.field("deferred_at", deferred_at_);
+  f.field("swaps_started", swaps_started_);
+  f.field("swaps_completed", swaps_completed_);
+  f.field("preemptions", preemptions_);
+  f.field("preempted_jobs", preempted_jobs_);
   for (auto& s : slots_) {
-    s.resident_since = r.read_u64("resident_since");
-    s.swapping = r.read_bool("swapping");
-    s.target = r.read_u32("swap_target");
-    if (s.target >= s.kinds.size()) {
-      throw snap::SnapshotError("SlotManager: image swap target out of range");
-    }
-    s.challenger = r.read_u32("challenger");
-    s.challenge_since = r.read_u64("challenge_since");
+    f.field("resident_since", s.resident_since);
+    f.field("swapping", s.swapping);
+    f.field("swap_target", s.target);
+    if (s.target >= s.kinds.size()) f.fail("swap target out of range");
+    f.field("challenger", s.challenger);
+    f.field("challenge_since", s.challenge_since);
     if (s.challenger != kNoChallenger && s.challenger >= s.kinds.size()) {
-      throw snap::SnapshotError("SlotManager: challenger out of range");
+      f.fail("challenger out of range");
     }
   }
-  if (cache_ != nullptr) cache_->restore_state(r);
-  if (deferred_due_) wake_at(std::max(deferred_at_, kernel().now() + 1));
+  if (cache_ != nullptr) cache_->state(f);
+  if (f.restoring() && deferred_due_) {
+    wake_at(std::max(deferred_at_, kernel().now() + 1));
+  }
 }
 
 }  // namespace ouessant::svc

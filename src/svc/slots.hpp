@@ -43,7 +43,6 @@ enum class SwapPolicy : u8 {
   kHysteresis,
 };
 
-[[nodiscard]] const char* policy_name(SwapPolicy policy);
 /// ConfigError on an unknown name ("static", "greedy", "hysteresis").
 [[nodiscard]] SwapPolicy policy_from_name(const std::string& name);
 
@@ -119,8 +118,7 @@ class SlotManager : public sim::Component, public SlotDirector {
   /// Per-slot scheduler state (residency anchor, in-flight swap target)
   /// plus the counters and the staging cache. The regions, the ICAP port
   /// and the gated workers carry their own state.
-  void save_state(snap::StateWriter& w) const override;
-  void restore_state(snap::StateReader& r) override;
+  void state(snap::Fields& f) override;
 
  private:
   struct SlotState {

@@ -396,12 +396,7 @@ class Poker : public sim::Component {
   }
   void tick_commit() override { log_.push_back({kernel().now(), 'm', id_}); }
   [[nodiscard]] bool is_quiescent() const override { return hold_ == 0; }
-  void save_state(snap::StateWriter& w) const override {
-    w.write_u32("hold", hold_);
-  }
-  void restore_state(snap::StateReader& r) override {
-    hold_ = r.read_u32("hold");
-  }
+  void state(snap::Fields& f) override { f.field("hold", hold_); }
 
   /// Give this component @p hold computes of work and wake it.
   void poke(u32 hold) {

@@ -3,7 +3,10 @@
 //   1. State streams: every tagged field type round-trips; wrong name,
 //      wrong tag, truncation, trailing garbage and a false words32 count
 //      all throw SnapshotError naming the field; the paged words32
-//      encoder emits the dense encoder's bytes.
+//      encoder emits the dense encoder's bytes. One field list saves the
+//      bytes a hand-written save would, restores them, and refuses an
+//      enum past its last value, a fixed field of another length and a
+//      list longer than the bytes left.
 //   2. Container: serialize/deserialize round-trips; corrupted bytes,
 //      short images, bad magic, a format-version skew and a section size
 //      that wraps the bounds check are rejected before any component
@@ -24,9 +27,18 @@
 //      throws instead of corrupting, a warm-booted stack holds no more
 //      SRAM pages than its template, and the fleet layer's fixed-seed
 //      shard replay reproduces bit-for-bit.
+//   6. Pinned images: two whole-stack images — serve_mixed point 0's
+//      final state, and the every-worker-kind stack (farm, bitstream
+//      cache, ICAP, both chain modes, injector, flight ring) frozen mid
+//      store-and-forward head — keep their size and every section's
+//      CRC-32, so a field list that drifts from the wire format fails
+//      here naming the section.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <span>
@@ -35,11 +47,14 @@
 #include <vector>
 
 #include "drv/session.hpp"
+#include "exp/sweep.hpp"
 #include "fleet/fleet.hpp"
 #include "mem/sram.hpp"
+#include "obs/flight.hpp"
 #include "ouessant/codegen.hpp"
 #include "platform/soc.hpp"
 #include "rac/idct.hpp"
+#include "scenarios.hpp"
 #include "sim/kernel.hpp"
 #include "snap/snapshot.hpp"
 #include "snap/state.hpp"
@@ -220,6 +235,85 @@ TEST(StateStream, WrongNameWrongTagAndTruncationThrow) {
 
   StateReader leftover(bytes, "test");
   EXPECT_THROW(leftover.expect_end(), SnapshotError);
+}
+
+/// A miniature stateful object: one field list of each kind.
+struct Listed {
+  enum class Phase : u8 { kIdle, kRun, kDone };
+  Phase phase = Phase::kIdle;
+  std::size_t cursor = 0;
+  std::array<i32, 3> taps{};
+  std::vector<std::pair<u64, std::string>> log;
+
+  void state(snap::Fields& f) {
+    f.field_as<u8>("phase", phase, Phase::kDone);
+    f.field_as<u64>("cursor", cursor);
+    f.field("taps", std::span(taps));
+    f.list("log_count", log, [&f](std::pair<u64, std::string>& e) {
+      f.field("at", e.first);
+      f.field("what", e.second);
+    });
+  }
+};
+
+TEST(StateStream, OneFieldListRunsInBothDirections) {
+  Listed a;
+  a.phase = Listed::Phase::kRun;
+  a.cursor = 7;
+  a.taps = {-1, 2, -3};
+  a.log = {{5, "start"}, {9, "stop"}};
+  StateWriter w;
+  snap::Fields save(w);
+  a.state(save);
+
+  // The list writes exactly the fields a hand-written save would.
+  StateWriter by_hand;
+  by_hand.write_u8("phase", 1);
+  by_hand.write_u64("cursor", 7);
+  by_hand.write_words32("taps", {0xFFFF'FFFFu, 2, 0xFFFF'FFFDu});
+  by_hand.write_u32("log_count", 2);
+  by_hand.write_u64("at", 5);
+  by_hand.write_string("what", "start");
+  by_hand.write_u64("at", 9);
+  by_hand.write_string("what", "stop");
+  EXPECT_EQ(w.bytes(), by_hand.bytes());
+
+  Listed b;
+  b.log = {{1, "stale"}};
+  StateReader r(w.bytes(), "listed");
+  snap::Fields restore(r);
+  b.state(restore);
+  r.expect_end();
+  EXPECT_EQ(b.phase, a.phase);
+  EXPECT_EQ(b.cursor, a.cursor);
+  EXPECT_EQ(b.taps, a.taps);
+  EXPECT_EQ(b.log, a.log);
+}
+
+TEST(StateStream, FieldListRejectsOutOfRangeRestores) {
+  const auto restore = [](StateWriter& w) {
+    Listed target;
+    StateReader r(w.take(), "listed");
+    snap::Fields f(r);
+    target.state(f);
+  };
+  // An enum past its last value.
+  StateWriter phase;
+  phase.write_u8("phase", 3);
+  EXPECT_THROW(restore(phase), SnapshotError);
+  // A fixed-length field of another length.
+  StateWriter taps;
+  taps.write_u8("phase", 0);
+  taps.write_u64("cursor", 0);
+  taps.write_words32("taps", {1, 2});
+  EXPECT_THROW(restore(taps), SnapshotError);
+  // A list longer than the bytes left: refused before it is allocated.
+  StateWriter list;
+  list.write_u8("phase", 0);
+  list.write_u64("cursor", 0);
+  list.write_words32("taps", {1, 2, 3});
+  list.write_u32("log_count", 0xFFFF'FFFFu);
+  EXPECT_THROW(restore(list), SnapshotError);
 }
 
 // -------------------------------------------------------------- container --
@@ -912,6 +1006,132 @@ TEST(Fleet, RejectsEmptyFleet) {
   fleet::FleetConfig cfg;
   cfg.shards = 0;
   EXPECT_THROW((void)fleet::run_fleet(cfg), ConfigError);
+}
+
+// ---------------------------------------------------------- pinned images --
+
+struct PinnedSection {
+  const char* name;
+  u32 crc;
+};
+
+/// @p s must have @p bytes serialized bytes and exactly the sections of
+/// @p pinned, in order, each with its CRC-32. A failure names every
+/// section whose bytes moved and prints this build's table. Re-record a
+/// value only together with a bump of that section's version.
+void expect_pinned(const Snapshot& s, std::size_t bytes,
+                   std::span<const PinnedSection> pinned) {
+  EXPECT_EQ(s.serialize().size(), bytes);
+  std::string moved;
+  std::string table;
+  for (std::size_t i = 0; i < s.sections().size(); ++i) {
+    const snap::Section& sec = s.sections()[i];
+    const u32 crc = snap::crc32(sec.bytes);
+    if (i >= pinned.size() || sec.name != pinned[i].name ||
+        crc != pinned[i].crc) {
+      moved += " " + sec.name;
+    }
+    char line[96];
+    std::snprintf(line, sizeof line, "{\"%s\", 0x%08x},\n",
+                  sec.name.c_str(), crc);
+    table += line;
+  }
+  EXPECT_EQ(s.sections().size(), pinned.size());
+  EXPECT_TRUE(moved.empty()) << "sections whose bytes moved:" << moved
+                             << "\nthis build's sections:\n" << table;
+}
+
+TEST(SnapshotImage, ServeMixedPointZeroIsPinned) {
+  static constexpr PinnedSection kSections[] = {
+      {"kernel", 0xc029cc31},
+      {"c:ahb", 0x61c8c1b1},
+      {"c:svc_irqctl", 0x7841795d},
+      {"c:svc_dispatcher", 0x148fbc4b},
+      {"c:svc_idct0_rac", 0xc8031b85},
+      {"c:ocp0.fifo_in0", 0x73ab3c53},
+      {"c:ocp0.fifo_out0", 0x90fba93c},
+      {"c:ocp0.ctrl", 0x84347197},
+      {"c:svc_dft321_rac", 0x63893b19},
+      {"c:ocp1.fifo_in0", 0xfcb52b04},
+      {"c:ocp1.fifo_out0", 0x75e2c339},
+      {"c:ocp1.ctrl", 0xe761a69e},
+      {"c:svc_fir2_rac", 0xdae71ac7},
+      {"c:ocp2.fifo_in0", 0x39f803eb},
+      {"c:ocp2.fifo_out0", 0x2cb2b107},
+      {"c:ocp2.ctrl", 0x67d917b5},
+      {"c:svc_jpeg3_rac", 0x41e429d1},
+      {"c:ocp3.fifo_in0", 0x10b2ae73},
+      {"c:ocp3.fifo_out0", 0x4c646667},
+      {"c:ocp3.ctrl", 0x5fe90798},
+      {"soc", 0x7ea40e8f},
+      {"svc", 0x67204f01},
+  };
+  exp::Registry registry;
+  scenarios::register_all_scenarios(registry);
+  const exp::ScenarioSpec* spec = registry.find("serve_mixed");
+  ASSERT_NE(spec, nullptr);
+  exp::SweepJob job{.spec = spec, .params = spec->points().at(0), .ctx = {}};
+  job.ctx.seed = spec->default_seed;
+  job.ctx.snapshot_path = ::testing::TempDir() + "pinned_serve_mixed_0.snap";
+  const exp::Result r = exp::run_job(job);
+  ASSERT_TRUE(r.ok) << r.error;
+  std::ifstream in(job.ctx.snapshot_path, std::ios::binary | std::ios::ate);
+  EXPECT_EQ(static_cast<std::size_t>(in.tellg()), 17'942u);
+  const Snapshot s = Snapshot::load_file(job.ctx.snapshot_path);
+  std::remove(job.ctx.snapshot_path.c_str());
+  expect_pinned(s, 17'942, kSections);
+}
+
+TEST(SnapshotImage, EveryWorkerKindMidRunIsPinned) {
+  static constexpr PinnedSection kSections[] = {
+      {"kernel", 0xfa00db51},
+      {"c:ahb", 0x84b037f9},
+      {"c:svc_irqctl", 0x201fa2fe},
+      {"c:svc_dispatcher", 0x6c705f7a},
+      {"c:svc_idct0_rac", 0xed121676},
+      {"c:ocp0.fifo_in0", 0xf8c838a4},
+      {"c:ocp0.fifo_out0", 0xae5ce8a7},
+      {"c:ocp0.ctrl", 0x6ce84487},
+      {"c:svc_icap", 0x3c517389},
+      {"c:svc_slots", 0x375e4dfc},
+      {"c:svc_slot0_dft32", 0x05e0fe3f},
+      {"c:svc_slot0_fir", 0xf0615cc8},
+      {"c:svc_slot0", 0xe4361e65},
+      {"c:ocp1.fifo_in0", 0x3988185b},
+      {"c:ocp1.fifo_out0", 0xf45a63e2},
+      {"c:ocp1.ctrl", 0xaa23eb86},
+      {"c:svc_chain0_dq_rac", 0x58560a25},
+      {"c:ocp2.fifo_in0", 0x44dbec1d},
+      {"c:ocp2.fifo_out0", 0xeafa129b},
+      {"c:ocp2.ctrl", 0x892c1e07},
+      {"c:svc_chain0_idct_rac", 0x7f3538bc},
+      {"c:ocp3.fifo_in0", 0xeafa129b},
+      {"c:ocp3.fifo_out0", 0x39d3e007},
+      {"c:ocp3.ctrl", 0x92486c72},
+      {"c:svc_chain0_link", 0x19821a2f},
+      {"c:svc_chain1_dq_rac", 0xa37b379e},
+      {"c:ocp4.fifo_in0", 0x44dbec1d},
+      {"c:ocp4.fifo_out0", 0x4d8c06a2},
+      {"c:ocp4.ctrl", 0x03d3fa4e},
+      {"c:svc_chain1_idct_rac", 0x05e0fe3f},
+      {"c:ocp5.fifo_in0", 0xf45a63e2},
+      {"c:ocp5.fifo_out0", 0xf45a63e2},
+      {"c:ocp5.ctrl", 0x6ef505bc},
+      {"c:svc_chain1_link", 0x56b4c524},
+      {"soc", 0x8935028f},
+      {"svc", 0xbc0d044f},
+  };
+  svc::ServiceConfig cfg = mixed_config(true);
+  cfg.slots.cache_bytes = 64u << 10;
+  svc::OffloadService service(std::move(cfg));
+  obs::FlightRecorder flight(service.soc().kernel(), 64);
+  service.attach_flight_recorder(flight);
+  service.begin(mixed_workload());
+  while (!service.finished() && !store_forward_head_in_flight(service)) {
+    (void)service.step();
+  }
+  ASSERT_FALSE(service.finished());
+  expect_pinned(service.snapshot(), 116'827, kSections);
 }
 
 }  // namespace

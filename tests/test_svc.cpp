@@ -189,6 +189,34 @@ TEST(OffloadService, RejectsUnservedKind) {
   EXPECT_THROW((void)service.run(wl), ConfigError);
 }
 
+TEST(OffloadService, WorkerWindowsMustFitTheSram) {
+  // Worker i stages in the 1 MiB window at 0x40100000 + i MiB. On the
+  // default 16 MiB SRAM (ending at 0x41000000) fifteen windows fit and a
+  // sixteenth starts at the end: construction refuses it, naming it.
+  ServiceConfig sixteen;
+  sixteen.ocps.assign(16, OcpSpec{.kind = JobKind::kIdct, .max_batch = 1});
+  try {
+    OffloadService service(sixteen);
+    ADD_FAILURE() << "16 workers constructed on a 16 MiB SRAM";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("worker 15's window 0x41000000"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("ends at 0x41000000"), std::string::npos) << what;
+  }
+
+  ServiceConfig fifteen = sixteen;
+  fifteen.ocps.resize(15);
+  fifteen.queue_depth = 256;
+  OffloadService service(fifteen);
+  WorkloadConfig wl;
+  wl.jobs = 160;
+  wl.mean_gap = 40.0;
+  const ServiceReport rep = service.run(wl);
+  EXPECT_EQ(rep.completed, wl.jobs);
+  EXPECT_GT(rep.workers[14].jobs, 0u);
+}
+
 TEST(OffloadService, IdenticalSeedsGiveIdenticalReports) {
   OffloadService sa(small_service());
   OffloadService sb(small_service());
