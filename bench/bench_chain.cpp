@@ -35,6 +35,7 @@
 #include "platform/soc.hpp"
 #include "rac/dequant.hpp"
 #include "rac/idct.hpp"
+#include "svc/ledger.hpp"
 #include "svc/service.hpp"
 #include "util/fixed.hpp"
 #include "util/rng.hpp"
@@ -244,9 +245,7 @@ void run_service(const exp::ParamMap& params, const exp::RunContext& ctx,
   svc::OffloadService service(std::move(cfg));
   const svc::ServiceReport rep = service.run(wl);
   rep.add_to(result);
-  std::vector<const fifo::ChainLink*> links;
-  for (const auto& l : service.chain_links()) links.push_back(l.get());
-  obs::validate_soc_ledger(service.soc(), links);
+  (void)svc::validate_service_ledger(service);
   if (rep.completed + rep.rejected != rep.jobs) {
     result.fail("service lost jobs");
   }

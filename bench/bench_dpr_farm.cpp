@@ -26,9 +26,9 @@
 #include <utility>
 #include <vector>
 
-#include "obs/collect.hpp"
 #include "obs/gauges.hpp"
 #include "obs/tracer.hpp"
+#include "svc/ledger.hpp"
 #include "svc/service.hpp"
 
 namespace ouessant::scenarios {
@@ -50,7 +50,7 @@ void farm_point(svc::OffloadService& service, std::vector<svc::Job> schedule,
   }
   const svc::ServiceReport rep = service.run_schedule(std::move(schedule));
   rep.add_to(result);
-  obs::validate_soc_ledger(service.soc(), *service.icap());
+  (void)svc::validate_service_ledger(service);
   if (tracer != nullptr) {
     tracer->write_json(ctx.trace_events_path);
     result.add_metric("trace_events", static_cast<u64>(tracer->event_count()));

@@ -39,6 +39,7 @@
 #include "obs/gauges.hpp"
 #include "obs/tracer.hpp"
 #include "snap/snapshot.hpp"
+#include "svc/ledger.hpp"
 #include "svc/service.hpp"
 
 namespace ouessant::scenarios {
@@ -87,7 +88,7 @@ void serve_point(svc::ServiceConfig cfg, svc::WorkloadConfig wl,
     service.snapshot().save_file(ctx.snapshot_path);
   }
   rep.add_to(result);
-  obs::validate_soc_ledger(service.soc());
+  (void)svc::validate_service_ledger(service);
   if (tracer != nullptr) {
     tracer->write_json(ctx.trace_events_path);
     metrics->write_json(ctx.trace_events_path + ".metrics.json");
@@ -221,7 +222,7 @@ PassivityRun serve_three_kinds(bool traced, const exp::RunContext& ctx) {
                    .e2e = rep.e2e.samples(),
                    .completed = rep.completed};
   if (traced) {
-    obs::validate_soc_ledger(service.soc());
+    (void)svc::validate_service_ledger(service);
     run.trace_events = tracer->event_count();
   }
   run.cpu_s = thread_cpu_seconds() - t0;

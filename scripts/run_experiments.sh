@@ -3,7 +3,9 @@
 # the whole scenario registry through ouessant_bench. The sweep runs
 # twice (--compare-jobs): once serially and once on a worker pool sized
 # to the host, verifying the two produce bit-identical payloads and
-# recording both wall clocks into BENCH_sweep.json.
+# recording both wall clocks into BENCH_sweep.json. Every family's rows
+# (serve_*, dpr_*, chain_*) live there; `ouessant_bench --filter DPRF`
+# (or SVC, CHAIN) prints one family's table again.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,11 +23,6 @@ JOBS="${JOBS:-$DEFAULT_JOBS}"
 ./build/bench/ouessant_bench --compare-jobs "$JOBS" \
   --json BENCH_sweep.json | tee build/experiment-logs/sweep.txt
 
-# The offload-service scenarios again as a standalone artifact: the
-# serve_* histograms move together (scheduler changes shift every
-# percentile), so reviewers diff BENCH_serve.json on its own.
-./build/bench/ouessant_bench --filter serve --compare-jobs "$JOBS" \
-  --json BENCH_serve.json | tee build/experiment-logs/serve.txt
 # The fleet record (docs/fleet.md): fleet_warmboot — >= 8 shards forked
 # from one snapshot per point, with the cold-boot vs per-shard-fork
 # wall-time comparison and the fixed-seed shard-replay check — plus
@@ -38,19 +35,6 @@ JOBS="${JOBS:-$DEFAULT_JOBS}"
 ./build/bench/ouessant_bench --filter FLEET \
   --trace-events build/experiment-logs/trace \
   --json BENCH_fleet.json | tee build/experiment-logs/fleet.txt
-# The reconfigurable-slot-farm record (docs/reconfiguration.md):
-# demand-shift adaptation by policy, farm sizing, and the shared-vs-free
-# configuration-port ablation. Its headline claim (hysteresis beats
-# static on the shifted demand mix) is asserted in ctest's sweep.
-./build/bench/ouessant_bench --filter DPRF \
-  --json BENCH_dpr.json | tee build/experiment-logs/dpr.txt
-# The accelerator-chaining record (docs/chaining.md): p2p link vs SRAM
-# bounce at equal payload, the conduit cost sweep, a chained worker
-# under load, and the end-to-end JPEG decode. chain_traffic fails any
-# point where the linked mode does not beat the store-and-forward
-# ablation on both cycles and bus beats.
-./build/bench/ouessant_bench --filter CHAIN \
-  --json BENCH_chain.json | tee build/experiment-logs/chain.txt
 
 # The host-speed record (perfbench/README.md): one 30 s run of each
 # perfbench workload, its meta and result lines kept by workload.
@@ -65,8 +49,5 @@ python3 scripts/bench_guards.py record BENCH_perf.json \
 
 echo
 echo "transcript in build/experiment-logs/sweep.txt, results in BENCH_sweep.json"
-echo "service scenarios in build/experiment-logs/serve.txt, results in BENCH_serve.json"
 echo "fleet warm-boot record in build/experiment-logs/fleet.txt, results in BENCH_fleet.json"
-echo "slot-farm record in build/experiment-logs/dpr.txt, results in BENCH_dpr.json"
-echo "chaining record in build/experiment-logs/chain.txt, results in BENCH_chain.json"
 echo "host-speed record in build/experiment-logs/perf_*.txt, results in BENCH_perf.json"

@@ -117,7 +117,7 @@ void IcapPort::complete_load() {
   if (tracer_ != nullptr) {
     tracer_->complete(track_, "swap", load_begin_, now,
                       {obs::arg("target", label_), obs::arg("bytes", u64{bytes_}),
-                       obs::arg("cached", u64{from_cache_ ? 1 : 0})});
+                       obs::arg("cached", u64{from_cache_})});
   }
   if (done_fn_) done_fn_(token_);
 }

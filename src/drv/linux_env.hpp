@@ -31,7 +31,6 @@ struct LinuxCosts {
   u32 wakeup_schedule = 900;  ///< wake sleeping task, scheduler pass
   u32 syscall_exit = 350;     ///< return to user space
   u32 copy_user_per_word = 8; ///< copy_{from,to}_user, per 32-bit word
-  u32 mmap_setup = 2500;      ///< one-time mmap() of the DMA buffer
 
   [[nodiscard]] u32 fixed_overhead() const {
     return user_lib + syscall_entry + driver_dispatch + irq_entry +

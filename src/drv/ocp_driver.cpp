@@ -11,6 +11,17 @@ using core::kCtrlProg;
 using core::kCtrlRst;
 using core::kCtrlStart;
 
+namespace {
+
+/// Both waits' ERR exit: the registers say only that ERR is set.
+[[noreturn]] void throw_microcode_fault(const std::string& name, Cycle now) {
+  throw SimError("OcpDriver(" + name +
+                 "): OCP signalled a microcode fault at cycle " +
+                 std::to_string(now));
+}
+
+}  // namespace
+
 OcpDriver::OcpDriver(cpu::Gpp& gpp, Addr reg_base, cpu::IrqLine& irq,
                      std::string name)
     : gpp_(gpp), base_(reg_base), irq_(irq), name_(std::move(name)) {}
@@ -66,77 +77,40 @@ void OcpDriver::clear_error() {
   gpp_.write32(base_ + core::kRegCtrl, kCtrlErr | shadow());
 }
 
-WaitResult OcpDriver::wait_done_poll_status(u64 poll_gap, u64 timeout,
-                                            u32* polls_out) {
+u32 OcpDriver::wait_done_poll(u64 poll_gap, u64 timeout) {
   const Cycle t0 = gpp_.now();
   u32 polls = 0;
   for (;;) {
     const u32 ctrl = read_ctrl();
     ++polls;
-    if ((ctrl & kCtrlErr) != 0) {
-      if (polls_out != nullptr) *polls_out = polls;
-      return WaitResult::kErr;
-    }
+    if ((ctrl & kCtrlErr) != 0) throw_microcode_fault(name_, gpp_.now());
     if ((ctrl & kCtrlDone) != 0) break;
     if (gpp_.now() - t0 >= timeout) {
-      if (polls_out != nullptr) *polls_out = polls;
-      return WaitResult::kTimeout;
-    }
-    gpp_.spend(poll_gap);
-  }
-  clear_done();
-  if (polls_out != nullptr) *polls_out = polls;
-  return WaitResult::kDone;
-}
-
-WaitResult OcpDriver::wait_done_irq_status(u64 timeout) {
-  try {
-    gpp_.wait_for_irq(irq_, timeout);
-  } catch (const SimError&) {
-    return WaitResult::kTimeout;
-  }
-  const u32 ctrl = read_ctrl();
-  if ((ctrl & kCtrlErr) != 0) return WaitResult::kErr;
-  clear_done();
-  return WaitResult::kDone;
-}
-
-u32 OcpDriver::wait_done_poll(u64 poll_gap, u64 timeout) {
-  const Cycle t0 = gpp_.now();
-  u32 polls = 0;
-  switch (wait_done_poll_status(poll_gap, timeout, &polls)) {
-    case WaitResult::kDone:
-      return polls;
-    case WaitResult::kErr:
-      throw SimError("OcpDriver(" + name_ +
-                     "): OCP signalled a microcode fault at cycle " +
-                     std::to_string(gpp_.now()));
-    case WaitResult::kTimeout:
       throw SimError("OcpDriver(" + name_ +
                      ")::wait_done_poll: no completion within " +
                      std::to_string(timeout) + " cycles (started cycle " +
                      std::to_string(t0) + ", now cycle " +
                      std::to_string(gpp_.now()) + ")");
+    }
+    gpp_.spend(poll_gap);
   }
-  return polls;  // unreachable
+  clear_done();
+  return polls;
 }
 
 void OcpDriver::wait_done_irq(u64 timeout) {
-  switch (wait_done_irq_status(timeout)) {
-    case WaitResult::kDone:
-      return;
-    case WaitResult::kErr:
-      throw SimError("OcpDriver(" + name_ +
-                     "): OCP signalled a microcode fault at cycle " +
-                     std::to_string(gpp_.now()));
-    case WaitResult::kTimeout:
-      // Identify the coprocessor and the deadline that actually expired
-      // (the kernel's wait_for_irq message knows neither).
-      throw SimError("OcpDriver(" + name_ +
-                     ")::wait_done_irq: no interrupt within " +
-                     std::to_string(timeout) + " cycles (gave up at cycle " +
-                     std::to_string(gpp_.now()) + ")");
+  try {
+    gpp_.wait_for_irq(irq_, timeout);
+  } catch (const SimError&) {
+    // Identify the coprocessor and the deadline that actually expired
+    // (the kernel's wait_for_irq message knows neither).
+    throw SimError("OcpDriver(" + name_ +
+                   ")::wait_done_irq: no interrupt within " +
+                   std::to_string(timeout) + " cycles (gave up at cycle " +
+                   std::to_string(gpp_.now()) + ")");
   }
+  if ((read_ctrl() & kCtrlErr) != 0) throw_microcode_fault(name_, gpp_.now());
+  clear_done();
 }
 
 void OcpDriver::soft_reset(u64 settle) {

@@ -20,15 +20,6 @@ namespace ouessant::drv {
 /// the timeout SimError so logs show which deadline actually expired.
 inline constexpr u64 kDefaultDriverTimeout = 10'000'000;
 
-/// How a status-returning wait ended. The throwing waits map kErr and
-/// kTimeout onto SimError; fault-aware callers (drv::OcpSession,
-/// svc::Dispatcher) branch on the value instead and recover.
-enum class WaitResult : u8 {
-  kDone = 0,  ///< D observed set (and acknowledged)
-  kErr,       ///< ERR observed set (left set — clear_error() to W1C it)
-  kTimeout,   ///< deadline expired with neither D nor ERR
-};
-
 class OcpDriver : public snap::Stateful<OcpDriver> {
  public:
   /// @p reg_base: where the OCP's 10 registers are mapped. @p name tags
@@ -72,25 +63,15 @@ class OcpDriver : public snap::Stateful<OcpDriver> {
   /// is NOT undone — pair with soft_reset() before retrying.
   void clear_error();
 
-  /// Busy-wait on the D bit with MMIO reads every @p poll_gap cycles.
-  /// Throws SimError if ERR is observed. Returns polls performed.
+  /// Busy-wait on the D bit with MMIO reads every @p poll_gap cycles,
+  /// then acknowledge. Returns polls performed. Throws SimError, naming
+  /// this OCP, when ERR is observed (left set for recovery to clear) or
+  /// no completion arrives within @p timeout.
   u32 wait_done_poll(u64 poll_gap = 16, u64 timeout = kDefaultDriverTimeout);
 
-  /// Sleep until the OCP interrupt fires, then acknowledge.
+  /// Sleep until the OCP interrupt fires, then acknowledge. Throws
+  /// SimError on ERR or when no interrupt arrives within @p timeout.
   void wait_done_irq(u64 timeout = kDefaultDriverTimeout);
-
-  /// Non-throwing wait_done_poll: identical bus access sequence, but ERR
-  /// and deadline expiry come back as a WaitResult instead of a SimError.
-  /// On kDone the D bit has been acknowledged; on kErr the ERR bit is
-  /// left set for the caller to inspect and clear.
-  WaitResult wait_done_poll_status(u64 poll_gap = 16,
-                                   u64 timeout = kDefaultDriverTimeout,
-                                   u32* polls_out = nullptr);
-
-  /// Non-throwing wait_done_irq — same access sequence; a missed or
-  /// suppressed interrupt surfaces as kTimeout (the caller can still
-  /// read_ctrl() to discover a completion whose edge was lost).
-  WaitResult wait_done_irq_status(u64 timeout = kDefaultDriverTimeout);
 
   /// Pulse RST and poll until every status bit (BUSY/DONE/ERR/PROG) reads
   /// zero. The reset itself takes effect on the controller's next tick;

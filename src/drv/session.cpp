@@ -38,7 +38,7 @@ void OcpSession::install(const core::Program& prog, bool timed_program) {
   if (tracer_ != nullptr) {
     tracer_->complete(track_, "install", t0, gpp_.now(),
                       {obs::arg("words", u64{prog.size()}),
-                       obs::arg("timed", u64{timed_program ? 1 : 0})});
+                       obs::arg("timed", u64{timed_program})});
   }
 }
 
@@ -79,93 +79,6 @@ u64 OcpSession::run_irq(u64 timeout) {
 void OcpSession::start_async() {
   drv_.start();
   if (tracer_ != nullptr) tracer_->instant(track_, "start_async");
-}
-
-fault::FaultReport OcpSession::make_fault_report(WaitResult wr,
-                                                u64 timeout) const {
-  fault::FaultReport rep;
-  rep.ocp = ocp_.name();
-  rep.attempts = 1;
-  switch (wr) {
-    case WaitResult::kErr: {
-      rep.cls = fault::FaultClass::kErrBit;
-      rep.info = ocp_.controller().last_fault();
-      if (rep.info.empty()) {
-        rep.info = FaultInfo{gpp_.now(), 0, "ERR set"};
-      }
-      break;
-    }
-    case WaitResult::kTimeout:
-      rep.cls = fault::FaultClass::kTimeout;
-      rep.info = FaultInfo{gpp_.now(), ocp_.controller().pc(),
-                           "no completion within " + std::to_string(timeout) +
-                               " cycles"};
-      break;
-    case WaitResult::kDone:
-      break;  // not a fault; caller never asks
-  }
-  return rep;
-}
-
-RunOutcome OcpSession::try_run_poll(u64 poll_gap, u64 timeout) {
-  const Cycle t0 = gpp_.now();
-  drv_.start();
-  u32 polls = 0;
-  const WaitResult wr = drv_.wait_done_poll_status(poll_gap, timeout, &polls);
-  RunOutcome out;
-  out.cycles = gpp_.now() - t0;
-  if (wr == WaitResult::kDone) {
-    if (tracer_ != nullptr) {
-      tracer_->complete(track_, "run_poll", t0, gpp_.now(),
-                        {obs::arg("polls", u64{polls}),
-                         obs::arg("poll_gap", poll_gap)});
-    }
-    return out;
-  }
-  out.ok = false;
-  out.report = make_fault_report(wr, timeout);
-  if (tracer_ != nullptr) {
-    tracer_->complete(track_, "run_poll_fault", t0, gpp_.now(),
-                      {obs::arg("class", fault::class_name(out.report.cls))});
-  }
-  return out;
-}
-
-RunOutcome OcpSession::try_run_irq(u64 timeout) {
-  const Cycle t0 = gpp_.now();
-  drv_.enable_irq(true);
-  drv_.start();
-  WaitResult wr = drv_.wait_done_irq_status(timeout);
-  RunOutcome out;
-  bool recovered = false;
-  if (wr == WaitResult::kTimeout) {
-    // The edge may have been lost (irq_drop fault) with the work actually
-    // finished — poll CTRL once before declaring a timeout.
-    const u32 ctrl = drv_.read_ctrl();
-    if ((ctrl & core::kCtrlDone) != 0) {
-      drv_.clear_done();
-      wr = WaitResult::kDone;
-      recovered = true;
-    } else if ((ctrl & core::kCtrlErr) != 0) {
-      wr = WaitResult::kErr;
-    }
-  }
-  out.cycles = gpp_.now() - t0;
-  if (wr == WaitResult::kDone) {
-    out.report.recovered_irq = recovered;
-    if (tracer_ != nullptr) {
-      tracer_->complete(track_, "run_irq", t0, gpp_.now(),
-                        {obs::arg("recovered", u64{recovered ? 1 : 0})});
-    }
-    return out;
-  }
-  out.ok = false;
-  out.report = make_fault_report(wr, timeout);
-  if (tracer_ != nullptr) {
-    tracer_->complete(track_, "run_irq_fault", t0, gpp_.now(),
-                      {obs::arg("class", fault::class_name(out.report.cls))});
-  }
-  return out;
 }
 
 void OcpSession::recover() {

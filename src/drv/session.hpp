@@ -6,20 +6,10 @@
 #pragma once
 
 #include "drv/ocp_driver.hpp"
-#include "fault/report.hpp"
 #include "obs/tracer.hpp"
 #include "ouessant/ocp.hpp"
 
 namespace ouessant::drv {
-
-/// What one fault-aware run produced. `ok` runs carry only the cycle
-/// count; failed runs carry a typed FaultReport instead of an escaping
-/// SimError, so service layers can retry without unwinding the stack.
-struct RunOutcome {
-  bool ok = true;
-  u64 cycles = 0;
-  fault::FaultReport report;
-};
 
 struct SessionLayout {
   Addr prog_base = 0;   ///< where the microcode image lives (bank 0)
@@ -44,32 +34,23 @@ class OcpSession {
   [[nodiscard]] std::vector<u32> get_output() const;
 
   /// Start and poll for completion. Returns cycles from start to
-  /// acknowledged completion. @p timeout reaches the driver's deadline
-  /// check (and its SimError message) instead of being pinned to the
-  /// old hard-coded 10'000'000.
+  /// acknowledged completion. ERR or no completion within @p timeout
+  /// throws the driver's SimError, which names the OCP and the deadline;
+  /// the controller's last_fault() backdoor says why.
   u64 run_poll(u64 poll_gap = 16, u64 timeout = kDefaultDriverTimeout);
 
-  /// Start and sleep on the interrupt. Returns cycles elapsed.
+  /// Start and sleep on the interrupt. Returns cycles elapsed; throws
+  /// like run_poll.
   u64 run_irq(u64 timeout = kDefaultDriverTimeout);
 
   /// Start only (the CPU is free afterwards — the paper's "the GPP can
   /// process other tasks" mode). Pair with driver().wait_done_irq().
   void start_async();
 
-  // -- fault-aware execution ---------------------------------------------
-  /// run_poll that reports ERR / deadline expiry as a RunOutcome instead
-  /// of throwing. Identical bus access sequence to run_poll on the happy
-  /// path (proven by the unarmed bit-identity tests).
-  RunOutcome try_run_poll(u64 poll_gap = 16,
-                          u64 timeout = kDefaultDriverTimeout);
-
-  /// run_irq, fault-aware. A timeout re-reads CTRL before giving up: a
-  /// suppressed interrupt edge with D set is a *recovered* completion
-  /// (outcome ok, report.recovered_irq = true), not a failure.
-  RunOutcome try_run_irq(u64 timeout = kDefaultDriverTimeout);
-
   /// Clear a latched ERR (if any) and pulse kCtrlRst; afterwards the OCP
   /// is idle with banks and program intact, ready for a retry launch.
+  /// Both service backends call it; after a run_* SimError, so may a
+  /// caller that wants the OCP back.
   void recover();
 
   [[nodiscard]] OcpDriver& driver() { return drv_; }
@@ -84,12 +65,6 @@ class OcpSession {
   void set_tracer(obs::EventTracer* tracer);
 
  private:
-  /// Fill a FaultReport for a failed wait. kErr backdoor-reads the
-  /// controller's last_fault() — the registers only carry the ERR bit,
-  /// but the report wants when/where/why.
-  [[nodiscard]] fault::FaultReport make_fault_report(WaitResult wr,
-                                                     u64 timeout) const;
-
   cpu::Gpp& gpp_;
   mem::Sram& mem_;
   core::Ocp& ocp_;

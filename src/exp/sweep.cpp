@@ -43,8 +43,10 @@ std::vector<SweepJob> expand_jobs(const Registry& registry,
   for (const ScenarioSpec& spec : registry.scenarios()) {
     if (!matches_filter(spec, filter)) continue;
     for (ParamMap& point : spec.points()) {
-      jobs.push_back(SweepJob{.spec = &spec, .params = std::move(point)});
-      jobs.back().ctx.seed = spec.default_seed;
+      SweepJob& job = jobs.emplace_back();
+      job.spec = &spec;
+      job.params = std::move(point);
+      job.ctx.seed = spec.default_seed;
     }
   }
   return jobs;

@@ -1,52 +1,26 @@
-// FaultReport: what the recovery layers hand upward when a run fails.
-//
-// drv::OcpSession::try_run_poll/try_run_irq classify the failure (ERR
-// bit observed, deadline expired, output mismatch) and attach the
-// controller's FaultInfo so callers see the microcode pc and cycle of
-// the underlying fault, not just "it broke". Header-only so drv/svc can
-// use it without a link edge onto the injector.
+// FaultClass: how the dispatcher classifies a failed batch
+// (svc::Dispatcher::handle_worker_fault, docs/robustness.md). The class
+// names tag its "fault", "retry" and "job_failed" trace events.
+// Header-only so svc can use it without a link edge onto the injector.
 #pragma once
 
-#include <string>
-
-#include "util/fault_info.hpp"
 #include "util/types.hpp"
 
 namespace ouessant::fault {
 
 enum class FaultClass : u8 {
-  kNone = 0,         ///< no fault (report of a successful run)
   kErrBit,           ///< the OCP latched ERR (microcode/bus fault)
-  kTimeout,          ///< no completion within the deadline (hang/lost IRQ)
+  kTimeout,          ///< no completion within the deadline (hang)
   kVerifyMismatch,   ///< completed, but the payload fails verification
 };
 
 [[nodiscard]] inline const char* class_name(FaultClass cls) {
   switch (cls) {
-    case FaultClass::kNone: return "none";
     case FaultClass::kErrBit: return "err_bit";
     case FaultClass::kTimeout: return "timeout";
     case FaultClass::kVerifyMismatch: return "verify_mismatch";
   }
   return "?";
 }
-
-struct FaultReport {
-  FaultClass cls = FaultClass::kNone;
-  FaultInfo info;             ///< when/where/why (controller backdoor or
-                              ///< driver-side observation)
-  std::string ocp;            ///< which coprocessor faulted
-  u32 attempts = 0;           ///< attempts consumed including this one
-  bool recovered_irq = false; ///< completion found by polling after a
-                              ///< lost interrupt (run still succeeded)
-
-  [[nodiscard]] std::string to_string() const {
-    std::string s = std::string(class_name(cls)) + " on " +
-                    (ocp.empty() ? std::string("?") : ocp);
-    if (!info.empty()) s += ": " + info.to_string();
-    if (recovered_irq) s += " [recovered by poll]";
-    return s;
-  }
-};
 
 }  // namespace ouessant::fault

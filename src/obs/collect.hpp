@@ -137,19 +137,9 @@ inline CycleLedger validate_soc_ledger(platform::Soc& soc) {
   return ledger;
 }
 
-/// Same, plus the configuration port's track — the DPR scenarios prove
-/// their decomposition including reconfiguration traffic.
-inline CycleLedger validate_soc_ledger(platform::Soc& soc,
-                                       const dpr::IcapPort& icap) {
-  CycleLedger ledger;
-  collect_soc(ledger, soc);
-  collect_icap(ledger, icap, soc.kernel().now());
-  ledger.validate(soc.kernel().now());
-  return ledger;
-}
-
-/// Same, plus one track per chaining conduit — the chain scenarios
-/// prove their decomposition including the p2p transfer cycles.
+/// Same, plus one track per chaining conduit — the raw-SoC chain
+/// scenarios prove their decomposition including the p2p transfer
+/// cycles (a service proves its links in svc::validate_service_ledger).
 inline CycleLedger validate_soc_ledger(
     platform::Soc& soc, std::span<const fifo::ChainLink* const> links) {
   CycleLedger ledger;

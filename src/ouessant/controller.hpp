@@ -95,8 +95,8 @@ class Controller : public sim::Component, public res::ResourceAware {
   void set_fault_hook(fault::OcpFaultHook* hook) { fault_hook_ = hook; }
 
   /// When/where/why of the most recent fault (empty reason when this
-  /// controller never faulted). Recovery layers backdoor-read this to
-  /// fill FaultReport — the hardware registers only carry the ERR bit.
+  /// controller never faulted). The dispatcher backdoor-reads this to
+  /// explain a fault — the hardware registers only carry the ERR bit.
   [[nodiscard]] const FaultInfo& last_fault() const { return last_fault_; }
 
   /// Decoded-microcode cache on/off (default: on). isa::decode is a pure

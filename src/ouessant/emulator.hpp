@@ -31,7 +31,7 @@ struct EmuResult {
   bool ok = true;    ///< false when the run faulted
   /// When/where/why execution faulted (FaultInfo::cycle holds the
   /// instruction count at the fault — the untimed model has no clock).
-  /// Same shape the Controller and FaultReport use, so differential
+  /// Same shape the Controller's last_fault() uses, so differential
   /// tests can compare fault sites directly.
   FaultInfo fault;
   u64 instructions = 0;

@@ -1,5 +1,6 @@
 #include "snap/snapshot.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 
@@ -36,17 +37,17 @@ u32 load_le32(const u8* p) {
          (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
 }
 
-void put_u16(std::vector<u8>& out, u16 v) {
-  out.push_back(static_cast<u8>(v));
-  out.push_back(static_cast<u8>(v >> 8));
+/// Write the low @p n bytes of @p v little-endian at @p p; returns the
+/// byte after them.
+u8* put_le(u8* p, u64 v, int n) {
+  for (int i = 0; i < n; ++i) *p++ = static_cast<u8>(v >> (8 * i));
+  return p;
 }
 
-void put_u32(std::vector<u8>& out, u32 v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<u8>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
+/// Copy @p bytes to @p p; returns the byte after them.
+template <class Bytes>
+u8* put_bytes(u8* p, const Bytes& bytes) {
+  return std::copy(bytes.begin(), bytes.end(), p);
 }
 
 /// Bounds-checked cursor over a raw image; all failures throw with the
@@ -127,21 +128,28 @@ const Section& Snapshot::section(std::string_view name) const {
 }
 
 std::vector<u8> Snapshot::serialize() const {
-  std::vector<u8> out;
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
-  put_u32(out, kFormatVersion);
-  put_u32(out, static_cast<u32>(sections_.size()));
+  // Size the image once (magic, version, count, the sections, CRC), then
+  // write it in place.
+  std::size_t size = kMagic.size() + 4 + 4 + 4;
   for (const Section& s : sections_) {
     if (s.name.size() > 0xFFFF) {
       throw SnapshotError("snapshot: section name too long: " + s.name);
     }
-    put_u16(out, static_cast<u16>(s.name.size()));
-    out.insert(out.end(), s.name.begin(), s.name.end());
-    put_u32(out, s.version);
-    put_u64(out, s.bytes.size());
-    out.insert(out.end(), s.bytes.begin(), s.bytes.end());
+    size += 2 + s.name.size() + 4 + 8 + s.bytes.size();
   }
-  put_u32(out, crc32(out));
+  std::vector<u8> out(size);
+  u8* p = put_bytes(out.data(), kMagic);
+  p = put_le(p, kFormatVersion, 4);
+  p = put_le(p, sections_.size(), 4);
+  for (const Section& s : sections_) {
+    p = put_le(p, s.name.size(), 2);
+    p = put_bytes(p, s.name);
+    p = put_le(p, s.version, 4);
+    p = put_le(p, s.bytes.size(), 8);
+    p = put_bytes(p, s.bytes);
+  }
+  const std::span<const u8> body(out.data(), size - 4);
+  put_le(p, crc32(body), 4);
   return out;
 }
 

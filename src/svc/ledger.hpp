@@ -1,6 +1,7 @@
 // Service-level CycleLedger collection (DESIGN.md §10/§11): extend the
-// SoC-wide attribution proof with one track per service worker, so the
-// recovery machinery's time is accounted, not vanished.
+// SoC-wide attribution proof with the service's ICAP and chain links and
+// one track per service worker, so the recovery machinery's time is
+// accounted, not vanished.
 //
 // Attribution map (per worker track "svc.worker.<i>"):
 //   compute  busy cycles (launch -> acknowledged done; for a faulted
@@ -34,13 +35,20 @@ inline void collect_dispatcher(obs::CycleLedger& ledger, const Dispatcher& d,
   }
 }
 
-/// Build, collect and validate the full service ledger: every SoC track
-/// plus every worker track must sum exactly to wall cycles (SimError
-/// otherwise). The serve_* scenarios call this after each run.
+/// Build, collect and validate the full service ledger: every SoC track,
+/// the slot farm's configuration port, one track per chain link and one
+/// per worker must each sum exactly to wall cycles (SimError otherwise).
+/// Every service scenario calls this after its run.
 inline obs::CycleLedger validate_service_ledger(OffloadService& service) {
   obs::CycleLedger ledger;
   const Cycle wall = service.soc().kernel().now();
   obs::collect_soc(ledger, service.soc());
+  if (service.icap() != nullptr) {
+    obs::collect_icap(ledger, *service.icap(), wall);
+  }
+  for (const auto& link : service.chain_links()) {
+    obs::collect_chain(ledger, *link, wall);
+  }
   collect_dispatcher(ledger, service.dispatcher(), wall);
   ledger.validate(wall);
   return ledger;

@@ -58,6 +58,22 @@ std::unique_ptr<core::Rac> make_rac(sim::Kernel& kernel, JobKind kind,
   throw ConfigError("OffloadService: unknown job kind");
 }
 
+/// The workload an explicit arrival schedule stands for: open loop, one
+/// job per arrival, kinds in first-seen order, defaults elsewhere. It is
+/// what validate() checks and what the "svc" snapshot section records.
+WorkloadConfig schedule_workload(const std::vector<Job>& arrivals) {
+  WorkloadConfig w;
+  w.mode = LoadMode::kOpenLoop;
+  w.jobs = static_cast<u32>(arrivals.size());
+  w.kinds.clear();
+  for (const Job& job : arrivals) {
+    if (std::find(w.kinds.begin(), w.kinds.end(), job.kind) == w.kinds.end()) {
+      w.kinds.push_back(job.kind);
+    }
+  }
+  return w;
+}
+
 }  // namespace
 
 void ServiceReport::add_to(exp::Result& result) const {
@@ -377,12 +393,17 @@ void OffloadService::install_completion_hook() {
 }
 
 void OffloadService::begin(const WorkloadConfig& workload, bool warm) {
+  start(workload, warm, {});
+}
+
+void OffloadService::start(const WorkloadConfig& workload, bool warm,
+                           std::vector<Job> arrivals) {
   if (ran_ || began_) {
     throw ConfigError("OffloadService: run()/begin() is single-shot");
   }
+  validate(workload);
   ran_ = true;
   began_ = true;
-  validate(workload);
   workload_ = workload;
   rng_ = util::Rng(workload.seed);
   issued_ = 0;
@@ -403,15 +424,18 @@ void OffloadService::begin(const WorkloadConfig& workload, bool warm) {
 
   install_completion_hook();
 
-  if (workload.mode == LoadMode::kOpenLoop) {
-    dispatcher_.load_schedule(open_loop_arrivals(workload, rng_, gpp.now() + 1));
-    issued_ = workload.jobs;
-  } else {
+  if (workload.mode == LoadMode::kClosedLoop) {
     const u32 initial = std::min<u64>(workload.clients, workload.jobs);
     for (u32 c = 0; c < initial; ++c) {
       dispatcher_.submit_now(make_job(issued_++, gpp.now(), workload, rng_));
     }
+    return;
   }
+  if (arrivals.empty()) {
+    arrivals = open_loop_arrivals(workload, rng_, gpp.now() + 1);
+  }
+  dispatcher_.load_schedule(std::move(arrivals));
+  issued_ = workload.jobs;
 }
 
 bool OffloadService::step() {
@@ -476,34 +500,10 @@ ServiceReport OffloadService::run(const WorkloadConfig& workload) {
 }
 
 ServiceReport OffloadService::run_schedule(std::vector<Job> arrivals) {
-  if (ran_ || began_) {
-    throw ConfigError("OffloadService: run()/begin() is single-shot");
-  }
-  if (arrivals.empty()) {
-    throw ConfigError("OffloadService: run_schedule with no jobs");
-  }
-  // Synthesize the workload descriptor the report/validate paths expect.
-  WorkloadConfig w;
-  w.mode = LoadMode::kOpenLoop;
-  w.jobs = static_cast<u32>(arrivals.size());
-  w.kinds.clear();
-  for (const Job& job : arrivals) {
-    if (std::find(w.kinds.begin(), w.kinds.end(), job.kind) == w.kinds.end()) {
-      w.kinds.push_back(job.kind);
-    }
-  }
-  validate(w);
-  ran_ = true;
-  began_ = true;
-  workload_ = w;
-  rng_ = util::Rng(w.seed);
-  issued_ = w.jobs;
-  rep_ = ServiceReport{};
-  rep_.jobs = w.jobs;
-  dispatcher_.configure_irqs();
-  rep_.start = soc_.cpu().now();
-  install_completion_hook();
-  dispatcher_.load_schedule(std::move(arrivals));
+  // An empty schedule stands for a workload of no jobs: validate()
+  // refuses it before anything runs.
+  const WorkloadConfig workload = schedule_workload(arrivals);
+  start(workload, /*warm=*/false, std::move(arrivals));
   while (!step()) {
   }
   return finish();

@@ -238,6 +238,14 @@ class OffloadService {
 
  private:
   void validate(const WorkloadConfig& workload) const;
+  /// The one setup of a run, shared by begin() and run_schedule():
+  /// validate, reset the run state, configure IRQs (with @p warm, zero
+  /// the run counters instead), install the completion hook and submit
+  /// the work. A closed loop seeds one job per client. An open loop
+  /// loads @p arrivals, or, when they are empty, the schedule
+  /// open_loop_arrivals draws from the workload's seed.
+  void start(const WorkloadConfig& workload, bool warm,
+             std::vector<Job> arrivals);
   void install_completion_hook();
   /// The "svc" section's field list (run state, RNG stream, report
   /// accumulators, injector and flight ring).

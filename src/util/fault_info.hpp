@@ -3,9 +3,10 @@
 // A fault observation always answers the same three questions — *when*
 // (a cycle, or an instruction step for the untimed emulator), *where*
 // (the microcode pc) and *what* (a human-readable reason). The emulator,
-// the cycle-level Controller and the driver's FaultReport all carry this
-// struct so a fault can be compared across models without re-parsing
-// strings (the old EmuResult::fault was a bare string; DESIGN.md §11).
+// the cycle-level Controller and the dispatcher's fault events all carry
+// this struct so a fault can be compared across models without
+// re-parsing strings (the old EmuResult::fault was a bare string;
+// DESIGN.md §11).
 #pragma once
 
 #include <string>

@@ -5,7 +5,9 @@
 // never-firing plan must change nothing).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -22,7 +24,6 @@
 namespace ouessant {
 namespace {
 
-using fault::FaultClass;
 using fault::FaultKind;
 using fault::FaultPlan;
 
@@ -96,21 +97,37 @@ TEST(FaultPlan, RejectsBadSpecs) {
 }
 
 // ----------------------------------------------------- per-site reports --
+// The driver throws; why the OCP faulted is the controller's last_fault()
+// backdoor (the registers carry only the ERR bit), the same source the
+// dispatcher reads when it classifies a worker fault.
+
+/// The SimError message @p run throws ("" and a test failure if none).
+std::string sim_error(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a SimError";
+  return "";
+}
 
 TEST(FaultSite, BusErrorLatchesErrAndRecovers) {
   Rig rig(FaultPlan{}.add({.kind = FaultKind::kBusError, .at = 1}));
   const auto in = rig.random_input(1);
   rig.session.put_input(in);
-  const auto bad = rig.session.try_run_poll();
-  EXPECT_FALSE(bad.ok);
-  EXPECT_EQ(bad.report.cls, FaultClass::kErrBit);
-  EXPECT_NE(bad.report.info.reason.find("bus error"), std::string::npos);
+  const std::string err = sim_error([&] { (void)rig.session.run_poll(); });
+  EXPECT_NE(err.find("OcpDriver(" + rig.ocp.name() +
+                     "): OCP signalled a microcode fault"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(rig.ocp.controller().last_fault().reason.find("bus error"),
+            std::string::npos);
   EXPECT_EQ(rig.injector->injected(), 1u);  // at-spec budget is one firing
 
   rig.session.recover();
   rig.session.put_input(in);  // banks + program survived the soft reset
-  const auto good = rig.session.try_run_poll();
-  EXPECT_TRUE(good.ok);
+  EXPECT_NO_THROW((void)rig.session.run_poll());
   EXPECT_EQ(rig.session.get_output(), in);
 }
 
@@ -150,16 +167,18 @@ TEST(FaultSite, RacHangTimesOutAndRecovers) {
   auto session = make_session(soc, ocp);
 
   session.put_input(in);
-  const auto bad = session.try_run_poll(16, /*timeout=*/20'000);
-  EXPECT_FALSE(bad.ok);
-  EXPECT_EQ(bad.report.cls, FaultClass::kTimeout);
-  EXPECT_NE(bad.report.info.reason.find("no completion"), std::string::npos);
+  const std::string err =
+      sim_error([&] { (void)session.run_poll(16, /*timeout=*/20'000); });
+  EXPECT_NE(err.find("OcpDriver(" + ocp.name() + ")::wait_done_poll"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("no completion within 20000 cycles"), std::string::npos)
+      << err;
   EXPECT_EQ(injector.injected(), 1u);
 
   session.recover();
   session.put_input(in);
-  const auto good = session.try_run_poll(16, 20'000);
-  EXPECT_TRUE(good.ok);
+  EXPECT_NO_THROW((void)session.run_poll(16, 20'000));
   EXPECT_EQ(session.get_output(), expected);
 }
 
@@ -167,12 +186,11 @@ TEST(FaultSite, CtrlFlipFaultsWithPcAndReason) {
   // Bit 31 lands the first fetched word in unassigned opcode space.
   Rig rig(FaultPlan{}.add({.kind = FaultKind::kCtrlFlip, .at = 1}));
   rig.session.put_input(rig.random_input(4));
-  const auto bad = rig.session.try_run_poll();
-  EXPECT_FALSE(bad.ok);
-  EXPECT_EQ(bad.report.cls, FaultClass::kErrBit);
-  EXPECT_NE(bad.report.info.reason.find("unassigned opcode"),
-            std::string::npos);
-  EXPECT_EQ(bad.report.info.pc, 0u);
+  const std::string err = sim_error([&] { (void)rig.session.run_poll(); });
+  EXPECT_NE(err.find("microcode fault"), std::string::npos) << err;
+  const FaultInfo& why = rig.ocp.controller().last_fault();
+  EXPECT_NE(why.reason.find("unassigned opcode"), std::string::npos);
+  EXPECT_EQ(why.pc, 0u);
 }
 
 TEST(FaultSite, FifoCorruptFlipsExactlyOneOutputBit) {
@@ -180,8 +198,8 @@ TEST(FaultSite, FifoCorruptFlipsExactlyOneOutputBit) {
       {.kind = FaultKind::kFifoCorrupt, .at = 1, .bit = 5}));
   const auto in = rig.random_input(6);
   rig.session.put_input(in);
-  const auto out_come = rig.session.try_run_poll();
-  EXPECT_TRUE(out_come.ok);  // silent corruption: only verification catches it
+  // Silent corruption: the run completes, only verification catches it.
+  EXPECT_NO_THROW((void)rig.session.run_poll());
   const auto out = rig.session.get_output();
   int diffs = 0;
   for (u32 i = 0; i < rig.words; ++i) {
@@ -211,18 +229,6 @@ TEST(FaultPassivity, ArmedButNeverFiringPlanChangesNothing) {
   EXPECT_EQ(plain.session.get_output(), armed.session.get_output());
   EXPECT_EQ(plain.soc.kernel().now(), armed.soc.kernel().now());
   EXPECT_EQ(armed.injector->injected(), 0u);
-}
-
-TEST(FaultPassivity, TryRunMatchesThrowingRunWhenHealthy) {
-  Rig rig;
-  const auto in = rig.random_input(8);
-  rig.session.put_input(in);
-  const u64 throwing = rig.session.run_poll();
-  rig.session.put_input(in);
-  const auto outcome = rig.session.try_run_poll();
-  EXPECT_TRUE(outcome.ok);
-  EXPECT_EQ(outcome.cycles, throwing);  // same timed access sequence
-  EXPECT_EQ(rig.session.get_output(), in);
 }
 
 // -------------------------------------------------------- service level --

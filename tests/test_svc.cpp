@@ -1,9 +1,11 @@
 // Tests for the offload service layer: the bounded JobQueue, latency
 // accounting, the load generators, and whole OffloadService runs
-// (determinism, gating and fast-path differentials, overload, batching).
+// (determinism, gating and fast-path differentials, overload, batching,
+// the service ledger).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "sim/kernel.hpp"
 #include "svc/job.hpp"
 #include "svc/latency.hpp"
+#include "svc/ledger.hpp"
 #include "svc/service.hpp"
 #include "svc/workload.hpp"
 #include "util/rng.hpp"
@@ -409,6 +412,44 @@ TEST(OffloadService, ChainedRunsAreSeedDeterministic) {
   const ServiceReport b = run_once();
   expect_same_report(a, b);
   EXPECT_EQ(a.link_words, b.link_words);
+}
+
+TEST(OffloadService, ServiceLedgerCoversWorkersIcapAndLinks) {
+  // A static IDCT worker, a greedy 2-slot DFT/FIR farm that must swap a
+  // slot to FIR, and a linked dequant->IDCT chain: the one service
+  // ledger carries a track per worker, the farm's configuration port
+  // and the chain's link, and closes every one against wall cycles.
+  ServiceConfig cfg;
+  cfg.ocps = {OcpSpec{.kind = JobKind::kIdct, .max_batch = 2}};
+  cfg.queue_depth = 64;
+  cfg.slots.count = 2;
+  cfg.slots.candidates = {JobKind::kDft, JobKind::kFir};
+  cfg.slots.initial = {JobKind::kDft, JobKind::kDft};
+  cfg.slots.max_batch = 2;
+  cfg.slots.policy = SwapPolicy::kGreedyQueueDepth;
+  cfg.chains = {ChainSpec{.max_batch = 2, .mode = drv::ChainMode::kLinked}};
+  OffloadService service(std::move(cfg));
+  WorkloadConfig wl;
+  wl.jobs = 40;
+  wl.mean_gap = 400.0;
+  wl.kinds = {JobKind::kIdct, JobKind::kDft, JobKind::kFir,
+              JobKind::kJpegChain};
+  const ServiceReport rep = service.run(wl);
+  ASSERT_EQ(rep.completed, 40u);
+  EXPECT_GT(rep.swaps_completed, 0u);
+  EXPECT_GT(rep.link_words, 0u);
+
+  const obs::CycleLedger ledger = validate_service_ledger(service);
+  std::set<std::string> tracks;
+  for (u32 t = 0; t < ledger.track_count(); ++t) {
+    tracks.insert(ledger.track_name(t));
+  }
+  ASSERT_EQ(service.dispatcher().worker_count(), 4u);  // static, 2 slots, chain
+  for (std::size_t i = 0; i < service.dispatcher().worker_count(); ++i) {
+    EXPECT_EQ(tracks.count("svc.worker." + std::to_string(i)), 1u) << i;
+  }
+  EXPECT_EQ(tracks.count("icap.svc_icap"), 1u);
+  EXPECT_EQ(tracks.count("chain.svc_chain0_link"), 1u);
 }
 
 }  // namespace
