@@ -12,7 +12,9 @@
 #   3. ASan+UBSan build + full ctest (catches the iterator-invalidation
 #      class of kernel bugs — e.g. mid-tick component removal — that a
 #      plain build can pass by luck; covers the snapshot, DPR and chain
-#      proofs of test_snapshot, test_dpr and test_chain)
+#      proofs of test_snapshot, test_dpr and test_chain), with
+#      _GLIBCXX_ASSERTIONS so every vector and span index is checked
+#      (the SRAM's page segments, the words32 literal decode)
 #   4. the on-disk snapshot flow on the sanitizer build: --snapshot a
 #      serve_mixed image, then --restore a second run from it
 #   5. TSan build running the full scenario sweep at --jobs $(nproc):
@@ -43,7 +45,7 @@ echo "==== tier-1: docs consistency gate ===="
 scripts/check_docs.sh build/bench/ouessant_bench
 
 echo "==== tier-1: ASan+UBSan build + ctest ===="
-SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
 cmake -B build-san -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" \

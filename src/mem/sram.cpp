@@ -20,11 +20,13 @@ Sram::Sram(std::string name, Addr base, u32 size_bytes, u32 read_wait,
   }
 }
 
+void Sram::out_of_range(Addr addr, const char* what) const {
+  throw SimError("Sram " + name_ + ": " + what + " at " + hex(addr) +
+                 " out of range");
+}
+
 u32 Sram::index_for(Addr addr, const char* what) const {
-  if (addr < base_ || (addr - base_) / 4 >= words_) {
-    throw SimError("Sram " + name_ + ": " + what + " at " + hex(addr) +
-                   " out of range");
-  }
+  if (addr < base_ || (addr - base_) / 4 >= words_) out_of_range(addr, what);
   if (addr % 4 != 0) {
     throw SimError("Sram " + name_ + ": unaligned " + what + " at " +
                    hex(addr));
@@ -39,6 +41,36 @@ void Sram::store(Pages& pages, u32 index, u32 value) {
     page = std::make_unique<Page>();
   }
   page->words[index % kPageWords] = value;
+}
+
+void Sram::store(Pages& pages, u32 index, std::span<const u32> words) {
+  while (!words.empty()) {
+    const u32 off = index % kPageWords;
+    const auto seg =
+        words.first(std::min<std::size_t>(words.size(), kPageWords - off));
+    auto& page = pages[index / kPageWords];
+    if (!page && std::any_of(seg.begin(), seg.end(),
+                             [](u32 w) { return w != 0; })) {
+      // A segment that covers the page overwrites all of it.
+      page = seg.size() == kPageWords ? std::make_unique_for_overwrite<Page>()
+                                      : std::make_unique<Page>();
+    }
+    if (page) std::copy(seg.begin(), seg.end(), page->words + off);
+    index += static_cast<u32>(seg.size());
+    words = words.subspan(seg.size());
+  }
+}
+
+void Sram::store_run(Pages& pages, u32 index, u32 n, u32 value) {
+  while (n > 0) {
+    const u32 off = index % kPageWords;
+    const u32 len = std::min(n, kPageWords - off);
+    auto& page = pages[index / kPageWords];
+    if (!page && value != 0) page = std::make_unique<Page>();
+    if (page) std::fill_n(page->words + off, len, value);
+    index += len;
+    n -= len;
+  }
 }
 
 bus::SlaveResponse Sram::read_word(Addr addr) {
@@ -59,9 +91,16 @@ void Sram::poke(Addr addr, u32 data) {
 }
 
 void Sram::load(Addr addr, const std::vector<u32>& words) {
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    poke(addr + static_cast<Addr>(i * 4), words[i]);
+  if (words.empty()) return;
+  const u32 first = index_for(addr, "poke");
+  // The words that fit: up to the memory's end, and below 2^32 (a poke
+  // past it would wrap to address 0).
+  const u64 room =
+      std::min<u64>(words_ - first, ((u64{1} << 32) - addr) / 4);
+  if (words.size() > room) {
+    out_of_range(static_cast<Addr>(addr + room * 4), "poke");
   }
+  store(pages_, first, words);
 }
 
 std::vector<u32> Sram::dump(Addr addr, u32 words) const {
@@ -101,13 +140,15 @@ void Sram::state(snap::Fields& f) {
     return;
   }
   // Fill a fresh table so a malformed image leaves the contents as they
-  // were. A zero run costs nothing: every page starts absent.
+  // were. A zero run costs nothing: every page starts absent, and the
+  // blocks never overlap.
   Pages pages(pages_.size());
   f.reader().read_words32(
       "data", words_, [&pages](const snap::Words32Block& b) {
-        if (b.literal.empty() && b.value == 0) return;
-        for (u32 k = 0; k < b.n; ++k) {
-          store(pages, b.at + k, b.literal.empty() ? b.value : b.literal[k]);
+        if (!b.literal.empty()) {
+          store(pages, b.at, b.literal);
+        } else if (b.value != 0) {
+          store_run(pages, b.at, b.n, b.value);
         }
       });
   pages_ = std::move(pages);
@@ -116,7 +157,7 @@ void Sram::state(snap::Fields& f) {
 Rom::Rom(std::string name, Addr base, std::vector<u32> contents, u32 read_wait)
     : Sram(std::move(name), base, static_cast<u32>(contents.size() * 4),
            read_wait, 0) {
-  for (u32 i = 0; i < words_; ++i) store(pages_, i, contents[i]);
+  store(pages_, 0, contents);
 }
 
 u32 Rom::write_word(Addr addr, u32) {

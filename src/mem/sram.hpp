@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,9 +43,14 @@ class Sram : public bus::BusSlave, public snap::Stateful<Sram> {
   [[nodiscard]] bool batchable_slave() const override { return true; }
   [[nodiscard]] std::string slave_name() const override { return name_; }
 
-  // Host-side (testbench) backdoor access — no simulated time.
+  // Host-side (testbench) backdoor access — no simulated time, and no
+  // access counter moves.
   [[nodiscard]] u32 peek(Addr addr) const;
   void poke(Addr addr, u32 data);
+  /// Stores @p words from @p addr on, a page segment at a time. The
+  /// whole range is checked first: a range that leaves the memory throws
+  /// the SimError a poke of its first bad address throws, and writes
+  /// nothing.
   void load(Addr addr, const std::vector<u32>& words);
   [[nodiscard]] std::vector<u32> dump(Addr addr, u32 words) const;
   void fill(u32 value);
@@ -72,6 +78,7 @@ class Sram : public bus::BusSlave, public snap::Stateful<Sram> {
   using Pages = std::vector<std::unique_ptr<Page>>;
 
   [[nodiscard]] u32 index_for(Addr addr, const char* what) const;
+  [[noreturn]] void out_of_range(Addr addr, const char* what) const;
   [[nodiscard]] u32 word_at(u32 index) const {
     const auto& page = pages_[index / kPageWords];
     return page ? page->words[index % kPageWords] : 0;
@@ -79,6 +86,13 @@ class Sram : public bus::BusSlave, public snap::Stateful<Sram> {
   /// Stores @p value at word @p index of @p pages, allocating the page
   /// only for a non-zero value.
   static void store(Pages& pages, u32 index, u32 value);
+  /// Stores @p words from word @p index of @p pages on, one page segment
+  /// at a time; an absent page is allocated only for a segment that
+  /// holds a non-zero word.
+  static void store(Pages& pages, u32 index, std::span<const u32> words);
+  /// Sets @p n words from word @p index of @p pages on to @p value, one
+  /// page segment at a time; a zero value allocates no page.
+  static void store_run(Pages& pages, u32 index, u32 n, u32 value);
 
   std::string name_;
   Addr base_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "snap/snapshot.hpp"
@@ -341,15 +340,29 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
     throw snap::SnapshotError("Kernel::restore_from: restores are only "
                               "legal between ticks");
   }
-  std::unordered_map<std::string, Component*> by_name;
+  // Components by name, as views of the names they hold: one sorted
+  // table answers every lookup below.
+  std::vector<std::pair<std::string_view, Component*>> by_name;
+  by_name.reserve(components_.size());
   for (Component* c : components_) {
-    if (c == nullptr) continue;
-    if (!by_name.emplace(c->name(), c).second) {
-      throw snap::SnapshotError(
-          "Kernel::restore_from: duplicate component name '" + c->name() +
-          "'");
-    }
+    if (c != nullptr) by_name.emplace_back(c->name(), c);
   }
+  std::sort(by_name.begin(), by_name.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto dup = std::adjacent_find(
+      by_name.begin(), by_name.end(),
+      [](const auto& a, const auto& b) { return a.first == b.first; });
+  if (dup != by_name.end()) {
+    throw snap::SnapshotError(
+        "Kernel::restore_from: duplicate component name '" +
+        std::string(dup->first) + "'");
+  }
+  const auto find = [&by_name](std::string_view name) -> Component* {
+    const auto it = std::lower_bound(
+        by_name.begin(), by_name.end(), name,
+        [](const auto& e, std::string_view n) { return e.first < n; });
+    return it != by_name.end() && it->first == name ? it->second : nullptr;
+  };
 
   const snap::Section& ks = snap.section("kernel");
   if (ks.version != 1) {
@@ -384,12 +397,12 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
   for (u32 i = 0; i < comp_count; ++i) {
     const std::string name = r.read_string("component");
     const bool awake = r.read_bool("awake");
-    auto it = by_name.find(name);
-    if (it == by_name.end()) {
+    const Component* c = find(name);
+    if (c == nullptr) {
       throw snap::SnapshotError("Kernel::restore_from: snapshot component '" +
                                 name + "' is not registered here");
     }
-    u8& flag = awake_flags[it->second->slot_];
+    u8& flag = awake_flags[c->slot_];
     if (flag != kUnset) {
       throw snap::SnapshotError("Kernel::restore_from: snapshot names "
                                 "component '" + name + "' twice");
@@ -403,14 +416,36 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
   for (u32 i = 0; i < timer_count; ++i) {
     const Cycle due = r.read_u64("due");
     const std::string name = r.read_string("component");
-    auto it = by_name.find(name);
-    if (it == by_name.end()) {
+    Component* c = find(name);
+    if (c == nullptr) {
       throw snap::SnapshotError("Kernel::restore_from: wake timer names "
                                 "unknown component '" + name + "'");
     }
-    timers.emplace_back(due, it->second);
+    timers.emplace_back(due, c);
   }
   r.expect_end();
+
+  // Each component's section, found in one pass over the image and
+  // checked before anything changes.
+  std::vector<const snap::Section*> sections(components_.size(), nullptr);
+  for (const snap::Section& s : snap.sections()) {
+    const std::string_view name = s.name;
+    if (!name.starts_with("c:")) continue;
+    if (const Component* c = find(name.substr(2))) sections[c->slot_] = &s;
+  }
+  for (const Component* c : components_) {
+    if (c == nullptr) continue;
+    const snap::Section* cs = sections[c->slot_];
+    if (cs == nullptr) {
+      throw snap::SnapshotError("snapshot: missing section 'c:" + c->name() +
+                                "'");
+    }
+    if (cs->version != 1) {
+      throw snap::SnapshotError("component section '" + c->name() +
+                                "' version " + std::to_string(cs->version) +
+                                " unsupported");
+    }
+  }
 
   // Commit: from here on the kernel mutates. Clock and Stats first so
   // components restoring against kernel().now() see the saved instant.
@@ -420,13 +455,8 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
 
   for (Component* c : components_) {
     if (c == nullptr) continue;
-    const snap::Section& cs = snap.section("c:" + c->name());
-    if (cs.version != 1) {
-      throw snap::SnapshotError("component section '" + c->name() +
-                                "' version " + std::to_string(cs.version) +
-                                " unsupported");
-    }
-    snap::StateReader cr(cs.bytes, "c:" + c->name());
+    const snap::Section& cs = *sections[c->slot_];
+    snap::StateReader cr(cs.bytes, cs.name);
     c->restore_state(cr);
     cr.expect_end();
   }

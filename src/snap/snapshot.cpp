@@ -104,27 +104,35 @@ u32 crc32(std::span<const u8> data) {
   return c ^ 0xFFFF'FFFFu;
 }
 
+std::vector<u32>::const_iterator Snapshot::lower_bound(
+    std::string_view name) const {
+  return std::lower_bound(
+      by_name_.begin(), by_name_.end(), name,
+      [this](u32 i, std::string_view n) { return sections_[i].name < n; });
+}
+
 void Snapshot::add(std::string name, u32 version, std::vector<u8> bytes) {
-  if (has(name)) {
+  const auto at = lower_bound(name);
+  if (at != by_name_.end() && sections_[*at].name == name) {
     throw SnapshotError("snapshot: duplicate section '" + name + "'");
   }
+  by_name_.insert(at, static_cast<u32>(sections_.size()));
   sections_.push_back(
       Section{std::move(name), version, std::move(bytes)});
 }
 
 bool Snapshot::has(std::string_view name) const {
-  for (const Section& s : sections_) {
-    if (s.name == name) return true;
-  }
-  return false;
+  const auto at = lower_bound(name);
+  return at != by_name_.end() && sections_[*at].name == name;
 }
 
 const Section& Snapshot::section(std::string_view name) const {
-  for (const Section& s : sections_) {
-    if (s.name == name) return s;
+  const auto at = lower_bound(name);
+  if (at == by_name_.end() || sections_[*at].name != name) {
+    throw SnapshotError("snapshot: missing section '" + std::string(name) +
+                        "'");
   }
-  throw SnapshotError("snapshot: missing section '" + std::string(name) +
-                      "'");
+  return sections_[*at];
 }
 
 std::vector<u8> Snapshot::serialize() const {

@@ -72,7 +72,11 @@ class Snapshot {
   static Snapshot load_file(const std::string& path);
 
  private:
+  /// The first entry of by_name_ whose name is not below @p name.
+  std::vector<u32>::const_iterator lower_bound(std::string_view name) const;
+
   std::vector<Section> sections_;
+  std::vector<u32> by_name_;  ///< indices into sections_, sorted by name
 };
 
 }  // namespace ouessant::snap

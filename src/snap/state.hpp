@@ -108,9 +108,17 @@ class StateWriter {
 /// field; a mismatch (wrong tag, wrong name, truncated payload) throws
 /// SnapshotError with @p context (typically the section name) in the
 /// message.
+///
+/// A reader reads its bytes where they lie. It owns them only when it is
+/// handed a vector to keep (a stream built on the spot); otherwise the
+/// bytes, like the context, are borrowed and must outlive the reader (a
+/// restore reads each section in place from the Snapshot it was given).
 class StateReader {
  public:
-  StateReader(std::vector<u8> bytes, std::string context);
+  StateReader(std::span<const u8> bytes, std::string_view context);
+  StateReader(std::vector<u8>&& bytes, std::string_view context);
+  StateReader(const StateReader&) = delete;
+  StateReader& operator=(const StateReader&) = delete;
 
   bool read_bool(std::string_view name);
   u8 read_u8(std::string_view name);
@@ -150,9 +158,10 @@ class StateReader {
   u64 raw_u64();
   void need(std::size_t n) const;
 
-  std::vector<u8> buf_;
+  std::vector<u8> owned_;
+  std::span<const u8> buf_;
   std::size_t pos_ = 0;
-  std::string context_;
+  std::string_view context_;
 };
 
 /// One field list, run in either direction. A stateful class declares

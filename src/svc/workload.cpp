@@ -1,6 +1,7 @@
 #include "svc/workload.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "codec/jpeg.hpp"
 #include "rac/fir.hpp"
@@ -9,17 +10,20 @@
 
 namespace ouessant::svc {
 
-Job make_job(u64 id, Cycle arrival, const WorkloadConfig& cfg,
-             util::Rng& rng) {
-  if (cfg.kinds.empty()) {
-    throw ConfigError("WorkloadConfig: empty kind mix");
-  }
+namespace {
+
+/// One job of a kind drawn uniformly from @p kinds (a draw even when
+/// there is one kind), then its priority and payload. Draws from a local
+/// copy of @p rng, written back once: the payload stores could alias the
+/// generator's u32 state and force it through memory on every draw.
+Job draw_job(u64 id, Cycle arrival, std::span<const JobKind> kinds,
+             double high_fraction, util::Rng& rng) {
+  util::Rng r = rng;
   Job job;
   job.id = id;
   job.arrival = arrival;
-  job.kind = cfg.kinds[rng.below(static_cast<u32>(cfg.kinds.size()))];
-  job.prio = rng.chance(cfg.high_fraction) ? Priority::kHigh
-                                           : Priority::kNormal;
+  job.kind = kinds[r.below(static_cast<u32>(kinds.size()))];
+  job.prio = r.chance(high_fraction) ? Priority::kHigh : Priority::kNormal;
   job.payload.resize(block_words(job.kind));
   if (job.kind == JobKind::kJpegChain) {
     // Quantized scan-order coefficients, shaped like a real entropy
@@ -27,18 +31,29 @@ Job make_job(u64 id, Cycle arrival, const WorkloadConfig& cfg,
     // survivors. After the dequantize stage multiplies by the service
     // quality's table (entries <= 255) the values stay well inside the
     // IDCT datapath's range.
-    job.payload[0] = util::to_word(rng.range(-100, 100));
+    job.payload[0] = util::to_word(r.range(-100, 100));
     for (std::size_t i = 1; i < job.payload.size(); ++i) {
-      const bool zero = rng.chance(0.75);
-      job.payload[i] =
-          util::to_word(zero ? 0 : rng.range(-30, 30));
+      const bool zero = r.chance(0.75);
+      job.payload[i] = util::to_word(zero ? 0 : r.range(-30, 30));
     }
-    return job;
+  } else {
+    // Coefficient-magnitude samples: the same range every RAC-facing
+    // bench uses, safely inside the Q16.16 headroom of all four
+    // datapaths.
+    for (auto& w : job.payload) w = util::to_word(r.range(-20000, 20000));
   }
-  // Coefficient-magnitude samples: the same range every RAC-facing bench
-  // uses, safely inside the Q16.16 headroom of all four datapaths.
-  for (auto& w : job.payload) w = util::to_word(rng.range(-20000, 20000));
+  rng = r;
   return job;
+}
+
+}  // namespace
+
+Job make_job(u64 id, Cycle arrival, const WorkloadConfig& cfg,
+             util::Rng& rng) {
+  if (cfg.kinds.empty()) {
+    throw ConfigError("WorkloadConfig: empty kind mix");
+  }
+  return draw_job(id, arrival, cfg.kinds, cfg.high_fraction, rng);
 }
 
 std::vector<Job> open_loop_arrivals(const WorkloadConfig& cfg,
@@ -98,10 +113,7 @@ std::vector<Job> phased_arrivals(const std::vector<WorkloadPhase>& phases,
         }
         pick -= weight;
       }
-      WorkloadConfig one;
-      one.kinds = {kind};
-      one.high_fraction = ph.high_fraction;
-      jobs.push_back(make_job(id++, t, one, rng));
+      jobs.push_back(draw_job(id++, t, {&kind, 1}, ph.high_fraction, rng));
     }
   }
   return jobs;

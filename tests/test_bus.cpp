@@ -323,6 +323,43 @@ TEST(Sram, AddressErrorsNameTheAddressInHex) {
             "Sram s: unaligned read at 0x00001002");
 }
 
+TEST(Sram, LoadPastTheEndThrowsAndWritesNothing) {
+  constexpr u32 kWords = 2 * mem::Sram::kPageWords;
+  mem::Sram s{"s", 0x1000, kWords * 4};
+  // From 24 words before the end, 30 words: the poke of word 24 would
+  // fail first, so that is the address named, and no word lands.
+  const Addr at = 0x1000 + 4 * (kWords - 24);
+  EXPECT_EQ(sim_error([&] { s.load(at, std::vector<u32>(30, 7)); }),
+            "Sram s: poke at 0x00003000 out of range");
+  EXPECT_EQ(s.dump(0x1000, kWords), std::vector<u32>(kWords, 0));
+  EXPECT_EQ(s.resident_bytes(), 0u);
+  // A bad first word is named as a poke would name it.
+  EXPECT_EQ(sim_error([&] { s.load(0x0FFC, {1}); }),
+            "Sram s: poke at 0x00000FFC out of range");
+  EXPECT_EQ(sim_error([&] { s.load(0x1002, {1}); }),
+            "Sram s: unaligned poke at 0x00001002");
+  // The backdoor moves no access counter.
+  s.load(at, std::vector<u32>(24, 7));
+  EXPECT_EQ(s.peek(0x1000 + 4 * (kWords - 1)), 7u);
+  EXPECT_EQ(s.reads(), 0u);
+  EXPECT_EQ(s.writes(), 0u);
+}
+
+TEST(Sram, LoadReachesTheTopOfTheAddressSpace) {
+  mem::Sram hi{"hi", 0xFFFF'F000, 0x1000};
+  std::vector<u32> words(0x1000 / 4);
+  for (u32 i = 0; i < words.size(); ++i) words[i] = i + 1;
+  hi.load(0xFFFF'F000, words);
+  EXPECT_EQ(hi.dump(0xFFFF'F000, 0x1000 / 4), words);
+  EXPECT_EQ(hi.peek(0xFFFF'FFFC), 0x400u);
+  // A memory declared past 2^32: the word after 0xFFFFFFFC would wrap to
+  // address 0, so the load is refused whole.
+  mem::Sram wide{"wide", 0xFFFF'F000, 0x2000};
+  EXPECT_EQ(sim_error([&] { wide.load(0xFFFF'FFFC, {1, 2}); }),
+            "Sram wide: poke at 0x00000000 out of range");
+  EXPECT_EQ(wide.resident_bytes(), 0u);
+}
+
 TEST(BusMapping, SlaveAtTopOfAddressSpace) {
   // A region ending exactly at 2^32 is legal; decode must reach its last
   // word. (Regression: the seed's decode test `addr - base < size` was

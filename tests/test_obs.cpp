@@ -361,7 +361,9 @@ TEST_P(LedgerExactness, FirstGridPointValidates) {
   ASSERT_NE(spec, nullptr) << GetParam();
   const auto points = spec->points();
   ASSERT_FALSE(points.empty());
-  exp::SweepJob job{.spec = spec, .params = points[0]};
+  exp::SweepJob job;
+  job.spec = spec;
+  job.params = points[0];
   job.ctx.seed = spec->default_seed;
   const exp::Result r = exp::run_job(job);
   EXPECT_TRUE(r.ok) << r.error;

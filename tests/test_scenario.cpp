@@ -35,9 +35,27 @@ exp::Result run_point(const std::string& name, std::size_t index = 0) {
   EXPECT_NE(spec, nullptr) << name;
   const auto points = spec->points();
   EXPECT_LT(index, points.size()) << name;
-  exp::SweepJob job{.spec = spec, .params = points[index]};
+  exp::SweepJob job;
+  job.spec = spec;
+  job.params = points[index];
   job.ctx.seed = spec->default_seed;
   return exp::run_job(job);
+}
+
+/// A spec with only a name and a run function; defaults elsewhere.
+exp::ScenarioSpec named_spec(std::string name,
+                             decltype(exp::ScenarioSpec::run) run) {
+  exp::ScenarioSpec spec;
+  spec.name = std::move(name);
+  spec.run = std::move(run);
+  return spec;
+}
+
+/// Sweep options that set only the worker count.
+exp::SweepOptions on_workers(int jobs) {
+  exp::SweepOptions options;
+  options.jobs = jobs;
+  return options;
 }
 
 i64 metric(const exp::Result& r, const std::string& name) {
@@ -71,9 +89,9 @@ TEST(Registry, RejectsDuplicatesAndMissingRun) {
   exp::Registry r;
   const auto noop = [](const exp::ParamMap&, const exp::RunContext&,
                        exp::Result&) {};
-  r.add({.name = "a", .run = noop});
-  EXPECT_THROW(r.add({.name = "a", .run = noop}), ConfigError);
-  EXPECT_THROW(r.add({.name = "b"}), ConfigError);
+  r.add(named_spec("a", noop));
+  EXPECT_THROW(r.add(named_spec("a", noop)), ConfigError);
+  EXPECT_THROW(r.add(named_spec("b", {})), ConfigError);
 }
 
 TEST(Registry, GridExpansionLastAxisFastest) {
@@ -361,7 +379,7 @@ void expect_dpr_claim(const std::vector<exp::Result>& results) {
 // Sweep engine.
 
 TEST(Sweep, EveryScenarioCompletesAndPasses) {
-  const auto outcome = exp::run_sweep(registry(), {.jobs = 1});
+  const auto outcome = exp::run_sweep(registry(), on_workers(1));
   EXPECT_EQ(outcome.failed, 0u);
   for (const auto& r : outcome.results) {
     EXPECT_TRUE(r.ok) << r.scenario << " " << r.params.str() << ": "
@@ -389,8 +407,8 @@ TEST(Sweep, FilterSelectsByNameExperimentAndTitle) {
 
 TEST(Sweep, ParallelBitIdenticalToSerial) {
   const auto jobs = exp::expand_jobs(registry(), "");
-  const auto serial = exp::run_sweep(registry(), {.jobs = 1});
-  const auto parallel = exp::run_sweep(registry(), {.jobs = 8});
+  const auto serial = exp::run_sweep(registry(), on_workers(1));
+  const auto parallel = exp::run_sweep(registry(), on_workers(8));
   ASSERT_EQ(serial.results.size(), jobs.size());
   ASSERT_EQ(parallel.results.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -402,24 +420,27 @@ TEST(Sweep, ParallelBitIdenticalToSerial) {
 
 TEST(Sweep, RunCtxThreadsSeedAndTracePath) {
   exp::Registry r;
-  r.add({.name = "ctx_spec",
-         .grid = {{.name = "i", .values = {1, 2}}},
-         .default_seed = 7,
-         .run = [](const exp::ParamMap&, const exp::RunContext& ctx,
-                   exp::Result& res) {
-           res.add_metric("seed", static_cast<i64>(ctx.seed));
-           res.add_metric("traced", ctx.trace_path.empty() ? 0 : 1);
-         }});
+  exp::ScenarioSpec spec = named_spec(
+      "ctx_spec", [](const exp::ParamMap&, const exp::RunContext& ctx,
+                     exp::Result& res) {
+        res.add_metric("seed", static_cast<i64>(ctx.seed));
+        res.add_metric("traced", ctx.trace_path.empty() ? 0 : 1);
+      });
+  spec.grid = {{.name = "i", .values = {1, 2}}};
+  spec.default_seed = 7;
+  r.add(std::move(spec));
 
   // Default: the spec's own seed, no tracing.
-  auto outcome = exp::run_sweep(r, {.jobs = 1});
+  auto outcome = exp::run_sweep(r, on_workers(1));
   ASSERT_EQ(outcome.results.size(), 2u);
   EXPECT_EQ(outcome.results[0].metrics.get_int("seed"), 7);
   EXPECT_EQ(outcome.results[0].metrics.get_int("traced"), 0);
 
   // --seed overrides, --trace names one file per grid point.
-  const auto jobs =
-      exp::expand_jobs(r, {.jobs = 1, .seed = 42u, .trace_stem = "tr"});
+  exp::SweepOptions options = on_workers(1);
+  options.seed = 42u;
+  options.trace_stem = "tr";
+  const auto jobs = exp::expand_jobs(r, options);
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0].ctx.seed, 42u);
   EXPECT_EQ(jobs[0].ctx.trace_path, "tr_ctx_spec_0.vcd");
@@ -428,10 +449,9 @@ TEST(Sweep, RunCtxThreadsSeedAndTracePath) {
 
 TEST(Sweep, ExceptionBecomesFailedResult) {
   exp::Registry r;
-  r.add({.name = "boom",
-         .run = [](const exp::ParamMap&, const exp::RunContext&,
-                   exp::Result&) { throw SimError("deliberate"); }});
-  const auto outcome = exp::run_sweep(r, {.jobs = 1});
+  r.add(named_spec("boom", [](const exp::ParamMap&, const exp::RunContext&,
+                             exp::Result&) { throw SimError("deliberate"); }));
+  const auto outcome = exp::run_sweep(r, on_workers(1));
   ASSERT_EQ(outcome.results.size(), 1u);
   EXPECT_FALSE(outcome.results[0].ok);
   EXPECT_NE(outcome.results[0].error.find("deliberate"), std::string::npos);

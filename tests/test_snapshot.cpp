@@ -1,9 +1,11 @@
 // The snapshot subsystem, bottom to top:
 //
 //   1. State streams: every tagged field type round-trips; wrong name,
-//      wrong tag, truncation, trailing garbage and a false words32 count
-//      all throw SnapshotError naming the field; the paged words32
-//      encoder emits the dense encoder's bytes. One field list saves the
+//      wrong tag, truncation, trailing garbage, a false words32 count and
+//      a literal block longer than the bytes left all throw
+//      SnapshotError naming the field; the paged words32 encoder emits
+//      the dense encoder's bytes, and the block decoder hands out the
+//      words a per-word decode yields. One field list saves the
 //      bytes a hand-written save would, restores them, and refuses an
 //      enum past its last value, a fixed field of another length and a
 //      list longer than the bytes left.
@@ -14,7 +16,9 @@
 //      kernel section must name every registered component exactly once.
 //   3. Per-component round-trips: SRAM contents + counters (also into
 //      a dirty memory), RNG streams, latency histograms restore to
-//      equal objects.
+//      equal objects. The bulk SRAM paths, restore and load, leave the
+//      words and pages that per-word pokes leave, and a truncated image
+//      leaves the memory as it was.
 //   4. The correctness bar of the refactor — snapshot at cycle C,
 //      restore into a fresh stack, run to the end, and the clocks,
 //      Stats::all(), outputs and latency histograms are bit-identical
@@ -41,8 +45,10 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -186,6 +192,115 @@ TEST(StateStream, PagedEncoderEmitsTheDenseBytes) {
   }
 }
 
+/// The words of the words32 field at the start of @p bytes, decoded one
+/// word at a time: the reference the block decoder must match.
+std::vector<u32> per_word_decode(const std::vector<u8>& bytes) {
+  std::size_t pos = 2 + std::size_t{bytes.at(1)};  // tag, name length, name
+  const auto next = [&bytes, &pos] {
+    u32 v = 0;
+    for (int i = 0; i < 4; ++i) v |= u32{bytes.at(pos++)} << (8 * i);
+    return v;
+  };
+  const u32 count = next();
+  std::vector<u32> words;
+  while (words.size() < count) {
+    const u32 block = next();
+    if ((block & 0x8000'0000u) != 0) {
+      for (u32 k = 0; k < (block & 0x7FFF'FFFFu); ++k) words.push_back(next());
+    } else {
+      const u32 value = next();
+      for (u32 k = 0; k < block; ++k) words.push_back(value);
+    }
+  }
+  EXPECT_EQ(pos, bytes.size());
+  return words;
+}
+
+TEST(StateStream, BlockDecodeMatchesPerWordReference) {
+  // Seeded random paged arrays: zero runs, runs of one word and random
+  // words, some longer than a page, so literal and run blocks cross page
+  // boundaries. Streamed block by block, each array must decode to the
+  // words a per-word decode of the same bytes yields, and to the array.
+  util::Rng rng(20261018);
+  u32 literal_crossings = 0;
+  u32 run_crossings = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const u32 page_words = 4u << rng.below(4);
+    const u32 count = 1 + rng.below(12 * page_words);
+    std::vector<u32> words;
+    while (words.size() < count) {
+      const u32 len = 1 + rng.below(rng.chance(0.3) ? 3 * page_words : 6);
+      const u32 kind = rng.below(3);
+      const u32 repeated = rng.next_u32();
+      for (u32 k = 0; k < len && words.size() < count; ++k) {
+        words.push_back(kind == 0 ? 0u : kind == 1 ? repeated : rng.next_u32());
+      }
+    }
+    const u32 n_pages = (count + page_words - 1) / page_words;
+    std::vector<std::vector<u32>> store(n_pages);
+    std::vector<const u32*> table(n_pages, nullptr);
+    for (u32 p = 0; p < n_pages; ++p) {
+      const auto first = words.begin() + p * page_words;
+      const auto last = words.begin() + std::min((p + 1) * page_words, count);
+      if (std::all_of(first, last, [](u32 w) { return w == 0; })) continue;
+      store[p].assign(first, last);
+      store[p].resize(page_words);
+      table[p] = store[p].data();
+    }
+    StateWriter w;
+    w.write_words32("m", count, table, page_words);
+    const std::vector<u8> bytes = w.take();
+
+    std::vector<u32> decoded;
+    StateReader r(bytes, "test");
+    r.read_words32("m", count, [&](const Words32Block& b) {
+      ASSERT_EQ(b.at, decoded.size());
+      if (b.at / page_words != (b.at + b.n - 1) / page_words) {
+        ++(b.literal.empty() ? run_crossings : literal_crossings);
+      }
+      if (b.literal.empty()) {
+        decoded.insert(decoded.end(), b.n, b.value);
+      } else {
+        ASSERT_EQ(b.literal.size(), b.n);
+        decoded.insert(decoded.end(), b.literal.begin(), b.literal.end());
+      }
+    });
+    r.expect_end();
+    ASSERT_EQ(decoded, per_word_decode(bytes)) << "trial " << trial;
+    ASSERT_EQ(decoded, words) << "trial " << trial;
+  }
+  EXPECT_GT(literal_crossings, 100u);
+  EXPECT_GT(run_crossings, 100u);
+}
+
+/// A words32 field @p name declaring @p count words, followed by the raw
+/// block words @p blocks (headers and payloads, as the wire holds them).
+std::vector<u8> words32_field(std::string_view name, u32 count,
+                              const std::vector<u32>& blocks) {
+  StateWriter w;
+  w.write_words32(name, {});
+  std::vector<u8> bytes = w.take();
+  bytes.resize(bytes.size() - 4);  // the empty field's count
+  const auto put = [&bytes](u32 word) {
+    for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<u8>(word >> (8 * i)));
+  };
+  put(count);
+  for (const u32 word : blocks) put(word);
+  return bytes;
+}
+
+TEST(StateStream, LiteralLongerThanTheBytesLeftIsASnapshotError) {
+  // A literal block declaring 2^31-1 words with two words behind it. The
+  // decoder must refuse it from its header, before its scratch grows to
+  // 8 GiB and before the sink sees a word.
+  constexpr u32 kCount = 0x7FFF'FFFFu;
+  StateReader r(words32_field("m", kCount, {0x8000'0000u | kCount, 1, 2}),
+                "test");
+  EXPECT_THROW(r.read_words32("m", kCount,
+                              [](const Words32Block&) { ADD_FAILURE(); }),
+               SnapshotError);
+}
+
 TEST(StateStream, FalseWords32CountIsASnapshotError) {
   // The streaming read checks the declared count before any block.
   StateWriter w;
@@ -205,8 +320,10 @@ TEST(StateStream, FalseWords32CountIsASnapshotError) {
   job.write_words32("payload", {});
   std::vector<u8> bytes = job.take();
   std::fill(bytes.end() - 4, bytes.end(), u8{0xFF});  // the word count
-  StateReader jr(bytes, "job");
-  EXPECT_THROW((void)svc::load_job(jr), SnapshotError);
+  {
+    StateReader jr(bytes, "job");  // borrows bytes, which grow below
+    EXPECT_THROW((void)svc::load_job(jr), SnapshotError);
+  }
 
   // The same count backed by one run block of 2^31-1 zero words: eight
   // bytes that the dense reader must refuse before it inflates them into
@@ -563,6 +680,123 @@ TEST(ComponentState, SramRestoreIntoDirtyMemoryZeroesUnsavedWords) {
   r.expect_end();
   EXPECT_EQ(b.dump(0, kBytes / 4), a.dump(0, kBytes / 4));
   EXPECT_EQ(b.resident_bytes(), 3 * mem::Sram::kPageWords * 4u);
+}
+
+/// An Sram state stream for a memory named "sram" of @p words words whose
+/// contents are the raw words32 blocks @p blocks.
+std::vector<u8> sram_image(u32 words, const std::vector<u32>& blocks) {
+  StateWriter w;
+  w.write_string("name", "sram");
+  w.write_u64("reads", 0);
+  w.write_u64("writes", 0);
+  std::vector<u8> bytes = w.take();
+  const std::vector<u8> data = words32_field("data", words, blocks);
+  bytes.insert(bytes.end(), data.begin(), data.end());
+  return bytes;
+}
+
+/// Every word and the resident bytes of @p a equal those of @p b.
+void expect_same_memory(const mem::Sram& a, const mem::Sram& b,
+                        const std::string& what) {
+  const u32 words = a.size_bytes() / 4;
+  EXPECT_EQ(a.dump(a.base(), words), b.dump(b.base(), words)) << what;
+  EXPECT_EQ(a.resident_bytes(), b.resident_bytes()) << what;
+}
+
+/// A memory of @p words words holding @p data from word @p at, stored by
+/// per-word pokes, or by load() when @p bulk. When @p dirty, the first
+/// word of pages 0 to 2 held a non-zero word before.
+std::unique_ptr<mem::Sram> filled(u32 words, u32 at,
+                                  const std::vector<u32>& data, bool bulk,
+                                  bool dirty) {
+  auto m = std::make_unique<mem::Sram>("sram", 0, words * 4);
+  for (u32 page = 0; dirty && page < 3; ++page) {
+    if (page * mem::Sram::kPageWords < words) {
+      m->poke(4 * page * mem::Sram::kPageWords, 0xD1);
+    }
+  }
+  if (bulk) {
+    m->load(4 * at, data);
+  } else {
+    for (u32 i = 0; i < data.size(); ++i) m->poke(4 * (at + i), data[i]);
+  }
+  return m;
+}
+
+/// Checks that load() of @p data at word @p at, into a fresh memory and
+/// over old words, and a restore of @p image into a memory holding other
+/// words, leave the words and pages that per-word pokes leave. An empty
+/// @p image restores the poked memory's own save.
+void expect_bulk_paths_match_pokes(const std::string& what, u32 words,
+                                   u32 at, const std::vector<u32>& data,
+                                   std::vector<u8> image = {}) {
+  for (const bool dirty : {false, true}) {
+    expect_same_memory(*filled(words, at, data, true, dirty),
+                       *filled(words, at, data, false, dirty),
+                       what + (dirty ? ": load over old words" : ": load"));
+  }
+  const auto poked = filled(words, at, data, false, false);
+  if (image.empty()) {
+    StateWriter w;
+    poked->save_state(w);
+    image = w.take();
+  }
+  mem::Sram restored("sram", 0, words * 4);
+  restored.poke(4 * (words - 1), 0xFFFF'FFFF);
+  StateReader r(image, "sram");
+  restored.restore_state(r);
+  r.expect_end();
+  expect_same_memory(restored, *poked, what + ": restore");
+}
+
+TEST(ComponentState, SramBulkPathsMatchPerWordPokes) {
+  constexpr u32 kPage = mem::Sram::kPageWords;
+  // A literal [5, 6, 0, 0, 0] across pages 0/1: its all-zero segment on
+  // absent page 1 allocates nothing.
+  expect_bulk_paths_match_pokes(
+      "zero literal segment", 3 * kPage, kPage - 2, {5, 6, 0, 0, 0},
+      sram_image(3 * kPage, {kPage - 2, 0, 0x8000'0005u, 5, 6, 0, 0, 0,
+                             2 * kPage - 3, 0}));
+  // A run of 0xC0DE from the last four words of page 0 to the first four
+  // of page 2 allocates all three pages.
+  expect_bulk_paths_match_pokes(
+      "run over three pages", 3 * kPage, kPage - 4,
+      std::vector<u32>(kPage + 8, 0xC0DE),
+      sram_image(3 * kPage,
+                 {kPage - 4, 0, kPage + 8, 0xC0DE, kPage - 4, 0}));
+  // A 16 MB image that is one zero run allocates no page.
+  constexpr u32 k16M = 4u << 20;
+  expect_bulk_paths_match_pokes("16 MB of zeros", k16M, 0,
+                                std::vector<u32>(k16M, 0),
+                                sram_image(k16M, {k16M, 0}));
+
+  // Seeded random contents over six pages, saved by the encoder.
+  util::Rng rng(20261019);
+  for (int trial = 0; trial < 40; ++trial) {
+    const u32 at = rng.below(2 * kPage);
+    std::vector<u32> data(rng.below(4 * kPage));
+    for (std::size_t i = 0; i < data.size();) {
+      const u32 len = 1 + rng.below(rng.chance(0.2) ? 2 * kPage : 8);
+      const u32 kind = rng.below(3);
+      const u32 repeated = rng.next_u32();
+      for (u32 k = 0; k < len && i < data.size(); ++k, ++i) {
+        data[i] = kind == 0 ? 0u : kind == 1 ? repeated : rng.next_u32();
+      }
+    }
+    expect_bulk_paths_match_pokes("trial " + std::to_string(trial),
+                                  6 * kPage, at, data);
+  }
+}
+
+TEST(ComponentState, SramRestoreOfATruncatedLiteralChangesNothing) {
+  constexpr u32 kWords = 2 * mem::Sram::kPageWords;
+  mem::Sram m("sram", 0, kWords * 4);
+  m.poke(4, 9);
+  // One literal block declaring every word, with two words behind it.
+  StateReader r(sram_image(kWords, {0x8000'0000u | kWords, 1, 2}), "sram");
+  EXPECT_THROW(m.restore_state(r), SnapshotError);
+  EXPECT_EQ(m.dump(0, 3), (std::vector<u32>{0, 9, 0}));
+  EXPECT_EQ(m.resident_bytes(), mem::Sram::kPageWords * 4u);
 }
 
 TEST(ComponentState, RngStreamResumesExactly) {
