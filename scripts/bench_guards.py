@@ -22,8 +22,11 @@ pairs:  compares two builds from alternating runs: the i-th BASE run of
         pairs NEW won in the metric's `better` direction, and whether
         the claim rule holds: NEW wins at least 9 of every 10 pairs (and
         there are at least 10), and the medians differ, in that
-        direction, by more than BASE's interquartile range. It only
-        reports; a rule that does not hold is not an error.
+        direction, by more than BASE's interquartile range. A last row
+        gives the same median, quartiles and ratio for the rounds each
+        run completed (its meta line), since the driver's own memory
+        grows with them. It only reports; a rule that does not hold is
+        not an error.
 
 Prints what it compared; exits 0 when every run passes and 1 (with the
 reason on stderr) when one does not, or when the input is malformed.
@@ -102,7 +105,7 @@ def by_workload(paths):
         workload, run = load_run(path)
         if not run["result"]["correct"]:
             sys.exit(f"{path}: perfbench run not correct")
-        runs.setdefault(workload, []).append(run["result"]["metrics"])
+        runs.setdefault(workload, []).append(run)
     return runs
 
 
@@ -122,8 +125,8 @@ def pairs(base_paths, new_paths):
               f"{'NEW median [q1, q3]':32s} {'ratio':>6s} {'won':>7s}  rule")
         for m in metrics:
             name, higher = m["name"], m["better"] == "higher"
-            a = [r[name]["value"] for r in base[w]]
-            b = [r[name]["value"] for r in new[w]]
+            a = [r["result"]["metrics"][name]["value"] for r in base[w]]
+            b = [r["result"]["metrics"][name]["value"] for r in new[w]]
             (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
             won = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
             gap = (bm - am) if higher else (am - bm)
@@ -132,6 +135,11 @@ def pairs(base_paths, new_paths):
             print(f"  {name:12s} {spread(am, a1, a3):32s} "
                   f"{spread(bm, b1, b3):32s} {ratio:6.3f} {won:3d}/{n:<3d}  "
                   f"{'holds' if holds else 'does not hold'}")
+        a = [r["meta"]["rounds"] for r in base[w]]
+        b = [r["meta"]["rounds"] for r in new[w]]
+        (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
+        print(f"  {'rounds':12s} {spread(am, a1, a3):32s} "
+              f"{spread(bm, b1, b3):32s} {bm / am:6.3f}")
 
 
 if __name__ == "__main__":

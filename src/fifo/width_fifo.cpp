@@ -156,7 +156,10 @@ void WidthFifo::state(snap::Fields& f) {
     }
     storage_.unpack_words(words, static_cast<std::size_t>(stored_bits));
   }
-  f.field("level", level_);
+  // Every write of level_ sets it from the storage, so an image whose
+  // level differs from its stored bits is refused.
+  f.expect<u32>("level", storage_.size_bits());
+  if (f.restoring()) level_ = static_cast<u32>(stored_bits);
   f.field("wrote_this_cycle", wrote_this_cycle_);
   f.field("read_this_cycle", read_this_cycle_);
   f.field("pending_write", pending_write_);

@@ -137,7 +137,7 @@ FleetReport run_fleet(const FleetConfig& cfg) {
   fleet.cold_boot_ms = ms_since(cold_t0);
 
   const snap::Snapshot image = tmpl.snapshot();
-  fleet.snapshot_bytes = image.serialize().size();
+  fleet.snapshot_bytes = image.serialized_size();
 
   svc::LatencyStats* exact =
       cfg.obs.keep_exact_histogram ? &fleet.exact_e2e : nullptr;

@@ -43,21 +43,31 @@ void Sram::store(Pages& pages, u32 index, u32 value) {
   page->words[index % kPageWords] = value;
 }
 
-void Sram::store(Pages& pages, u32 index, std::span<const u32> words) {
-  while (!words.empty()) {
+template <class T>
+void Sram::store(Pages& pages, u32 index, std::span<const T> src) {
+  constexpr std::size_t kPerWord = 4 / sizeof(T);
+  while (!src.empty()) {
     const u32 off = index % kPageWords;
-    const auto seg =
-        words.first(std::min<std::size_t>(words.size(), kPageWords - off));
+    const auto len =
+        std::min<std::size_t>(src.size() / kPerWord, kPageWords - off);
+    const auto seg = src.first(len * kPerWord);
     auto& page = pages[index / kPageWords];
-    if (!page && std::any_of(seg.begin(), seg.end(),
-                             [](u32 w) { return w != 0; })) {
+    if (!page &&
+        std::any_of(seg.begin(), seg.end(), [](T x) { return x != 0; })) {
       // A segment that covers the page overwrites all of it.
-      page = seg.size() == kPageWords ? std::make_unique_for_overwrite<Page>()
-                                      : std::make_unique<Page>();
+      page = len == kPageWords ? std::make_unique_for_overwrite<Page>()
+                               : std::make_unique<Page>();
     }
-    if (page) std::copy(seg.begin(), seg.end(), page->words + off);
-    index += static_cast<u32>(seg.size());
-    words = words.subspan(seg.size());
+    if (page) {
+      const std::span<u32> out(page->words + off, len);
+      if constexpr (kPerWord == 1) {
+        std::copy(seg.begin(), seg.end(), out.begin());
+      } else {
+        snap::load_le32(seg, out);
+      }
+    }
+    index += static_cast<u32>(len);
+    src = src.subspan(seg.size());
   }
 }
 
@@ -100,7 +110,7 @@ void Sram::load(Addr addr, const std::vector<u32>& words) {
   if (words.size() > room) {
     out_of_range(static_cast<Addr>(addr + room * 4), "poke");
   }
-  store(pages_, first, words);
+  store<u32>(pages_, first, words);
 }
 
 std::vector<u32> Sram::dump(Addr addr, u32 words) const {
@@ -157,7 +167,7 @@ void Sram::state(snap::Fields& f) {
 Rom::Rom(std::string name, Addr base, std::vector<u32> contents, u32 read_wait)
     : Sram(std::move(name), base, static_cast<u32>(contents.size() * 4),
            read_wait, 0) {
-  store(pages_, 0, contents);
+  store<u32>(pages_, 0, contents);
 }
 
 u32 Rom::write_word(Addr addr, u32) {

@@ -86,10 +86,13 @@ class Sram : public bus::BusSlave, public snap::Stateful<Sram> {
   /// Stores @p value at word @p index of @p pages, allocating the page
   /// only for a non-zero value.
   static void store(Pages& pages, u32 index, u32 value);
-  /// Stores @p words from word @p index of @p pages on, one page segment
-  /// at a time; an absent page is allocated only for a segment that
-  /// holds a non-zero word.
-  static void store(Pages& pages, u32 index, std::span<const u32> words);
+  /// Stores the words of @p src from word @p index of @p pages on, one
+  /// page segment at a time; an absent page is allocated only for a
+  /// segment that holds a non-zero word. @p src holds the words (T is
+  /// u32), or a snapshot literal block's little-endian bytes (T is u8),
+  /// which each segment decodes straight into its page.
+  template <class T>
+  static void store(Pages& pages, u32 index, std::span<const T> src);
   /// Sets @p n words from word @p index of @p pages on to @p value, one
   /// page segment at a time; a zero value allocates no page.
   static void store_run(Pages& pages, u32 index, u32 n, u32 value);

@@ -18,6 +18,7 @@
 // without invalidating the whole container format.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <string_view>
@@ -39,8 +40,11 @@ struct Section {
   std::vector<u8> bytes;
 };
 
-/// CRC-32 (IEEE, reflected, poly 0xEDB88320) of @p data, eight bytes a
-/// step. Used as the snapshot trailer; exposed for tests.
+/// CRC-32 (IEEE, reflected, poly 0xEDB88320) of @p data. On an x86-64
+/// CPU with PCLMULQDQ and SSE4.1 an input of 64 bytes or more is folded
+/// 64 bytes a step by carry-less multiplication; everything else, and
+/// the last bytes, go through tables eight bytes a step. Used as the
+/// snapshot trailer; exposed for tests.
 u32 crc32(std::span<const u8> data);
 
 class Snapshot {
@@ -60,6 +64,10 @@ class Snapshot {
 
   /// Flat byte image (magic + version + sections + CRC trailer).
   std::vector<u8> serialize() const;
+
+  /// serialize().size(), without building the image. Throws the
+  /// SnapshotError serialize() throws for a section name too long.
+  std::size_t serialized_size() const;
 
   /// Parses @p image, validating magic, format version, section
   /// framing, and the CRC trailer. Throws SnapshotError on any defect.

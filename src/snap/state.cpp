@@ -55,6 +55,10 @@ void load_le(const u8* p, std::span<Word> out) {
 
 }  // namespace
 
+void load_le32(std::span<const u8> bytes, std::span<u32> out) {
+  load_le(bytes.first(out.size_bytes()).data(), out);
+}
+
 // ---------------------------------------------------------------------------
 // StateWriter
 
@@ -280,20 +284,18 @@ std::string StateReader::read_string(std::string_view name) {
 
 void StateReader::read_blocks(
     u32 count, const std::function<void(const Words32Block&)>& sink) {
-  std::vector<u32> literal;
   u32 at = 0;
   while (at < count) {
     const u32 block = raw_u32();
     if ((block & kLiteralBit) != 0) {
-      // One bounds check for the whole block, before the scratch grows;
-      // then one decoding pass.
+      // One bounds check for the whole block, from its header; the sink
+      // decodes the bytes where they lie.
       const u32 n = block & kMaxBlockWords;
       if (n > count - at) fail("RLE literal overruns word count");
-      need(std::size_t{n} * 4);
-      literal.resize(n);
-      load_le(buf_.data() + pos_, std::span<u32>(literal));
-      pos_ += std::size_t{n} * 4;
-      sink({.at = at, .n = n, .literal = literal});
+      const std::size_t bytes = std::size_t{n} * 4;
+      need(bytes);
+      sink({.at = at, .n = n, .literal = buf_.subspan(pos_, bytes)});
+      pos_ += bytes;
       at += n;
     } else {
       if (block == 0 || block > count - at) {
@@ -314,11 +316,8 @@ std::vector<u32> StateReader::read_words32(std::string_view name) {
   }
   std::vector<u32> v;
   read_blocks(count, [&v](const Words32Block& b) {
-    if (b.literal.empty()) {
-      v.insert(v.end(), b.n, b.value);
-    } else {
-      v.insert(v.end(), b.literal.begin(), b.literal.end());
-    }
+    v.resize(std::size_t{b.at} + b.n, b.value);
+    if (!b.literal.empty()) load_le32(b.literal, std::span(v).last(b.n));
   });
   return v;
 }

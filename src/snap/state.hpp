@@ -30,6 +30,7 @@
 // so a paged memory encodes in time proportional to its present pages.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -66,13 +67,22 @@ enum class Tag : u8 {
   kBytes = 9,
 };
 
-/// One decoded words32 RLE block: @c n words starting at word @c at,
-/// either the words of a literal block or @c n copies of @c value.
+/// Decodes the @p out.size() little-endian words at the start of
+/// @p bytes into @p out, in one copy on a little-endian host. @p bytes
+/// may lie at any alignment and must hold at least 4 * out.size() bytes.
+void load_le32(std::span<const u8> bytes, std::span<u32> out);
+
+/// One words32 RLE block: @c n words starting at word @c at, either the
+/// words of a literal block or @c n copies of @c value. A literal block
+/// is not decoded: @c literal holds its @c n words as little-endian
+/// bytes where they lie in the stream, and the sink decodes them into
+/// its own storage with load_le32(). The block's bounds are checked
+/// before the sink sees it.
 struct Words32Block {
   u32 at = 0;
   u32 n = 0;
-  u32 value = 0;                  ///< the repeated word of a run block
-  std::span<const u32> literal;   ///< a literal block's words; empty for a run
+  u32 value = 0;                ///< the repeated word of a run block
+  std::span<const u8> literal;  ///< a literal block's 4n bytes; empty for a run
 };
 
 /// Builds one component's byte stream, field by field.
@@ -216,7 +226,7 @@ class Fields {
   /// A fixed-length words32 field (a register file, a delay line): the
   /// image must hold exactly v.size() words.
   template <class T, std::size_t N>
-    requires(std::is_integral_v<T> && sizeof(T) == 4)
+    requires(std::is_same_v<T, u32> || std::is_same_v<T, i32>)
   void field(std::string_view name, std::span<T, N> v) {
     const auto n = static_cast<u32>(v.size());
     if (w_ != nullptr) {
@@ -225,9 +235,13 @@ class Fields {
       return;
     }
     r_->read_words32(name, n, [v](const Words32Block& b) {
-      for (u32 k = 0; k < b.n; ++k) {
-        const u32 word = b.literal.empty() ? b.value : b.literal[k];
-        v[b.at + k] = static_cast<T>(word);
+      const auto out = v.subspan(b.at, b.n);
+      if (b.literal.empty()) {
+        std::fill(out.begin(), out.end(), static_cast<T>(b.value));
+      } else {
+        // An i32 may be accessed through its unsigned counterpart.
+        load_le32(b.literal,
+                  {reinterpret_cast<u32*>(out.data()), out.size()});
       }
     });
   }

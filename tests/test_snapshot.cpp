@@ -18,7 +18,8 @@
 //      a dirty memory), RNG streams, latency histograms restore to
 //      equal objects. The bulk SRAM paths, restore and load, leave the
 //      words and pages that per-word pokes leave, and a truncated image
-//      leaves the memory as it was.
+//      leaves the memory as it was. A FIFO holding a partial chunk
+//      round-trips, and its image must not misstate its level.
 //   4. The correctness bar of the refactor — snapshot at cycle C,
 //      restore into a fresh stack, run to the end, and the clocks,
 //      Stats::all(), outputs and latency histograms are bit-identical
@@ -41,6 +42,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -54,6 +56,7 @@
 
 #include "drv/session.hpp"
 #include "exp/sweep.hpp"
+#include "fifo/width_fifo.hpp"
 #include "fleet/fleet.hpp"
 #include "mem/sram.hpp"
 #include "obs/flight.hpp"
@@ -126,7 +129,8 @@ std::vector<std::vector<u32>> words32_blocks(std::vector<u8> bytes,
   StateReader r(std::move(bytes), "test");
   r.read_words32("m", count, [&rows](const Words32Block& b) {
     std::vector<u32> row{b.at, b.n, b.value};
-    row.insert(row.end(), b.literal.begin(), b.literal.end());
+    row.resize(3 + b.literal.size() / 4);
+    snap::load_le32(b.literal, std::span(row).subspan(3));
     rows.push_back(std::move(row));
   });
   r.expect_end();
@@ -221,10 +225,14 @@ TEST(StateStream, BlockDecodeMatchesPerWordReference) {
   // words, some longer than a page, so literal and run blocks cross page
   // boundaries. Streamed block by block, each array must decode to the
   // words a per-word decode of the same bytes yields, and to the array.
+  // Field names of 1 to 4 bytes start the literal words at every byte
+  // offset mod 4, so a misaligned word load shows under UBSan.
   util::Rng rng(20261018);
   u32 literal_crossings = 0;
   u32 run_crossings = 0;
+  std::array<u32, 4> literals_at_offset{};
   for (int trial = 0; trial < 400; ++trial) {
+    const std::string name(1 + trial % 4, 'm');
     const u32 page_words = 4u << rng.below(4);
     const u32 count = 1 + rng.below(12 * page_words);
     std::vector<u32> words;
@@ -248,12 +256,12 @@ TEST(StateStream, BlockDecodeMatchesPerWordReference) {
       table[p] = store[p].data();
     }
     StateWriter w;
-    w.write_words32("m", count, table, page_words);
+    w.write_words32(name, count, table, page_words);
     const std::vector<u8> bytes = w.take();
 
     std::vector<u32> decoded;
     StateReader r(bytes, "test");
-    r.read_words32("m", count, [&](const Words32Block& b) {
+    r.read_words32(name, count, [&](const Words32Block& b) {
       ASSERT_EQ(b.at, decoded.size());
       if (b.at / page_words != (b.at + b.n - 1) / page_words) {
         ++(b.literal.empty() ? run_crossings : literal_crossings);
@@ -261,8 +269,15 @@ TEST(StateStream, BlockDecodeMatchesPerWordReference) {
       if (b.literal.empty()) {
         decoded.insert(decoded.end(), b.n, b.value);
       } else {
-        ASSERT_EQ(b.literal.size(), b.n);
-        decoded.insert(decoded.end(), b.literal.begin(), b.literal.end());
+        // The block's bytes, where they lie in the stream.
+        ASSERT_EQ(b.literal.size(), 4u * b.n);
+        ASSERT_GE(b.literal.data(), bytes.data());
+        ASSERT_LE(b.literal.data() + b.literal.size(),
+                  bytes.data() + bytes.size());
+        ++literals_at_offset[reinterpret_cast<std::uintptr_t>(
+                                 b.literal.data()) % 4];
+        decoded.resize(decoded.size() + b.n);
+        snap::load_le32(b.literal, std::span(decoded).last(b.n));
       }
     });
     r.expect_end();
@@ -271,6 +286,7 @@ TEST(StateStream, BlockDecodeMatchesPerWordReference) {
   }
   EXPECT_GT(literal_crossings, 100u);
   EXPECT_GT(run_crossings, 100u);
+  for (const u32 n : literals_at_offset) EXPECT_GT(n, 50u);
 }
 
 /// A words32 field @p name declaring @p count words, followed by the raw
@@ -459,6 +475,7 @@ std::vector<u8> reseal(std::vector<u8> image) {
 
 TEST(Container, SerializeDeserializeRoundTrips) {
   const Snapshot s = two_section_snapshot();
+  EXPECT_EQ(s.serialized_size(), s.serialize().size());
   const Snapshot t = Snapshot::deserialize(s.serialize());
   ASSERT_EQ(t.sections().size(), 2u);
   EXPECT_TRUE(t.has("alpha"));
@@ -532,17 +549,23 @@ u32 crc32_bitwise(std::span<const u8> data) {
 }
 
 TEST(Container, Crc32MatchesBitwiseAtEveryLengthAndOffset) {
-  std::vector<u8> buf(8 + 64);
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    buf[i] = static_cast<u8>(i * 151 + 7);
-  }
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 64; ++len) {
+  // Every length from 0 to 1,100 bytes at every offset mod 16: the table
+  // loop alone below 64 bytes, above it the 64-byte fold (where the CPU
+  // has one) with every tail of 16-byte blocks and of bytes. Then a
+  // seeded buffer the size of a serve_mix image.
+  util::Rng rng(20261019);
+  std::vector<u8> buf(16 + 1100);
+  for (u8& b : buf) b = static_cast<u8>(rng.next_u32());
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
       const std::span<const u8> data(buf.data() + offset, len);
-      EXPECT_EQ(snap::crc32(data), crc32_bitwise(data))
+      ASSERT_EQ(snap::crc32(data), crc32_bitwise(data))
           << "offset " << offset << ", length " << len;
     }
   }
+  std::vector<u8> image(176 * 1024);
+  for (u8& b : image) b = static_cast<u8>(rng.next_u32());
+  EXPECT_EQ(snap::crc32(image), crc32_bitwise(image));
 }
 
 TEST(Container, FileRoundTrip) {
@@ -797,6 +820,50 @@ TEST(ComponentState, SramRestoreOfATruncatedLiteralChangesNothing) {
   EXPECT_THROW(m.restore_state(r), SnapshotError);
   EXPECT_EQ(m.dump(0, 3), (std::vector<u32>{0, 9, 0}));
   EXPECT_EQ(m.resident_bytes(), mem::Sram::kPageWords * 4u);
+}
+
+TEST(ComponentState, FifoLevelMustMatchItsStorage) {
+  // A 24 -> 40-bit FIFO holding one 24-bit chunk, less than one read.
+  const fifo::WidthFifoConfig cfg{
+      .wr_width = 24, .rd_width = 40, .capacity_bits = 240};
+  sim::Kernel k;
+  fifo::WidthFifo f(k, "f", cfg);
+  f.write(0xAB'CDEF);
+  k.tick();
+  ASSERT_EQ(f.level_bits(), 24u);
+  StateWriter w;
+  f.save_state(w);
+  const std::vector<u8> image = w.take();
+
+  sim::Kernel k2;
+  fifo::WidthFifo g(k2, "f", cfg);
+  StateReader r(image, "f");
+  g.restore_state(r);
+  r.expect_end();
+  EXPECT_EQ(g.level_bits(), 24u);
+  EXPECT_TRUE(g.empty());
+  g.write(0x12'3456);
+  k2.tick();
+  EXPECT_EQ(g.read(), 0x34'56AB'CDEFull);  // LSB first
+
+  // The level field: tag, name length, "level", then its u32.
+  const std::array<u8, 7> field{static_cast<u8>(snap::Tag::kU32), 5,
+                                'l', 'e', 'v', 'e', 'l'};
+  const auto at = std::search(image.begin(), image.end(), field.begin(),
+                              field.end()) -
+                  image.begin() + field.size();
+  ASSERT_LT(static_cast<std::size_t>(at), image.size());
+  ASSERT_EQ(image[at], 24);
+  // Too high, empty() would be false over a partial chunk; too low,
+  // full() would accept writes past the capacity.
+  for (const u8 forged : {96, 16}) {
+    std::vector<u8> bad = image;
+    bad[at] = forged;
+    sim::Kernel k3;
+    fifo::WidthFifo h(k3, "f", cfg);
+    StateReader rb(bad, "f");
+    EXPECT_THROW(h.restore_state(rb), SnapshotError) << int{forged};
+  }
 }
 
 TEST(ComponentState, RngStreamResumesExactly) {
