@@ -10,7 +10,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 mkdir -p build/experiment-logs

@@ -38,7 +38,7 @@ cd "$(dirname "$0")/.."
 
 echo "==== tier-1: plain build + ctest ===="
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 echo "==== tier-1: docs consistency gate ===="
@@ -50,7 +50,7 @@ cmake -B build-san -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
-cmake --build build-san -j
+cmake --build build-san -j "$(nproc)"
 ctest --test-dir build-san --output-on-failure -j "$(nproc)"
 
 echo "==== tier-1: snapshot round trip through disk (ASan+UBSan) ===="
@@ -69,14 +69,14 @@ cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
-cmake --build build-tsan -j --target ouessant_bench
+cmake --build build-tsan -j "$(nproc)" --target ouessant_bench
 ./build-tsan/bench/ouessant_bench --jobs "$(nproc)" > /dev/null
 
 echo "==== tier-1: TSan svc soak (10k-job closed loop, 4 OCPs/shard) ===="
 # One OffloadService per worker thread: races between supposedly
 # isolated service instances (shared mutable statics anywhere under
 # src/svc/) surface here, and any lost/rejected job fails the run.
-cmake --build build-tsan -j --target svc_soak
+cmake --build build-tsan -j "$(nproc)" --target svc_soak
 ./build-tsan/bench/svc_soak --jobs "$(nproc)" --total 10000
 
 echo "==== tier-1: passivity guards + artifact round-trips ===="

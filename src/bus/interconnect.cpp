@@ -379,7 +379,7 @@ void InterconnectModel::state(snap::Fields& f) {
   f.field("wait_left", wait_left_);
   f.field("beat_in_flight", beat_in_flight_);
   f.field("inflight_data", inflight_data_);
-  f.field("txn_start", txn_start_);
+  f.expect<u64>("txn_start", 0);
   f.field_as<u64>("rr_next", rr_next_);
   f.field("busy_cycles", busy_cycles_);
   f.field("idle_cycles", idle_cycles_);
@@ -432,10 +432,6 @@ void InterconnectModel::state(snap::Fields& f) {
   // Host telemetry (log_, open_, tracer, snoopers) is not snapshot
   // state: a restored bus starts with an empty transaction log.
   open_.clear();
-  // Re-arm the batch window's end-of-window tick; restore_from()
-  // replaces the wake heap afterwards, but a direct restore_state()
-  // round-trip in tests must stay self-consistent too.
-  if (batch_active_) wake_at(batch_end_);
 }
 
 void InterconnectModel::error_response(BusMasterPort& m) {

@@ -141,7 +141,6 @@ class InterconnectModel : public sim::Component {
   /// bit-identical to per-beat ticking. Off (or any armed observer)
   /// keeps the seed's per-beat loop — the differential-test reference.
   void set_batching(bool on) { batching_enabled_ = on; }
-  [[nodiscard]] bool batching() const { return batching_enabled_; }
 
   /// Grant chunks completed through the batched fast path (diagnostics;
   /// tests assert 0 here to prove an armed observer forced per-beat
@@ -178,7 +177,6 @@ class InterconnectModel : public sim::Component {
   u32 wait_left_ = 0;
   bool beat_in_flight_ = false;
   u32 inflight_data_ = 0;      // read data waiting out wait states
-  Cycle txn_start_ = 0;
   std::size_t rr_next_ = 0;    // round-robin pointer
 
   std::vector<WriteSnooper> snoopers_;

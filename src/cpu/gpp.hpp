@@ -106,7 +106,6 @@ class Gpp {
   /// memory. @p bus must be the interconnect this CPU's port belongs to
   /// (needed for snooping).
   void enable_dcache(bus::InterconnectModel& bus, DCacheConfig cfg = {});
-  [[nodiscard]] bool has_dcache() const { return dcache_ != nullptr; }
   [[nodiscard]] DCache& dcache() {
     if (!dcache_) throw ConfigError("Gpp: no dcache enabled");
     return *dcache_;

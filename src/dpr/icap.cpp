@@ -188,14 +188,6 @@ void IcapPort::state(snap::Fields& f) {
     // re-select ourselves as that sink (wiring is not serialized).
     port_->restore_stream(this, nullptr);
   }
-  // Re-arm the timers the image implies (belt and braces — the kernel
-  // rebuilds its own timer heap from its section).
-  if (state_ == State::kDirect || state_ == State::kOverhead) {
-    wake_at(phase_end_);
-  } else if (state_ == State::kStream && port_ != nullptr &&
-             !port_->busy()) {
-    wake();  // between chunks: the next tick issues the next burst
-  }
 }
 
 }  // namespace ouessant::dpr

@@ -73,7 +73,6 @@ class IcapPort : public sim::Component, public bus::BeatSink {
 
   // -- accounting (the obs::collect_icap ledger track reads these) ------
   [[nodiscard]] u64 loads() const { return loads_; }
-  [[nodiscard]] u64 bytes_streamed() const { return bytes_streamed_; }
   /// Wall cycles between start_load and completion, summed over
   /// completed loads (an in-flight load counts on completion).
   [[nodiscard]] u64 busy_cycles_total() const { return busy_cycles_total_; }

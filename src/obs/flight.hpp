@@ -42,7 +42,6 @@ class FlightRecorder final : public EventTracer,
 
   [[nodiscard]] bool triggered() const { return triggered_; }
   [[nodiscard]] const std::string& reason() const { return reason_; }
-  [[nodiscard]] Cycle trigger_cycle() const { return trigger_cycle_; }
 
   // -- snapshot field list (docs/fleet.md) -------------------------------
   void state(snap::Fields& f);

@@ -194,16 +194,6 @@ void ReconfigSlot::state(snap::Fields& f) {
   f.field("next_expected_tick", next_expected_tick_);
   f.field("external_swap", external_swap_);
   f.field("external_begin", external_begin_);
-  // Re-arm the countdown the image implies (the kernel rebuilds its own
-  // timer heap; belt and braces for hand-assembled restores). The
-  // completion cycle is the last countdown tick plus the remainder.
-  if (f.restoring() && reconfig_left_ > 0) {
-    if (countdown_timer_armed_) {
-      wake_at(next_expected_tick_ - 1 + reconfig_left_);
-    } else {
-      wake();
-    }
-  }
 }
 
 res::ResourceNode ReconfigSlot::resource_tree() const {

@@ -59,23 +59,13 @@ core::Ocp& Soc::add_ocp(core::Rac& rac, core::IsaLevel isa) {
 snap::Snapshot Soc::snapshot() const {
   snap::Snapshot s;
   kernel_.save_to(s);
-  snap::StateWriter w;
-  snap::Fields f(w);
-  const_cast<Soc&>(*this).state(f, s);  // a save only reads
-  s.add("soc", 1, w.take());
+  auto& self = const_cast<Soc&>(*this);  // a save only reads
+  s.write("soc", 1, [&](snap::Fields& f) { self.state(f, s); });
   return s;
 }
 
 void Soc::restore(const snap::Snapshot& snap) {
-  const snap::Section& sec = snap.section("soc");
-  if (sec.version != 1) {
-    throw snap::SnapshotError("soc: unsupported section version " +
-                              std::to_string(sec.version));
-  }
-  snap::StateReader r(sec.bytes, "soc");
-  snap::Fields f(r);
-  state(f, snap);
-  r.expect_end();
+  snap.read("soc", 1, [&](snap::Fields& f) { state(f, snap); });
 }
 
 void Soc::state(snap::Fields& f, const snap::Snapshot& image) {

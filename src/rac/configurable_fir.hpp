@@ -65,7 +65,6 @@ class ConfigurableFirRac : public core::Rac {
     return false;
   }
 
-  [[nodiscard]] u32 taps_n() const { return taps_n_; }
   [[nodiscard]] u32 block_len() const { return block_len_; }
   [[nodiscard]] u64 reconfig_count() const { return reconfigs_; }
 

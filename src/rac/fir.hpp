@@ -49,7 +49,6 @@ class FirRac : public core::Rac {
     return in_->empty() || out_->full();
   }
 
-  [[nodiscard]] const std::vector<i32>& taps() const { return taps_; }
   [[nodiscard]] u32 block_len() const { return block_len_; }
 
   /// Reference output for a block (used by tests/examples): identical to

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <unordered_set>
 
 #include "snap/snapshot.hpp"
 #include "snap/state.hpp"
@@ -19,6 +18,31 @@ struct HeapOrder {
   bool operator()(const std::pair<Cycle, Component*>& a,
                   const std::pair<Cycle, Component*>& b) const {
     return a.first > b.first;  // min-heap on wake cycle
+  }
+};
+
+/// The kernel section: gathered from a live kernel before a save, and
+/// read and checked in full before a restore changes the kernel.
+struct KernelImage {
+  Cycle cycle = 0;
+  std::vector<std::pair<std::string, u64>> stats;        ///< key, value
+  std::vector<std::pair<std::string, bool>> components;  ///< name, awake
+  std::vector<std::pair<Cycle, std::string>> timers;     ///< due, component
+
+  void state(snap::Fields& f) {
+    f.field("cycle", cycle);
+    f.list("stat_count", stats, [&f](auto& s) {
+      f.field("stat", s.first);
+      f.field("value", s.second);
+    });
+    f.list("component_count", components, [&f](auto& c) {
+      f.field("component", c.first);
+      f.field("awake", c.second);
+    });
+    f.list("timer_count", timers, [&f](auto& t) {
+      f.field("due", t.first);
+      f.field("component", t.second);
+    });
   }
 };
 }  // namespace
@@ -282,56 +306,50 @@ void Kernel::remove_sampler(u64 id) {
       samplers_.end());
 }
 
+std::vector<std::pair<std::string_view, Component*>> Kernel::name_table(
+    const char* who, const char* why) const {
+  std::vector<std::pair<std::string_view, Component*>> table;
+  table.reserve(components_.size());
+  for (Component* c : components_) {
+    if (c != nullptr) table.emplace_back(c->name(), c);
+  }
+  std::sort(table.begin(), table.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto dup = std::adjacent_find(
+      table.begin(), table.end(),
+      [](const auto& a, const auto& b) { return a.first == b.first; });
+  if (dup != table.end()) {
+    throw snap::SnapshotError(std::string(who) +
+                              ": duplicate component name '" +
+                              std::string(dup->first) + "'" + why);
+  }
+  return table;
+}
+
 void Kernel::save_to(snap::Snapshot& snap) const {
   if (in_tick_) {
     throw snap::SnapshotError("Kernel::save_to: snapshots are only legal "
                               "between ticks");
   }
-  std::unordered_set<std::string> seen;
-  for (const Component* c : components_) {
-    if (c == nullptr) continue;
-    if (!seen.insert(c->name()).second) {
-      throw snap::SnapshotError("Kernel::save_to: duplicate component name '" +
-                                c->name() + "' (snapshots key on names)");
-    }
-  }
+  (void)name_table("Kernel::save_to", " (snapshots key on names)");
 
-  snap::StateWriter w;
-  w.write_u64("cycle", cycle_);
-
+  KernelImage image;
+  image.cycle = cycle_;
   const auto counters = stats_.all();
-  w.write_u32("stat_count", static_cast<u32>(counters.size()));
-  for (const auto& [key, value] : counters) {
-    w.write_string("stat", key);
-    w.write_u64("value", value);
-  }
-
-  w.write_u32("component_count", static_cast<u32>(seen.size()));
+  image.stats.assign(counters.begin(), counters.end());
   for (const Component* c : components_) {
-    if (c == nullptr) continue;
-    w.write_string("component", c->name());
-    w.write_bool("awake", c->awake_);
+    if (c != nullptr) image.components.emplace_back(c->name(), c->awake_);
   }
-
   // Armed one-shot timers. Entries nulled by component removal are
   // dropped; duplicates are kept (spurious wakes are harmless).
-  u32 timers = 0;
-  for (const auto& [cycle, c] : wake_heap_) {
-    if (c != nullptr) ++timers;
+  for (const auto& [due, c] : wake_heap_) {
+    if (c != nullptr) image.timers.emplace_back(due, c->name());
   }
-  w.write_u32("timer_count", timers);
-  for (const auto& [cycle, c] : wake_heap_) {
-    if (c == nullptr) continue;
-    w.write_u64("due", cycle);
-    w.write_string("component", c->name());
-  }
-  snap.add("kernel", 1, w.take());
+  snap.write("kernel", 1, [&image](snap::Fields& f) { image.state(f); });
 
-  for (const Component* c : components_) {
+  for (Component* c : components_) {
     if (c == nullptr) continue;
-    snap::StateWriter cw;
-    c->save_state(cw);
-    snap.add("c:" + c->name(), 1, cw.take());
+    snap.write("c:" + c->name(), 1, [c](snap::Fields& f) { c->state(f); });
   }
 }
 
@@ -340,52 +358,22 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
     throw snap::SnapshotError("Kernel::restore_from: restores are only "
                               "legal between ticks");
   }
-  // Components by name, as views of the names they hold: one sorted
-  // table answers every lookup below.
-  std::vector<std::pair<std::string_view, Component*>> by_name;
-  by_name.reserve(components_.size());
-  for (Component* c : components_) {
-    if (c != nullptr) by_name.emplace_back(c->name(), c);
-  }
-  std::sort(by_name.begin(), by_name.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  const auto dup = std::adjacent_find(
-      by_name.begin(), by_name.end(),
-      [](const auto& a, const auto& b) { return a.first == b.first; });
-  if (dup != by_name.end()) {
-    throw snap::SnapshotError(
-        "Kernel::restore_from: duplicate component name '" +
-        std::string(dup->first) + "'");
-  }
-  const auto find = [&by_name](std::string_view name) -> Component* {
+  const auto table = name_table("Kernel::restore_from", "");
+  const auto find = [&table](std::string_view name) -> Component* {
     const auto it = std::lower_bound(
-        by_name.begin(), by_name.end(), name,
+        table.begin(), table.end(), name,
         [](const auto& e, std::string_view n) { return e.first < n; });
-    return it != by_name.end() && it->first == name ? it->second : nullptr;
+    return it != table.end() && it->first == name ? it->second : nullptr;
   };
 
-  const snap::Section& ks = snap.section("kernel");
-  if (ks.version != 1) {
-    throw snap::SnapshotError("kernel section version " +
-                              std::to_string(ks.version) + " unsupported");
-  }
-  snap::StateReader r(ks.bytes, "kernel");
-  const Cycle saved_cycle = r.read_u64("cycle");
-
-  const u32 stat_count = r.read_u32("stat_count");
-  std::vector<std::pair<std::string, u64>> counters;
-  counters.reserve(stat_count);
-  for (u32 i = 0; i < stat_count; ++i) {
-    std::string key = r.read_string("stat");
-    const u64 value = r.read_u64("value");
-    counters.emplace_back(std::move(key), value);
-  }
-
-  const u32 comp_count = r.read_u32("component_count");
-  if (comp_count != by_name.size()) {
+  // Read into locals and check them all before anything changes.
+  KernelImage image;
+  snap.read("kernel", 1, [&image](snap::Fields& f) { image.state(f); });
+  if (image.components.size() != table.size()) {
     throw snap::SnapshotError(
-        "Kernel::restore_from: snapshot has " + std::to_string(comp_count) +
-        " components, this kernel has " + std::to_string(by_name.size()) +
+        "Kernel::restore_from: snapshot has " +
+        std::to_string(image.components.size()) +
+        " components, this kernel has " + std::to_string(table.size()) +
         " (stacks must be constructed identically)");
   }
   // With the count equal to the registry size, rejecting a repeated name
@@ -394,9 +382,7 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
   // by slot: kUnset until the image names the component.
   constexpr u8 kUnset = 2;
   std::vector<u8> awake_flags(components_.size(), kUnset);
-  for (u32 i = 0; i < comp_count; ++i) {
-    const std::string name = r.read_string("component");
-    const bool awake = r.read_bool("awake");
+  for (const auto& [name, awake] : image.components) {
     const Component* c = find(name);
     if (c == nullptr) {
       throw snap::SnapshotError("Kernel::restore_from: snapshot component '" +
@@ -409,13 +395,9 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
     }
     flag = awake ? 1 : 0;
   }
-
-  const u32 timer_count = r.read_u32("timer_count");
   std::vector<std::pair<Cycle, Component*>> timers;
-  timers.reserve(timer_count);
-  for (u32 i = 0; i < timer_count; ++i) {
-    const Cycle due = r.read_u64("due");
-    const std::string name = r.read_string("component");
+  timers.reserve(image.timers.size());
+  for (const auto& [due, name] : image.timers) {
     Component* c = find(name);
     if (c == nullptr) {
       throw snap::SnapshotError("Kernel::restore_from: wake timer names "
@@ -423,10 +405,9 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
     }
     timers.emplace_back(due, c);
   }
-  r.expect_end();
 
   // Each component's section, found in one pass over the image and
-  // checked before anything changes.
+  // checked before the first component restores.
   std::vector<const snap::Section*> sections(components_.size(), nullptr);
   for (const snap::Section& s : snap.sections()) {
     const std::string_view name = s.name;
@@ -440,29 +421,22 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
       throw snap::SnapshotError("snapshot: missing section 'c:" + c->name() +
                                 "'");
     }
-    if (cs->version != 1) {
-      throw snap::SnapshotError("component section '" + c->name() +
-                                "' version " + std::to_string(cs->version) +
-                                " unsupported");
-    }
+    snap::Snapshot::expect_version(*cs, 1);
   }
 
   // Commit: from here on the kernel mutates. Clock and Stats first so
   // components restoring against kernel().now() see the saved instant.
-  cycle_ = saved_cycle;
+  cycle_ = image.cycle;
   stats_.clear();
-  for (const auto& [key, value] : counters) stats_.set(key, value);
-
+  for (const auto& [key, value] : image.stats) stats_.set(key, value);
   for (Component* c : components_) {
     if (c == nullptr) continue;
-    const snap::Section& cs = *sections[c->slot_];
-    snap::StateReader cr(cs.bytes, cs.name);
-    c->restore_state(cr);
-    cr.expect_end();
+    snap::Snapshot::read(*sections[c->slot_], 1,
+                         [c](snap::Fields& f) { c->state(f); });
   }
 
-  // Scheduler state last: restore_state() calls may have issued stray
-  // wake()s — overwrite them with the saved awake set and timer heap.
+  // The schedule comes from the kernel section alone: every awake flag
+  // and the whole wake heap, over whatever the component restores did.
   for (Component* c : components_) {
     if (c != nullptr) c->awake_ = awake_flags[c->slot_] == 1;
   }

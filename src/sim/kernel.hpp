@@ -51,6 +51,8 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/stats.hpp"
@@ -96,15 +98,17 @@ class Component : public snap::Stateful<Component> {
   void wake_at(Cycle cycle);
 
   /// This component's architectural state (everything a tick reads or
-  /// writes) as one field list in wire order; save_state() and
-  /// restore_state() (snap::Stateful) both run it. The default lists
-  /// nothing — correct only for genuinely stateless components.
+  /// writes) as one field list in wire order; the kernel runs it to
+  /// write and to read the component's "c:<name>" section. The default
+  /// lists nothing — correct only for genuinely stateless components.
   /// Restoring a saved stream into an identically-configured component
   /// must make subsequent simulation bit-identical to the original run.
   /// Restores happen between ticks on a freshly constructed (same
   /// config) component; wiring (pointers, waiter lists) comes from
-  /// construction, not from the stream. Host-side telemetry (tracers,
-  /// samplers, scheduler stats) is deliberately outside the protocol.
+  /// construction, not from the stream, and the schedule (awake flag,
+  /// wake timers) from the kernel's own section, so a list never wakes
+  /// its component. Host-side telemetry (tracers, samplers, scheduler
+  /// stats) is deliberately outside the protocol.
   virtual void state(snap::Fields&) {}
 
   /// True while the kernel clocks this component (diagnostics).
@@ -220,6 +224,12 @@ class Kernel {
   void advance_idle(Cycle to);
   void apply_registry_changes();
   void reindex();
+  /// Registered components sorted by name, as views of the names they
+  /// hold: the table save_to() and restore_from() key on. A duplicate
+  /// name throws SnapshotError "<who>: duplicate component name
+  /// '<name>'<why>".
+  [[nodiscard]] std::vector<std::pair<std::string_view, Component*>>
+  name_table(const char* who, const char* why) const;
   [[nodiscard]] bool any_awake() const {
     for (const u64 w : awake_bits_) {
       if (w != 0) return true;

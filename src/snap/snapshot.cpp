@@ -226,6 +226,15 @@ const Section& Snapshot::section(std::string_view name) const {
   return sections_[*at];
 }
 
+void Snapshot::expect_version(const Section& s, u32 version) {
+  if (s.version != version) {
+    throw SnapshotError("snapshot section '" + s.name + "' version " +
+                        std::to_string(s.version) +
+                        " unsupported (this build reads version " +
+                        std::to_string(version) + ")");
+  }
+}
+
 std::size_t Snapshot::serialized_size() const {
   // Magic, version, count, the sections, CRC.
   std::size_t size = kMagic.size() + 4 + 4 + 4;

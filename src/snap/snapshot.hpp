@@ -1,10 +1,11 @@
 // The versioned snapshot container: named sections + integrity trailer.
 //
 // A Snapshot is an ordered set of named sections, each carrying its own
-// schema version and an opaque byte payload (produced by a StateWriter).
-// The kernel writes one section per component plus a "kernel" section;
-// higher layers (Soc, OffloadService, Injector) add theirs on top. The
-// container is what goes to disk:
+// schema version and the byte stream of one field list (snap::Fields),
+// written by Snapshot::write() and read back by Snapshot::read(). The
+// kernel writes one section per component plus a "kernel" section;
+// higher layers (Soc, OffloadService) add theirs on top. The container
+// is what goes to disk:
 //
 //   "OSNP" magic            (4 bytes)
 //   format version          (u32, currently 1)
@@ -22,6 +23,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "snap/state.hpp"
@@ -59,6 +61,39 @@ class Snapshot {
   /// Section lookup; throws SnapshotError when absent (a restore asking
   /// for a component the snapshot does not contain).
   const Section& section(std::string_view name) const;
+
+  /// Adds section @p name at @p version: the bytes @p state, a field
+  /// list called as state(Fields&), writes when run over a StateWriter.
+  template <class State>
+  void write(std::string name, u32 version, State&& state) {
+    StateWriter w;
+    Fields f(w);
+    state(f);
+    add(std::move(name), version, w.take());
+  }
+
+  /// Runs the field list @p state over section @p s in place. Throws
+  /// SnapshotError unless @p s is at @p version and the list reads it
+  /// to its last byte.
+  template <class State>
+  static void read(const Section& s, u32 version, State&& state) {
+    expect_version(s, version);
+    StateReader r(s.bytes, s.name);
+    Fields f(r);
+    state(f);
+    r.expect_end();
+  }
+
+  /// read() of the section named @p name; throws when it is absent.
+  template <class State>
+  void read(std::string_view name, u32 version, State&& state) const {
+    read(section(name), version, std::forward<State>(state));
+  }
+
+  /// Throws SnapshotError unless @p s is at @p version. read() runs it
+  /// first; a caller that vets every section before it reads any (the
+  /// kernel) runs it directly.
+  static void expect_version(const Section& s, u32 version);
 
   const std::vector<Section>& sections() const { return sections_; }
 

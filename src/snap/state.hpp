@@ -183,7 +183,9 @@ class StateReader {
 ///     a local before its field, scatter under restoring() after it;
 ///   - a check on a restored value, written next to its field (on save
 ///     it holds, because a live object is consistent);
-///   - rewiring after a restore (stream endpoints, timers), at the end.
+///   - reconnecting stream endpoints after a restore, at the end. A list
+///     never arms a timer: the kernel section alone restores the
+///     schedule (every awake flag and wake timer).
 class Fields {
  public:
   explicit Fields(StateWriter& w) : w_(&w) {}

@@ -668,16 +668,6 @@ void Dispatcher::state(snap::Fields& f) {
   f.field("failed", failed_);
   f.field("irq_recoveries", irq_recoveries_);
   if (slots_ != nullptr) f.field("slots_due", slots_due_);
-
-  // Re-arm the deadline timers the image implies (wake_at state is
-  // rebuilt by the kernel from its own section; these are belt and
-  // braces for hand-assembled restores, and harmless duplicates
-  // otherwise).
-  if (!f.restoring()) return;
-  if (!arrival_due_ && !schedule_.empty()) {
-    wake_at(schedule_.front().arrival);
-  }
-  if (!retry_queue_.empty()) wake_at(retry_queue_.front().ready_at);
 }
 
 void Dispatcher::reset_run_counters() {

@@ -511,10 +511,8 @@ ServiceReport OffloadService::run_schedule(std::vector<Job> arrivals) {
 
 snap::Snapshot OffloadService::snapshot() const {
   snap::Snapshot s = soc_.snapshot();
-  snap::StateWriter w;
-  snap::Fields f(w);
-  const_cast<OffloadService&>(*this).state(f);  // a save only reads
-  s.add("svc", 2, w.take());
+  auto& self = const_cast<OffloadService&>(*this);  // a save only reads
+  s.write("svc", 2, [&self](snap::Fields& f) { self.state(f); });
   return s;
 }
 
@@ -522,18 +520,13 @@ void OffloadService::restore(const snap::Snapshot& snap) {
   if (ran_ || began_) {
     throw ConfigError("OffloadService: restore() needs a fresh instance");
   }
-  const snap::Section& sec = snap.section("svc");
-  if (sec.version != 2) {
-    throw snap::SnapshotError("svc: unsupported section version " +
-                              std::to_string(sec.version));
-  }
-  // The SoC restore validates the fingerprint and walks every kernel
-  // component — the dispatcher and IRQ controller included.
-  soc_.restore(snap);
-  snap::StateReader r(sec.bytes, "svc");
-  snap::Fields f(r);
-  state(f);
-  r.expect_end();
+  snap.read("svc", 2, [&](snap::Fields& f) {
+    // The section's version is checked; now the SoC restore validates
+    // the fingerprint and walks every kernel component — the dispatcher
+    // and IRQ controller included — before the service's own fields.
+    soc_.restore(snap);
+    state(f);
+  });
   ran_ = began_;
   if (began_) install_completion_hook();
 }

@@ -246,9 +246,6 @@ void SlotManager::state(snap::Fields& f) {
     }
   }
   if (cache_ != nullptr) cache_->state(f);
-  if (f.restoring() && deferred_due_) {
-    wake_at(std::max(deferred_at_, kernel().now() + 1));
-  }
 }
 
 }  // namespace ouessant::svc

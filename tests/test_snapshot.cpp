@@ -61,8 +61,10 @@
 #include "mem/sram.hpp"
 #include "obs/flight.hpp"
 #include "ouessant/codegen.hpp"
+#include "ouessant/dpr.hpp"
 #include "platform/soc.hpp"
 #include "rac/idct.hpp"
+#include "rac/passthrough.hpp"
 #include "scenarios.hpp"
 #include "sim/kernel.hpp"
 #include "snap/snapshot.hpp"
@@ -666,6 +668,70 @@ TEST(KernelSection, EachComponentMustAppearExactlyOnce) {
   EXPECT_EQ(target.awake_count(), 0u);
 }
 
+/// @p good with the u32 field @p field of its kernel section set to
+/// @p value, re-serialized so the container's CRC holds.
+Snapshot with_kernel_u32(const Snapshot& good, const std::string& field,
+                         u32 value) {
+  std::vector<u8> kernel = good.section("kernel").bytes;
+  std::vector<u8> header{static_cast<u8>(snap::Tag::kU32),
+                         static_cast<u8>(field.size())};
+  header.insert(header.end(), field.begin(), field.end());
+  const auto at = std::search(kernel.begin(), kernel.end(), header.begin(),
+                              header.end());
+  if (at == kernel.end()) {
+    ADD_FAILURE() << "no u32 field '" << field << "' in the kernel section";
+    return good;
+  }
+  const auto payload = at + static_cast<std::ptrdiff_t>(header.size());
+  for (int i = 0; i < 4; ++i) payload[i] = static_cast<u8>(value >> (8 * i));
+  Snapshot bad;
+  for (const snap::Section& s : good.sections()) {
+    bad.add(s.name, s.version, s.name == "kernel" ? kernel : s.bytes);
+  }
+  return Snapshot::deserialize(bad.serialize());
+}
+
+TEST(KernelSection, ForgedListLengthsAreSnapshotErrors) {
+  sim::Kernel saved;
+  Idler a(saved, "a");
+  Idler b(saved, "b");
+  saved.stats().add("events", 3);
+  saved.run(3);
+  b.wake_at(9);
+  Snapshot good;
+  saved.save_to(good);
+
+  sim::Kernel target;
+  Idler ta(target, "a");
+  Idler tb(target, "b");
+  target.run(5);
+  tb.wake();
+  // A length the section's bytes cannot hold is refused before anything
+  // is allocated for it (it used to be reserved: std::bad_alloc).
+  for (const std::string field : {"stat_count", "timer_count"}) {
+    try {
+      target.restore_from(with_kernel_u32(good, field, 0xFFFF'FFFFu));
+      ADD_FAILURE() << "accepted " << field << " = 0xFFFFFFFF";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + field + "' declares"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(target.now(), 5u) << field;
+    EXPECT_FALSE(ta.awake()) << field;
+    EXPECT_TRUE(tb.awake()) << field;
+    EXPECT_EQ(target.awake_count(), 1u) << field;
+  }
+
+  target.restore_from(good);
+  EXPECT_EQ(target.now(), 3u);
+  EXPECT_EQ(target.stats().get("events"), 3u);
+  EXPECT_EQ(target.awake_count(), 0u);
+  const u64 wakeups = target.sched_stats().wakeups;
+  target.run(7);  // the restored timer wakes b for the tick at cycle 9
+  EXPECT_EQ(target.sched_stats().wakeups, wakeups + 1);
+}
+
 // ----------------------------------------------------- component round-trips
 
 TEST(ComponentState, SramRestoresContentsAndCounters) {
@@ -1123,49 +1189,85 @@ bool store_forward_head_in_flight(svc::OffloadService& s) {
          !s.soc().ocp(5).controller().running();
 }
 
-/// Shared skeleton of the mid-run restore proofs: begin a run, step it
-/// until @p snapshot_now, snapshot, let the original run to the end,
-/// then restore the image into a fresh stack and finish there.
-/// Everything observable must be bit-identical.
-void check_serve_midrun(
+/// How many steps @p cfg / @p wl's run takes until @p holds (all of
+/// them when it never does).
+std::size_t first_step_where(
     const svc::ServiceConfig& cfg, const svc::WorkloadConfig& wl,
-    const std::function<bool(svc::OffloadService&)>& snapshot_now) {
+    const std::function<bool(svc::OffloadService&)>& holds) {
+  svc::OffloadService s(cfg);
+  s.begin(wl);
+  std::size_t steps = 0;
+  for (; !s.finished() && !holds(s); ++steps) (void)s.step();
+  return steps;
+}
+
+/// Shared skeleton of the mid-run restore proofs: one uninterrupted run
+/// snapshots itself after each step count in @p steps (ascending) and
+/// runs to the end; then every image restores into a fresh stack and
+/// finishes there. Everything observable must be bit-identical. When
+/// @p swapping is given, it receives the step counts whose image caught
+/// a bitstream load in flight.
+void check_serve_midrun(const svc::ServiceConfig& cfg,
+                        const svc::WorkloadConfig& wl,
+                        const std::vector<std::size_t>& steps,
+                        std::vector<std::size_t>* swapping = nullptr) {
   svc::OffloadService a(cfg);
   a.begin(wl);
-  while (!a.finished() && !snapshot_now(a)) (void)a.step();
-  ASSERT_FALSE(a.finished()) << "workload too small: nothing left to resume";
-  const std::vector<u8> image = a.snapshot().serialize();
+  std::vector<std::vector<u8>> images;
+  std::size_t done = 0;
+  for (const std::size_t at : steps) {
+    for (; !a.finished() && done < at; ++done) (void)a.step();
+    ASSERT_FALSE(a.finished())
+        << "workload too small: nothing left to resume after " << at
+        << " steps";
+    images.push_back(a.snapshot().serialize());
+    if (swapping != nullptr && a.slot_manager() != nullptr &&
+        a.slot_manager()->swap_in_flight()) {
+      swapping->push_back(at);
+    }
+  }
   while (!a.step()) {
   }
   const svc::ServiceReport rep_a = a.finish();
   const Cycle end_a = a.soc().kernel().now();
   const std::map<std::string, u64> stats_a = a.soc().kernel().stats().all();
 
-  svc::OffloadService b(cfg);
-  b.restore(Snapshot::deserialize(image));
-  while (!b.step()) {
-  }
-  const svc::ServiceReport rep_b = b.finish();
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    SCOPED_TRACE("snapshot after " + std::to_string(steps[i]) + " steps");
+    svc::OffloadService b(cfg);
+    b.restore(Snapshot::deserialize(images[i]));
+    while (!b.step()) {
+    }
+    const svc::ServiceReport rep_b = b.finish();
 
-  expect_reports_identical(rep_a, rep_b);
-  EXPECT_EQ(b.soc().kernel().now(), end_a);
-  EXPECT_EQ(b.soc().kernel().stats().all(), stats_a);
+    expect_reports_identical(rep_a, rep_b);
+    EXPECT_EQ(b.soc().kernel().now(), end_a);
+    EXPECT_EQ(b.soc().kernel().stats().all(), stats_a);
 
-  if (cfg.faults.armed()) {
-    // The injector's xoshiro streams and firing log resumed exactly:
-    // the full logs agree event for event.
-    ASSERT_NE(a.injector(), nullptr);
-    ASSERT_NE(b.injector(), nullptr);
-    const auto& log_a = a.injector()->log();
-    const auto& log_b = b.injector()->log();
-    ASSERT_EQ(log_a.size(), log_b.size());
-    for (std::size_t i = 0; i < log_a.size(); ++i) {
-      EXPECT_EQ(log_a[i].cycle, log_b[i].cycle) << i;
-      EXPECT_EQ(log_a[i].kind, log_b[i].kind) << i;
-      EXPECT_EQ(log_a[i].ocp, log_b[i].ocp) << i;
-      EXPECT_EQ(log_a[i].spec_index, log_b[i].spec_index) << i;
+    if (cfg.faults.armed()) {
+      // The injector's xoshiro streams and firing log resumed exactly:
+      // the full logs agree event for event.
+      ASSERT_NE(a.injector(), nullptr);
+      ASSERT_NE(b.injector(), nullptr);
+      const auto& log_a = a.injector()->log();
+      const auto& log_b = b.injector()->log();
+      ASSERT_EQ(log_a.size(), log_b.size());
+      for (std::size_t e = 0; e < log_a.size(); ++e) {
+        EXPECT_EQ(log_a[e].cycle, log_b[e].cycle) << e;
+        EXPECT_EQ(log_a[e].kind, log_b[e].kind) << e;
+        EXPECT_EQ(log_a[e].ocp, log_b[e].ocp) << e;
+        EXPECT_EQ(log_a[e].spec_index, log_b[e].spec_index) << e;
+      }
     }
   }
+}
+
+/// check_serve_midrun() with one image, taken at the first step before
+/// which @p snapshot_now holds.
+void check_serve_midrun(
+    const svc::ServiceConfig& cfg, const svc::WorkloadConfig& wl,
+    const std::function<bool(svc::OffloadService&)>& snapshot_now) {
+  check_serve_midrun(cfg, wl, {first_step_where(cfg, wl, snapshot_now)});
 }
 
 TEST(MidRun, ServeRestoredRunIsBitIdentical) {
@@ -1188,6 +1290,21 @@ TEST(MidRun, EveryWorkerKindRestoredRunIsBitIdentical) {
 TEST(MidRun, EveryWorkerKindFaultArmedRestoredRunIsBitIdentical) {
   check_serve_midrun(mixed_config(true), mixed_workload(),
                      store_forward_head_in_flight);
+}
+
+TEST(MidRun, EightRestoresOfOneFaultArmedRunAreBitIdentical) {
+  // No field list re-arms a timer or wakes its component: the kernel
+  // section alone restores the schedule. Eight images spread over one
+  // fault-armed run of every worker kind, retries and bitstream loads
+  // included, each finish bit-identical to the run that never stopped.
+  const std::size_t total =
+      first_step_where(mixed_config(true), mixed_workload(),
+                       [](svc::OffloadService&) { return false; });
+  std::vector<std::size_t> steps;
+  for (std::size_t k = 1; k <= 8; ++k) steps.push_back(total * k / 9);
+  std::vector<std::size_t> swapping;
+  check_serve_midrun(mixed_config(true), mixed_workload(), steps, &swapping);
+  EXPECT_FALSE(swapping.empty()) << "no image caught a bitstream load";
 }
 
 TEST(MidRun, MidSwapRestoredFarmRunIsBitIdentical) {
@@ -1244,6 +1361,42 @@ TEST(MidRun, MidSwapRestoredFarmRunIsBitIdentical) {
   EXPECT_EQ(b.soc().kernel().stats().all(), stats_a);
 }
 
+/// The E7 region: identity and x2-gain candidates behind one OCP.
+struct SlotRig {
+  platform::Soc soc;
+  rac::PassthroughRac identity;
+  rac::ScaleRac doubler;
+  core::ReconfigSlot slot;
+
+  SlotRig()
+      : identity(soc.kernel(), "identity", 32, 32, 0),
+        doubler(soc.kernel(), "doubler", 32, util::Q(16).from_double(2.0)),
+        slot(soc.kernel(), "slot", {&identity, &doubler}) {
+    (void)soc.add_ocp(slot);
+  }
+};
+
+TEST(MidRun, MidCountdownSlotSwapFinishesOnTime) {
+  // request_swap's free-ICAP countdown (the E7 flow) sleeps on a wake
+  // timer; only the kernel section carries it across a restore.
+  SlotRig a;
+  a.slot.request_swap(1);
+  a.soc.kernel().run(5);
+  ASSERT_TRUE(a.slot.reconfiguring());
+  ASSERT_FALSE(a.slot.awake()) << "the countdown should sleep on its timer";
+  const Snapshot image = Snapshot::deserialize(a.soc.snapshot().serialize());
+  a.soc.kernel().run_until([&a] { return !a.slot.reconfiguring(); });
+
+  SlotRig b;
+  b.soc.restore(image);
+  ASSERT_TRUE(b.slot.reconfiguring());
+  b.soc.kernel().run_until([&b] { return !b.slot.reconfiguring(); });
+  EXPECT_EQ(b.soc.kernel().now(), a.soc.kernel().now());
+  EXPECT_EQ(b.soc.kernel().stats().all(), a.soc.kernel().stats().all());
+  EXPECT_EQ(b.slot.active_index(), 1u);
+  EXPECT_EQ(b.slot.reconfig_cycles_total(), a.slot.reconfig_cycles_total());
+}
+
 TEST(MidRun, RestoreIntoDifferentlyShapedServiceThrows) {
   svc::OffloadService a(serve_config(false));
   a.begin(serve_workload());
@@ -1258,6 +1411,39 @@ TEST(MidRun, RestoreIntoDifferentlyShapedServiceThrows) {
   // Injector presence is part of the shape too.
   svc::OffloadService c(serve_config(true));
   EXPECT_THROW(c.restore(image), SnapshotError);
+}
+
+TEST(MidRun, SectionVersionSkewIsRefusedBeforeAnyRestore) {
+  svc::OffloadService a(serve_config(false));
+  a.begin(serve_workload());
+  (void)a.step();
+  const Snapshot good = a.snapshot();
+  ASSERT_GT(a.soc().kernel().now(), 0u);
+  // The service's own section, the SoC's, the kernel's, and the last
+  // component's: each is refused before the clock or any component moves.
+  std::string last_component;
+  for (const snap::Section& s : good.sections()) {
+    if (s.name.starts_with("c:")) last_component = s.name;
+  }
+  ASSERT_FALSE(last_component.empty());
+  for (const std::string& name : {std::string("svc"), std::string("soc"),
+                                  std::string("kernel"), last_component}) {
+    Snapshot bad;
+    for (const snap::Section& s : good.sections()) {
+      bad.add(s.name, s.name == name ? 9 : s.version, s.bytes);
+    }
+    svc::OffloadService b(serve_config(false));
+    try {
+      b.restore(bad);
+      ADD_FAILURE() << "accepted section '" << name << "' at version 9";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("snapshot section '" + name +
+                                           "' version 9 unsupported"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(b.soc().kernel().now(), 0u) << name;
+  }
 }
 
 TEST(MidRun, WarmBootHoldsNoMorePagesThanItsTemplate) {
