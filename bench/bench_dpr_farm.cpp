@@ -87,7 +87,6 @@ void run_adapt(const exp::ParamMap& params, const exp::RunContext& ctx,
                           svc::JobKind::kFir};
   cfg.slots.initial = {svc::JobKind::kIdct, svc::JobKind::kDft};
   cfg.slots.policy = svc::policy_from_name(params.get_str("policy"));
-  cfg.slots.min_residency = 20'000;
   cfg.slots.switch_margin = 3.0;
   // The farm keeps its working set of partial bitstreams staged: swaps
   // after the first per image stream from the cache instead of re-walking

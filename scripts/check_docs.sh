@@ -10,12 +10,19 @@
 #      (docs say `bench/svc_soak`, the file is bench/svc_soak.cpp);
 #   4. every committed BENCH_*.json artifact must be named in
 #      EXPERIMENTS.md — a benchmark record nobody documents is a
-#      benchmark nobody can interpret or regenerate.
+#      benchmark nobody can interpret or regenerate;
+#   5. every backticked test name the docs cite (`Suite.Name`,
+#      `Suite.*`, or a glob such as `MidRun.EveryWorkerKind*Identical`)
+#      must match a test `ctest -N` lists for the build — a deleted or
+#      renamed test must not stay cited as a guarantee. CHANGES.md is
+#      history and is not checked.
 #
 # Usage: scripts/check_docs.sh [path/to/ouessant_bench]
-#   The bench binary defaults to build/bench/ouessant_bench; check 2 is
-#   skipped (with a warning) if it is missing, so the script can run
-#   before a build without false failures.
+#   The bench binary defaults to build/bench/ouessant_bench, and its
+#   build tree (two directories up) is the one check 5 asks; checks 2
+#   and 5 are skipped (with a warning) if the binary or the tree is
+#   missing, so the script can run before a build without false
+#   failures.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,6 +77,31 @@ for b in BENCH_*.json; do
     fail=1
   fi
 done
+
+echo "-- check 5: backticked test names in the docs vs ctest -N"
+BUILD_DIR=$(dirname "$(dirname "$BENCH")")
+tests=""
+if [[ -f "$BUILD_DIR/CTestTestfile.cmake" ]]; then
+  # "AllExperiments/Suite.Name/param" (a parameterized instance) is
+  # cited as "Suite.Name": drop the instantiation prefix and the param.
+  tests=$(ctest --test-dir "$BUILD_DIR" -N |
+            sed -n 's/^ *Test *#[0-9]*: //p' |
+            sed -E -e 's|^[^./]*/||' -e 's|/.*$||' | sort -u)
+fi
+if [[ -n "$tests" ]]; then
+  refs=$({ grep -ohE '`[A-Z][A-Za-z0-9]*\.[A-Z*][A-Za-z0-9*]*`' \
+             "${DOCS[@]}" || true; } | tr -d '`' | sort -u)
+  while IFS= read -r ref; do
+    [[ -z "$ref" ]] && continue
+    re=$(sed -e 's/\./\\./g' -e 's/\*/.*/g' <<< "$ref")
+    if ! grep -qxE "$re" <<< "$tests"; then
+      echo "FAIL: docs cite test $ref, which ctest -N does not list in $BUILD_DIR"
+      fail=1
+    fi
+  done <<< "$refs"
+else
+  echo "WARN: no tests listed in $BUILD_DIR; skipping the test-name check"
+fi
 
 if [[ "$fail" -ne 0 ]]; then
   echo "check_docs: FAILED"

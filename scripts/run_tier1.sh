@@ -9,10 +9,12 @@
 #   2. the docs gate (scripts/check_docs.sh): every src/ subdir is in
 #      docs/architecture.md, every ouessant_bench flag is documented in
 #      EXPERIMENTS.md, every path the docs reference exists
-#   3. ASan+UBSan build + full ctest (catches the iterator-invalidation
-#      class of kernel bugs — e.g. mid-tick component removal — that a
-#      plain build can pass by luck; covers the snapshot, DPR and chain
-#      proofs of test_snapshot, test_dpr and test_chain), with
+#   3. ASan+UBSan build + full ctest (catches the use-after-free and
+#      out-of-bounds reads a plain build can pass by luck — a stale
+#      component or port pointer, a decoder reading past its section;
+#      the kernel itself refuses a mid-tick registry change in every
+#      build; covers the snapshot, DPR and chain proofs of
+#      test_snapshot, test_dpr and test_chain), with
 #      _GLIBCXX_ASSERTIONS so every vector and span index is checked
 #      (the SRAM's page segments, the words32 literal decode)
 #   4. the on-disk snapshot flow on the sanitizer build: --snapshot a

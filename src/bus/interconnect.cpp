@@ -102,16 +102,10 @@ MasterStats InterconnectModel::master_totals() const {
   return total;
 }
 
-void InterconnectModel::note_txn_wait(BusMasterPort& m) {
-  if (!logging_ && tracer_ == nullptr) return;
-  auto it = open_.find(&m);
-  if (it != open_.end()) ++it->second.waits;
-}
-
-void InterconnectModel::note_txn_stall(BusMasterPort& m) {
-  if (!logging_ && tracer_ == nullptr) return;
-  auto it = open_.find(&m);
-  if (it != open_.end()) ++it->second.stalls;
+TxnRecord* InterconnectModel::traced(BusMasterPort& m) {
+  if (tracer_ == nullptr) return nullptr;
+  const auto it = open_.find(&m);
+  return it == open_.end() ? nullptr : &it->second;
 }
 
 bool InterconnectModel::is_quiescent() const {
@@ -144,9 +138,8 @@ void InterconnectModel::tick_compute() {
     }
     grant_addr_cycles_left_ = cfg_.address_phase_cycles;
     grant_beats_left_ = std::min(cfg_.max_beats_per_grant, granted_->beats_);
-    if ((logging_ || tracer_ != nullptr) &&
-        open_.find(granted_) == open_.end()) {
-      // First grant for this transaction: open a log record.
+    if (tracer_ != nullptr && open_.find(granted_) == open_.end()) {
+      // First grant for this transaction: open its record.
       open_[granted_] = TxnRecord{.start = kernel().now(),
                                   .end = 0,
                                   .master = granted_->name(),
@@ -168,7 +161,7 @@ void InterconnectModel::tick_compute() {
   if (wait_left_ > 0) {
     --wait_left_;
     ++m.stats_.wait_cycles;
-    note_txn_wait(m);
+    if (TxnRecord* t = traced(m)) ++t->waits;
     if (wait_left_ == 0 && beat_in_flight_) {
       complete_beat(inflight_data_);
     }
@@ -183,7 +176,7 @@ void InterconnectModel::tick_compute() {
   if (fault_hook_ != nullptr &&
       fault_hook_->beat_error(m.name_, m.addr_, m.write_, kernel().now())) {
     ++m.stats_.wait_cycles;
-    note_txn_wait(m);
+    if (TxnRecord* t = traced(m)) ++t->waits;
     error_response(m);
     return;
   }
@@ -197,7 +190,7 @@ void InterconnectModel::tick_compute() {
       if (m.source_ != nullptr) {
         if (!m.source_->beat_ready()) {
           ++m.stats_.stall_cycles;
-          note_txn_stall(m);
+          if (TxnRecord* t = traced(m)) ++t->stalls;
           return;
         }
         data = m.source_->take_beat();
@@ -215,7 +208,7 @@ void InterconnectModel::tick_compute() {
     } else {
       if (m.sink_ != nullptr && !m.sink_->beat_space()) {
         ++m.stats_.stall_cycles;
-        note_txn_stall(m);
+        if (TxnRecord* t = traced(m)) ++t->stalls;
         return;
       }
       const SlaveResponse resp = decode(m.addr_).read_word(m.addr_);
@@ -242,8 +235,8 @@ bool InterconnectModel::try_batch_chunk() {
   // Observers see per-beat state: any armed instrument keeps the
   // per-beat loop (passivity discipline — instrumented runs may differ
   // in host behavior, unarmed runs stay bit-identical either way).
-  if (!batching_enabled_ || logging_ || tracer_ != nullptr ||
-      fault_hook_ != nullptr || !snoopers_.empty()) {
+  if (!batching_enabled_ || tracer_ != nullptr || fault_hook_ != nullptr ||
+      !snoopers_.empty()) {
     return false;
   }
   if (!kernel().gating() || kernel().has_samplers()) return false;
@@ -429,8 +422,8 @@ void InterconnectModel::state(snap::Fields& f) {
     mp->sink_ = nullptr;
     mp->source_ = nullptr;
   }
-  // Host telemetry (log_, open_, tracer, snoopers) is not snapshot
-  // state: a restored bus starts with an empty transaction log.
+  // Host telemetry (open_, tracer, snoopers) is not snapshot state: a
+  // restored bus starts with no transaction in flight on its track.
   open_.clear();
 }
 
@@ -439,20 +432,12 @@ void InterconnectModel::error_response(BusMasterPort& m) {
   m.faulted_ = true;
   m.sink_ = nullptr;
   m.source_ = nullptr;
-  if (logging_ || tracer_ != nullptr) {
-    auto it = open_.find(&m);
-    if (it != open_.end()) {
-      it->second.end = kernel().now();
-      if (tracer_ != nullptr) {
-        const TxnRecord& r = it->second;
-        tracer_->complete(
-            track_, "err", r.start, r.end,
-            {obs::arg("master", r.master), obs::arg("addr", u64{r.addr}),
-             obs::arg("beats", u64{r.beats})});
-      }
-      if (logging_) log_.push_back(it->second);
-      open_.erase(it);
-    }
+  if (const TxnRecord* r = traced(m)) {
+    tracer_->complete(
+        track_, "err", r->start, kernel().now(),
+        {obs::arg("master", r->master), obs::arg("addr", u64{r->addr}),
+         obs::arg("beats", u64{r->beats})});
+    open_.erase(&m);
   }
   granted_ = nullptr;
   wait_left_ = 0;
@@ -524,21 +509,13 @@ void InterconnectModel::complete_beat(u32 data) {
     if (m.completion_waiter_ != nullptr) m.completion_waiter_->wake();
     ++m.stats_.transactions;
     kernel().stats().add(m.h_transactions_);
-    if (logging_ || tracer_ != nullptr) {
-      auto it = open_.find(&m);
-      if (it != open_.end()) {
-        it->second.end = kernel().now();
-        if (tracer_ != nullptr) {
-          const TxnRecord& r = it->second;
-          tracer_->complete(
-              track_, r.write ? "wr" : "rd", r.start, r.end,
-              {obs::arg("master", r.master), obs::arg("addr", u64{r.addr}),
-               obs::arg("beats", u64{r.beats}), obs::arg("waits", u64{r.waits}),
-               obs::arg("stalls", u64{r.stalls})});
-        }
-        if (logging_) log_.push_back(it->second);
-        open_.erase(it);
-      }
+    if (const TxnRecord* r = traced(m)) {
+      tracer_->complete(
+          track_, r->write ? "wr" : "rd", r->start, kernel().now(),
+          {obs::arg("master", r->master), obs::arg("addr", u64{r->addr}),
+           obs::arg("beats", u64{r->beats}), obs::arg("waits", u64{r->waits}),
+           obs::arg("stalls", u64{r->stalls})});
+      open_.erase(&m);
     }
     granted_ = nullptr;
   } else if (grant_beats_left_ == 0) {

@@ -37,7 +37,8 @@ struct BusTimingConfig {
   Arbitration arbitration = Arbitration::kFixedPriority;
 };
 
-/// One entry of the transaction log (used by tests and the monitor).
+/// One bus transaction: the record a traced bus keeps while it is in
+/// flight, and what bus::transactions() rebuilds from its span.
 struct TxnRecord {
   Cycle start = 0;
   Cycle end = 0;
@@ -101,14 +102,12 @@ class InterconnectModel : public sim::Component {
     snoopers_.push_back(std::move(fn));
   }
 
-  /// Enable/disable transaction logging (off by default).
-  void set_logging(bool on) { logging_ = on; }
-  [[nodiscard]] const std::vector<TxnRecord>& log() const { return log_; }
-
   /// Attach (or detach, nullptr) an event tracer. Every completed
   /// transaction is then emitted as one span ("wr"/"rd") on a track
   /// named "bus.<name>", annotated with master, address, beat count and
-  /// the wait-state/stall cycles it absorbed.
+  /// the wait-state/stall cycles it absorbed; one ended by an ERROR
+  /// response as an "err" span with master, address and beat count.
+  /// bus::transactions() reads them back for the protocol monitor.
   void set_tracer(obs::EventTracer* tracer);
 
   /// Attach (or detach, nullptr) a fault hook, consulted once per data
@@ -131,8 +130,8 @@ class InterconnectModel : public sim::Component {
   [[nodiscard]] MasterStats master_totals() const;
 
   /// Batched burst windows on/off (default: on). When on, a grant whose
-  /// chunk has no observer armed — no transaction log, tracer, fault
-  /// hook, write snooper, or kernel sampler — and whose beats all decode
+  /// chunk has no observer armed — no tracer, fault hook, write
+  /// snooper, or kernel sampler — and whose beats all decode
   /// into one slave mapping (with any streamed endpoint promising the
   /// whole chunk stall-free, see BeatSource::bulk_ready) is completed as
   /// ONE event: the slave accesses run eagerly at the grant tick, the
@@ -159,8 +158,8 @@ class InterconnectModel : public sim::Component {
   void finish_batch();
   void complete_beat(u32 data);
   void error_response(BusMasterPort& m);
-  void note_txn_wait(BusMasterPort& m);
-  void note_txn_stall(BusMasterPort& m);
+  /// @p m's in-flight transaction record; nullptr when untraced.
+  TxnRecord* traced(BusMasterPort& m);
   [[nodiscard]] u64 pending_idle_credit() const {
     const Cycle now = kernel().now();
     return now > next_expected_tick_ ? now - next_expected_tick_ : 0;
@@ -183,9 +182,7 @@ class InterconnectModel : public sim::Component {
   fault::BusFaultHook* fault_hook_ = nullptr;
   obs::EventTracer* tracer_ = nullptr;
   obs::TrackId track_ = 0;
-  bool logging_ = false;
-  std::map<BusMasterPort*, TxnRecord> open_;  // in-flight logged txns
-  std::vector<TxnRecord> log_;
+  std::map<BusMasterPort*, TxnRecord> open_;  // in-flight traced txns
   u64 busy_cycles_ = 0;
   u64 idle_cycles_ = 0;
   Cycle next_expected_tick_ = 0;  // sleep-credit anchor for idle_cycles_

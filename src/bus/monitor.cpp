@@ -1,9 +1,36 @@
 #include "bus/monitor.hpp"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
 namespace ouessant::bus {
+
+std::vector<TxnRecord> transactions(const obs::EventTracer& tracer,
+                                    const InterconnectModel& bus) {
+  // The bus owns its track and emits only its wr/rd/err spans there. An
+  // absent track leaves tid past every interned id, matching nothing.
+  const auto& tracks = tracer.track_names();
+  const auto tid = static_cast<obs::TrackId>(
+      std::find(tracks.begin(), tracks.end(), "bus." + bus.name()) -
+      tracks.begin());
+  std::vector<TxnRecord> log;
+  for (const obs::EventTracer::Event& e : tracer.events()) {
+    if (e.ph != 'X' || e.tid != tid) continue;
+    TxnRecord& t = log.emplace_back();
+    t.start = e.ts;
+    t.end = e.ts + e.dur;
+    t.write = e.name == "wr";
+    for (const obs::Arg& a : e.args) {
+      if (a.key == "master") t.master = a.s;
+      if (a.key == "addr") t.addr = static_cast<Addr>(a.u);
+      if (a.key == "beats") t.beats = static_cast<u32>(a.u);
+      if (a.key == "waits") t.waits = static_cast<u32>(a.u);
+      if (a.key == "stalls") t.stalls = static_cast<u32>(a.u);
+    }
+  }
+  return log;
+}
 
 MonitorReport check_log(const std::vector<TxnRecord>& log,
                         const BusTimingConfig& timing) {
@@ -40,16 +67,6 @@ MonitorReport check_log(const std::vector<TxnRecord>& log,
     }
   }
   return r;
-}
-
-std::string render_log(const std::vector<TxnRecord>& log) {
-  std::ostringstream os;
-  for (const auto& t : log) {
-    os << '[' << t.start << ".." << t.end << "] " << t.master << ' '
-       << (t.write ? 'W' : 'R') << " 0x" << std::hex << t.addr << std::dec
-       << " x" << t.beats << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace ouessant::bus

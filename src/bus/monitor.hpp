@@ -1,12 +1,15 @@
-// Protocol monitor: validates a recorded transaction log against the
+// Protocol monitor: validates a bus's transactions against the
 // single-layer bus invariants. Used by tests as an always-on assertion
-// layer (the simulation analogue of an AHB protocol checker IP).
+// layer (the simulation analogue of an AHB protocol checker IP). The
+// transactions come from the bus's event-tracer track, so watching the
+// bus needs no instrument beyond the tracer.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "bus/interconnect.hpp"
+#include "obs/tracer.hpp"
 
 namespace ouessant::bus {
 
@@ -15,6 +18,13 @@ struct MonitorReport {
   std::vector<std::string> violations;
 };
 
+/// The transactions @p bus completed while @p tracer was attached,
+/// rebuilt from the "wr"/"rd"/"err" spans on its "bus.<name>" track, in
+/// completion order. An "err" span carries no direction, waits or
+/// stalls, so its record reads write == false and zero for both.
+std::vector<TxnRecord> transactions(const obs::EventTracer& tracer,
+                                    const InterconnectModel& bus);
+
 /// Check @p log for protocol violations:
 ///  * word-aligned addresses and non-zero burst lengths,
 ///  * each transaction's end cycle at/after its start cycle,
@@ -22,8 +32,5 @@ struct MonitorReport {
 ///  * no two transactions *complete* on the same cycle (one beat/cycle).
 MonitorReport check_log(const std::vector<TxnRecord>& log,
                         const BusTimingConfig& timing);
-
-/// Render a transaction log as a human-readable listing.
-std::string render_log(const std::vector<TxnRecord>& log);
 
 }  // namespace ouessant::bus

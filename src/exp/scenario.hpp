@@ -60,11 +60,6 @@ struct ScenarioSpec {
   /// Optional: return true to drop a grid point (invalid combination).
   std::function<bool(const ParamMap&)> skip;
 
-  /// Upper bound on simulated cycles any single run may need; runs are
-  /// expected to finish their run_until()s well under this (the spec
-  /// value is published in --list and asserted by tests/test_scenario).
-  u64 timeout_cycles = 10'000'000;
-
   /// False for scenarios whose metrics include host wall-clock readings
   /// (e.g. the kernel throughput guard). Run-to-run payload comparisons
   /// — the --compare-jobs bit-identity check and tests/test_scenario —

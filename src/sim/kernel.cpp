@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 #include "snap/snapshot.hpp"
@@ -55,47 +57,42 @@ Component::Component(Kernel& kernel, std::string name)
 Component::~Component() { kernel_.remove(this); }
 
 void Kernel::add(Component* c) {
-  ++live_count_;
   if (in_tick_) {
-    // Joining mid-sweep would let a half-constructed object tick this
-    // cycle (and grow the vector under the sweep). Park it; it joins at
-    // the cycle boundary and first ticks next cycle.
-    pending_adds_.push_back(c);
-  } else {
-    c->slot_ = static_cast<u32>(components_.size());
-    components_.push_back(c);
-    if ((c->slot_ & 63) == 0) awake_bits_.push_back(0);
-    // Components are born awake; they may sleep after a tick.
-    awake_bits_[c->slot_ >> 6] |= slot_bit(c->slot_);
+    // The registry is fixed while a sweep walks it. The half-built object
+    // never joins, and the throw aborts the cycle like a component fault.
+    throw SimError("Kernel: component '" + c->name() +
+                   "' constructed during a tick (the registry is fixed "
+                   "while the kernel ticks)");
   }
+  c->slot_ = static_cast<u32>(components_.size());
+  components_.push_back(c);
+  if ((c->slot_ & 63) == 0) awake_bits_.push_back(0);
+  // Components are born awake; they may sleep after a tick.
+  awake_bits_[c->slot_ >> 6] |= slot_bit(c->slot_);
 }
 
 void Kernel::remove(Component* c) {
-  --live_count_;
-  // Null any armed timer so the heap never holds a dangling pointer.
-  for (auto& e : wake_heap_) {
-    if (e.second == c) e.second = nullptr;
+  if (in_tick_) {
+    // A destructor cannot throw, and a sweep over a shrinking registry
+    // would tick a dangling pointer: refuse as loudly as add() does.
+    std::fprintf(stderr,
+                 "Kernel: component '%s' destroyed during a tick (the "
+                 "registry is fixed while the kernel ticks)\n",
+                 c->name().c_str());
+    std::abort();
   }
-  const auto it = std::find(pending_adds_.begin(), pending_adds_.end(), c);
-  if (it != pending_adds_.end()) {
-    pending_adds_.erase(it);  // added and destroyed within one tick
-  } else if (in_tick_) {
-    // Tombstone in place: the sweep skips null slots and clear bits, so
-    // the destroyed object never ticks again while every later component
-    // still ticks this cycle. The vector is compacted at the cycle
-    // boundary.
-    components_[c->slot_] = nullptr;
-    awake_bits_[c->slot_ >> 6] &= ~slot_bit(c->slot_);
-    compact_needed_ = true;
-  } else {
-    components_.erase(components_.begin() +
-                      static_cast<std::ptrdiff_t>(c->slot_));
-    reindex();
+  components_.erase(components_.begin() +
+                    static_cast<std::ptrdiff_t>(c->slot_));
+  reindex();
+  // Drop its armed timers, so the heap only holds live components.
+  if (std::erase_if(wake_heap_,
+                    [c](const auto& e) { return e.second == c; }) > 0) {
+    std::make_heap(wake_heap_.begin(), wake_heap_.end(), HeapOrder{});
   }
 }
 
 void Kernel::wake(Component* c) {
-  if (c->awake_) return;  // pending adds are always awake
+  if (c->awake_) return;
   c->awake_ = true;
   awake_bits_[c->slot_ >> 6] |= slot_bit(c->slot_);
   ++sched_.wakeups;
@@ -115,32 +112,12 @@ void Kernel::release_due_wakes() {
     std::pop_heap(wake_heap_.begin(), wake_heap_.end(), HeapOrder{});
     Component* c = wake_heap_.back().second;
     wake_heap_.pop_back();
-    if (c != nullptr) wake(c);
+    wake(c);
   }
 }
 
-Cycle Kernel::next_wake_cycle() {
-  // Drop entries nulled by component removal so they can't stall a
-  // fast-forward decision.
-  while (!wake_heap_.empty() && wake_heap_.front().second == nullptr) {
-    std::pop_heap(wake_heap_.begin(), wake_heap_.end(), HeapOrder{});
-    wake_heap_.pop_back();
-  }
+Cycle Kernel::next_wake_cycle() const {
   return wake_heap_.empty() ? kNever : wake_heap_.front().first;
-}
-
-void Kernel::apply_registry_changes() {
-  if (!compact_needed_ && pending_adds_.empty()) return;
-  if (compact_needed_) {
-    components_.erase(
-        std::remove(components_.begin(), components_.end(), nullptr),
-        components_.end());
-    compact_needed_ = false;
-  }
-  components_.insert(components_.end(), pending_adds_.begin(),
-                     pending_adds_.end());
-  pending_adds_.clear();
-  reindex();
 }
 
 void Kernel::reindex() {
@@ -152,7 +129,7 @@ void Kernel::reindex() {
 }
 
 std::size_t Kernel::awake_count() const {
-  std::size_t n = pending_adds_.size();
+  std::size_t n = 0;
   for (const u64 w : awake_bits_) n += static_cast<std::size_t>(std::popcount(w));
   return n;
 }
@@ -190,12 +167,8 @@ void Kernel::tick() {
       for_each_awake([](Component* c) { c->tick_commit(); });
     } else {
       // Seed-identical tick-everything sweep (differential reference).
-      for (Component* c : components_) {
-        if (c != nullptr) c->tick_compute();
-      }
-      for (Component* c : components_) {
-        if (c != nullptr) c->tick_commit();
-      }
+      for (Component* c : components_) c->tick_compute();
+      for (Component* c : components_) c->tick_commit();
     }
     ++cycle_;
     ++sched_.ticks;
@@ -205,11 +178,9 @@ void Kernel::tick() {
     // the seed kernel, but the registry must still leave tick mode —
     // fault-injection tests catch the error and keep simulating.
     in_tick_ = false;
-    apply_registry_changes();
     throw;
   }
   in_tick_ = false;
-  apply_registry_changes();
   if (gating_enabled_) sleep_pass();
 }
 
@@ -231,22 +202,27 @@ void Kernel::advance_idle(Cycle to) {
   }
 }
 
+bool Kernel::skip_idle(Cycle limit) {
+  if (!gating_enabled_ || any_awake()) return false;
+  const Cycle next = std::min(next_wake_cycle(), limit);
+  if (next <= cycle_) return false;
+  advance_idle(next);
+  return true;
+}
+
 void Kernel::run(u64 n) {
   const Cycle target = cycle_ + n;
   while (cycle_ < target) {
-    if (gating_enabled_ && !any_awake()) {
-      const Cycle next = std::min(next_wake_cycle(), target);
-      if (next > cycle_) {
-        advance_idle(next);
-        continue;
-      }
-    }
-    tick();
+    if (!skip_idle(target)) tick();
   }
 }
 
 void Kernel::run_until(const std::function<bool()>& done, u64 timeout) {
   const Cycle start = cycle_;
+  // A fast-forward stops at the timeout deadline, where the loop
+  // re-checks done() once more and then throws — the cycle the ungated
+  // loop would throw on.
+  const Cycle deadline = (timeout > kNever - start) ? kNever : start + timeout;
   // done() first — before the timeout check, before any tick. A predicate
   // already true on entry returns immediately even with timeout == 0.
   while (!done()) {
@@ -254,20 +230,7 @@ void Kernel::run_until(const std::function<bool()>& done, u64 timeout) {
       throw SimError("Kernel::run_until: timeout after " +
                      std::to_string(timeout) + " cycles");
     }
-    if (gating_enabled_ && !any_awake()) {
-      // Nothing is clocked, so done() cannot change until the next wake:
-      // jump straight there (or to the timeout deadline, where the loop
-      // re-checks done() once more and then throws — same cycle the
-      // ungated loop would throw on).
-      const Cycle deadline = (timeout > kNever - start) ? kNever
-                                                        : start + timeout;
-      const Cycle next = std::min(next_wake_cycle(), deadline);
-      if (next > cycle_) {
-        advance_idle(next);
-        continue;
-      }
-    }
-    tick();
+    if (!skip_idle(deadline)) tick();
   }
 }
 
@@ -276,18 +239,13 @@ void Kernel::set_gating(bool on) {
   gating_enabled_ = on;
   if (!on) {
     // Re-arm everything so the full sweep resumes with all clocks live.
-    for (Component* c : components_) {
-      if (c != nullptr) wake(c);
-    }
+    for (Component* c : components_) wake(c);
   }
 }
 
 std::vector<std::string> Kernel::awake_names() const {
   std::vector<std::string> names;
   for (const Component* c : components_) {
-    if (c != nullptr && c->awake_) names.push_back(c->name());
-  }
-  for (const Component* c : pending_adds_) {
     if (c->awake_) names.push_back(c->name());
   }
   return names;
@@ -310,9 +268,7 @@ std::vector<std::pair<std::string_view, Component*>> Kernel::name_table(
     const char* who, const char* why) const {
   std::vector<std::pair<std::string_view, Component*>> table;
   table.reserve(components_.size());
-  for (Component* c : components_) {
-    if (c != nullptr) table.emplace_back(c->name(), c);
-  }
+  for (Component* c : components_) table.emplace_back(c->name(), c);
   std::sort(table.begin(), table.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   const auto dup = std::adjacent_find(
@@ -338,17 +294,16 @@ void Kernel::save_to(snap::Snapshot& snap) const {
   const auto counters = stats_.all();
   image.stats.assign(counters.begin(), counters.end());
   for (const Component* c : components_) {
-    if (c != nullptr) image.components.emplace_back(c->name(), c->awake_);
+    image.components.emplace_back(c->name(), c->awake_);
   }
-  // Armed one-shot timers. Entries nulled by component removal are
-  // dropped; duplicates are kept (spurious wakes are harmless).
+  // Armed one-shot timers; duplicates are kept (spurious wakes are
+  // harmless).
   for (const auto& [due, c] : wake_heap_) {
-    if (c != nullptr) image.timers.emplace_back(due, c->name());
+    image.timers.emplace_back(due, c->name());
   }
   snap.write("kernel", 1, [&image](snap::Fields& f) { image.state(f); });
 
   for (Component* c : components_) {
-    if (c == nullptr) continue;
     snap.write("c:" + c->name(), 1, [c](snap::Fields& f) { c->state(f); });
   }
 }
@@ -415,7 +370,6 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
     if (const Component* c = find(name.substr(2))) sections[c->slot_] = &s;
   }
   for (const Component* c : components_) {
-    if (c == nullptr) continue;
     const snap::Section* cs = sections[c->slot_];
     if (cs == nullptr) {
       throw snap::SnapshotError("snapshot: missing section 'c:" + c->name() +
@@ -430,19 +384,17 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
   stats_.clear();
   for (const auto& [key, value] : image.stats) stats_.set(key, value);
   for (Component* c : components_) {
-    if (c == nullptr) continue;
     snap::Snapshot::read(*sections[c->slot_], 1,
                          [c](snap::Fields& f) { c->state(f); });
   }
 
   // The schedule comes from the kernel section alone: every awake flag
   // and the whole wake heap, over whatever the component restores did.
-  for (Component* c : components_) {
-    if (c != nullptr) c->awake_ = awake_flags[c->slot_] == 1;
-  }
+  for (Component* c : components_) c->awake_ = awake_flags[c->slot_] == 1;
   reindex();
   wake_heap_ = std::move(timers);
   std::make_heap(wake_heap_.begin(), wake_heap_.end(), HeapOrder{});
+  sched_ = SchedulerStats{};  // host telemetry restarts at the saved instant
 }
 
 }  // namespace ouessant::sim

@@ -37,8 +37,12 @@
 // in slot order, re-reading the current 64-bit word after every call (so
 // wake() keeps the visibility above), and a ticked cycle costs
 // O(words + awake components), not O(registered). Slots are renumbered
-// in one place: when the registry changes at a cycle boundary or between
-// ticks, and after restore_from().
+// in one place: on a removal and after restore_from().
+//
+// The registry is fixed while the kernel ticks, as the blocks of a
+// synthesized SoC are: constructing a Component during tick() (in either
+// phase or in a sampler it calls) throws SimError, destroying one there
+// aborts. Between ticks both are free.
 //
 // When every component is asleep the kernel fast-forwards cycle_ in bulk
 // to the next wake-heap entry (or run target), invoking samplers for each
@@ -183,7 +187,9 @@ class Kernel {
   /// whenever one is attached.
   [[nodiscard]] bool has_samplers() const { return !samplers_.empty(); }
 
-  [[nodiscard]] std::size_t component_count() const { return live_count_; }
+  [[nodiscard]] std::size_t component_count() const {
+    return components_.size();
+  }
 
   /// Quiescence scheduling on/off. Off reproduces the seed kernel's
   /// tick-everything loop (every registered component, every cycle) —
@@ -214,15 +220,20 @@ class Kernel {
 
  private:
   friend class Component;
+  /// Register @p c; throws SimError during a tick.
   void add(Component* c);
+  /// Unregister @p c and drop its wake timers; aborts during a tick.
   void remove(Component* c);
   void wake(Component* c);
   void wake_at(Component* c, Cycle cycle);
 
   void release_due_wakes();
-  [[nodiscard]] Cycle next_wake_cycle();
+  [[nodiscard]] Cycle next_wake_cycle() const;
   void advance_idle(Cycle to);
-  void apply_registry_changes();
+  /// The idle skip of run() and run_until(): with gating on and nothing
+  /// awake, fast-forward to the next wake or @p limit. False when it did
+  /// not move the clock (the caller ticks instead).
+  bool skip_idle(Cycle limit);
   void reindex();
   /// Registered components sorted by name, as views of the names they
   /// hold: the table save_to() and restore_from() key on. A duplicate
@@ -246,19 +257,13 @@ class Kernel {
   u64 next_sampler_id_ = 1;
   Stats stats_;
 
-  // Registry bookkeeping. Constructing or destroying a Component from a
-  // tick phase (or a sampler) must not invalidate the sweep: additions
-  // are parked in pending_adds_ until the cycle boundary, removals
-  // tombstone their slot in place and the vector is compacted after the
-  // sweep.
+  // True while tick() runs its phases and samplers: add() and remove()
+  // refuse, so the sweep never sees the registry change under it.
   bool in_tick_ = false;
-  bool compact_needed_ = false;
-  std::vector<Component*> pending_adds_;
-  std::size_t live_count_ = 0;
 
   // Quiescence scheduling. Bit i of awake_bits_ mirrors
-  // components_[i]->awake_; pending adds are always awake and have no bit.
-  // reindex() renumbers slots and rebuilds the set from the flags.
+  // components_[i]->awake_; reindex() renumbers slots and rebuilds the
+  // set from the flags. The wake heap only holds registered components.
   bool gating_enabled_ = true;
   std::vector<u64> awake_bits_;
   std::vector<std::pair<Cycle, Component*>> wake_heap_;  // min-heap

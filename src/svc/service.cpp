@@ -438,13 +438,16 @@ void OffloadService::start(const WorkloadConfig& workload, bool warm,
   issued_ = workload.jobs;
 }
 
+/// Per-wait deadlock guard handed to Kernel::run_until.
+constexpr u64 kWaitTimeoutCycles = 10'000'000;
+
 bool OffloadService::step() {
   if (!began_) throw ConfigError("OffloadService: step() before begin()");
   if (dispatcher_.finished()) return true;
   dispatcher_.service_once();
   if (dispatcher_.finished()) return true;
   soc_.kernel().run_until([this] { return dispatcher_.service_due(); },
-                          cfg_.timeout_cycles);
+                          kWaitTimeoutCycles);
   return dispatcher_.finished();
 }
 

@@ -55,8 +55,6 @@ struct ServiceConfig {
   platform::SocConfig soc{};
   std::vector<OcpSpec> ocps = {OcpSpec{}};
   std::size_t queue_depth = 64;
-  /// Per-wait deadlock guard handed to Kernel::run_until.
-  u64 timeout_cycles = 10'000'000;
   /// Fault injection plan; unarmed (no specs) by default. When armed,
   /// hooks are installed on the bus, the IRQ controller and every OCP
   /// before the first tick (docs/robustness.md).

@@ -75,6 +75,13 @@ bool SlotManager::swap_in_flight() const {
   return false;
 }
 
+/// kHysteresis: cycles a slot keeps its kind before it may re-swap.
+constexpr u64 kMinResidency = 20'000;
+/// kHysteresis: cycles a challenger must dominate *continuously* before
+/// its swap fires (the swap costs thousands of cycles; a one-sample
+/// Poisson blip drains in hundreds).
+constexpr u64 kConfirmWindow = 4'000;
+
 void SlotManager::direct() {
   if (cfg_.policy == SwapPolicy::kStatic) return;
   if (icap_.busy()) return;  // one bitstream at a time on the single port
@@ -127,7 +134,7 @@ void SlotManager::direct() {
         }
       }
       // Persistence: queue depth is an instantaneous, noisy signal. The
-      // same challenger must hold its dominance for confirm_window
+      // same challenger must hold its dominance for kConfirmWindow
       // cycles before the swap fires — a Poisson blip drains (and resets
       // the clock) long before a real shift would.
       if (best == s.kinds.size()) {
@@ -138,14 +145,14 @@ void SlotManager::direct() {
         s.challenger = static_cast<u32>(best);
         s.challenge_since = now;
       }
-      if (now - s.challenge_since < cfg_.confirm_window) {
-        defer_until(s.challenge_since + cfg_.confirm_window);
+      if (now - s.challenge_since < kConfirmWindow) {
+        defer_until(s.challenge_since + kConfirmWindow);
         continue;
       }
-      if (now - s.resident_since < cfg_.min_residency) {
+      if (now - s.resident_since < kMinResidency) {
         // Matured decisions must not sleep past their cycle: arm the
         // doorbell, re-evaluate (fresh demand) when it rings.
-        defer_until(s.resident_since + cfg_.min_residency);
+        defer_until(s.resident_since + kMinResidency);
         continue;
       }
     }

@@ -57,14 +57,7 @@ struct SlotFarmConfig {
   std::vector<JobKind> initial;
   u32 max_batch = 4;  ///< dispatcher batch bound for slot workers
   SwapPolicy policy = SwapPolicy::kStatic;
-  u64 min_residency = 20'000;   ///< kHysteresis: cycles before a re-swap
   double switch_margin = 2.0;   ///< kHysteresis: challenger demand factor
-  /// kHysteresis: the challenger must dominate *continuously* for this
-  /// many cycles before the swap fires — queue depth is a noisy
-  /// instantaneous signal, and a one-sample Poisson burst must not flip
-  /// a slot (the swap costs thousands of cycles; the blip drains in
-  /// hundreds).
-  u64 confirm_window = 4'000;
   bool shared_icap = true;      ///< false: seed-style free port (ablation)
   core::IcapConfig icap{};
   u32 icap_burst_words = 64;    ///< bus read burst per ICAP chunk

@@ -159,25 +159,29 @@ TEST_F(BusFixture, StreamedRead) {
 }
 
 TEST_F(BusFixture, TransactionLogAndMonitor) {
-  ahb.set_logging(true);
+  obs::EventTracer tracer(kernel);
+  ahb.set_tracer(&tracer);
   auto& m = ahb.connect_master("m");
   m.start_write(0x4000'0000, {1, 2, 3});
   complete(m);
   m.start_read(0x4000'0000, 2);
   complete(m);
-  ASSERT_EQ(ahb.log().size(), 2u);
-  EXPECT_TRUE(ahb.log()[0].write);
-  EXPECT_EQ(ahb.log()[0].beats, 3u);
-  EXPECT_FALSE(ahb.log()[1].write);
+  const std::vector<bus::TxnRecord> log = bus::transactions(tracer, ahb);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_TRUE(log[0].write);
+  EXPECT_EQ(log[0].master, "m");
+  EXPECT_EQ(log[0].addr, 0x4000'0000u);
+  EXPECT_EQ(log[0].beats, 3u);
+  EXPECT_FALSE(log[1].write);
+  EXPECT_EQ(log[1].beats, 2u);
+  EXPECT_LT(log[0].end, log[1].start);
 
-  const auto report = bus::check_log(ahb.log(), ahb.timing());
+  const auto report = bus::check_log(log, ahb.timing());
   EXPECT_TRUE(report.ok) << [&] {
     std::string all;
     for (const auto& v : report.violations) all += v + "\n";
     return all;
   }();
-  EXPECT_NE(bus::render_log(ahb.log()).find("W 0x40000000 x3"),
-            std::string::npos);
 }
 
 TEST(Monitor, FlagsBadRecords) {

@@ -1,12 +1,12 @@
 // Tests for the quiescence-aware scheduler: gating/fast-forward
 // semantics, the wake()/wake_at() protocol, the run_until ordering
-// contract, mid-tick registry mutation, the awake set across 64-bit
-// words, and the interned Stats handles.
+// contract, the registry that is fixed while the kernel ticks, the awake
+// set across 64-bit words, and the interned Stats handles.
 //
-// The registry-mutation tests double as regressions for the seed kernel,
-// whose tick loop erased/reallocated the component vector under the
-// active sweep (iterator invalidation: a component registered after the
-// victim was silently skipped that cycle, and ASan flags the stale read).
+// The registry tests guard the seed kernel's bug class, a tick loop that
+// erased or reallocated the component vector under the active sweep
+// (iterator invalidation that only ASan caught): every build refuses a
+// construction or destruction during a tick.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -174,7 +174,7 @@ TEST(Gating, DestroyedComponentTimerDoesNotDangle) {
   {
     Sleeper s(k, "s");
     k.run(1);
-    s.wake_at(100);  // armed timer outlives nothing: nulled on removal
+    s.wake_at(100);  // the removal erases the armed timer
   }
   k.run(10);  // must neither crash nor stall on the dead heap entry
   EXPECT_EQ(k.now(), 11u);
@@ -237,7 +237,7 @@ TEST(RunUntil, GatedTimeoutCycleMatchesUngated) {
 }
 
 // ---------------------------------------------------------------------
-// Mid-tick registry mutation (seed regression).
+// The registry is fixed while the kernel ticks.
 
 /// Deletes *victim during its own compute phase at cycle @p kill_at.
 class Killer : public sim::Component {
@@ -256,45 +256,16 @@ class Killer : public sim::Component {
   Cycle kill_at_;
 };
 
-TEST(Registry, KillLaterComponentMidTick) {
-  // Victim registered AFTER the killer: destroyed before its sweep slot,
-  // so it must not tick in the kill cycle — and the component registered
-  // after it must still tick that cycle (the seed's vector erase shifted
-  // it into the already-visited slot and skipped it).
-  sim::Kernel k;
-  u64 victim_ticks = 0;
-  std::unique_ptr<ExtCounter> victim;
-  Killer killer(k, "killer", victim, /*kill_at=*/2);
-  victim = std::make_unique<ExtCounter>(k, "victim", victim_ticks);
-  Runner after(k, "after");
-  k.run(5);
-  EXPECT_EQ(victim_ticks, 2u);  // ticked at now 0 and 1 only
-  EXPECT_EQ(after.ticks(), 5u);
-  EXPECT_EQ(k.component_count(), 2u);
-}
-
-TEST(Registry, KillEarlierComponentMidTick) {
-  // Victim registered BEFORE the killer: it already ticked this cycle
-  // when the killer runs, so it counts the kill cycle too.
-  sim::Kernel k;
-  u64 victim_ticks = 0;
-  std::unique_ptr<ExtCounter> victim =
-      std::make_unique<ExtCounter>(k, "victim", victim_ticks);
-  Killer killer(k, "killer", victim, /*kill_at=*/2);
-  Runner after(k, "after");
-  k.run(5);
-  EXPECT_EQ(victim_ticks, 3u);  // ticked at now 0, 1 and 2
-  EXPECT_EQ(after.ticks(), 5u);
-}
-
-/// Constructs a component into @p slot during compute at cycle @p at.
+/// Tries once to construct a component into @p slot during compute at
+/// cycle @p at.
 class Spawner : public sim::Component {
  public:
   Spawner(sim::Kernel& k, std::string name,
           std::unique_ptr<ExtCounter>& slot, u64& out, Cycle at)
       : sim::Component(k, std::move(name)), slot_(slot), out_(out), at_(at) {}
   void tick_compute() override {
-    if (kernel().now() == at_) {
+    if (kernel().now() == at_ && !tried_) {
+      tried_ = true;
       slot_ = std::make_unique<ExtCounter>(kernel(), "spawned", out_);
     }
   }
@@ -303,44 +274,102 @@ class Spawner : public sim::Component {
   std::unique_ptr<ExtCounter>& slot_;
   u64& out_;
   Cycle at_;
+  bool tried_ = false;
 };
 
-TEST(Registry, SpawnMidTickFirstTicksNextCycle) {
+/// The (due, component) wake timers listed by the kernel section of
+/// @p image, read field by field in the section's wire order.
+std::vector<std::pair<Cycle, std::string>> saved_timers(
+    const snap::Snapshot& image) {
+  snap::StateReader in(image.section("kernel").bytes, "kernel");
+  (void)in.read_u64("cycle");
+  const u32 stats = in.read_u32("stat_count");
+  for (u32 i = 0; i < stats; ++i) {
+    (void)in.read_string("stat");
+    (void)in.read_u64("value");
+  }
+  const u32 components = in.read_u32("component_count");
+  for (u32 i = 0; i < components; ++i) {
+    (void)in.read_string("component");
+    (void)in.read_bool("awake");
+  }
+  std::vector<std::pair<Cycle, std::string>> timers(
+      in.read_u32("timer_count"));
+  for (auto& [due, name] : timers) {
+    due = in.read_u64("due");
+    name = in.read_string("component");
+  }
+  in.expect_end();
+  return timers;
+}
+
+TEST(Registry, ConstructDuringTickIsRefused) {
   sim::Kernel k;
   u64 spawned_ticks = 0;
   std::unique_ptr<ExtCounter> spawned;
   Spawner sp(k, "spawner", spawned, spawned_ticks, /*at=*/1);
-  k.run(2);  // spawn happens during the tick advancing 1 -> 2
+  Runner r(k, "r");
+  try {
+    k.run(5);
+    ADD_FAILURE() << "a construction during a tick was accepted";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("component 'spawned' constructed "
+                                         "during a tick"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(k.now(), 1u);  // the refusing cycle did not complete
+  EXPECT_EQ(spawned, nullptr);
   EXPECT_EQ(k.component_count(), 2u);
-  EXPECT_EQ(spawned_ticks, 0u);  // parked in pending_adds_, no same-cycle tick
-  k.run(3);
-  EXPECT_EQ(spawned_ticks, 3u);  // ticked at now 2, 3 and 4
+  EXPECT_EQ(r.ticks(), 1u);  // slotted after the spawner: not reached
+  // Between ticks the same construction registers and ticks at once.
+  u64 late_ticks = 0;
+  ExtCounter late(k, "late", late_ticks);
+  EXPECT_EQ(k.component_count(), 3u);
+  k.run(2);
+  EXPECT_EQ(k.now(), 3u);
+  EXPECT_EQ(late_ticks, 2u);
+  EXPECT_EQ(spawned_ticks, 0u);
+  EXPECT_EQ(r.ticks(), 3u);
 }
 
-TEST(Registry, SpawnAndKillWithinSameTick) {
-  // A component constructed and destroyed inside one compute phase never
-  // joins the sweep and never ticks.
-  class Flash : public sim::Component {
-   public:
-    Flash(sim::Kernel& k, u64& out)
-        : sim::Component(k, "flash"), out_(out) {}
-    void tick_compute() override {
-      if (kernel().now() == 1) {
-        u64 dummy = 0;
-        ExtCounter temp(kernel(), "temp", dummy);
-        out_ = dummy;
-      }
-    }
+TEST(RegistryDeathTest, DestroyDuringTickAborts) {
+  // A destructor cannot throw: destroying a component from another
+  // component's compute phase names it on stderr and aborts.
+  EXPECT_DEATH(
+      {
+        sim::Kernel k;
+        u64 victim_ticks = 0;
+        std::unique_ptr<ExtCounter> victim;
+        Killer killer(k, "killer", victim, /*kill_at=*/2);
+        victim = std::make_unique<ExtCounter>(k, "victim", victim_ticks);
+        k.run(5);
+      },
+      "component 'victim' destroyed during a tick");
+}
 
-   private:
-    u64& out_;
-  };
+TEST(Registry, RemovalBetweenTicksDropsItsTimers) {
   sim::Kernel k;
-  u64 temp_ticks = 0;
-  Flash f(k, temp_ticks);
-  k.run(4);
-  EXPECT_EQ(temp_ticks, 0u);
+  Sleeper survivor(k, "survivor");
+  auto doomed = std::make_unique<Sleeper>(k, "doomed");
+  k.run(1);  // both tick once, then sleep
+  doomed->wake_at(4);  // due before the survivor's timer, and after it
+  survivor.wake_at(6);
+  doomed->wake_at(9);
+  doomed.reset();
   EXPECT_EQ(k.component_count(), 1u);
+
+  snap::Snapshot image;
+  k.save_to(image);
+  EXPECT_EQ(saved_timers(image),
+            (std::vector<std::pair<Cycle, std::string>>{{6, "survivor"}}));
+
+  k.run(9);
+  EXPECT_EQ(k.now(), 10u);
+  EXPECT_EQ(survivor.ticks(), 2u);
+  EXPECT_EQ(survivor.last_now(), 6u);  // fired on its own cycle
+  EXPECT_EQ(k.sched_stats().wakeups, 1u);
+  EXPECT_EQ(k.sched_stats().fast_forwards, 2u);  // 1 -> 6, then 7 -> 10
 }
 
 TEST(Registry, ExceptionInTickLeavesKernelUsable) {
@@ -491,38 +520,43 @@ TEST_F(WideKernel, LastSlotOfAWordWakesTheFirstOfTheNext) {
 }
 
 TEST_F(WideKernel, KillAndSpawnAcrossWords) {
-  // Mid-tick: slot 10 kills 70 (ahead of the walk, never ticks again) and
-  // 129 (the last word), then 100 spawns a component that joins at the
-  // boundary as slot 128 of 129, adding a word back. 120 still ticks.
-  std::unique_ptr<Poker> spawned;
+  // Between ticks: killing 70 and 129, both awake, renumbers every later
+  // slot and drops the third word; a spawned component appends as slot
+  // 128 of 129, adding the word back.
+  p[70]->poke(1);
+  p[129]->poke(1);
+  p[70].reset();
+  p[129].reset();
+  EXPECT_EQ(k.component_count(), 128u);
+  EXPECT_EQ(k.awake_count(), 0u);
+  auto spawned = std::make_unique<Poker>(k, 1000, log);
+  spawned->poke(2);  // born awake: the hold keeps it so past the boundary
+  EXPECT_EQ(k.component_count(), 129u);
+  // 10 wakes 100 and 120 (now slots 99 and 119) ahead of the walk; the
+  // spawned component ticks in the third word the same cycle.
   p[10]->poke(1);
   p[10]->then([&] {
-    p[70].reset();
-    p[129].reset();
     p[100]->poke(1);
     p[120]->poke(1);
   });
-  p[70]->poke(1);
-  p[129]->poke(1);
-  p[100]->then([&] {
-    spawned = std::make_unique<Poker>(k, 1000, log);
-    spawned->poke(1);  // born awake: the hold keeps it so past the boundary
-  });
-  EXPECT_EQ(k.awake_count(), 3u);
+  EXPECT_EQ(k.awake_count(), 2u);
   k.tick();
-  EXPECT_EQ(k.component_count(), 129u);
   EXPECT_EQ(log, (std::vector<Call>{{1, 'c', 10},
                                     {1, 'c', 100},
                                     {1, 'c', 120},
+                                    {1, 'c', 1000},
                                     {1, 'm', 10},
                                     {1, 'm', 100},
-                                    {1, 'm', 120}}));
+                                    {1, 'm', 120},
+                                    {1, 'm', 1000}}));
   ASSERT_EQ(k.awake_names(), (std::vector<std::string>{"p1000"}));
   log.clear();
-  k.run(2);  // the spawned component ticks once in the new word, sleeps
+  k.run(2);  // the spawned component ticks once more, then sleeps
   EXPECT_EQ(log, (std::vector<Call>{{2, 'c', 1000}, {2, 'm', 1000}}));
   EXPECT_EQ(k.awake_count(), 0u);
-  // Between ticks: a kill renumbers, an add appends one bit.
+  // Between ticks again: killing the spawned one and 128 (now slot 127)
+  // leaves two words; two adds append slots 127 and 128, the second one
+  // opening the third word again.
   spawned.reset();
   p[128].reset();
   EXPECT_EQ(k.component_count(), 127u);

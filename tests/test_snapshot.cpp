@@ -727,9 +727,15 @@ TEST(KernelSection, ForgedListLengthsAreSnapshotErrors) {
   EXPECT_EQ(target.now(), 3u);
   EXPECT_EQ(target.stats().get("events"), 3u);
   EXPECT_EQ(target.awake_count(), 0u);
-  const u64 wakeups = target.sched_stats().wakeups;
+  // Scheduler telemetry restarts at the restore: the target's own ticks
+  // and its wake of b before it are not carried over.
+  const sim::SchedulerStats& sched = target.sched_stats();
+  EXPECT_EQ((std::vector<u64>{sched.ticks, sched.fast_forwards,
+                              sched.fast_forward_cycles, sched.wakeups,
+                              sched.sleeps}),
+            std::vector<u64>(5, 0));
   target.run(7);  // the restored timer wakes b for the tick at cycle 9
-  EXPECT_EQ(target.sched_stats().wakeups, wakeups + 1);
+  EXPECT_EQ(sched.wakeups, 1u);
 }
 
 // ----------------------------------------------------- component round-trips

@@ -6,8 +6,8 @@
 // Controller::set_decode_cache(false)).
 //
 // The second half proves the safety fallback: arming any observer that
-// watches individual beats (event tracer, beat logging, bus fault hook,
-// write snooper, kernel sampler) must silently disable the batched fast
+// watches individual beats (event tracer, bus fault hook, write
+// snooper, kernel sampler) must silently disable the batched fast
 // path — batched_chunks() stays 0 — without changing the results.
 #include <gtest/gtest.h>
 
@@ -36,7 +36,6 @@ struct Config {
   bool batching = true;
   bool decode_cache = true;
   bool tracer = false;
-  bool logging = false;
   bool fault_hook = false;
   bool snooper = false;
   bool sampler = false;
@@ -78,7 +77,6 @@ std::unique_ptr<obs::EventTracer> arm(platform::Soc& soc, const Config& cfg,
     tracer = std::make_unique<obs::EventTracer>(soc.kernel());
     soc.bus().set_tracer(tracer.get());
   }
-  if (cfg.logging) soc.bus().set_logging(true);
   if (cfg.fault_hook) soc.bus().set_fault_hook(&hook);
   if (cfg.snooper) {
     soc.bus().add_write_snooper(
@@ -238,12 +236,6 @@ TEST(SpeedOpts, TracerForcesPerBeatPath) {
   const RunResult traced = run_dma_copy({.tracer = true});
   expect_identical(plain, traced);
   EXPECT_EQ(traced.batched_chunks, 0u);
-}
-
-TEST(SpeedOpts, LoggingForcesPerBeatPath) {
-  const RunResult logged = run_dma_copy({.logging = true});
-  expect_identical(run_dma_copy({}), logged);
-  EXPECT_EQ(logged.batched_chunks, 0u);
 }
 
 TEST(SpeedOpts, FaultHookForcesPerBeatPath) {

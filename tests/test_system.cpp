@@ -84,7 +84,8 @@ TEST(BusStress, ThreeMastersRandomTraffic) {
   bus::AhbBus bus(kernel, "ahb");
   mem::Sram sram("sram", 0x4000'0000, 1 << 20);
   bus.connect_slave(sram, 0x4000'0000, 1 << 20);
-  bus.set_logging(true);
+  obs::EventTracer tracer(kernel);
+  bus.set_tracer(&tracer);
 
   auto& p0 = bus.connect_master("gen0", 0);
   auto& p1 = bus.connect_master("gen1", 1);
@@ -102,7 +103,9 @@ TEST(BusStress, ThreeMastersRandomTraffic) {
   EXPECT_EQ(g2.mismatches(), 0u);
   EXPECT_EQ(g0.ops_done() + g1.ops_done() + g2.ops_done(), 900u);
 
-  const auto report = bus::check_log(bus.log(), bus.timing());
+  const auto log = bus::transactions(tracer, bus);
+  EXPECT_EQ(log.size(), bus.master_totals().transactions);
+  const auto report = bus::check_log(log, bus.timing());
   EXPECT_TRUE(report.ok) << report.violations.size() << " violations, e.g. "
                          << (report.violations.empty()
                                  ? ""
