@@ -4,6 +4,7 @@
     python3 scripts/bench_guards.py record BENCH_perf.json RUN.out...
     python3 scripts/bench_guards.py floor BENCH_perf.json RUN.out...
     python3 scripts/bench_guards.py pairs BASE.out... -- NEW.out...
+    python3 scripts/bench_guards.py layout BASE_BIN NEW_BIN
 
 Each RUN.out is the saved stdout of one `python3 perfbench/run.py
 --workload W --seed 7 --seconds S --trace 0` run: its meta line, then
@@ -27,17 +28,45 @@ pairs:  compares two builds from alternating runs: the i-th BASE run of
         run completed (its meta line), since the driver's own memory
         grows with them. It only reports; a rule that does not hold is
         not an error.
+layout: prints the address mod 64 of each hot function (HOT below) in
+        two perfbench binaries, read with `nm -C`, and marks the ones
+        that moved or exist on one side only. ocp_stream's speed
+        follows the 64-byte alignment of this code, so a small
+        difference between two builds means little when it moved. It
+        only reports.
 
 Prints what it compared; exits 0 when every run passes and 1 (with the
 reason on stderr) when one does not, or when the input is malformed.
 scripts/run_experiments.sh records, scripts/run_tier1.sh checks the
-floor, docs/performance.md ("Comparing two builds") describes pairs.
+floor, docs/performance.md ("Comparing two builds") describes pairs and
+layout.
 """
 
 import json
 import os
 import statistics
+import subprocess
 import sys
+
+# The functions every simulated cycle of ocp_stream runs through: the
+# kernel sweep, the FIFO read, commit and bulk paths, the bus and the
+# block RAC. Matched by qualified name, any parameter list.
+HOT = [
+    "ouessant::sim::Kernel::tick",
+    "ouessant::fifo::BitQueue::push",
+    "ouessant::fifo::BitQueue::peek",
+    "ouessant::fifo::BitQueue::pop",
+    "ouessant::fifo::BitQueue::drop",
+    "ouessant::fifo::WidthFifo::write",
+    "ouessant::fifo::WidthFifo::read",
+    "ouessant::fifo::WidthFifo::peek",
+    "ouessant::fifo::WidthFifo::tick_commit",
+    "ouessant::fifo::WidthFifo::bulk_write",
+    "ouessant::fifo::WidthFifo::bulk_read",
+    "ouessant::bus::InterconnectModel::tick_compute",
+    "ouessant::bus::InterconnectModel::try_batch_chunk",
+    "ouessant::rac::BlockRac::tick_compute",
+]
 
 
 def load_run(path):
@@ -142,7 +171,52 @@ def pairs(base_paths, new_paths):
               f"{spread(bm, b1, b3):32s} {bm / am:6.3f}")
 
 
+def hot_symbols(binary):
+    """{demangled name: address} of the HOT functions in @binary."""
+    try:
+        nm = subprocess.run(["nm", "-C", binary], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError) as e:
+        sys.exit(f"layout: cannot read symbols of {binary}: {e}")
+    found = {}
+    for line in nm.stdout.splitlines():
+        parts = line.split(" ", 2)
+        if (len(parts) != 3 or parts[1] not in ("T", "t", "W", "w")
+                or "[clone" in parts[2]):
+            continue
+        if any(parts[2].startswith(f + "(") for f in HOT):
+            found[parts[2]] = int(parts[0], 16)
+    return found
+
+
+def layout(base_bin, new_bin):
+    base, new = hot_symbols(base_bin), hot_symbols(new_bin)
+    names = sorted(set(base) | set(new),
+                   key=lambda n: (HOT.index(n.split("(")[0]), n))
+    width = max([len(n) for n in names] + [8])
+
+    def cell(addr):
+        return "-" if addr is None else str(addr % 64)
+
+    print("layout: address mod 64 of the hot functions (nm -C)")
+    print(f"  {'function':{width}s} {'BASE':>4s} {'NEW':>4s}")
+    for name in names:
+        a, b = base.get(name), new.get(name)
+        if a is None or b is None:
+            mark = "base only" if b is None else "new only"
+        else:
+            mark = "moved" if a % 64 != b % 64 else ""
+        row = f"  {name:{width}s} {cell(a):>4s} {cell(b):>4s}  {mark}"
+        print(row.rstrip())
+    missing = [f for f in HOT if not any(n.split("(")[0] == f for n in names)]
+    if missing:
+        print(f"  on neither side: {', '.join(missing)}")
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "layout":
+        layout(sys.argv[2], sys.argv[3])
+        sys.exit(0)
     if len(sys.argv) > 1 and sys.argv[1] == "pairs":
         args = sys.argv[2:]
         if "--" not in args:
@@ -155,5 +229,6 @@ if __name__ == "__main__":
     modes = {"record": record, "floor": floor}
     if len(sys.argv) < 4 or sys.argv[1] not in modes:
         sys.exit(f"usage: {sys.argv[0]} record|floor BENCH_perf.json "
-                 f"RUN.out... | pairs BASE.out... -- NEW.out...")
+                 f"RUN.out... | pairs BASE.out... -- NEW.out... | "
+                 f"layout BASE_BIN NEW_BIN")
     modes[sys.argv[1]](sys.argv[2], sys.argv[3:])

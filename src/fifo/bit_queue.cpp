@@ -13,17 +13,27 @@ void BitQueue::push(u64 value, unsigned width) {
 
 u64 BitQueue::pop(unsigned width) {
   const u64 v = peek(width);
-  bits_.erase(bits_.begin(), bits_.begin() + width);
+  drop(width);
   return v;
 }
 
-u64 BitQueue::peek(unsigned width) const {
+void BitQueue::drop(unsigned width) {
+  check_readable(width);
+  bits_.erase(bits_.begin(), bits_.begin() + width);
+}
+
+void BitQueue::check_readable(unsigned width) const {
+  // pop() and drop() report peek()'s texts.
   if (width == 0 || width > 64) {
     throw SimError("BitQueue::peek: width must be 1..64");
   }
   if (bits_.size() < width) {
     throw SimError("BitQueue: underflow");
   }
+}
+
+u64 BitQueue::peek(unsigned width) const {
+  check_readable(width);
   u64 v = 0;
   for (unsigned i = 0; i < width; ++i) {
     v |= static_cast<u64>(bits_[i]) << i;

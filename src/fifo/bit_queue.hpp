@@ -24,6 +24,11 @@ class BitQueue {
   /// Return the next @p width bits without removing them.
   [[nodiscard]] u64 peek(unsigned width) const;
 
+  /// Remove the next @p width bits without reading them: pop() with the
+  /// value thrown away, and the same checks and errors. A FIFO commit
+  /// drops the chunk its cycle's read already returned.
+  void drop(unsigned width);
+
   [[nodiscard]] std::size_t size_bits() const { return bits_.size(); }
   [[nodiscard]] bool empty() const { return bits_.empty(); }
   void clear() { bits_.clear(); }
@@ -49,6 +54,9 @@ class BitQueue {
   }
 
  private:
+  /// Throws unless the next @p width bits (1..64) can be read.
+  void check_readable(unsigned width) const;
+
   std::deque<u8> bits_;  // one entry per bit, front = oldest
 };
 

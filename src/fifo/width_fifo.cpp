@@ -126,7 +126,8 @@ void WidthFifo::flush() {
 void WidthFifo::tick_commit() {
   const bool changed = pending_pop_ || has_pending_write_;
   if (pending_pop_) {
-    storage_.pop(cfg_.rd_width);
+    // read() already returned this chunk; commit only removes it.
+    storage_.drop(cfg_.rd_width);
     ++reads_;
     pending_pop_ = false;
   }

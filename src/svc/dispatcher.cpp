@@ -39,6 +39,22 @@ void charge_retire(cpu::Gpp& gpp, u64 jobs) {
   gpp.spend(m);
 }
 
+bool arrives_before(const Job& a, const Job& b) {
+  return a.arrival < b.arrival;
+}
+
+/// Every stage of a launch moves one block per job (launch, retire), so
+/// a job enters only with a payload of exactly one block of its kind.
+void check_payload(const Job& job) {
+  const u32 block = block_words(job.kind);
+  if (job.payload.size() != block) {
+    throw ConfigError("Dispatcher: job " + std::to_string(job.id) +
+                      " holds " + std::to_string(job.payload.size()) +
+                      " payload words, not one " + kind_name(job.kind) +
+                      " block of " + std::to_string(block));
+  }
+}
+
 }  // namespace
 
 Dispatcher::Dispatcher(sim::Kernel& kernel, std::string name, cpu::Gpp& gpp,
@@ -113,16 +129,14 @@ void Dispatcher::trace_queue_counters() {
   // sampled rate.
   if (tracer_ == nullptr || sampler_ != nullptr) return;
   tracer_->counter(sched_track_, "queue_depth", queue_.size());
-  tracer_->counter(sched_track_, "in_flight", in_flight_);
+  tracer_->counter(sched_track_, "in_flight", in_flight());
 }
 
 void Dispatcher::load_schedule(std::vector<Job> arrivals) {
-  if (!std::is_sorted(arrivals.begin(), arrivals.end(),
-                      [](const Job& a, const Job& b) {
-                        return a.arrival < b.arrival;
-                      })) {
+  if (!std::is_sorted(arrivals.begin(), arrivals.end(), arrives_before)) {
     throw ConfigError("Dispatcher: schedule must be sorted by arrival");
   }
+  for (const Job& job : arrivals) check_payload(job);
   schedule_ = std::move(arrivals);
   next_arrival_ = 0;
   arrival_due_ = false;
@@ -130,6 +144,7 @@ void Dispatcher::load_schedule(std::vector<Job> arrivals) {
 }
 
 bool Dispatcher::submit_now(Job job) {
+  check_payload(job);
   job.arrival = gpp_.now();
   return enqueue(std::move(job));
 }
@@ -220,7 +235,7 @@ void Dispatcher::retire_completions() {
     const u32 pending = gpp_.read32(irq_ctl_base_ + cpu::kIrqCtlPending);
     bool served = false;
     for (auto& w : workers_) {
-      if (!w.busy) continue;
+      if (!w.busy()) continue;
       const PollResult result = w.backend->poll(pending, policy_.armed());
       if (result == PollResult::kIdle) continue;
       serve_poll(w, result);
@@ -258,10 +273,8 @@ void Dispatcher::retire_worker(Worker& w) {
   const Addr out_base = w.backend->out_base();
   std::vector<Job> batch = std::move(w.batch);
   w.batch.clear();
-  w.busy = false;
   w.stats.busy_cycles += done_at - w.busy_since;
   w.stats.jobs += batch.size();
-  in_flight_ -= static_cast<u32>(batch.size());
   charge_retire(gpp_, batch.size());
   if (batch_traced(batch)) {
     tracer_->complete(w.track, "batch", w.busy_since, done_at,
@@ -323,7 +336,7 @@ void Dispatcher::retire_worker(Worker& w) {
 void Dispatcher::dispatch_ready() {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Worker& w = workers_[i];
-    if (w.busy || w.quarantined || w.reconfiguring) continue;
+    if (w.busy() || w.quarantined || w.reconfiguring) continue;
     auto batch = queue_.take(w.kind, w.max_batch);
     if (batch.empty()) continue;
     launch(i, std::move(batch));
@@ -358,10 +371,8 @@ void Dispatcher::launch(std::size_t wi, std::vector<Job> batch) {
     if (job_traced(job.id)) tracer_->flow_step(w.track, "job", job.id);
   }
   w.backend->start();
-  w.busy = true;
   w.busy_since = dispatched;
   ++w.stats.launches;
-  in_flight_ += static_cast<u32>(batch.size());
   w.batch = std::move(batch);
   if (policy_.watchdog_cycles > 0) {
     wake_at(w.busy_since + policy_.watchdog_cycles);
@@ -373,7 +384,7 @@ void Dispatcher::launch(std::size_t wi, std::vector<Job> batch) {
 
 u32 Dispatcher::preempt_worker(std::size_t i) {
   Worker& w = workers_.at(i);
-  if (!w.busy) return 0;
+  if (!w.busy()) return 0;
   if (tracer_ != nullptr) {
     tracer_->instant(w.track, "preempt",
                      {obs::arg("kind", kind_name(w.kind)),
@@ -407,15 +418,13 @@ std::vector<Job> Dispatcher::abort_batch(Worker& w, const char* flag,
   }
   std::vector<Job> batch = std::move(w.batch);
   w.batch.clear();
-  w.busy = false;
-  in_flight_ -= static_cast<u32>(batch.size());
   charge_retire(gpp_, batch.size());
   return batch;
 }
 
 void Dispatcher::retarget_worker(std::size_t i, JobKind kind) {
   Worker& w = workers_.at(i);
-  if (w.busy) {
+  if (w.busy()) {
     throw SimError("Dispatcher: retarget of busy worker " +
                    w.backend->name() + " (preempt first)");
   }
@@ -434,7 +443,8 @@ void Dispatcher::retarget_worker(std::size_t i, JobKind kind) {
 bool Dispatcher::watchdog_due() const {
   if (policy_.watchdog_cycles == 0) return false;
   for (const auto& w : workers_) {
-    if (w.busy && kernel().now() >= w.busy_since + policy_.watchdog_cycles) {
+    if (w.busy() &&
+        kernel().now() >= w.busy_since + policy_.watchdog_cycles) {
       return true;
     }
   }
@@ -444,7 +454,7 @@ bool Dispatcher::watchdog_due() const {
 void Dispatcher::check_watchdogs() {
   if (policy_.watchdog_cycles == 0) return;
   for (auto& w : workers_) {
-    if (!w.busy) continue;
+    if (!w.busy()) continue;
     if (gpp_.now() < w.busy_since + policy_.watchdog_cycles) continue;
     // One timed CTRL read of the executing stage decides: completion
     // whose interrupt edge was lost, a latched fault, or a genuine hang.
@@ -610,9 +620,12 @@ void Dispatcher::fail_unservable() {
 }
 
 void Dispatcher::state(snap::Fields& f) {
-  queue_.state(f);
+  const std::size_t workers = workers_.size();
+  const auto job = [&f, workers](Job& j) { job_state(f, j, workers); };
+  queue_.state(f, workers);
 
-  f.expect<u32>("workers", workers_.size());
+  f.expect<u32>("workers", workers);
+  u32 batched = 0;
   for (Worker& wk : workers_) {
     u8 kind = static_cast<u8>(wk.kind);
     f.field("kind", kind);
@@ -627,7 +640,8 @@ void Dispatcher::state(snap::Fields& f) {
     }
     wk.backend->state(f);
     f.field("installed_batch", wk.installed_batch);
-    f.field("busy", wk.busy);
+    bool busy = wk.busy();  // a restore checks it against the batch below
+    f.field("busy", busy);
     f.field("busy_since", wk.busy_since);
     f.field("consecutive_faults", wk.consecutive_faults);
     f.field("quarantined", wk.quarantined);
@@ -640,7 +654,18 @@ void Dispatcher::state(snap::Fields& f) {
     f.field("installs", wk.stats.installs);
     f.field("busy_cycles", wk.stats.busy_cycles);
     f.field("faults", wk.stats.faults);
-    f.list("batch_size", wk.batch, [&f](Job& job) { job_state(f, job); });
+    f.list("batch_size", wk.batch, job);
+    if (wk.batch.size() > wk.max_batch) {
+      f.fail("'batch_size' is " + std::to_string(wk.batch.size()) + " on " +
+             wk.backend->name() + ", above its max_batch " +
+             std::to_string(wk.max_batch));
+    }
+    if (busy != wk.busy()) {
+      f.fail(std::string("'busy' is ") + (busy ? "true" : "false") +
+             " on " + wk.backend->name() + ", which holds " +
+             std::to_string(wk.batch.size()) + " jobs");
+    }
+    batched += static_cast<u32>(wk.batch.size());
   }
 
   // Remaining open-loop schedule only — ingested arrivals live in the
@@ -653,16 +678,27 @@ void Dispatcher::state(snap::Fields& f) {
     next_arrival_ = 0;
   }
   for (std::size_t i = next_arrival_; i < schedule_.size(); ++i) {
-    job_state(f, schedule_[i]);
+    job(schedule_[i]);
+  }
+  if (!std::is_sorted(schedule_.begin() + next_arrival_, schedule_.end(),
+                      arrives_before)) {
+    f.fail("'schedule_left' jobs out of arrival order");
   }
   f.field("arrival_due", arrival_due_);
-  f.field("in_flight", in_flight_);
+  // Every launched job sits in its worker's batch.
+  f.expect<u32>("in_flight", batched);
   f.field("completed", completed_);
 
-  f.list("retry_count", retry_queue_, [&f](PendingRetry& p) {
+  f.list("retry_count", retry_queue_, [&f, &job](PendingRetry& p) {
     f.field("ready_at", p.ready_at);
-    job_state(f, p.job);
+    job(p.job);
   });
+  if (!std::is_sorted(retry_queue_.begin(), retry_queue_.end(),
+                      [](const PendingRetry& a, const PendingRetry& b) {
+                        return a.ready_at < b.ready_at;
+                      })) {
+    f.fail("'retry_count' entries out of ready_at order");
+  }
   f.field("svc_faults", faults_);
   f.field("retries", retries_);
   f.field("failed", failed_);
@@ -681,6 +717,12 @@ void Dispatcher::reset_run_counters() {
   retries_ = 0;
   failed_ = 0;
   irq_recoveries_ = 0;
+}
+
+u32 Dispatcher::in_flight() const {
+  u32 n = 0;
+  for (const auto& w : workers_) n += static_cast<u32>(w.batch.size());
+  return n;
 }
 
 u32 Dispatcher::quarantined_count() const {

@@ -111,11 +111,13 @@ class Dispatcher : public sim::Component {
                  u32 max_batch);
 
   /// Hand the open-loop arrival schedule over (must be sorted by
-  /// arrival; ConfigError otherwise). The doorbell arms itself.
+  /// arrival, every payload one block of its kind; ConfigError
+  /// otherwise). The doorbell arms itself.
   void load_schedule(std::vector<Job> arrivals);
 
   /// Host-stack submission at now() (closed-loop clients). Charges the
-  /// CPU enqueue cost; false when the queue rejected the job.
+  /// CPU enqueue cost; false when the queue rejected the job. A payload
+  /// other than one block of its kind is a ConfigError.
   bool submit_now(Job job);
 
   /// True when some worker has @p kind now, or the slot farm can swap
@@ -167,7 +169,7 @@ class Dispatcher : public sim::Component {
   /// bitstream mid-stream.
   [[nodiscard]] bool finished() const {
     return next_arrival_ >= schedule_.size() && queue_.empty() &&
-           in_flight_ == 0 && retry_queue_.empty() &&
+           in_flight() == 0 && retry_queue_.empty() &&
            (slots_ == nullptr || !slots_->swap_in_flight());
   }
 
@@ -204,7 +206,7 @@ class Dispatcher : public sim::Component {
   [[nodiscard]] const JobQueue& queue() const { return queue_; }
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   [[nodiscard]] bool worker_busy(std::size_t i) const {
-    return workers_.at(i).busy;
+    return workers_.at(i).busy();
   }
   [[nodiscard]] JobKind worker_kind(std::size_t i) const {
     return workers_.at(i).kind;
@@ -214,7 +216,8 @@ class Dispatcher : public sim::Component {
   }
   [[nodiscard]] u64 completed() const { return completed_; }
   [[nodiscard]] u64 rejected() const { return queue_.rejected(); }
-  [[nodiscard]] u32 in_flight() const { return in_flight_; }
+  /// Jobs launched on some worker: the sum of the workers' batches.
+  [[nodiscard]] u32 in_flight() const;
 
   // -- fault-aware introspection ---------------------------------------
   [[nodiscard]] u64 faults() const { return faults_; }
@@ -278,7 +281,6 @@ class Dispatcher : public sim::Component {
     u32 max_batch = 1;
     std::vector<Job> batch;    ///< jobs of the in-flight launch
     u32 installed_batch = 0;   ///< batch size the resident program serves
-    bool busy = false;
     Cycle busy_since = 0;
     u32 consecutive_faults = 0;  ///< faulted batches since the last success
     bool quarantined = false;    ///< permanently sidelined for this run
@@ -287,6 +289,9 @@ class Dispatcher : public sim::Component {
     bool reconfiguring = false;  ///< region mid-swap: no dispatches
     WorkerStats stats;
     obs::TrackId track = 0;    ///< "svc.worker.<name>" (tracer attached)
+
+    /// Busy exactly while it holds a launched batch.
+    [[nodiscard]] bool busy() const { return !batch.empty(); }
   };
 
   /// A job waiting out its retry backoff.
@@ -351,7 +356,6 @@ class Dispatcher : public sim::Component {
   std::vector<Job> schedule_;
   std::size_t next_arrival_ = 0;
   bool arrival_due_ = false;
-  u32 in_flight_ = 0;   ///< jobs currently launched on some worker
   u64 completed_ = 0;
   RetryPolicy policy_;
   std::vector<PendingRetry> retry_queue_;  ///< sorted by ready_at

@@ -1,5 +1,7 @@
 #include "svc/job.hpp"
 
+#include <span>
+
 namespace ouessant::svc {
 
 const char* kind_name(JobKind kind) {
@@ -81,24 +83,23 @@ std::size_t JobQueue::size_of_kind(JobKind kind) const {
   return n;
 }
 
-void job_state(snap::Fields& f, Job& job) {
+void job_state(snap::Fields& f, Job& job, std::size_t workers) {
   f.field("id", job.id);
   f.field_as<u8>("kind", job.kind, static_cast<JobKind>(kNumJobKinds - 1));
   f.field_as<u8>("prio", job.prio,
                  static_cast<Priority>(kNumPriorities - 1));
   f.field("arrival", job.arrival);
-  f.field("payload", job.payload);
+  // A fixed-length field on restore: the image must hold one block.
+  if (f.restoring()) job.payload.resize(block_words(job.kind));
+  f.field("payload", std::span(job.payload));
   f.field("dispatch", job.dispatch);
   f.field("complete", job.complete);
   f.field_as<u32>("worker", job.worker);
+  if (job.worker < -1 || job.worker >= static_cast<int>(workers)) {
+    f.fail("'worker' is " + std::to_string(job.worker) + ", outside [-1, " +
+           std::to_string(workers) + ")");
+  }
   f.field("attempts", job.attempts);
-}
-
-Job load_job(snap::StateReader& r) {
-  Job job;
-  snap::Fields f(r);
-  job_state(f, job);
-  return job;
 }
 
 void JobQueue::reset_counters() {
@@ -107,12 +108,13 @@ void JobQueue::reset_counters() {
   peak_ = size();
 }
 
-void JobQueue::state(snap::Fields& f) {
+void JobQueue::state(snap::Fields& f, std::size_t workers) {
   f.field("accepted", accepted_);
   f.field("rejected", rejected_);
   f.field_as<u64>("peak", peak_);
   for (std::deque<Job>& jobs : classes_) {
-    f.list("class_size", jobs, [&f](Job& job) { job_state(f, job); });
+    f.list("class_size", jobs,
+           [&f, workers](Job& job) { job_state(f, job, workers); });
   }
   if (size() > depth_) f.fail("image holds more jobs than depth");
 }

@@ -66,10 +66,10 @@ struct Job {
 };
 
 /// One Job's field list (fields are sequential, so lists repeat them: a
-/// count field, then these fields per element).
-void job_state(snap::Fields& f, Job& job);
-/// Reads one Job from @p r through job_state().
-[[nodiscard]] Job load_job(snap::StateReader& r);
+/// count field, then these fields per element). A restore refuses what
+/// no run produces: a payload other than one block of the job's kind,
+/// and a `worker` outside [-1, @p workers).
+void job_state(snap::Fields& f, Job& job, std::size_t workers);
 
 /// Bounded multi-class FIFO. push() rejects (and counts) when the queue
 /// is at depth; take() hands the Dispatcher up to @p max_batch jobs of
@@ -115,7 +115,8 @@ class JobQueue {
   void reset_counters();
 
   // Snapshot field list (host-stack object; the Dispatcher lists it).
-  void state(snap::Fields& f);
+  // @p workers bounds each job's `worker` (job_state).
+  void state(snap::Fields& f, std::size_t workers);
 
  private:
   std::size_t depth_;

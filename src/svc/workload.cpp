@@ -81,6 +81,9 @@ std::vector<Job> phased_arrivals(const std::vector<WorkloadPhase>& phases,
                                  u64 seed, Cycle start) {
   util::Rng rng(seed);
   std::vector<Job> jobs;
+  std::size_t total = 0;
+  for (const WorkloadPhase& ph : phases) total += ph.jobs;
+  jobs.reserve(total);
   Cycle t = start;
   u64 id = 0;
   for (const WorkloadPhase& ph : phases) {

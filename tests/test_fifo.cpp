@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "fifo/bit_queue.hpp"
 #include "fifo/width_fifo.hpp"
@@ -80,6 +81,62 @@ TEST(BitQueue, MixedWidthProperty) {
   for (std::size_t i = 0; i < expected_bits.size(); ++i) {
     ASSERT_EQ(q.pop(1), expected_bits[i]) << "bit " << i;
   }
+}
+
+/// The SimError text of @p op, or "" when it does not throw.
+template <class Op>
+std::string error_of(Op op) {
+  try {
+    op();
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BitQueue, DropEqualsPopWithoutTheValue) {
+  // Two queues see the same random pushes, peeks and removals at widths
+  // 1..64; one removes by pop, the other by drop. Their images agree
+  // after every step.
+  util::Rng rng(2024);
+  fifo::BitQueue popped;
+  fifo::BitQueue dropped;
+  for (int step = 0; step < 4000; ++step) {
+    const unsigned w = 1 + rng.below(64);
+    switch (rng.below(3)) {
+      case 0: {
+        const u64 v =
+            (static_cast<u64>(rng.next_u32()) << 32) | rng.next_u32();
+        popped.push(v, w);
+        dropped.push(v, w);
+        break;
+      }
+      case 1:
+        if (popped.size_bits() >= w) {
+          ASSERT_EQ(popped.peek(w), dropped.peek(w)) << "step " << step;
+        }
+        break;
+      default:
+        if (popped.size_bits() >= w) {
+          (void)popped.pop(w);
+          dropped.drop(w);
+        }
+        break;
+    }
+    ASSERT_EQ(popped.size_bits(), dropped.size_bits()) << "step " << step;
+    ASSERT_EQ(popped.pack_words(), dropped.pack_words()) << "step " << step;
+  }
+
+  // The same refusals, with the same texts, and nothing removed.
+  fifo::BitQueue q;
+  q.push(0x5, 4);
+  for (const unsigned w : {0u, 5u, 65u}) {
+    const std::string pop_error = error_of([&] { (void)q.pop(w); });
+    EXPECT_FALSE(pop_error.empty()) << "width " << w;
+    EXPECT_EQ(error_of([&] { q.drop(w); }), pop_error) << "width " << w;
+  }
+  EXPECT_EQ(error_of([&] { q.drop(5); }), "BitQueue: underflow");
+  EXPECT_EQ(q.pack_words(), std::vector<u32>{0x5});
 }
 
 // ------------------------------------------------------------- WidthFifo --

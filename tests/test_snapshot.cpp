@@ -338,19 +338,32 @@ TEST(StateStream, FalseWords32CountIsASnapshotError) {
   job.write_words32("payload", {});
   std::vector<u8> bytes = job.take();
   std::fill(bytes.end() - 4, bytes.end(), u8{0xFF});  // the word count
+  const auto load_job = [](StateReader& r) {
+    svc::Job j;
+    snap::Fields f(r);
+    svc::job_state(f, j, 1);
+  };
   {
     StateReader jr(bytes, "job");  // borrows bytes, which grow below
-    EXPECT_THROW((void)svc::load_job(jr), SnapshotError);
+    EXPECT_THROW(load_job(jr), SnapshotError);
   }
 
   // The same count backed by one run block of 2^31-1 zero words: eight
   // bytes that the dense reader must refuse before it inflates them into
-  // 8 GiB.
+  // 8 GiB. A job refuses any count but one block's.
   for (const u8 b : {0xFF, 0xFF, 0xFF, 0x7F, 0x00, 0x00, 0x00, 0x00}) {
     bytes.push_back(b);
   }
+  {
+    StateReader jr(bytes, "job");
+    EXPECT_THROW(load_job(jr), SnapshotError);
+  }
   StateReader run(std::move(bytes), "job");
-  EXPECT_THROW((void)svc::load_job(run), SnapshotError);
+  (void)run.read_u64("id");
+  (void)run.read_u8("kind");
+  (void)run.read_u8("prio");
+  (void)run.read_u64("arrival");
+  EXPECT_THROW((void)run.read_words32("payload"), SnapshotError);
 }
 
 TEST(StateStream, WrongNameWrongTagAndTruncationThrow) {
@@ -587,6 +600,57 @@ class Idler : public sim::Component {
   [[nodiscard]] bool is_quiescent() const override { return true; }
 };
 
+/// Where the payload of the @p nth (0-based) field named @p field with
+/// tag @p tag starts in @p bytes, searching from offset @p from on.
+std::size_t field_payload(const std::vector<u8>& bytes, snap::Tag tag,
+                          const std::string& field, std::size_t nth = 0,
+                          std::size_t from = 0) {
+  std::vector<u8> header{static_cast<u8>(tag),
+                         static_cast<u8>(field.size())};
+  header.insert(header.end(), field.begin(), field.end());
+  auto at = bytes.begin() + static_cast<std::ptrdiff_t>(from);
+  for (;; ++at) {
+    at = std::search(at, bytes.end(), header.begin(), header.end());
+    if (at == bytes.end()) {
+      ADD_FAILURE() << "no field '" << field << "' #" << nth;
+      return bytes.size();
+    }
+    if (nth-- == 0) {
+      return static_cast<std::size_t>(at - bytes.begin()) + header.size();
+    }
+  }
+}
+
+/// The @p n-byte little-endian integer at @p at of @p bytes.
+u64 get_le(const std::vector<u8>& bytes, std::size_t at, int n) {
+  u64 v = 0;
+  for (int i = 0; i < n && at + i < bytes.size(); ++i) {
+    v |= u64{bytes[at + i]} << (8 * i);
+  }
+  return v;
+}
+
+/// Overwrites the @p n-byte little-endian integer at @p at with @p v.
+void put_le(std::vector<u8>& bytes, std::size_t at, u64 v, int n) {
+  for (int i = 0; i < n && at + i < bytes.size(); ++i) {
+    bytes[at + i] = static_cast<u8>(v >> (8 * i));
+  }
+}
+
+/// @p good with section @p name's bytes passed through @p edit,
+/// re-serialized so the container's CRC holds and only the section's
+/// own reader can catch the defect.
+Snapshot with_section(const Snapshot& good, const std::string& name,
+                      const std::function<void(std::vector<u8>&)>& edit) {
+  Snapshot bad;
+  for (const snap::Section& s : good.sections()) {
+    std::vector<u8> bytes = s.bytes;
+    if (s.name == name) edit(bytes);
+    bad.add(s.name, s.version, bytes);
+  }
+  return Snapshot::deserialize(bad.serialize());
+}
+
 /// @p good with the kernel section's component list replaced by
 /// @p entries (name, awake flag), re-serialized so the container's CRC
 /// holds and only the kernel can catch the defect.
@@ -672,23 +736,9 @@ TEST(KernelSection, EachComponentMustAppearExactlyOnce) {
 /// @p value, re-serialized so the container's CRC holds.
 Snapshot with_kernel_u32(const Snapshot& good, const std::string& field,
                          u32 value) {
-  std::vector<u8> kernel = good.section("kernel").bytes;
-  std::vector<u8> header{static_cast<u8>(snap::Tag::kU32),
-                         static_cast<u8>(field.size())};
-  header.insert(header.end(), field.begin(), field.end());
-  const auto at = std::search(kernel.begin(), kernel.end(), header.begin(),
-                              header.end());
-  if (at == kernel.end()) {
-    ADD_FAILURE() << "no u32 field '" << field << "' in the kernel section";
-    return good;
-  }
-  const auto payload = at + static_cast<std::ptrdiff_t>(header.size());
-  for (int i = 0; i < 4; ++i) payload[i] = static_cast<u8>(value >> (8 * i));
-  Snapshot bad;
-  for (const snap::Section& s : good.sections()) {
-    bad.add(s.name, s.version, s.name == "kernel" ? kernel : s.bytes);
-  }
-  return Snapshot::deserialize(bad.serialize());
+  return with_section(good, "kernel", [&](std::vector<u8>& kernel) {
+    put_le(kernel, field_payload(kernel, snap::Tag::kU32, field), value, 4);
+  });
 }
 
 TEST(KernelSection, ForgedListLengthsAreSnapshotErrors) {
@@ -1464,6 +1514,177 @@ TEST(MidRun, WarmBootHoldsNoMorePagesThanItsTemplate) {
   EXPECT_GT(sram.resident_bytes(), 0u);
   EXPECT_LE(sram.resident_bytes(), tmpl.soc().sram().resident_bytes());
   EXPECT_LT(sram.resident_bytes(), sram.size_bytes() / 64);
+}
+
+// --------------------------------------------------- dispatcher section --
+// A restore refuses a dispatcher image that no run produces, naming the
+// field, before the first tick can act on it.
+
+const std::string kDispatcher = "c:svc_dispatcher";
+
+/// serve_config()'s service, begun on serve_workload() and stepped until
+/// @p holds for its dispatcher section (which must happen).
+Snapshot dispatcher_image(
+    bool faulty, const std::function<bool(const std::vector<u8>&)>& holds) {
+  svc::OffloadService s(serve_config(faulty));
+  s.begin(serve_workload());
+  while (!s.finished()) {
+    Snapshot image = s.snapshot();
+    if (holds(image.section(kDispatcher).bytes)) return image;
+    (void)s.step();
+  }
+  ADD_FAILURE() << "no step of the run holds";
+  return s.snapshot();
+}
+
+/// The u32 field @p field's @p nth value in a dispatcher section.
+u32 section_u32(const std::vector<u8>& bytes, const std::string& field,
+                std::size_t nth = 0) {
+  return static_cast<u32>(
+      get_le(bytes, field_payload(bytes, snap::Tag::kU32, field, nth), 4));
+}
+
+/// @p good's dispatcher section edited by @p edit must be refused with a
+/// SnapshotError containing @p reason, while @p good itself restores.
+void expect_dispatcher_refused(
+    const Snapshot& good, const std::string& reason,
+    const std::function<void(std::vector<u8>&)>& edit,
+    const svc::ServiceConfig& cfg) {
+  {
+    svc::OffloadService ok(cfg);
+    ok.restore(good);
+  }
+  svc::OffloadService target(cfg);
+  try {
+    target.restore(with_section(good, kDispatcher, edit));
+    ADD_FAILURE() << "accepted a dispatcher image with " << reason;
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+/// One worker busy and one idle, jobs still scheduled.
+bool one_worker_busy(const std::vector<u8>& d) {
+  return (section_u32(d, "batch_size", 0) == 0) !=
+             (section_u32(d, "batch_size", 1) == 0) &&
+         section_u32(d, "schedule_left") >= 2;
+}
+
+TEST(DispatcherSection, PayloadOtherThanOneBlockIsRefused) {
+  // It used to be staged whole by the next launch, over the batch slots
+  // after it, and refused only at retire.
+  const Snapshot good = dispatcher_image(false, one_worker_busy);
+  expect_dispatcher_refused(
+      good, "'payload' holds 65 words, expected 64",
+      [](std::vector<u8>& d) {
+        // One more word, as a one-word run block ahead of the others.
+        const std::size_t at = field_payload(d, snap::Tag::kWords32,
+                                             "payload");
+        put_le(d, at, 65, 4);
+        const std::vector<u8> run{1, 0, 0, 0, 7, 0, 0, 0};
+        d.insert(d.begin() + static_cast<std::ptrdiff_t>(at + 4),
+                 run.begin(), run.end());
+      },
+      serve_config(false));
+}
+
+TEST(DispatcherSection, JobWorkerOutsideTheWorkersIsRefused) {
+  const Snapshot good = dispatcher_image(false, one_worker_busy);
+  for (const auto& [worker, reason] :
+       {std::pair<u32, std::string>{2, "'worker' is 2, outside [-1, 2)"},
+        std::pair<u32, std::string>{0xFFFF'FFFEu, "'worker' is -2"}}) {
+    expect_dispatcher_refused(
+        good, reason,
+        [worker](std::vector<u8>& d) {
+          put_le(d, field_payload(d, snap::Tag::kU32, "worker"), worker, 4);
+        },
+        serve_config(false));
+  }
+}
+
+TEST(DispatcherSection, InFlightMustCountTheBatchedJobs) {
+  // Too large never drained (finished() stayed false until run_until's
+  // guard threw); too small wrapped at the first retire.
+  const Snapshot good = dispatcher_image(false, one_worker_busy);
+  const u32 batched = section_u32(good.section(kDispatcher).bytes,
+                                  "in_flight");
+  ASSERT_GT(batched, 0u);
+  for (const u32 forged : {batched + 1, batched - 1}) {
+    expect_dispatcher_refused(
+        good,
+        "'in_flight' is " + std::to_string(forged) + " in the image, " +
+            std::to_string(batched) + " here",
+        [forged](std::vector<u8>& d) {
+          put_le(d, field_payload(d, snap::Tag::kU32, "in_flight"), forged,
+                 4);
+        },
+        serve_config(false));
+  }
+}
+
+TEST(DispatcherSection, BusyMustMatchTheWorkersBatch) {
+  // An idle worker's restored jobs were overwritten by its next launch;
+  // a busy worker without jobs never retired.
+  const Snapshot good = dispatcher_image(false, one_worker_busy);
+  for (const std::size_t worker : {0u, 1u}) {
+    const std::vector<u8>& d = good.section(kDispatcher).bytes;
+    const bool busy = section_u32(d, "batch_size", worker) != 0;
+    expect_dispatcher_refused(
+        good, std::string("'busy' is ") + (busy ? "false" : "true"),
+        [worker, busy](std::vector<u8>& d) {
+          d[field_payload(d, snap::Tag::kBool, "busy", worker)] = !busy;
+        },
+        serve_config(false));
+  }
+}
+
+TEST(DispatcherSection, BatchAboveMaxBatchIsRefused) {
+  // A batch of two restored into a worker that takes one at most.
+  const Snapshot good =
+      dispatcher_image(false, [](const std::vector<u8>& d) {
+        return section_u32(d, "batch_size", 0) == 2;
+      });
+  svc::ServiceConfig narrow = serve_config(false);
+  narrow.ocps[0].max_batch = 1;
+  svc::OffloadService target(narrow);
+  try {
+    target.restore(good);
+    ADD_FAILURE() << "accepted a batch of 2 on a max_batch 1 worker";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("'batch_size' is 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DispatcherSection, ScheduleOutOfArrivalOrderIsRefused) {
+  const Snapshot good = dispatcher_image(false, one_worker_busy);
+  expect_dispatcher_refused(
+      good, "'schedule_left' jobs out of arrival order",
+      [](std::vector<u8>& d) {
+        const std::size_t left =
+            field_payload(d, snap::Tag::kU32, "schedule_left");
+        put_le(d, field_payload(d, snap::Tag::kU64, "arrival", 0, left),
+               ~u64{0}, 8);
+      },
+      serve_config(false));
+}
+
+TEST(DispatcherSection, RetriesOutOfReadyOrderAreRefused) {
+  const Snapshot good =
+      dispatcher_image(true, [](const std::vector<u8>& d) {
+        return section_u32(d, "retry_count") >= 2;
+      });
+  expect_dispatcher_refused(
+      good, "'retry_count' entries out of ready_at order",
+      [](std::vector<u8>& d) {
+        const std::size_t retries =
+            field_payload(d, snap::Tag::kU32, "retry_count");
+        put_le(d, field_payload(d, snap::Tag::kU64, "ready_at", 0, retries),
+               ~u64{0}, 8);
+      },
+      serve_config(true));
 }
 
 // -------------------------------------------------------------- fleet layer

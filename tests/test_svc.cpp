@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/collect.hpp"
@@ -134,6 +135,95 @@ TEST(Workload, OpenLoopScheduleIsSeededAndSorted) {
   EXPECT_TRUE(differs);
 }
 
+/// FNV-1a over every job's id, arrival, kind, priority, payload length
+/// and payload words, in schedule order.
+u64 jobs_digest(const std::vector<Job>& jobs) {
+  u64 h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const Job& job : jobs) {
+    mix(job.id);
+    mix(job.arrival);
+    mix(static_cast<u64>(job.kind));
+    mix(static_cast<u64>(job.prio));
+    mix(job.payload.size());
+    for (const u32 w : job.payload) mix(w);
+  }
+  return h;
+}
+
+/// Each generator's digest at two seeds and two mixes, labelled.
+std::vector<std::pair<std::string, u64>> generator_digests() {
+  struct Mix {
+    const char* name;
+    std::vector<JobKind> kinds;
+    double high_fraction;
+  };
+  const Mix mixes[] = {
+      {"idct+dft", {JobKind::kIdct, JobKind::kDft}, 0.25},
+      {"fir+jpeg+jpeg_chain",
+       {JobKind::kFir, JobKind::kJpegBlock, JobKind::kJpegChain},
+       0.5}};
+  std::vector<std::pair<std::string, u64>> out;
+  for (const Mix& mix : mixes) {
+    for (const u64 seed : {kDefaultServiceSeed, u64{424242}}) {
+      const std::string at =
+          std::string(mix.name) + " seed " + std::to_string(seed);
+      WorkloadConfig cfg;
+      cfg.jobs = 40;
+      cfg.mean_gap = 300.0;
+      cfg.kinds = mix.kinds;
+      cfg.high_fraction = mix.high_fraction;
+      cfg.seed = seed;
+      util::Rng rng(seed);
+      out.emplace_back("open_loop_arrivals " + at,
+                       jobs_digest(open_loop_arrivals(cfg, rng, 64)));
+      // make_job goes on drawing from the same stream, as a closed loop
+      // does after its first jobs.
+      std::vector<Job> closed;
+      for (u64 id = 0; id < 12; ++id) {
+        closed.push_back(make_job(id, 1000 + 7 * id, cfg, rng));
+      }
+      out.emplace_back("make_job " + at, jobs_digest(closed));
+      std::vector<std::pair<JobKind, double>> weights;
+      std::vector<std::pair<JobKind, double>> reversed;
+      for (std::size_t k = 0; k < mix.kinds.size(); ++k) {
+        weights.emplace_back(mix.kinds[k], 1.0 + 3.0 * k);
+        reversed.emplace_back(mix.kinds[k],
+                              1.0 + 3.0 * (mix.kinds.size() - 1 - k));
+      }
+      const std::vector<WorkloadPhase> phases = {
+          {.jobs = 25, .mean_gap = 400.0, .mix = weights,
+           .high_fraction = mix.high_fraction},
+          {.jobs = 15, .mean_gap = 150.0, .mix = reversed,
+           .high_fraction = 0.0}};
+      out.emplace_back("phased_arrivals " + at,
+                       jobs_digest(phased_arrivals(phases, seed, 64)));
+    }
+  }
+  return out;
+}
+
+TEST(Workload, GeneratorsArePinned) {
+  // Snapshot images pin payloads only indirectly; these digests pin
+  // every job the generators draw. They were recorded from a build
+  // before phased_arrivals reserved its schedule.
+  const u64 expected[] = {
+      0xc8c3ddefa25a3ebeull, 0x72f59a376fc5d6c3ull, 0xf6a12c0a86b9be31ull,
+      0xcb206e946c353c07ull, 0x7e254bea27e50129ull, 0xc92cf32162eaf2cbull,
+      0xdd6bd96760532b7aull, 0xb9ed53ab94075a49ull, 0xedc588de5ed1ce4cull,
+      0x82d996e54fd08f43ull, 0x5303a66e8a337636ull, 0x74ff70293b750044ull};
+  const auto got = generator_digests();
+  ASSERT_EQ(got.size(), std::size(expected));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].second, expected[i]) << got[i].first;
+  }
+}
+
 // -- whole-service runs ------------------------------------------------
 
 ServiceConfig small_service(std::size_t queue_depth = 64) {
@@ -190,6 +280,46 @@ TEST(OffloadService, RejectsUnservedKind) {
   WorkloadConfig wl = small_workload();
   wl.kinds = {JobKind::kDft};  // no DFT worker configured
   EXPECT_THROW((void)service.run(wl), ConfigError);
+}
+
+TEST(OffloadService, PayloadOtherThanOneBlockIsRefusedAtTheDoor) {
+  // A launch stages one block per batch slot: a longer payload would
+  // overwrite the next slot's input. Both ways in refuse such a job
+  // before it is queued, so no run holds one (a restore refuses it too).
+  const WorkloadConfig wl = small_workload(4);
+  util::Rng rng(wl.seed);
+  std::vector<Job> schedule = open_loop_arrivals(wl, rng, 64);
+  ASSERT_EQ(schedule.size(), 4u);
+  schedule[2].payload.push_back(0);
+  OffloadService scheduled(small_service());
+  try {
+    (void)scheduled.run_schedule(schedule);
+    ADD_FAILURE() << "a 65-word payload was scheduled";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "job " + std::to_string(schedule[2].id) +
+                  " holds 65 payload words, not one idct block of 64"),
+              std::string::npos)
+        << e.what();
+  }
+
+  OffloadService submitted(small_service());
+  submitted.begin(wl);
+  Dispatcher& d = submitted.dispatcher();
+  const Cycle before = submitted.soc().cpu().now();
+  Job short_job = schedule[0];
+  short_job.payload.resize(63);
+  try {
+    (void)d.submit_now(short_job);
+    ADD_FAILURE() << "a 63-word payload was submitted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("holds 63 payload words"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(submitted.soc().cpu().now(), before);  // no enqueue charged
+  EXPECT_TRUE(d.queue().empty());
+  EXPECT_TRUE(d.submit_now(schedule[0]));
 }
 
 TEST(OffloadService, WorkerWindowsMustFitTheSram) {
