@@ -35,7 +35,6 @@
 #include "platform/soc.hpp"
 #include "rac/dequant.hpp"
 #include "rac/idct.hpp"
-#include "svc/ledger.hpp"
 #include "svc/service.hpp"
 #include "util/fixed.hpp"
 #include "util/rng.hpp"
@@ -241,14 +240,8 @@ void run_service(const exp::ParamMap& params, const exp::RunContext& ctx,
   wl.jobs = 64;
   wl.mean_gap = 800.0;
   wl.kinds = {svc::JobKind::kJpegChain};
-  wl.seed = ctx.seed;
   svc::OffloadService service(std::move(cfg));
-  const svc::ServiceReport rep = service.run(wl);
-  rep.add_to(result);
-  (void)svc::validate_service_ledger(service);
-  if (rep.completed + rep.rejected != rep.jobs) {
-    result.fail("service lost jobs");
-  }
+  const svc::ServiceReport rep = serve_point(service, wl, ctx, result);
   if (mode_from(mode_str) == drv::ChainMode::kLinked &&
       rep.link_words != rep.completed * 64) {
     result.fail("link moved " + std::to_string(rep.link_words) +

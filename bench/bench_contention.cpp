@@ -15,7 +15,6 @@
 #include "drv/session.hpp"
 #include "obs/collect.hpp"
 #include "ouessant/codegen.hpp"
-#include "platform/report.hpp"
 #include "platform/soc.hpp"
 #include "rac/fir.hpp"
 #include "util/rng.hpp"
@@ -73,7 +72,6 @@ void run_point(const exp::ParamMap& params, const exp::RunContext&,
   result.add_metric("words_per_kcycle",
                     1000.0 * 2.0 * kWords * n_ocps /
                         static_cast<double>(makespan));
-  result.add_utilization(platform::make_report(soc));
   obs::validate_soc_ledger(soc);
 }
 

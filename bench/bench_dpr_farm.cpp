@@ -21,50 +21,25 @@
 // included — so reconfiguration cycles are attributed, not assumed.
 #include "scenarios.hpp"
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/gauges.hpp"
-#include "obs/tracer.hpp"
-#include "svc/ledger.hpp"
 #include "svc/service.hpp"
 
 namespace ouessant::scenarios {
 namespace {
 
-/// Run @p service over @p schedule with the standard trace wiring, then
-/// flatten the report + farm counters and prove the extended ledger.
-void farm_point(svc::OffloadService& service, std::vector<svc::Job> schedule,
+/// Serve @p phases on @p service through the one service-point runner,
+/// then append the configuration port's bus contention.
+void serve_farm(svc::OffloadService& service,
+                const std::vector<svc::WorkloadPhase>& phases,
                 const exp::RunContext& ctx, exp::Result& result) {
-  std::unique_ptr<obs::VcdTrace> trace;
-  if (!ctx.trace_path.empty()) {
-    trace = std::make_unique<obs::VcdTrace>(
-        service.soc().kernel(), ctx.trace_path, service.gauges(), "dprf");
-  }
-  std::unique_ptr<obs::EventTracer> tracer;
-  if (!ctx.trace_events_path.empty()) {
-    tracer = std::make_unique<obs::EventTracer>(service.soc().kernel());
-    service.attach_tracer(*tracer);
-  }
-  const svc::ServiceReport rep = service.run_schedule(std::move(schedule));
-  rep.add_to(result);
-  (void)svc::validate_service_ledger(service);
-  if (tracer != nullptr) {
-    tracer->write_json(ctx.trace_events_path);
-    result.add_metric("trace_events", static_cast<u64>(tracer->event_count()));
-  }
+  (void)serve_point(service,
+                    svc::phased_arrivals(phases, ctx.seed, /*start=*/64), ctx,
+                    result);
   const bus::MasterStats& icap = service.icap()->master_stats();
   result.add_metric("icap_wait_cycles", icap.wait_cycles + icap.stall_cycles);
-  if (rep.completed + rep.rejected != rep.jobs) {
-    result.fail("farm lost jobs: completed " + std::to_string(rep.completed) +
-                " + rejected " + std::to_string(rep.rejected) +
-                " != " + std::to_string(rep.jobs));
-  }
-  if (rep.swaps_started != rep.swaps_completed) {
-    result.fail("swap left in flight past finish()");
-  }
 }
 
 /// dpr_adapt: two slots of fabric, three candidate kernels — more kinds
@@ -116,8 +91,7 @@ void run_adapt(const exp::ParamMap& params, const exp::RunContext& ctx,
     phase_e2e[ph].add(job.end_to_end());
     ++phase_done[ph];
   });
-  farm_point(service, svc::phased_arrivals(phases, ctx.seed, /*start=*/64),
-             ctx, result);
+  serve_farm(service, phases, ctx, result);
   for (int ph = 0; ph < 2; ++ph) {
     const std::string p = "phase" + std::to_string(ph + 1);
     result.add_metric(p + "_completed", phase_done[ph]);
@@ -148,8 +122,7 @@ void run_slots(const exp::ParamMap& params, const exp::RunContext& ctx,
                {svc::JobKind::kJpegBlock, 1.0}}},
   };
   svc::OffloadService service(std::move(cfg));
-  farm_point(service, svc::phased_arrivals(phases, ctx.seed, /*start=*/64),
-             ctx, result);
+  serve_farm(service, phases, ctx, result);
   if (result.metrics.get_int("completed") != 96) {
     result.fail("a job kind starved under the swap scheduler");
   }
@@ -180,8 +153,7 @@ void run_icap(const exp::ParamMap& params, const exp::RunContext& ctx,
                               {svc::JobKind::kDft, 10.0 - hot}}});
   }
   svc::OffloadService service(std::move(cfg));
-  farm_point(service, svc::phased_arrivals(phases, ctx.seed, /*start=*/64),
-             ctx, result);
+  serve_farm(service, phases, ctx, result);
 }
 
 }  // namespace

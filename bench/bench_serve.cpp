@@ -38,74 +38,24 @@
 #include "obs/collect.hpp"
 #include "obs/gauges.hpp"
 #include "obs/tracer.hpp"
-#include "snap/snapshot.hpp"
 #include "svc/ledger.hpp"
 #include "svc/service.hpp"
 
 namespace ouessant::scenarios {
 namespace {
 
-/// Sampling period for --trace-events metrics time-series: fine enough
-/// to see queue oscillation, coarse enough to keep files small.
-constexpr u64 kMetricsPeriod = 64;
-
-/// Build the service, optionally attach the VCD probes and/or the event
-/// tracer + metrics sampler, serve the workload, and flatten report +
-/// bus utilization into the result. Every run closes with a CycleLedger
-/// proof that per-component cycle attribution sums to wall cycles.
-void serve_point(svc::ServiceConfig cfg, svc::WorkloadConfig wl,
-                 const exp::RunContext& ctx, exp::Result& result) {
+/// Serve one point of this family on a fresh service, then append the
+/// shared AHB's utilization over the run.
+void serve(svc::ServiceConfig cfg, const svc::WorkloadConfig& wl,
+           const exp::RunContext& ctx, exp::Result& result) {
   svc::OffloadService service(std::move(cfg));
-  std::unique_ptr<obs::VcdTrace> trace;
-  if (!ctx.trace_path.empty()) {
-    trace = std::make_unique<obs::VcdTrace>(
-        service.soc().kernel(), ctx.trace_path, service.gauges(), "svc");
-  }
-  std::unique_ptr<obs::EventTracer> tracer;
-  std::unique_ptr<obs::MetricsSampler> metrics;
-  if (!ctx.trace_events_path.empty()) {
-    tracer = std::make_unique<obs::EventTracer>(service.soc().kernel());
-    service.attach_tracer(*tracer);
-    metrics = std::make_unique<obs::MetricsSampler>(
-        service.soc().kernel(), kMetricsPeriod, service.gauges());
-  }
-  wl.seed = ctx.seed;
-  svc::ServiceReport rep;
-  if (!ctx.restore_path.empty()) {
-    // Warm boot: resident microcode, IRQ masks and caches come from the
-    // snapshot; only this run's counters start at zero. The snapshot
-    // must have been taken from the same service configuration
-    // (restore validates the fingerprint and throws otherwise).
-    service.restore(snap::Snapshot::load_file(ctx.restore_path));
-    service.begin(wl, /*warm=*/true);
-    while (!service.step()) {
-    }
-    rep = service.finish();
-  } else {
-    rep = service.run(wl);
-  }
-  if (!ctx.snapshot_path.empty()) {
-    service.snapshot().save_file(ctx.snapshot_path);
-  }
-  rep.add_to(result);
-  (void)svc::validate_service_ledger(service);
-  if (tracer != nullptr) {
-    tracer->write_json(ctx.trace_events_path);
-    metrics->write_json(ctx.trace_events_path + ".metrics.json");
-    result.add_metric("trace_events", static_cast<u64>(tracer->event_count()));
-  }
+  (void)serve_point(service, wl, ctx, result);
   const Cycle now = service.soc().kernel().now();
   result.add_metric(
       "bus_util_pct",
       now > 0 ? 100.0 * static_cast<double>(service.soc().bus().busy_cycles()) /
                     static_cast<double>(now)
               : 0.0);
-  if (rep.completed + rep.rejected != rep.jobs) {
-    result.fail("service lost jobs: completed " +
-                std::to_string(rep.completed) + " + rejected " +
-                std::to_string(rep.rejected) + " != " +
-                std::to_string(rep.jobs));
-  }
 }
 
 void run_single(const exp::ParamMap& params, const exp::RunContext& ctx,
@@ -116,7 +66,7 @@ void run_single(const exp::ParamMap& params, const exp::RunContext& ctx,
   svc::WorkloadConfig wl;
   wl.jobs = 120;
   wl.mean_gap = params.get_real("mean_gap");
-  serve_point(std::move(cfg), wl, ctx, result);
+  serve(std::move(cfg), wl, ctx, result);
   if (result.metrics.get_int("rejected") != 0) {
     result.fail("unexpected rejection below saturation");
   }
@@ -135,7 +85,7 @@ void run_multi(const exp::ParamMap& params, const exp::RunContext& ctx,
   svc::WorkloadConfig wl;
   wl.jobs = 160;
   wl.mean_gap = 40.0;  // offered well above one worker's drain rate
-  serve_point(std::move(cfg), wl, ctx, result);
+  serve(std::move(cfg), wl, ctx, result);
 }
 
 void run_batching(const exp::ParamMap& params, const exp::RunContext& ctx,
@@ -148,7 +98,7 @@ void run_batching(const exp::ParamMap& params, const exp::RunContext& ctx,
   wl.mode = svc::LoadMode::kClosedLoop;
   wl.jobs = 192;
   wl.clients = 32;
-  serve_point(std::move(cfg), wl, ctx, result);
+  serve(std::move(cfg), wl, ctx, result);
 }
 
 void run_overload(const exp::ParamMap& params, const exp::RunContext& ctx,
@@ -159,7 +109,7 @@ void run_overload(const exp::ParamMap& params, const exp::RunContext& ctx,
   svc::WorkloadConfig wl;
   wl.jobs = 200;
   wl.mean_gap = 60.0;  // ~5x the single worker's drain rate
-  serve_point(std::move(cfg), wl, ctx, result);
+  serve(std::move(cfg), wl, ctx, result);
   if (result.metrics.get_int("rejected") == 0) {
     result.fail("overload produced no rejections (queue unbounded?)");
   }
@@ -180,7 +130,7 @@ void run_mixed(const exp::ParamMap& params, const exp::RunContext& ctx,
   wl.kinds = {svc::JobKind::kIdct, svc::JobKind::kDft, svc::JobKind::kFir,
               svc::JobKind::kJpegBlock};
   wl.high_fraction = 0.25;
-  serve_point(std::move(cfg), wl, ctx, result);
+  serve(std::move(cfg), wl, ctx, result);
 }
 
 /// One trace_passivity side: what must match, and what it cost.

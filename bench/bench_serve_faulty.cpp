@@ -22,11 +22,9 @@
 // this family like any other).
 #include "scenarios.hpp"
 
-#include <string>
 #include <utility>
 
 #include "fault/plan.hpp"
-#include "svc/ledger.hpp"
 #include "svc/service.hpp"
 
 namespace ouessant::scenarios {
@@ -37,27 +35,17 @@ namespace {
 /// that a hang-heavy run stays well inside the scenario timeout.
 constexpr u64 kWatchdog = 16'384;
 
-/// Run a fault-armed service point: honour the --faults override, serve
-/// the workload, flatten the report (add_to emits the fault metric
-/// block), prove the extended ledger (SoC tracks + per-worker tracks,
-/// including quarantine time) and the job-conservation invariant.
-void serve_faulty_point(svc::ServiceConfig cfg, svc::WorkloadConfig wl,
-                        const exp::RunContext& ctx, exp::Result& result) {
+/// Serve one fault-armed point: the --faults override replaces the
+/// built-in plan before the service is built, and the runner's report
+/// carries the fault metric block (the ledger proof includes each
+/// worker's quarantine time).
+void serve_faulty(svc::ServiceConfig cfg, const svc::WorkloadConfig& wl,
+                  const exp::RunContext& ctx, exp::Result& result) {
   if (!ctx.faults.empty()) {
     cfg.faults = fault::FaultPlan::parse(ctx.faults);
   }
   svc::OffloadService service(std::move(cfg));
-  wl.seed = ctx.seed;
-  const svc::ServiceReport rep = service.run(wl);
-  rep.add_to(result);
-  (void)svc::validate_service_ledger(service);
-  if (rep.completed + rep.rejected + rep.failed != rep.jobs) {
-    result.fail("job conservation broken: completed " +
-                std::to_string(rep.completed) + " + rejected " +
-                std::to_string(rep.rejected) + " + failed " +
-                std::to_string(rep.failed) + " != " +
-                std::to_string(rep.jobs));
-  }
+  (void)serve_point(service, wl, ctx, result);
 }
 
 svc::ServiceConfig two_idct_workers() {
@@ -81,7 +69,7 @@ void run_rate(const exp::ParamMap& params, const exp::RunContext& ctx,
   svc::WorkloadConfig wl;
   wl.jobs = 100;
   wl.mean_gap = 400.0;
-  serve_faulty_point(std::move(cfg), wl, ctx, result);
+  serve_faulty(std::move(cfg), wl, ctx, result);
   if (result.metrics.get_real("availability") < 0.5) {
     result.fail("availability collapsed below 0.5 despite retries");
   }
@@ -102,7 +90,7 @@ void run_hang(const exp::ParamMap& params, const exp::RunContext& ctx,
   svc::WorkloadConfig wl;
   wl.jobs = 80;
   wl.mean_gap = 500.0;
-  serve_faulty_point(std::move(cfg), wl, ctx, result);
+  serve_faulty(std::move(cfg), wl, ctx, result);
   if (result.metrics.get_int("quarantined") != 1) {
     result.fail("hung worker was not quarantined");
   }
@@ -124,7 +112,7 @@ void run_irq(const exp::ParamMap& params, const exp::RunContext& ctx,
   svc::WorkloadConfig wl;
   wl.jobs = 60;
   wl.mean_gap = 600.0;
-  serve_faulty_point(std::move(cfg), wl, ctx, result);
+  serve_faulty(std::move(cfg), wl, ctx, result);
   if (result.metrics.get_int("irq_recoveries") == 0) {
     result.fail("no watchdog IRQ recoveries at p=0.3");
   }

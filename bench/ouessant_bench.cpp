@@ -15,23 +15,28 @@
 //   ouessant_bench --seed 42            override the built-in seed of every
 //                                       seeded scenario
 //   ouessant_bench --trace STEM         write STEM_<scenario>_<point>.vcd
-//                                       for every seeded scenario run
+//                                       for every service point (serve_*,
+//                                       serve_faulty_*, dpr_*,
+//                                       chain_service)
 //   ouessant_bench --trace-events STEM  write Chrome trace-event JSON
 //                                       (STEM_<scenario>_<point>.trace.json
 //                                       + .metrics.json time-series) for
-//                                       every traced serve run, and the
-//                                       fleet runs' SLO report + flight
-//                                       dumps under the same stem; view
-//                                       with ouessant_trace or Perfetto
+//                                       every service point and traced
+//                                       guard, and the fleet runs' SLO
+//                                       report + flight dumps under the
+//                                       same stem; view with
+//                                       ouessant_trace or Perfetto
 //   ouessant_bench --faults SPEC        override the fault plan of every
 //                                       fault-aware (serve_faulty)
 //                                       scenario (grammar: docs/robustness.md)
 //   ouessant_bench --snapshot STEM      write STEM_<scenario>_<point>.snap
 //                                       (final service state) for every
-//                                       snapshot-aware (serve_*) run
-//   ouessant_bench --restore FILE       warm-boot every snapshot-aware run
-//                                       from FILE instead of cold-booting;
-//                                       use --filter to select the
+//                                       service point
+//   ouessant_bench --restore FILE       warm-boot every service point from
+//                                       FILE instead of cold-booting (a
+//                                       dpr_* point, which serves a
+//                                       pre-built schedule, fails); use
+//                                       --filter to select the
 //                                       configuration FILE was saved from
 //   ouessant_bench --help               print this usage on stdout
 //

@@ -1,6 +1,14 @@
 #include "scenarios.hpp"
 
 #include <ctime>
+#include <memory>
+#include <string>
+#include <utility>
+
+#include "obs/gauges.hpp"
+#include "obs/tracer.hpp"
+#include "snap/snapshot.hpp"
+#include "svc/ledger.hpp"
 
 namespace ouessant::scenarios {
 
@@ -44,6 +52,67 @@ void check_host_budget(double bare_s, double armed_s, double factor,
                 std::to_string(armed_s) + " s, budget " +
                 std::to_string(budget) + " s (thread CPU)");
   }
+}
+
+svc::ServiceReport serve_point(svc::OffloadService& service, ServiceLoad load,
+                               const exp::RunContext& ctx,
+                               exp::Result& result) {
+  auto* workload = std::get_if<svc::WorkloadConfig>(&load);
+  const bool warm = !ctx.restore_path.empty();
+  if (warm && workload == nullptr) {
+    throw ConfigError("--restore: " + result.scenario +
+                      " serves a pre-built schedule, which cannot "
+                      "warm-boot");
+  }
+  sim::Kernel& kernel = service.soc().kernel();
+  std::unique_ptr<obs::VcdTrace> vcd;
+  if (!ctx.trace_path.empty()) {
+    vcd = std::make_unique<obs::VcdTrace>(kernel, ctx.trace_path,
+                                          service.gauges(), "svc");
+  }
+  std::unique_ptr<obs::EventTracer> tracer;
+  std::unique_ptr<obs::MetricsSampler> metrics;
+  if (!ctx.trace_events_path.empty()) {
+    tracer = std::make_unique<obs::EventTracer>(kernel);
+    service.attach_tracer(*tracer);
+    metrics = std::make_unique<obs::MetricsSampler>(kernel, kMetricsPeriod,
+                                                    service.gauges());
+  }
+  svc::ServiceReport rep;
+  if (workload != nullptr) {
+    // Warm boot: resident microcode, IRQ masks and caches come from the
+    // image, which must come from the same configuration (restore
+    // checks the fingerprint); only this run's counters start at zero.
+    if (warm) service.restore(snap::Snapshot::load_file(ctx.restore_path));
+    workload->seed = ctx.seed;
+    service.begin(*workload, warm);
+    while (!service.step()) {
+    }
+    rep = service.finish();
+  } else {
+    rep = service.run_schedule(std::get<std::vector<svc::Job>>(std::move(load)));
+  }
+  if (!ctx.snapshot_path.empty()) {
+    service.snapshot().save_file(ctx.snapshot_path);
+  }
+  rep.add_to(result);
+  (void)svc::validate_service_ledger(service);
+  if (tracer != nullptr) {
+    tracer->write_json(ctx.trace_events_path);
+    metrics->write_json(ctx.trace_events_path + ".metrics.json");
+    result.add_metric("trace_events", static_cast<u64>(tracer->event_count()));
+  }
+  if (rep.completed + rep.rejected + rep.failed != rep.jobs) {
+    result.fail("job conservation broken: completed " +
+                std::to_string(rep.completed) + " + rejected " +
+                std::to_string(rep.rejected) + " + failed " +
+                std::to_string(rep.failed) + " != " +
+                std::to_string(rep.jobs));
+  }
+  if (rep.swaps_started != rep.swaps_completed) {
+    result.fail("swap left in flight past finish()");
+  }
+  return rep;
 }
 
 }  // namespace ouessant::scenarios

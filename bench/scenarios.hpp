@@ -5,7 +5,11 @@
 // read-only afterwards — the isolation rule parallel sweeps rely on.
 #pragma once
 
+#include <variant>
+#include <vector>
+
 #include "exp/scenario.hpp"
+#include "svc/service.hpp"
 
 namespace ouessant::scenarios {
 
@@ -41,5 +45,24 @@ void register_all_scenarios(exp::Registry& r);
 /// all three as metrics and fails @p result when the budget is exceeded.
 void check_host_budget(double bare_s, double armed_s, double factor,
                        exp::Result& result);
+
+/// Sampling period for --trace-events metrics time-series: fine enough
+/// to see queue oscillation, coarse enough to keep files small.
+inline constexpr u64 kMetricsPeriod = 64;
+
+/// What a service point serves: a generated workload (its seed becomes
+/// the run's) or a pre-built arrival schedule (phased_arrivals).
+using ServiceLoad = std::variant<svc::WorkloadConfig, std::vector<svc::Job>>;
+
+/// The one runner of every dispatcher-driven service point. It wires
+/// the run's artifacts (VCD, event trace and metrics time-series),
+/// warm-boots from --restore (a workload point only: a schedule point
+/// given --restore throws ConfigError), serves @p load, saves
+/// --snapshot, flattens the report into @p result, proves the service
+/// ledger and fails @p result unless every job is accounted for and
+/// every swap started also completed. Scenario extras go after it.
+svc::ServiceReport serve_point(svc::OffloadService& service, ServiceLoad load,
+                               const exp::RunContext& ctx,
+                               exp::Result& result);
 
 }  // namespace ouessant::scenarios

@@ -14,8 +14,8 @@
 #include "codec/jpeg.hpp"
 #include "cpu/sw_kernels.hpp"
 #include "drv/session.hpp"
+#include "obs/collect.hpp"
 #include "ouessant/codegen.hpp"
-#include "platform/report.hpp"
 #include "platform/soc.hpp"
 #include "rac/idct.hpp"
 #include "util/fixed.hpp"
@@ -144,8 +144,10 @@ int main() {
     }
     hw_pipe_total = soc.kernel().now() - t0;
 
-    const auto report = platform::make_report(soc);
-    std::printf("pipelined run utilization:\n%s\n", report.render().c_str());
+    const Cycle now = soc.kernel().now();
+    std::printf("pipelined run, %llu cycles:\n%s\n",
+                static_cast<unsigned long long>(now),
+                obs::validate_soc_ledger(soc).render(now).c_str());
   }
 
   const u32 n = jpg.blocks();

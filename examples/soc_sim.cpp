@@ -1,12 +1,12 @@
 // soc_sim — scenario runner: assemble a full SoC from command-line
-// options, run one accelerated workload, and print timing, utilization,
+// options, run one accelerated workload, and print timing, cycle-ledger
 // and resource reports. The "one binary to poke at everything" tool an
 // open-source release ships.
 //
 // Built on the experiment layer: each block invocation fills one
 // exp::Result row, the block table is rendered by exp::render_table, and
-// --json persists the rows (plus the SoC utilization snapshot) in the
-// same ouessant.sweep.v1 schema the bench driver writes.
+// --json persists the rows (plus a run summary) in the same
+// ouessant.sweep.v1 schema the bench driver writes.
 //
 //   soc_sim [--rac idct|dft256|fir16|pass] [--bus ahb|axi4|axilite]
 //           [--env baremetal|linux] [--burst N] [--loop] [--blocks N]
@@ -18,8 +18,9 @@
 
 #include "drv/linux_env.hpp"
 #include "exp/result.hpp"
+#include "obs/collect.hpp"
 #include "ouessant/codegen.hpp"
-#include "platform/report.hpp"
+#include "platform/probes.hpp"
 #include "platform/soc.hpp"
 #include "rac/dft.hpp"
 #include "rac/fir.hpp"
@@ -157,8 +158,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total), opt.blocks,
               soc.us(total));
 
-  const auto report = platform::make_report(soc);
-  std::printf("\n%s", report.render().c_str());
+  const Cycle now = soc.kernel().now();
+  std::printf("\ncycles simulated: %llu\n%s",
+              static_cast<unsigned long long>(now),
+              obs::validate_soc_ledger(soc).render(now).c_str());
   if (opt.resources) {
     std::printf("\n%s",
                 res::render_report(ocp.full_resource_tree()).c_str());
@@ -169,7 +172,6 @@ int main(int argc, char** argv) {
     summary.experiment = "example";
     summary.add_metric("total_cycles", total);
     summary.add_metric("blocks", opt.blocks);
-    summary.add_utilization(report);
     rows.push_back(std::move(summary));
     exp::write_json(opt.json, rows,
                     {"\"rac\": \"" + opt.rac + "\"",

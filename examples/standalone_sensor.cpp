@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "ouessant/codegen.hpp"
-#include "platform/report.hpp"
+#include "platform/soc.hpp"
 #include "rac/fir.hpp"
 #include "util/fixed.hpp"
 #include "util/rng.hpp"

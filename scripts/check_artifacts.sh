@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Artifact round-trip check (tier-1 stage 9 and CI's build-and-test job).
+# Artifact round-trip check (tier-1 stage 7 and CI's build-and-test job).
 #
 # Runs the passivity guards with their artifacts kept — trace_passivity
 # (one serve workload traced vs untraced), fleet_passivity (16
 # fault-armed shards unarmed vs fully armed, sketch within alpha) and
 # fleet_slo — plus serve_single_ocp with --trace and --trace-events, so
-# the service's VCD writer runs too. Then:
+# the service's VCD writer runs too. Every service family shares one
+# runner, so two more families check it: serve_faulty_hang saves an
+# image with --snapshot and a second run warm-boots from it with
+# --restore, and dpr_slots writes its traces and metrics. Then:
 #   - every written trace, metrics file, flight dump and SLO report
 #     round-trips through ouessant_trace;
 #   - every written *.json file, and the output of ouessant_trace --json,
@@ -29,6 +32,11 @@ mkdir -p "$OUT"
   --trace-events "$OUT/tier1"
 "$BENCH" --filter serve_single_ocp --trace "$OUT/serve" \
   --trace-events "$OUT/serve" > /dev/null
+"$BENCH" --filter serve_faulty_hang --snapshot "$OUT/faulty" \
+  --trace-events "$OUT/faulty" > /dev/null
+"$BENCH" --filter serve_faulty_hang \
+  --restore "$OUT/faulty_serve_faulty_hang_0.snap" > /dev/null
+"$BENCH" --filter dpr_slots --trace-events "$OUT/dpr" > /dev/null
 
 TRACE="$OUT/tier1_trace_passivity_0.trace.json"
 FLIGHT="$OUT/tier1_fleet_passivity_0_shard0.flight.json"
@@ -42,6 +50,11 @@ SERVE="$OUT/serve_serve_single_ocp_0"
 "$TOOL" "$SERVE.trace.json" --json --top 5 | python3 -m json.tool > /dev/null
 "$TOOL" metrics "$SERVE.trace.json.metrics.json" > /dev/null
 grep -q '^\$enddefinitions \$end$' "$SERVE.vcd"
+FAULTY="$OUT/faulty_serve_faulty_hang_0"
+"$TOOL" "$FAULTY.trace.json" --json --top 5 | python3 -m json.tool > /dev/null
+"$TOOL" metrics "$FAULTY.trace.json.metrics.json" > /dev/null
+"$TOOL" "$OUT/dpr_dpr_slots_0.trace.json" --top 5 > /dev/null
+"$TOOL" metrics "$OUT/dpr_dpr_slots_0.trace.json.metrics.json" > /dev/null
 
 for f in "$OUT"/*.json; do
   if ! python3 -m json.tool "$f" > /dev/null; then

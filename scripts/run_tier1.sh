@@ -26,7 +26,9 @@
 #   6. the TSan svc soak (10k-job closed loop, 4 OCPs per shard)
 #   7. scripts/check_artifacts.sh: the passivity guards with their
 #      artifacts kept (trace_passivity, fleet_passivity, fleet_slo) plus
-#      a serve_single_ocp run with --trace and --trace-events; every
+#      a serve_single_ocp run with --trace and --trace-events, a
+#      serve_faulty_hang image saved and warm-booted, and dpr_slots'
+#      traces and metrics; every
 #      written trace, metrics file, flight dump and SLO report
 #      round-trips through ouessant_trace, and every JSON artifact must
 #      pass python3 -m json.tool

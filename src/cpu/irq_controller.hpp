@@ -38,6 +38,7 @@ class IrqController : public sim::Component,
   /// acknowledgement happens at the peripheral (e.g. the OCP's W1C D
   /// bit), exactly like AMBA level interrupts.
   u32 attach(const IrqLine& line);
+  [[nodiscard]] std::size_t source_count() const { return sources_.size(); }
 
   /// The aggregated output the CPU sleeps on.
   [[nodiscard]] IrqLine& cpu_line() { return cpu_line_; }

@@ -172,7 +172,19 @@ void ChainSession::set_tracer(obs::EventTracer* tracer) {
 }
 
 void ChainSession::state(snap::Fields& f) {
-  head_.driver().state(f);
+  OcpDriver& head = head_.driver();
+  head.state(f);
+  // The mode is configuration, but the head's shadows show it: only a
+  // linked install arms CHAIN, only a store-and-forward session enables
+  // the head's interrupt. An image of the other mode would drive its
+  // resident microcode with this mode's launch protocol, which can hang.
+  if (f.restoring() && head.chain_shadow() && mode_ != ChainMode::kLinked) {
+    f.fail("'chain' is set on " + head.name() +
+           ", the head of a store-and-forward chain");
+  }
+  if (f.restoring() && head.ie_shadow() && mode_ == ChainMode::kLinked) {
+    f.fail("'ie' is set on " + head.name() + ", the head of a linked chain");
+  }
   tail_.driver().state(f);
   f.field_as<u8>("chain_stage", stage_, Stage::kTail);
 }

@@ -110,7 +110,8 @@ class ChainSession : public snap::Stateful<ChainSession> {
   void set_tracer(obs::EventTracer* tracer);
 
   // Host-stack snapshot field list (svc::ChainBackend lists it): both
-  // drivers' shadows, then the stage.
+  // drivers' shadows, then the stage. A restore refuses an image of the
+  // other mode, which the head's CHAIN and IE shadows show.
   void state(snap::Fields& f);
 
  private:

@@ -42,6 +42,7 @@ class OcpDriver : public snap::Stateful<OcpDriver> {
                                 const core::Program& prog);
 
   void enable_irq(bool on);
+  [[nodiscard]] bool ie_shadow() const { return ie_; }
 
   /// Set or clear the CHAIN control bit (docs/chaining.md). Like IE it
   /// is level-sensitive and re-derived on every control write, so the

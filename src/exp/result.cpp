@@ -7,22 +7,6 @@
 
 namespace ouessant::exp {
 
-void Result::add_utilization(const platform::UtilizationReport& r) {
-  add_metric("util_total_cycles", r.total_cycles);
-  add_metric("util_bus_busy", r.bus_busy);
-  add_metric("util_bus_idle", r.bus_idle);
-  add_metric("util_cpu_compute", r.cpu_compute);
-  add_metric("util_cpu_bus", r.cpu_bus);
-  add_metric("util_cpu_idle", r.cpu_idle);
-  for (const auto& o : r.ocps) {
-    add_metric("util_" + o.name + "_instr", o.instructions);
-    add_metric("util_" + o.name + "_words", o.words_moved);
-    add_metric("util_" + o.name + "_runs", o.runs);
-    add_metric("util_" + o.name + "_exec_wait", o.exec_wait);
-    add_metric("util_" + o.name + "_idle", o.idle);
-  }
-}
-
 std::string render_table(const std::vector<Result>& rows) {
   if (rows.empty()) return "(no results)\n";
 

@@ -1,18 +1,16 @@
 // Structured experiment results.
 //
-// Every scenario run fills one Result: the parameter point it ran at, an
-// ordered list of named metrics (cycle counts, sizes, ratios), and
-// optionally the SoC utilization snapshot (platform::UtilizationReport)
-// flattened into metrics. Results are what the table renderer prints,
-// what the JSON writer persists into BENCH_*.json, and what the
-// determinism tests compare bit-for-bit between --jobs 1 and --jobs 8.
+// Every scenario run fills one Result: the parameter point it ran at and
+// an ordered list of named metrics (cycle counts, sizes, ratios).
+// Results are what the table renderer prints, what the JSON writer
+// persists into BENCH_*.json, and what the determinism tests compare
+// bit-for-bit between --jobs 1 and --jobs 8.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "exp/param.hpp"
-#include "platform/report.hpp"
 
 namespace ouessant::exp {
 
@@ -38,10 +36,6 @@ struct Result {
       error = why;
     }
   }
-
-  /// Flatten a utilization snapshot into metrics (prefix "util_"), so
-  /// the report rides along into JSON without a second schema.
-  void add_utilization(const platform::UtilizationReport& r);
 
   /// Everything except host timing — the payload that must be
   /// bit-identical across --jobs levels.

@@ -32,14 +32,14 @@ struct RunContext {
   /// grammar). "" = the scenario's built-in plan (usually none). Only
   /// the serve_faulty family consults it.
   std::string faults;
-  /// Snapshot destination ("" = off): snapshot-aware scenarios (the
-  /// serve_* family) save their final service state here after the run
-  /// (ouessant_bench --snapshot STEM).
+  /// Snapshot destination ("" = off): the service points save their
+  /// final service state here after the run (ouessant_bench --snapshot
+  /// STEM).
   std::string snapshot_path;
-  /// Snapshot source ("" = cold boot): snapshot-aware scenarios
-  /// warm-boot from this file — the stack must have been built from the
-  /// same configuration, or restore throws SnapshotError
-  /// (ouessant_bench --restore FILE).
+  /// Snapshot source ("" = cold boot): the service points warm-boot
+  /// from this file — the stack must have been built from the same
+  /// configuration, or restore throws SnapshotError; a point serving a
+  /// pre-built schedule refuses it (ouessant_bench --restore FILE).
   std::string restore_path;
 };
 

@@ -102,11 +102,18 @@ void Injector::state(snap::Fields& f) {
     f.field("rng", std::span(s));
     if (f.restoring()) st.rng.restore_state(s);
   }
-  f.list("log_count", log_, [&f](Record& rec) {
+  f.list("log_count", log_, [this, &f](Record& rec) {
     f.field("cycle", rec.cycle);
     f.field_as<u8>("kind", rec.kind, FaultKind::kIrqDrop);
     f.field_as<u32>("ocp", rec.ocp);
     f.field("spec_index", rec.spec_index);
+    // The spec count matched, but a record names the plan that fired
+    // it: another plan's image would resume its streams under this one.
+    if (rec.spec_index >= plan_.specs.size() ||
+        plan_.specs[rec.spec_index].kind != rec.kind) {
+      f.fail("'spec_index' " + std::to_string(rec.spec_index) +
+             " names no " + kind_name(rec.kind) + " spec of this plan");
+    }
   });
 }
 

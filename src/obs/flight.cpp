@@ -1,5 +1,8 @@
 #include "obs/flight.hpp"
 
+#include <string>
+#include <string_view>
+
 namespace ouessant::obs {
 
 FlightRecorder::FlightRecorder(sim::Kernel& kernel, std::size_t capacity)
@@ -76,9 +79,19 @@ void FlightRecorder::ring_state(snap::Fields& f) {
              "recorder attached to a different stack?)");
     }
   }
-  f.list<u64>("events", events_, [&f](Event& e) {
+  // An event the tracer could not have recorded is refused here: to_json
+  // writes the phase byte raw and indexes the tracks by tid.
+  f.list<u64>("events", events_, [&f, &tracks](Event& e) {
     f.field_as<u8>("ph", e.ph);
+    if (std::string_view("XiCstf").find(e.ph) == std::string_view::npos) {
+      f.fail("'ph' is byte " + std::to_string(static_cast<u8>(e.ph)) +
+             ", a phase the tracer never emits");
+    }
     f.field("tid", e.tid);
+    if (e.tid >= tracks.size()) {
+      f.fail("'tid' is " + std::to_string(e.tid) + ", past the " +
+             std::to_string(tracks.size()) + " tracks");
+    }
     f.field("ts", e.ts);
     f.field("dur", e.dur);
     f.field("flow", e.flow_id);
@@ -91,6 +104,12 @@ void FlightRecorder::ring_state(snap::Fields& f) {
     });
   });
   if (events_.size() > capacity_) f.fail("ring holds more events than fit");
+  // The cursor moves only once the ring is full.
+  if (next_ != 0 && events_.size() < capacity_) {
+    f.fail("'next' is " + std::to_string(next_) + " on a ring holding " +
+           std::to_string(events_.size()) + " of its " +
+           std::to_string(capacity_) + " events");
+  }
 }
 
 }  // namespace ouessant::obs

@@ -168,6 +168,19 @@ OffloadService::OffloadService(ServiceConfig cfg)
   if (!cfg_.chains.empty()) build_chains();
 
   if (cfg_.faults.armed()) {
+    // A spec aimed past the stack would be armed and never fire.
+    for (const fault::FaultSpec& spec : cfg_.faults.specs) {
+      const bool irq = spec.kind == fault::FaultKind::kIrqDrop;
+      const std::size_t targets =
+          irq ? irq_ctl_.source_count() : soc_.ocp_count();
+      if (spec.ocp >= 0 && static_cast<std::size_t>(spec.ocp) >= targets) {
+        throw ConfigError(std::string("OffloadService: ") +
+                          fault::kind_name(spec.kind) + "@ocp=" +
+                          std::to_string(spec.ocp) + " names no " +
+                          (irq ? "IRQ source" : "OCP") + " of the " +
+                          std::to_string(targets) + " it arms");
+      }
+    }
     injector_ = std::make_unique<fault::Injector>(cfg_.faults);
     injector_->arm_bus(soc_.bus());
     injector_->arm_irq(irq_ctl_);
@@ -417,6 +430,7 @@ void OffloadService::start(const WorkloadConfig& workload, bool warm,
     // accounting restarts.
     dispatcher_.reset_run_counters();
     if (slot_mgr_ != nullptr) slot_mgr_->reset_run_counters();
+    base_ = lifetime();
   } else {
     dispatcher_.configure_irqs();  // first timed accesses of the run
   }
@@ -455,6 +469,7 @@ ServiceReport OffloadService::finish() {
   if (!began_) throw ConfigError("OffloadService: finish() before begin()");
   began_ = false;
 
+  const Lifetime now = lifetime();
   rep_.end = soc_.cpu().now();
   rep_.completed = dispatcher_.completed();
   rep_.rejected = dispatcher_.rejected();
@@ -465,20 +480,18 @@ ServiceReport OffloadService::finish() {
     rep_.swaps_completed = slot_mgr_->swaps_completed();
     rep_.preemptions = slot_mgr_->preemptions();
     rep_.preempted_jobs = slot_mgr_->preempted_jobs();
-    rep_.icap_busy_cycles = icap_->busy_cycles_total();
+    rep_.icap_busy_cycles = now.icap_busy - base_.icap_busy;
     if (bitstream_cache_ != nullptr) {
       rep_.cache_hits = bitstream_cache_->hits();
       rep_.cache_misses = bitstream_cache_->misses();
     }
   }
   rep_.chained = !links_.empty();
-  for (const auto& link : links_) {
-    rep_.link_words += link->words_moved();
-    rep_.link_busy_cycles += link->busy_cycles();
-  }
+  rep_.link_words = now.link_words - base_.link_words;
+  rep_.link_busy_cycles = now.link_busy - base_.link_busy;
   rep_.fault_aware = cfg_.faults.armed() || cfg_.retry.armed();
   if (rep_.fault_aware) {
-    rep_.injected = injector_ != nullptr ? injector_->injected() : 0;
+    rep_.injected = now.injected - base_.injected;
     rep_.faults = dispatcher_.faults();
     rep_.retries = dispatcher_.retries();
     rep_.failed = dispatcher_.failed();
@@ -493,6 +506,17 @@ ServiceReport OffloadService::finish() {
   }
   dispatcher_.set_completion_hook(nullptr);
   return std::move(rep_);
+}
+
+OffloadService::Lifetime OffloadService::lifetime() const {
+  Lifetime l;
+  if (icap_ != nullptr) l.icap_busy = icap_->busy_cycles_total();
+  for (const auto& link : links_) {
+    l.link_words += link->words_moved();
+    l.link_busy += link->busy_cycles();
+  }
+  if (injector_ != nullptr) l.injected = injector_->injected();
+  return l;
 }
 
 ServiceReport OffloadService::run(const WorkloadConfig& workload) {

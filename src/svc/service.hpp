@@ -94,7 +94,7 @@ struct ServiceReport {
   u64 swaps_completed = 0;
   u64 preemptions = 0;       ///< busy workers quiesced for a swap
   u64 preempted_jobs = 0;    ///< jobs re-queued by those preemptions
-  u64 icap_busy_cycles = 0;  ///< wall cycles the configuration port ran
+  u64 icap_busy_cycles = 0;  ///< cycles the configuration port ran this run
   u64 cache_hits = 0;        ///< bitstream staging cache (0/0 = no cache)
   u64 cache_misses = 0;
 
@@ -103,13 +103,13 @@ struct ServiceReport {
   // schema). busy cycles == words * cycles_per_word by the ChainLink's
   // construction.
   bool chained = false;
-  u64 link_words = 0;        ///< words moved over all ChainLinks
+  u64 link_words = 0;        ///< words all ChainLinks moved this run
   u64 link_busy_cycles = 0;  ///< link-occupied cycles across all links
 
   // Fault accounting (populated — and emitted by add_to — only when the
   // run was fault-aware, so unarmed runs keep their metric schema).
   bool fault_aware = false;
-  u64 injected = 0;         ///< faults the injector actually fired
+  u64 injected = 0;         ///< faults the injector fired this run
   u64 faults = 0;           ///< worker fault events the dispatcher saw
   u64 retries = 0;          ///< retry launches scheduled
   u64 failed = 0;           ///< jobs given up on
@@ -245,6 +245,16 @@ class OffloadService {
   void start(const WorkloadConfig& workload, bool warm,
              std::vector<Job> arrivals);
   void install_completion_hook();
+  /// Counters the report takes from snapshot-carried components, which
+  /// count from their construction: a warm boot inherits the template's
+  /// share, so start() records them and finish() reports the difference.
+  struct Lifetime {
+    u64 icap_busy = 0;
+    u64 link_words = 0;
+    u64 link_busy = 0;
+    u64 injected = 0;
+  };
+  [[nodiscard]] Lifetime lifetime() const;
   /// The "svc" section's field list (run state, RNG stream, report
   /// accumulators, injector and flight ring).
   void state(snap::Fields& f);
@@ -278,6 +288,10 @@ class OffloadService {
   u64 issued_ = 0;
   ServiceReport rep_;
   bool began_ = false;
+  /// lifetime() at a warm start(), zero otherwise. Host-side only: a
+  /// mid-run image of a warm run restores with zero bases and reports
+  /// these four counters from construction.
+  Lifetime base_;
 };
 
 }  // namespace ouessant::svc

@@ -5,9 +5,12 @@
 // never-firing plan must change nothing).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -26,6 +29,7 @@ namespace {
 
 using fault::FaultKind;
 using fault::FaultPlan;
+using fault::FaultSpec;
 
 constexpr Addr kProg = 0x4000'0000;
 constexpr Addr kIn = 0x4001'0000;
@@ -87,6 +91,18 @@ TEST(FaultPlan, StrRoundTripsThroughParse) {
   EXPECT_EQ(FaultPlan::parse(plan.str()).str(), plan.str());
 }
 
+/// The ConfigError text parse() throws for @p spec ("" and a test
+/// failure if it accepts it).
+std::string parse_error(const std::string& spec) {
+  try {
+    (void)FaultPlan::parse(spec);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "accepted '" << spec << "'";
+  return "";
+}
+
 TEST(FaultPlan, RejectsBadSpecs) {
   EXPECT_THROW((void)FaultPlan::parse("gamma_ray@p=1"), ConfigError);
   EXPECT_THROW((void)FaultPlan::parse("bus_err"), ConfigError);  // never fires
@@ -94,6 +110,44 @@ TEST(FaultPlan, RejectsBadSpecs) {
   EXPECT_THROW((void)FaultPlan::parse("bus_err@at=5,p=0.5"), ConfigError);
   EXPECT_THROW((void)FaultPlan::parse("ctrl_flip@at=5,bit=32"), ConfigError);
   EXPECT_THROW((void)FaultPlan::parse("bus_err@wat=1"), ConfigError);
+  // Each of these used to be read as something else, silently: the
+  // comment says what. The refusal names the field.
+  for (const auto& [spec, field] : std::vector<std::pair<std::string,
+                                                         std::string>>{
+           {"rac_hang@at=-5", "at="},     // 2^64 - 5: never fires
+           {"rac_hang@at=010", "at="},    // octal 8
+           {"rac_hang@at=+5", "at="},     // a sign
+           {"rac_hang@at= 5", "at="},     // whitespace
+           {"rac_hang@at=5 ", "at="},
+           {"rac_hang@at=0x10", "at="},   // hexadecimal 16
+           {"rac_hang@at=18446744073709551616", "at="},  // 2^64: wraps
+           {"irq_drop@p=nan", "p="},      // never fires
+           {"irq_drop@p=inf", "p="},
+           {"irq_drop@p=1e999", "p="},    // overflows to infinity
+           {"irq_drop@p=-0.5", "p="},     // was "needs at=CYCLE or p=PROB"
+           {"irq_drop@p=+0.5", "p="},
+           {"rac_hang@ocp=4294967296,p=1", "ocp="},  // wrapped to OCP 0
+           {"rac_hang@ocp=99999999999999999999,p=1", "ocp="},  // -1: every OCP
+           {"rac_hang@ocp=-2,p=1", "ocp="},
+           {"rac_hang@ocp=01,p=1", "ocp="},
+           {"bus_err@p=0.5,count=4294967296", "count="},  // 0: unlimited
+           {"ctrl_flip@at=5,bit=99999999999", "bit="},
+           {"seed=-1;bus_err@p=0.5", "seed="},
+           {"seed=7;seed=8;bus_err@p=0.5", "seed="},
+           {"bus_err@p=0.1,p=0.2", "p="},  // kept the last value
+           {"bus_err@ocp=0,at=5,ocp=1", "ocp="},
+       }) {
+    const std::string err = parse_error(spec);
+    EXPECT_NE(err.find(field), std::string::npos) << spec << ": " << err;
+  }
+  // -1 still means every OCP, as documented, and 0 is not a leading zero.
+  const FaultPlan any = FaultPlan::parse("seed=0;rac_hang@ocp=-1,at=0,p=1");
+  EXPECT_EQ(any.specs.at(0).ocp, -1);
+  EXPECT_EQ(any.seed, 0u);
+  // A programmatic NaN is refused too (the range test is NaN-proof).
+  EXPECT_THROW(FaultPlan{}.add({.kind = FaultKind::kIrqDrop,
+                                .prob = std::nan("")}),
+               ConfigError);
 }
 
 // ----------------------------------------------------- per-site reports --
@@ -317,6 +371,39 @@ TEST(FaultService, WatchdogRescuesEverySuppressedIrq) {
   EXPECT_EQ(rep.failed, 0u);
   EXPECT_EQ(rep.faults, 0u);  // a lost doorbell is a delay, not a fault
   EXPECT_EQ(rep.irq_recoveries, rep.batches);
+}
+
+TEST(FaultService, PlanAimedPastTheStackIsRefused) {
+  // Two IDCT workers: OCPs 0-1 and IRQ sources 0-1. Each of these specs
+  // was armed and never fired (ocp=7 on rac_hang let serve_faulty_hang
+  // run with no hang at all).
+  for (const auto& [spec, target] : std::vector<std::pair<FaultSpec,
+                                                         std::string>>{
+           {{.kind = FaultKind::kRacHang, .ocp = 7, .prob = 1.0}, "OCP"},
+           {{.kind = FaultKind::kBusError, .ocp = 2, .prob = 0.1}, "OCP"},
+           {{.kind = FaultKind::kIrqDrop, .ocp = 2, .prob = 0.3},
+            "IRQ source"},
+       }) {
+    svc::ServiceConfig cfg = idct_workers(2);
+    cfg.faults.add(spec);
+    try {
+      svc::OffloadService service(std::move(cfg));
+      ADD_FAILURE() << "armed " << fault::kind_name(spec.kind)
+                    << "@ocp=" << spec.ocp;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "@ocp=" + std::to_string(spec.ocp) + " names no " +
+                    target),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The last OCP, the last IRQ source and "every OCP" are all armed.
+  svc::ServiceConfig cfg = idct_workers(2);
+  cfg.faults.add({.kind = FaultKind::kRacHang, .ocp = 1, .prob = 1.0})
+      .add({.kind = FaultKind::kIrqDrop, .ocp = 1, .prob = 0.3})
+      .add({.kind = FaultKind::kBusError, .prob = 0.1});
+  EXPECT_NO_THROW(svc::OffloadService{std::move(cfg)});
 }
 
 TEST(FaultService, ChainedWorkersRecoverWithoutLosingJobs) {

@@ -7,10 +7,12 @@
 // order.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/sweep.hpp"
@@ -29,8 +31,10 @@ const exp::Registry& registry() {
   return r;
 }
 
-/// Run one scenario at one grid point (by index into points()).
-exp::Result run_point(const std::string& name, std::size_t index = 0) {
+/// Run one scenario at one grid point (by index into points()) with
+/// @p ctx, its seed set to the scenario's default.
+exp::Result run_point(const std::string& name, std::size_t index = 0,
+                      exp::RunContext ctx = {}) {
   const exp::ScenarioSpec* spec = registry().find(name);
   EXPECT_NE(spec, nullptr) << name;
   const auto points = spec->points();
@@ -38,7 +42,8 @@ exp::Result run_point(const std::string& name, std::size_t index = 0) {
   exp::SweepJob job;
   job.spec = spec;
   job.params = points[index];
-  job.ctx.seed = spec->default_seed;
+  ctx.seed = spec->default_seed;
+  job.ctx = std::move(ctx);
   return exp::run_job(job);
 }
 
@@ -445,6 +450,66 @@ TEST(Sweep, RunCtxThreadsSeedAndTracePath) {
   EXPECT_EQ(jobs[0].ctx.seed, 42u);
   EXPECT_EQ(jobs[0].ctx.trace_path, "tr_ctx_spec_0.vcd");
   EXPECT_EQ(jobs[1].ctx.trace_path, "tr_ctx_spec_1.vcd");
+}
+
+// ---------------------------------------------------------------------
+// The service-point runner: every dispatcher-driven family writes the
+// same artifacts and warm-boots the same way.
+
+bool file_exists(const std::string& path) {
+  return std::ifstream(path).good();
+}
+
+TEST(ServicePoint, EveryFamilyWritesItsArtifacts) {
+  const std::string dir = ::testing::TempDir();
+  for (const std::string name :
+       {"serve_faulty_hang", "dpr_slots", "chain_service"}) {
+    SCOPED_TRACE(name);
+    const std::string stem = dir + "service_point_" + name;
+    exp::RunContext ctx;
+    ctx.trace_path = stem + ".vcd";
+    ctx.trace_events_path = stem + ".trace.json";
+    ctx.snapshot_path = stem + ".snap";
+    const exp::Result r = run_point(name, 0, ctx);
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_GT(metric(r, "trace_events"), 0);
+    for (const std::string& path :
+         {ctx.trace_path, ctx.trace_events_path,
+          ctx.trace_events_path + ".metrics.json", ctx.snapshot_path}) {
+      EXPECT_TRUE(file_exists(path)) << path;
+    }
+  }
+
+  // The fault-armed image warm-boots its own configuration, and the
+  // point's invariants (quarantine, no failed job) still hold. Its hangs
+  // fired in the template's run, so this run injects and sees none.
+  exp::RunContext warm;
+  warm.restore_path = dir + "service_point_serve_faulty_hang.snap";
+  const exp::Result r = run_point("serve_faulty_hang", 0, warm);
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(metric(r, "completed"), 80);
+  EXPECT_EQ(metric(r, "injected"), metric(r, "faults"));
+
+  // The linked chain's image warm-boots its own point, whose link moves
+  // only this run's words, and is refused by the store-and-forward one,
+  // whose launch protocol does not fit that microcode.
+  warm.restore_path = dir + "service_point_chain_service.snap";
+  const exp::Result linked = run_point("chain_service", 0, warm);
+  EXPECT_TRUE(linked.ok) << linked.error;
+  EXPECT_EQ(metric(linked, "link_words"), 64 * metric(linked, "completed"));
+  const exp::Result other = run_point("chain_service", 1, warm);
+  EXPECT_FALSE(other.ok);
+  EXPECT_NE(other.error.find("'chain' is set"), std::string::npos)
+      << other.error;
+}
+
+TEST(ServicePoint, SchedulePointRefusesRestoreInsteadOfColdBooting) {
+  exp::RunContext ctx;
+  ctx.restore_path = ::testing::TempDir() + "no_such_image.snap";
+  const exp::Result r = run_point("dpr_slots", 0, ctx);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("--restore"), std::string::npos) << r.error;
+  EXPECT_FALSE(r.metrics.has("completed")) << "the point served anyway";
 }
 
 TEST(Sweep, ExceptionBecomesFailedResult) {

@@ -51,9 +51,11 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "drv/chain.hpp"
 #include "drv/session.hpp"
 #include "exp/sweep.hpp"
 #include "fifo/width_fifo.hpp"
@@ -1469,6 +1471,74 @@ TEST(MidRun, RestoreIntoDifferentlyShapedServiceThrows) {
   EXPECT_THROW(c.restore(image), SnapshotError);
 }
 
+TEST(MidRun, InjectorLogOfAnotherPlanIsRefused) {
+  // Same spec count, other kinds: the count alone let a
+  // serve_faulty_hang image warm-boot the serve_faulty_irq point.
+  svc::OffloadService a(serve_config(true));
+  (void)a.run(serve_workload());
+  ASSERT_GT(a.injector()->injected(), 0u);
+  const Snapshot image = a.snapshot();
+
+  svc::ServiceConfig swapped = serve_config(true);
+  std::swap(swapped.faults.specs[0], swapped.faults.specs[1]);
+  svc::OffloadService b(std::move(swapped));
+  try {
+    b.restore(image);
+    ADD_FAILURE() << "restored another plan's firing log";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("'spec_index'"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// One chained worker in @p mode, chain_service's shape.
+svc::ServiceConfig chain_config(drv::ChainMode mode) {
+  svc::ServiceConfig cfg;
+  cfg.ocps.clear();
+  cfg.chains = {svc::ChainSpec{.max_batch = 2, .mode = mode}};
+  return cfg;
+}
+
+TEST(MidRun, ChainImageOfTheOtherModeIsRefused) {
+  // No fingerprint holds a chain's mode, but its head's shadows do. A
+  // finished run's image is refused by the other mode, whose launch
+  // protocol over this microcode can hang, and warm-boots its own,
+  // reporting only the warm run's link traffic.
+  svc::WorkloadConfig wl;
+  wl.jobs = 8;
+  wl.mean_gap = 800.0;
+  wl.kinds = {svc::JobKind::kJpegChain};
+  using drv::ChainMode;
+  for (const auto& [mode, other, field] :
+       {std::tuple{ChainMode::kLinked, ChainMode::kStoreForward, "'chain'"},
+        std::tuple{ChainMode::kStoreForward, ChainMode::kLinked, "'ie'"}}) {
+    SCOPED_TRACE(drv::chain_mode_name(mode));
+    svc::OffloadService tmpl(chain_config(mode));
+    (void)tmpl.run(wl);
+    const Snapshot image = tmpl.snapshot();
+
+    svc::OffloadService wrong(chain_config(other));
+    try {
+      wrong.restore(image);
+      ADD_FAILURE() << "restored into " << drv::chain_mode_name(other);
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(field) + " is set"),
+                std::string::npos)
+          << e.what();
+    }
+
+    svc::OffloadService warm(chain_config(mode));
+    warm.restore(image);
+    warm.begin(wl, /*warm=*/true);
+    while (!warm.step()) {
+    }
+    const svc::ServiceReport rep = warm.finish();
+    EXPECT_EQ(rep.completed, wl.jobs);
+    EXPECT_EQ(rep.link_words, mode == ChainMode::kLinked ? 64 * wl.jobs : 0);
+    EXPECT_EQ(rep.link_busy_cycles, rep.link_words);
+  }
+}
+
 TEST(MidRun, SectionVersionSkewIsRefusedBeforeAnyRestore) {
   svc::OffloadService a(serve_config(false));
   a.begin(serve_workload());
@@ -1685,6 +1755,84 @@ TEST(DispatcherSection, RetriesOutOfReadyOrderAreRefused) {
                ~u64{0}, 8);
       },
       serve_config(true));
+}
+
+// ------------------------------------------------------- flight section --
+// A restore refuses a flight ring that no run produces, naming the
+// field: to_json writes each event's phase byte raw and names its track
+// by tid, and the ring's cursor moves only once the ring is full.
+
+constexpr std::size_t kRing = 4096;
+
+/// serve_config()'s service restored from @p image with a kRing-event
+/// flight recorder attached, as the saved stack had.
+void restore_with_flight(const Snapshot& image) {
+  svc::OffloadService s(serve_config(false));
+  obs::FlightRecorder flight(s.soc().kernel(), kRing);
+  s.attach_flight_recorder(flight);
+  s.restore(image);
+}
+
+/// serve_config()'s service stepped until its ring holds events but is
+/// not yet full.
+Snapshot flight_image() {
+  svc::OffloadService s(serve_config(false));
+  obs::FlightRecorder flight(s.soc().kernel(), kRing);
+  s.attach_flight_recorder(flight);
+  s.begin(serve_workload());
+  while (flight.event_count() == 0) (void)s.step();
+  EXPECT_LT(flight.event_count(), kRing);
+  return s.snapshot();
+}
+
+/// @p good's svc section edited by @p edit must be refused with a
+/// SnapshotError containing @p reason, while @p good itself restores.
+void expect_flight_refused(const Snapshot& good, const std::string& reason,
+                           const std::function<void(std::vector<u8>&)>& edit) {
+  restore_with_flight(good);
+  try {
+    restore_with_flight(with_section(good, "svc", edit));
+    ADD_FAILURE() << "accepted a flight ring with " << reason;
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FlightSection, PhaseTheTracerNeverEmitsIsRefused) {
+  // A quote used to reach to_json raw, and ouessant_trace rejected the
+  // dump; 'M' is the metadata phase, which only to_json writes.
+  const Snapshot good = flight_image();
+  for (const u8 ph : {u8{'"'}, u8{0x01}, u8{'M'}}) {
+    expect_flight_refused(good, "'ph' is byte " + std::to_string(ph),
+                          [ph](std::vector<u8>& d) {
+                            d[field_payload(d, snap::Tag::kU8, "ph")] = ph;
+                          });
+  }
+}
+
+TEST(FlightSection, TidPastTheTracksIsRefused) {
+  const Snapshot good = flight_image();
+  const std::vector<u8>& svc = good.section("svc").bytes;
+  const u64 tracks =
+      get_le(svc, field_payload(svc, snap::Tag::kU64, "tracks"), 8);
+  ASSERT_GT(tracks, 0u);
+  expect_flight_refused(
+      good,
+      "'tid' is " + std::to_string(tracks) + ", past the " +
+          std::to_string(tracks) + " tracks",
+      [tracks](std::vector<u8>& d) {
+        put_le(d, field_payload(d, snap::Tag::kU32, "tid"), tracks, 4);
+      });
+}
+
+TEST(FlightSection, CursorOfARingNotYetFullIsRefused) {
+  const Snapshot good = flight_image();
+  expect_flight_refused(good, "'next' is 1 on a ring holding",
+                        [](std::vector<u8>& d) {
+                          put_le(d, field_payload(d, snap::Tag::kU64, "next"),
+                                 1, 8);
+                        });
 }
 
 // -------------------------------------------------------------- fleet layer

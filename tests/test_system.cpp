@@ -5,11 +5,14 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "bus/monitor.hpp"
 #include "drv/session.hpp"
+#include "obs/collect.hpp"
 #include "ouessant/codegen.hpp"
-#include "platform/report.hpp"
+#include "platform/probes.hpp"
 #include "platform/soc.hpp"
 #include "rac/dft.hpp"
 #include "rac/passthrough.hpp"
@@ -145,17 +148,26 @@ TEST(Report, CountsAddUpAfterARun) {
   session.put_input(std::vector<u32>(64, 5));
   session.run_irq();
 
-  const auto r = platform::make_report(soc);
-  EXPECT_EQ(r.total_cycles, soc.kernel().now());
-  EXPECT_EQ(r.bus_busy + r.bus_idle, r.total_cycles);
-  EXPECT_GT(r.bus_utilization(), 0.0);
-  EXPECT_LE(r.bus_utilization(), 1.0);
-  ASSERT_EQ(r.ocps.size(), 1u);
-  EXPECT_EQ(r.ocps[0].runs, 1u);
-  EXPECT_EQ(r.ocps[0].words_moved, 128u);
-  const std::string text = r.render();
-  EXPECT_NE(text.find("bus:"), std::string::npos);
-  EXPECT_NE(text.find("ocp0"), std::string::npos);
+  // The cycle ledger is the SoC's one utilization account: it closes
+  // (every track sums to the wall clock) and names each component.
+  const Cycle now = soc.kernel().now();
+  const obs::CycleLedger ledger = obs::validate_soc_ledger(soc);
+  std::vector<std::string> names;
+  for (obs::CycleLedger::TrackId t = 0; t < ledger.track_count(); ++t) {
+    names.push_back(ledger.track_name(t));
+    EXPECT_EQ(ledger.track_sum(t), now) << names.back();
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "bus." + soc.bus().name(), "cpu",
+                       "ctrl." + ocp.controller().name(), "rac.pass"}));
+  const auto bus = ledger.total(0, obs::Category::kTransfer);
+  EXPECT_EQ(bus, soc.bus().master_totals().beats);
+  EXPECT_GT(bus, 0u);
+  EXPECT_LT(bus, now);
+  EXPECT_GT(ledger.total(3, obs::Category::kCompute), 0u);
+  const std::string text = ledger.render(now);
+  EXPECT_NE(text.find("bus."), std::string::npos);
+  EXPECT_NE(text.find("ctrl." + ocp.controller().name()), std::string::npos);
 }
 
 TEST(Probes, StandardVcdProbesCaptureARun) {
