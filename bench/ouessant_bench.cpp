@@ -42,10 +42,10 @@
 //
 // Exit status is non-zero when any scenario run fails an invariant or the
 // --compare-jobs identity check trips.
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +54,7 @@
 #include "exp/sweep.hpp"
 #include "obs/artifact.hpp"
 #include "scenarios.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -80,20 +81,11 @@ void usage(const char* argv0, std::FILE* to) {
                argv0);
 }
 
-bool parse_int(const char* s, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 1 || v > 1024) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_u64(const char* s, ouessant::u64* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 0);
-  if (end == s || *end != '\0' || errno != 0) return false;
-  *out = static_cast<ouessant::u64>(v);
+/// --jobs and --compare-jobs: a worker count in 1..1024.
+bool parse_jobs(const char* s, int* out) {
+  const std::optional<ouessant::u64> v = ouessant::util::read_uint(s, 1024);
+  if (!v || *v == 0) return false;
+  *out = static_cast<int>(*v);
   return true;
 }
 
@@ -117,19 +109,21 @@ bool parse_args(int argc, char** argv, Options* opt) {
       opt->sweep.filter = v;
     } else if (arg == "--jobs") {
       const char* v = next();
-      if (v == nullptr || !parse_int(v, &opt->sweep.jobs)) return false;
+      if (v == nullptr || !parse_jobs(v, &opt->sweep.jobs)) return false;
     } else if (arg == "--compare-jobs") {
       const char* v = next();
-      if (v == nullptr || !parse_int(v, &opt->compare_jobs)) return false;
+      if (v == nullptr || !parse_jobs(v, &opt->compare_jobs)) return false;
     } else if (arg == "--json") {
       const char* v = next();
       if (v == nullptr) return false;
       opt->json_path = v;
     } else if (arg == "--seed") {
       const char* v = next();
-      ouessant::u64 seed = 0;
-      if (v == nullptr || !parse_u64(v, &seed)) return false;
-      opt->sweep.seed = seed;
+      const std::optional<ouessant::u64> seed =
+          v == nullptr ? std::nullopt
+                       : ouessant::util::read_uint(v, UINT64_MAX);
+      if (!seed) return false;
+      opt->sweep.seed = *seed;
     } else if (arg == "--trace") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -147,7 +141,6 @@ bool parse_args(int argc, char** argv, Options* opt) {
       if (v == nullptr) return false;
       opt->sweep.restore_path = v;
     } else {
-      usage(argv[0], stderr);
       return false;
     }
   }
@@ -226,7 +219,10 @@ bool payloads_identical(const std::vector<exp::SweepJob>& jobs,
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, &opt)) return 2;
+  if (!parse_args(argc, argv, &opt)) {
+    usage(argv[0], stderr);
+    return 2;
+  }
   if (opt.help) {
     usage(argv[0], stdout);
     return 0;

@@ -12,13 +12,15 @@
 // Usage: svc_soak [--jobs N] [--total J]
 //   --jobs N    worker threads / service shards (default 4)
 //   --total J   jobs summed across all shards (default 10000)
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "svc/service.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -67,18 +69,26 @@ int main(int argc, char** argv) {
   ouessant::u64 total = 10'000;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      shards = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--total" && i + 1 < argc) {
-      total = std::strtoull(argv[++i], nullptr, 10);
-    } else {
+    const bool jobs = arg == "--jobs";
+    if ((!jobs && arg != "--total") || i + 1 >= argc) {
       std::cerr << "usage: svc_soak [--jobs N] [--total J]\n";
       return 2;
     }
-  }
-  if (shards == 0 || total == 0) {
-    std::cerr << "svc_soak: --jobs and --total must be >= 1\n";
-    return 2;
+    // A thread per shard: --jobs stays a sane thread count, and --total
+    // a job count each shard's u32 can hold.
+    const ouessant::u64 max = jobs ? 1024 : UINT32_MAX;
+    const std::optional<ouessant::u64> v =
+        ouessant::util::read_uint(argv[++i], max);
+    if (!v || *v == 0) {
+      std::cerr << "svc_soak: " << arg << " takes an integer in 1.." << max
+                << ", not '" << argv[i] << "'\n";
+      return 2;
+    }
+    if (jobs) {
+      shards = static_cast<unsigned>(*v);
+    } else {
+      total = *v;
+    }
   }
 
   std::vector<ShardResult> results(shards);

@@ -50,7 +50,10 @@ import sys
 
 # The functions every simulated cycle of ocp_stream runs through: the
 # kernel sweep, the FIFO read, commit and bulk paths, the bus and the
-# block RAC. Matched by qualified name, any parameter list.
+# block RAC. Then the streaming datapath every FIR job of serve_mix and
+# fleet_fork runs through: FirRac::tick_compute in trees before the
+# StreamRac envelope, StreamRac::tick_compute since (each binary holds
+# one of the two). Matched by qualified name, any parameter list.
 HOT = [
     "ouessant::sim::Kernel::tick",
     "ouessant::fifo::BitQueue::push",
@@ -66,6 +69,8 @@ HOT = [
     "ouessant::bus::InterconnectModel::tick_compute",
     "ouessant::bus::InterconnectModel::try_batch_chunk",
     "ouessant::rac::BlockRac::tick_compute",
+    "ouessant::rac::FirRac::tick_compute",
+    "ouessant::rac::StreamRac::tick_compute",
 ]
 
 

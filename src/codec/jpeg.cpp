@@ -160,163 +160,102 @@ JpegImage encode(const Raster& img, u32 quality, EntropyKind entropy) {
 
 namespace {
 
-std::vector<std::array<i32, kBlockSize>> decode_huffman(
-    const JpegImage& img, cpu::Gpp* gpp) {
-  const auto quant = quant_table(img.quality);
-  const auto& zz = zigzag_order();
-  std::vector<std::array<i32, kBlockSize>> blocks;
-  blocks.reserve(img.blocks());
+using Blocks = std::vector<std::array<i32, kBlockSize>>;
 
-  BitReader in(img.payload);
-  i32 dc_pred = 0;
-  u64 nonzeros = 0;
-  for (u32 b = 0; b < img.blocks(); ++b) {
-    i32 scan[kBlockSize];
-    huff_decode_block(in, scan, dc_pred);
-    std::array<i32, kBlockSize> coef{};
-    for (u32 i = 0; i < kBlockSize; ++i) {
-      if (scan[i] != 0) ++nonzeros;
-      coef[zz[i]] = scan[i] * quant[zz[i]];  // dequantize
+/// The entropy decoder both decodes share: every block's quantized
+/// coefficients in scan order, Huffman or RLE, with the decode's CPU
+/// work charged to @p m. @p coded counts the coefficients the stream
+/// carried (Huffman: the nonzeros; RLE: the tokens).
+Blocks decode_scan(const JpegImage& img, cpu::CostMeter& m, u64& coded) {
+  Blocks blocks;
+  blocks.reserve(img.blocks());
+  coded = 0;
+  if (img.entropy == EntropyKind::kHuffman) {
+    BitReader in(img.payload);
+    i32 dc_pred = 0;
+    for (u32 b = 0; b < img.blocks(); ++b) {
+      std::array<i32, kBlockSize>& q = blocks.emplace_back();
+      huff_decode_block(in, q.data(), dc_pred);
+      coded += static_cast<u64>(
+          std::count_if(q.begin(), q.end(), [](i32 v) { return v != 0; }));
     }
-    blocks.push_back(coef);
-  }
-  if (gpp != nullptr) {
     // Serial Huffman decoding cost: the canonical decoder consumes the
     // stream bit by bit (shift + compare per bit), plus per-coefficient
-    // extend/dequantize work and per-block bookkeeping — notably more
-    // expensive than the RLE coder, as real JPEG decoding is.
-    cpu::CostMeter m = gpp->meter();
+    // extend work and per-block bookkeeping — notably more expensive
+    // than the RLE coder, as real JPEG decoding is.
     m.alu(in.bits_consumed() * 2);
     m.load(in.bits_consumed() / 8);
     m.branch(in.bits_consumed() / 2);
-    m.alu(nonzeros * 6);
-    m.mul(nonzeros);
-    m.store(nonzeros);
+    m.alu(coded * 4);
+    m.store(coded);
     m.alu(img.blocks() * 24);
-    gpp->spend(m);
+    return blocks;
   }
+  std::size_t pos = 0;
+  for (u32 b = 0; b < img.blocks(); ++b) {
+    std::array<i32, kBlockSize>& q = blocks.emplace_back();
+    u32 scan = 0;
+    for (;;) {
+      if (pos >= img.payload.size()) {
+        throw SimError("jpeg: truncated stream in block " + std::to_string(b) +
+                       " of " + std::to_string(img.blocks()));
+      }
+      const u8 run = img.payload[pos++];
+      if (run == kEob) break;
+      scan += run;
+      if (scan >= kBlockSize) {
+        throw SimError("jpeg: run past block end (block " + std::to_string(b) +
+                       ", scan index " + std::to_string(scan) + ")");
+      }
+      q[scan++] = get_varint(img.payload, pos);
+      ++coded;
+    }
+  }
+  // Entropy decoding cost: a few ALU operations and a store per token
+  // (table-free RLE/varint is cheap compared to Huffman), a load + test
+  // per payload byte, a clear + bookkeeping per block.
+  m.load(img.payload.size());
+  m.alu(img.payload.size());
+  m.branch(img.payload.size() / 2);
+  m.alu(coded * 6);
+  m.store(coded);
+  m.alu(img.blocks() * 20);
   return blocks;
+}
+
+/// @p gpp's meter, or an unbilled one.
+cpu::CostMeter meter_of(cpu::Gpp* gpp) {
+  return gpp != nullptr ? gpp->meter() : cpu::CostMeter(cpu::CpuCosts{});
 }
 
 }  // namespace
 
 std::vector<std::array<i32, kBlockSize>> decode_coefficients(
     const JpegImage& img, cpu::Gpp* gpp) {
-  if (img.entropy == EntropyKind::kHuffman) {
-    return decode_huffman(img, gpp);
-  }
+  cpu::CostMeter m = meter_of(gpp);
+  u64 coded = 0;
+  Blocks blocks = decode_scan(img, m, coded);
   const auto quant = quant_table(img.quality);
   const auto& zz = zigzag_order();
-  std::vector<std::array<i32, kBlockSize>> blocks;
-  blocks.reserve(img.blocks());
-
-  std::size_t pos = 0;
-  u64 tokens = 0;
-  for (u32 b = 0; b < img.blocks(); ++b) {
-    std::array<i32, kBlockSize> coef{};
-    u32 scan = 0;
-    for (;;) {
-      if (pos >= img.payload.size()) {
-        throw SimError("jpeg: truncated stream in block " + std::to_string(b) +
-                       " of " + std::to_string(img.blocks()));
-      }
-      const u8 run = img.payload[pos++];
-      if (run == kEob) break;
-      scan += run;
-      if (scan >= kBlockSize) {
-        throw SimError("jpeg: run past block end (block " + std::to_string(b) +
-                       ", scan index " + std::to_string(scan) + ")");
-      }
-      const i32 value = get_varint(img.payload, pos);
-      coef[zz[scan]] = value * quant[zz[scan]];  // dequantize
-      ++scan;
-      ++tokens;
-    }
-    blocks.push_back(coef);
+  for (std::array<i32, kBlockSize>& blk : blocks) {
+    std::array<i32, kBlockSize> coef;
+    for (u32 i = 0; i < kBlockSize; ++i) coef[zz[i]] = blk[i] * quant[zz[i]];
+    blk = coef;
   }
-  if (gpp != nullptr) {
-    // Entropy decoding cost: per token ~12 cycles (table-free RLE/varint
-    // is cheap compared to Huffman), per payload byte a load + test, per
-    // block a clear + bookkeeping.
-    cpu::CostMeter m = gpp->meter();
-    m.load(img.payload.size());
-    m.alu(img.payload.size());
-    m.branch(img.payload.size() / 2);
-    m.alu(tokens * 8);
-    m.mul(tokens);  // dequantize multiply
-    m.store(tokens);
-    m.alu(img.blocks() * 20);
-    gpp->spend(m);
-  }
+  // The dequantize: a multiply and two ALU operations per coded
+  // coefficient.
+  m.alu(coded * 2);
+  m.mul(coded);
+  if (gpp != nullptr) gpp->spend(m);
   return blocks;
 }
 
 std::vector<std::array<i32, kBlockSize>> decode_quantized(
     const JpegImage& img, cpu::Gpp* gpp) {
-  std::vector<std::array<i32, kBlockSize>> blocks;
-  blocks.reserve(img.blocks());
-  if (img.entropy == EntropyKind::kHuffman) {
-    BitReader in(img.payload);
-    i32 dc_pred = 0;
-    u64 nonzeros = 0;
-    for (u32 b = 0; b < img.blocks(); ++b) {
-      i32 scan[kBlockSize];
-      huff_decode_block(in, scan, dc_pred);
-      std::array<i32, kBlockSize> q{};
-      for (u32 i = 0; i < kBlockSize; ++i) {
-        if (scan[i] != 0) ++nonzeros;
-        q[i] = scan[i];
-      }
-      blocks.push_back(q);
-    }
-    if (gpp != nullptr) {
-      // The Huffman cost of decode_coefficients minus the dequantize
-      // multiply+extra ALU per coefficient — that work moves into the
-      // chained DequantRac.
-      cpu::CostMeter m = gpp->meter();
-      m.alu(in.bits_consumed() * 2);
-      m.load(in.bits_consumed() / 8);
-      m.branch(in.bits_consumed() / 2);
-      m.alu(nonzeros * 4);
-      m.store(nonzeros);
-      m.alu(img.blocks() * 24);
-      gpp->spend(m);
-    }
-    return blocks;
-  }
-  std::size_t pos = 0;
-  u64 tokens = 0;
-  for (u32 b = 0; b < img.blocks(); ++b) {
-    std::array<i32, kBlockSize> q{};
-    u32 scan = 0;
-    for (;;) {
-      if (pos >= img.payload.size()) {
-        throw SimError("jpeg: truncated stream in block " + std::to_string(b) +
-                       " of " + std::to_string(img.blocks()));
-      }
-      const u8 run = img.payload[pos++];
-      if (run == kEob) break;
-      scan += run;
-      if (scan >= kBlockSize) {
-        throw SimError("jpeg: run past block end (block " + std::to_string(b) +
-                       ", scan index " + std::to_string(scan) + ")");
-      }
-      q[scan] = get_varint(img.payload, pos);
-      ++scan;
-      ++tokens;
-    }
-    blocks.push_back(q);
-  }
-  if (gpp != nullptr) {
-    cpu::CostMeter m = gpp->meter();
-    m.load(img.payload.size());
-    m.alu(img.payload.size());
-    m.branch(img.payload.size() / 2);
-    m.alu(tokens * 6);
-    m.store(tokens);
-    m.alu(img.blocks() * 20);
-    gpp->spend(m);
-  }
+  cpu::CostMeter m = meter_of(gpp);
+  u64 coded = 0;
+  Blocks blocks = decode_scan(img, m, coded);
+  if (gpp != nullptr) gpp->spend(m);
   return blocks;
 }
 

@@ -71,18 +71,6 @@ void Gpp::wait_for_irq(const IrqLine& irq, u64 timeout) {
   idle_cycles_ += kernel_.now() - t0;
 }
 
-void Gpp::poll_until(const std::function<bool()>& done, u64 poll_interval,
-                     u64 timeout) {
-  const Cycle t0 = kernel_.now();
-  while (!done()) {
-    if (kernel_.now() - t0 >= timeout) {
-      throw SimError("Gpp::poll_until: timeout");
-    }
-    kernel_.run(poll_interval);
-  }
-  idle_cycles_ += kernel_.now() - t0;
-}
-
 Cycle Gpp::now() const { return kernel_.now(); }
 
 void Gpp::state(snap::Fields& f) {

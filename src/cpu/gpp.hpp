@@ -21,7 +21,6 @@
 // component state, as Kernel::run_until requires.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -119,10 +118,6 @@ class Gpp {
 
   /// Sleep until @p irq is raised (models WFI). Counts as idle time.
   void wait_for_irq(const IrqLine& irq, u64 timeout = 10'000'000);
-
-  /// Busy-poll: re-evaluate @p done every @p poll_interval cycles.
-  void poll_until(const std::function<bool()>& done, u64 poll_interval = 4,
-                  u64 timeout = 10'000'000);
 
   [[nodiscard]] Cycle now() const;
   [[nodiscard]] sim::Kernel& kernel() { return kernel_; }

@@ -39,16 +39,6 @@ void charge_fft_butterfly_softfloat(CostMeter& m) {
   m.branch(2);
 }
 
-/// Charge one radix-2 butterfly in optimized 32-bit fixed point.
-void charge_fft_butterfly_fixed(CostMeter& m) {
-  m.mul(4);
-  m.alu(10);  // cross adds, rounding shifts, scaling
-  m.load(6);
-  m.store(4);
-  m.alu(2);
-  m.branch(2);
-}
-
 u64 fft_stage_count(u32 points) { return log2_exact(points); }
 u64 fft_butterfly_count(u32 points) {
   return static_cast<u64>(points) / 2 * fft_stage_count(points);
@@ -122,37 +112,6 @@ u64 sw_dft_softfloat(Gpp& gpp, mem::Sram& mem, Addr in, Addr out,
              util::to_word(q.from_double(x[i].imag() * scale)));
   }
   const u64 cycles = cost_dft_softfloat(gpp.costs(), points);
-  gpp.spend(cycles);
-  return cycles;
-}
-
-u64 cost_dft_fixed(const CpuCosts& costs, u32 points) {
-  CostMeter m(costs);
-  m.call(1);
-  charge_bit_reverse(m, points, 1 * 2);  // i32 re + i32 im per swap pair
-  const u64 bfls = fft_butterfly_count(points);
-  for (u64 i = 0; i < bfls; ++i) charge_fft_butterfly_fixed(m);
-  m.load(points * 2);
-  m.store(points * 2);
-  return m.cycles();
-}
-
-u64 sw_dft_fixed(Gpp& gpp, mem::Sram& mem, Addr in, Addr out, u32 points) {
-  if (!is_pow2(points)) {
-    throw SimError("sw_dft_fixed: points must be a power of two");
-  }
-  std::vector<i32> re(points);
-  std::vector<i32> im(points);
-  for (u32 i = 0; i < points; ++i) {
-    re[i] = util::from_word(mem.peek(in + i * 8));
-    im[i] = util::from_word(mem.peek(in + i * 8 + 4));
-  }
-  util::fixed_fft(re, im);
-  for (u32 i = 0; i < points; ++i) {
-    mem.poke(out + i * 8, util::to_word(re[i]));
-    mem.poke(out + i * 8 + 4, util::to_word(im[i]));
-  }
-  const u64 cycles = cost_dft_fixed(gpp.costs(), points);
   gpp.spend(cycles);
   return cycles;
 }

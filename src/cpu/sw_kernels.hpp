@@ -14,8 +14,6 @@
 //    arithmetic emulated in software (Leon3 without FPU), hence the ~600k
 //    cycle cost for 256 points. Results are stored rescaled by 1/N to
 //    match the RAC's overflow-free output scale.
-//  * sw_dft_fixed is an *optimized* integer baseline (not in the paper's
-//    table) used by the ablation study: bit-identical to the DFT RAC.
 #pragma once
 
 #include "cpu/gpp.hpp"
@@ -33,8 +31,6 @@ u64 sw_idct8x8(Gpp& gpp, mem::Sram& mem, Addr in, Addr out);
 
 u64 sw_dft_softfloat(Gpp& gpp, mem::Sram& mem, Addr in, Addr out, u32 points);
 
-u64 sw_dft_fixed(Gpp& gpp, mem::Sram& mem, Addr in, Addr out, u32 points);
-
 /// Word-by-word software copy (the CPU-driven data path of the classic
 /// bus-slave integration baseline).
 u64 sw_copy_words(Gpp& gpp, mem::Sram& mem, Addr dst, Addr src, u32 words);
@@ -43,6 +39,5 @@ u64 sw_copy_words(Gpp& gpp, mem::Sram& mem, Addr dst, Addr src, u32 words);
 /// calibration lands in the paper's band without building a platform.
 u64 cost_idct8x8(const CpuCosts& costs);
 u64 cost_dft_softfloat(const CpuCosts& costs, u32 points);
-u64 cost_dft_fixed(const CpuCosts& costs, u32 points);
 
 }  // namespace ouessant::cpu::sw

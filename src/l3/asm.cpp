@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
+#include <optional>
 #include <sstream>
+
+#include "util/parse.hpp"
 
 namespace ouessant::l3 {
 
@@ -88,27 +92,33 @@ u8 parse_reg(const Line& line, const std::string& tok) {
       t.find_first_not_of("0123456789", 1) != std::string::npos) {
     throw AsmError(line.number, "expected a register, got '" + tok + "'");
   }
-  const unsigned long n = std::stoul(t.substr(1));
-  if (n >= kNumRegs) throw AsmError(line.number, "no register " + tok);
-  return static_cast<u8>(n);
+  const auto n = util::read_uint(std::string_view(t).substr(1), kNumRegs - 1);
+  if (!n) throw AsmError(line.number, "no register " + tok);
+  return static_cast<u8>(*n);
 }
 
-bool is_number(const std::string& s) {
-  std::string t = s;
-  if (!t.empty() && (t[0] == '-' || t[0] == '+')) t = t.substr(1);
-  if (t.empty()) return false;
-  if (t.size() > 2 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X')) {
-    return t.find_first_not_of("0123456789abcdefABCDEF", 2) ==
-           std::string::npos;
+constexpr i64 kI32Min = std::numeric_limits<i32>::min();
+constexpr i64 kI32Max = std::numeric_limits<i32>::max();
+constexpr i64 kU32Max = std::numeric_limits<u32>::max();
+
+/// A numeric operand in [@p lo, @p hi]: an immediate or displacement is
+/// an i32 (encode then checks the ISA's narrower range), a li or .word
+/// value any 32-bit word, unsigned or negative.
+i64 operand(const Line& line, const std::string& s, i64 lo = kI32Min,
+            i64 hi = kI32Max) {
+  const std::optional<i64> v = util::read_int(s, lo, hi);
+  if (!v) {
+    throw AsmError(line.number, "expected a number in " + std::to_string(lo) +
+                                    ".." + std::to_string(hi) + ", got '" +
+                                    s + "'");
   }
-  return t.find_first_not_of("0123456789") == std::string::npos;
+  return *v;
 }
 
-i64 parse_number(const Line& line, const std::string& s) {
-  if (!is_number(s)) {
-    throw AsmError(line.number, "expected a number, got '" + s + "'");
-  }
-  return std::stoll(s, nullptr, 0);
+/// A number, not a label: it starts with a digit or a sign.
+bool numeric(const std::string& tok) {
+  return std::isdigit(static_cast<unsigned char>(tok[0])) != 0 ||
+         tok[0] == '-' || tok[0] == '+';
 }
 
 /// "imm(rN)" memory operand.
@@ -120,7 +130,7 @@ void parse_mem(const Line& line, const std::string& tok, i32& imm, u8& base) {
     throw AsmError(line.number, "expected imm(reg), got '" + tok + "'");
   }
   const std::string off = trim(tok.substr(0, open));
-  imm = off.empty() ? 0 : static_cast<i32>(parse_number(line, off));
+  imm = off.empty() ? 0 : static_cast<i32>(operand(line, off));
   base = parse_reg(line, trim(tok.substr(open + 1, close - open - 1)));
 }
 
@@ -185,7 +195,7 @@ Assembly assemble(const std::string& source, Addr base) {
   };
   auto branch_disp = [&](const Line& line, const std::string& tok,
                          u32 here) -> i32 {
-    if (is_number(tok)) return static_cast<i32>(parse_number(line, tok));
+    if (numeric(tok)) return static_cast<i32>(operand(line, tok));
     return static_cast<i32>(resolve(line, tok)) - static_cast<i32>(here) - 1;
   };
 
@@ -209,7 +219,7 @@ Assembly assemble(const std::string& source, Addr base) {
             {.op = it2->second,
              .rd = parse_reg(line, line.operands[0]),
              .rs1 = parse_reg(line, line.operands[1]),
-             .imm = static_cast<i32>(parse_number(line, line.operands[2]))}));
+             .imm = static_cast<i32>(operand(line, line.operands[2]))}));
       } else if (auto it3 = branch_ops().find(m); it3 != branch_ops().end()) {
         expect(line, 3);
         out.words.push_back(encode(
@@ -238,13 +248,14 @@ Assembly assemble(const std::string& source, Addr base) {
         out.words.push_back(encode(
             {.op = Op::kLui,
              .rd = parse_reg(line, line.operands[0]),
-             .imm = static_cast<i32>(parse_number(line, line.operands[1]))}));
+             .imm = static_cast<i32>(operand(line, line.operands[1]))}));
       } else if (m == "li") {
         expect(line, 2);
         const u8 rd = parse_reg(line, line.operands[0]);
         u32 value;
-        if (is_number(line.operands[1])) {
-          value = static_cast<u32>(parse_number(line, line.operands[1]));
+        if (numeric(line.operands[1])) {
+          value = static_cast<u32>(
+              operand(line, line.operands[1], kI32Min, kU32Max));
         } else {
           value = base + resolve(line, line.operands[1]) * 4;  // label addr
         }
@@ -296,8 +307,8 @@ Assembly assemble(const std::string& source, Addr base) {
         out.words.push_back(encode({.op = Op::kWfi}));
       } else if (m == ".word") {
         expect(line, 1);
-        out.words.push_back(
-            static_cast<u32>(parse_number(line, line.operands[0])));
+        out.words.push_back(static_cast<u32>(
+            operand(line, line.operands[0], kI32Min, kU32Max)));
       } else {
         throw AsmError(line.number, "unknown mnemonic '" + m + "'");
       }

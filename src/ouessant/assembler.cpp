@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <vector>
+
+#include "util/parse.hpp"
 
 namespace ouessant::core {
 
@@ -80,30 +84,30 @@ std::vector<Line> split_lines(const std::string& source) {
   return out;
 }
 
-bool is_number(const std::string& s) {
-  if (s.empty()) return false;
-  if (s.size() > 2 && (s[0] == '0') && (s[1] == 'x' || s[1] == 'X')) {
-    return s.find_first_not_of("0123456789abcdefABCDEF", 2) == std::string::npos;
+/// An unsigned operand bound for a @p T field. A value past the field's
+/// width is refused here; one past the ISA's by isa::encode.
+template <class T>
+T parse_operand(const Line& line, const std::string& s) {
+  constexpr u64 kMax = std::numeric_limits<T>::max();
+  const std::optional<u64> v = util::read_uint(s, kMax);
+  if (!v) {
+    throw AsmError(line.number, "expected a number in 0.." +
+                                    std::to_string(kMax) + ", got '" + s +
+                                    "'");
   }
-  return s.find_first_not_of("0123456789") == std::string::npos;
-}
-
-u32 parse_number(const Line& line, const std::string& s) {
-  if (!is_number(s)) {
-    throw AsmError(line.number, "expected a number, got '" + s + "'");
-  }
-  return static_cast<u32>(std::stoul(s, nullptr, 0));
+  return static_cast<T>(*v);
 }
 
 /// Parse "BANK3" / "DMA64" / "FIFO1" style operands, or a bare number.
-u32 parse_prefixed(const Line& line, const std::string& tok,
-                   const char* prefix) {
+template <class T>
+T parse_prefixed(const Line& line, const std::string& tok,
+                 const char* prefix) {
   const std::string low = lower(tok);
   const std::string pfx = lower(prefix);
   if (low.rfind(pfx, 0) == 0) {
-    return parse_number(line, low.substr(pfx.size()));
+    return parse_operand<T>(line, low.substr(pfx.size()));
   }
-  return parse_number(line, tok);
+  return parse_operand<T>(line, tok);
 }
 
 void expect_operands(const Line& line, std::size_t n) {
@@ -142,10 +146,10 @@ Program assemble(const std::string& source) {
         expect_operands(line, 4);
         isa::Instruction ins;
         ins.op = (m == "mvtc") ? isa::Opcode::kMvtc : isa::Opcode::kMvfc;
-        ins.bank = static_cast<u8>(parse_prefixed(line, line.operands[0], "bank"));
-        ins.offset = parse_number(line, line.operands[1]);
-        ins.len = parse_prefixed(line, line.operands[2], "dma");
-        ins.fifo = static_cast<u8>(parse_prefixed(line, line.operands[3], "fifo"));
+        ins.bank = parse_prefixed<u8>(line, line.operands[0], "bank");
+        ins.offset = parse_operand<u32>(line, line.operands[1]);
+        ins.len = parse_prefixed<u32>(line, line.operands[2], "dma");
+        ins.fifo = parse_prefixed<u8>(line, line.operands[3], "fifo");
         prog.push(ins);
       } else if (m == "exec") {
         expect_operands(line, 0);
@@ -169,8 +173,8 @@ Program assemble(const std::string& source) {
         expect_operands(line, 2);
         u32 target = 0;
         const std::string tgt = lower(line.operands[0]);
-        if (is_number(tgt)) {
-          target = parse_number(line, tgt);
+        if (std::isdigit(static_cast<unsigned char>(tgt[0])) != 0) {
+          target = parse_operand<u32>(line, tgt);
         } else {
           auto it = labels.find(tgt);
           if (it == labels.end()) {
@@ -178,7 +182,7 @@ Program assemble(const std::string& source) {
           }
           target = it->second;
         }
-        prog.loop(target, parse_number(line, line.operands[1]));
+        prog.loop(target, parse_operand<u32>(line, line.operands[1]));
       } else {
         throw AsmError(line.number, "unknown mnemonic '" + m + "'");
       }

@@ -18,77 +18,40 @@
 //     eop
 #pragma once
 
-#include "ouessant/rac_if.hpp"
-#include "util/fixed.hpp"
+#include "rac/stream_rac.hpp"
 
 namespace ouessant::rac {
 
-class ConfigurableFirRac : public core::Rac {
+class ConfigurableFirRac : public StreamRac {
  public:
   /// @p taps_n coefficients (Q16.16), initially all zero (the filter
   /// mutes until configured). @p block_len samples per operation.
   ConfigurableFirRac(sim::Kernel& kernel, std::string name, u32 taps_n,
                      u32 block_len);
 
-  // core::Rac
-  [[nodiscard]] std::vector<FifoSpec> input_specs() const override;
-  [[nodiscard]] std::vector<FifoSpec> output_specs() const override;
-  void bind(std::vector<fifo::WidthFifo*> in,
-            std::vector<fifo::WidthFifo*> out) override;
-  void start() override;
-  [[nodiscard]] bool busy() const override { return busy_; }
-  [[nodiscard]] u64 completed_ops() const override { return completed_; }
-  /// RST: drop the in-flight block and return to idle. Taps an
-  /// interrupted reload already wrote stay; the delay line clears on the
-  /// next start_op anyway.
-  void abort_op() override {
-    core::Rac::abort_op();
-    phase_ = Phase::kIdle;
-    busy_ = false;
-    taps_loaded_ = 0;
-    remaining_ = 0;
-  }
-
-  // sim::Component
+  /// RST: also ends a reload. Taps it already wrote stay; the delay
+  /// line clears on the next start_op anyway.
+  void abort_op() override;
+  /// While loading: one tap per cycle from the configuration FIFO.
   void tick_compute() override;
+  /// While loading: quiescent until the configuration FIFO holds a tap.
+  [[nodiscard]] bool is_quiescent() const override;
   void state(snap::Fields& f) override;
-  /// Quiescent while idle or blocked on the phase's FIFOs.
-  [[nodiscard]] bool is_quiescent() const override {
-    switch (phase_) {
-      case Phase::kIdle:
-        return true;
-      case Phase::kLoadTaps:
-        return cfg_in_->empty();
-      case Phase::kStream:
-        return data_in_->empty() || out_->full();
-    }
-    return false;
-  }
 
-  [[nodiscard]] u32 block_len() const { return block_len_; }
   [[nodiscard]] u64 reconfig_count() const { return reconfigs_; }
 
   [[nodiscard]] res::ResourceNode resource_tree() const override;
 
  private:
-  enum class Phase { kIdle, kLoadTaps, kStream };
-
-  [[nodiscard]] i32 step(i32 x);
+  [[nodiscard]] u32 step(const Tokens& in) override;
+  /// Clears the delay line; may start a reload.
+  void on_start() override;
 
   u32 taps_n_;
-  u32 block_len_;
-  std::vector<i32> taps_;
-  std::vector<i32> delay_;
-
-  fifo::WidthFifo* data_in_ = nullptr;
-  fifo::WidthFifo* cfg_in_ = nullptr;
-  fifo::WidthFifo* out_ = nullptr;
-
-  Phase phase_ = Phase::kIdle;
-  bool busy_ = false;
+  /// The taps_n coefficients, then the taps_n-entry delay line.
+  std::vector<i32> taps_and_delay_;
+  bool loading_ = false;  ///< busy, loading taps before the stream
   u32 taps_loaded_ = 0;
-  u32 remaining_ = 0;
-  u64 completed_ = 0;
   u64 reconfigs_ = 0;
 };
 

@@ -4,90 +4,39 @@
 
 namespace ouessant::rac {
 
-FirRac::FirRac(sim::Kernel& kernel, std::string name,
-               std::vector<i32> taps_q16, u32 block_len)
-    : core::Rac(kernel, std::move(name)),
-      taps_(std::move(taps_q16)),
-      block_len_(block_len) {
-  if (taps_.empty()) {
-    throw ConfigError("FirRac " + this->name() + ": needs at least one tap");
-  }
-  if (block_len_ == 0) {
-    throw ConfigError("FirRac " + this->name() + ": zero block length");
-  }
-  delay_.assign(taps_.size(), 0);
-}
-
-std::vector<core::Rac::FifoSpec> FirRac::input_specs() const {
-  return {{.rac_width = 32, .capacity_bits = std::max<u32>(block_len_, 64) * 32}};
-}
-
-std::vector<core::Rac::FifoSpec> FirRac::output_specs() const {
-  return {{.rac_width = 32, .capacity_bits = std::max<u32>(block_len_, 64) * 32}};
-}
-
-void FirRac::bind(std::vector<fifo::WidthFifo*> in,
-                  std::vector<fifo::WidthFifo*> out) {
-  if (in.size() != 1 || out.size() != 1) {
-    throw ConfigError("FirRac " + name() + ": expects 1 in / 1 out FIFO");
-  }
-  in_ = in[0];
-  out_ = out[0];
-  in_->add_waiter(*this);
-  out_->add_waiter(*this);
-}
-
-void FirRac::start() {
-  if (in_ == nullptr) throw SimError("FirRac " + name() + ": start before bind");
-  if (busy_) throw SimError("FirRac " + name() + ": start_op while busy");
-  busy_ = true;
-  note_start_op();
-  remaining_ = block_len_;
-  std::fill(delay_.begin(), delay_.end(), 0);
-  wake();
-}
-
-i32 FirRac::step(i32 x) {
-  // Shift in the new sample.
-  for (std::size_t k = delay_.size() - 1; k > 0; --k) delay_[k] = delay_[k - 1];
-  delay_[0] = x;
-  // Transversal MAC with a single rounding at the end (wide accumulator,
-  // as the DSP cascade would do).
+i32 fir_step(std::span<const i32> taps_q16, std::span<i32> delay, i32 x) {
+  for (std::size_t k = delay.size() - 1; k > 0; --k) delay[k] = delay[k - 1];
+  delay[0] = x;
   i64 acc = 0;
-  for (std::size_t k = 0; k < taps_.size(); ++k) {
-    acc += static_cast<i64>(taps_[k]) * delay_[k];
+  for (std::size_t k = 0; k < taps_q16.size(); ++k) {
+    acc += static_cast<i64>(taps_q16[k]) * delay[k];
   }
   acc += i64{1} << 15;
   return static_cast<i32>(util::saturate(acc >> 16, 32));
 }
 
-void FirRac::tick_compute() {
-  if (!busy_) return;
-  // One sample per cycle when both FIFOs are willing.
-  if (remaining_ > 0 && !in_->empty() && !out_->full()) {
-    const i32 x = util::from_word(static_cast<u32>(in_->read()));
-    out_->write(static_cast<u32>(util::to_word(step(x))));
-    --remaining_;
-    if (remaining_ == 0) {
-      busy_ = false;  // end_op
-      ++completed_;
-      notify_end_op();
-    }
+FirRac::FirRac(sim::Kernel& kernel, std::string name,
+               std::vector<i32> taps_q16, u32 block_len)
+    : StreamRac(kernel, std::move(name), block_len, 1),
+      taps_(std::move(taps_q16)) {
+  if (taps_.empty()) {
+    throw ConfigError("FirRac " + this->name() + ": needs at least one tap");
   }
+  delay_.assign(taps_.size(), 0);
+}
+
+void FirRac::on_start() { std::fill(delay_.begin(), delay_.end(), 0); }
+
+u32 FirRac::step(const Tokens& in) {
+  return util::to_word(fir_step(taps_, delay_, util::from_word(in[0])));
 }
 
 std::vector<i32> FirRac::filter_reference(const std::vector<i32>& taps_q16,
                                           const std::vector<i32>& x) {
+  std::vector<i32> delay(taps_q16.size(), 0);
   std::vector<i32> y;
   y.reserve(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    i64 acc = 0;
-    for (std::size_t k = 0; k < taps_q16.size(); ++k) {
-      if (i >= k) acc += static_cast<i64>(taps_q16[k]) * x[i - k];
-    }
-    acc += i64{1} << 15;
-    y.push_back(static_cast<i32>(util::saturate(acc >> 16, 32)));
-  }
+  for (const i32 v : x) y.push_back(fir_step(taps_q16, delay, v));
   return y;
 }
 

@@ -11,45 +11,28 @@
 // y[i] = sum_k h[k] * x[i-k] with x[<0] = 0 (state clears on start_op).
 #pragma once
 
-#include "ouessant/rac_if.hpp"
+#include <span>
+
+#include "rac/stream_rac.hpp"
 #include "util/fixed.hpp"
 
 namespace ouessant::rac {
 
-class FirRac : public core::Rac {
+/// One transversal-filter step: shift @p x into @p delay (delay[0] the
+/// newest sample, one entry per tap) and return the Q16.16 MAC over
+/// @p taps_q16, accumulated wide and rounded once at the end, as the DSP
+/// cascade would do.
+[[nodiscard]] i32 fir_step(std::span<const i32> taps_q16, std::span<i32> delay,
+                           i32 x);
+
+class FirRac : public StreamRac {
  public:
   /// @p taps_q16: impulse response in Q16.16. @p block_len samples per
   /// operation.
   FirRac(sim::Kernel& kernel, std::string name, std::vector<i32> taps_q16,
          u32 block_len);
 
-  // core::Rac
-  [[nodiscard]] std::vector<FifoSpec> input_specs() const override;
-  [[nodiscard]] std::vector<FifoSpec> output_specs() const override;
-  void bind(std::vector<fifo::WidthFifo*> in,
-            std::vector<fifo::WidthFifo*> out) override;
-  void start() override;
-  [[nodiscard]] bool busy() const override { return busy_; }
-  [[nodiscard]] u64 completed_ops() const override { return completed_; }
-  /// RST / slot preemption: drop the in-flight block and return to idle
-  /// (the delay line clears on the next start_op anyway).
-  void abort_op() override {
-    core::Rac::abort_op();
-    busy_ = false;
-    remaining_ = 0;
-  }
-
-  // sim::Component
-  void tick_compute() override;
   void state(snap::Fields& f) override;
-  /// Quiescent while idle or FIFO-blocked (all wait ticks are no-ops);
-  /// start() and the bound FIFOs' commit edges wake the datapath.
-  [[nodiscard]] bool is_quiescent() const override {
-    if (!busy_) return true;
-    return in_->empty() || out_->full();
-  }
-
-  [[nodiscard]] u32 block_len() const { return block_len_; }
 
   /// Reference output for a block (used by tests/examples): identical to
   /// the datapath arithmetic.
@@ -59,17 +42,12 @@ class FirRac : public core::Rac {
   [[nodiscard]] res::ResourceNode resource_tree() const override;
 
  private:
-  [[nodiscard]] i32 step(i32 x);
+  [[nodiscard]] u32 step(const Tokens& in) override;
+  /// The delay line clears on every start_op.
+  void on_start() override;
 
   std::vector<i32> taps_;
-  u32 block_len_;
-  fifo::WidthFifo* in_ = nullptr;
-  fifo::WidthFifo* out_ = nullptr;
-
-  bool busy_ = false;
-  u32 remaining_ = 0;
-  std::vector<i32> delay_;  // delay line, delay_[0] = newest
-  u64 completed_ = 0;
+  std::vector<i32> delay_;
 };
 
 }  // namespace ouessant::rac

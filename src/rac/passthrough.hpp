@@ -36,7 +36,6 @@ class ScaleRac : public BlockRac {
            u32 compute_cycles = 2);
 
   [[nodiscard]] res::ResourceNode resource_tree() const override;
-  [[nodiscard]] i32 gain_q16() const { return gain_q16_; }
 
  protected:
   [[nodiscard]] std::vector<u64> compute(const std::vector<u64>& in) override;

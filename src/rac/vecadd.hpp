@@ -12,52 +12,21 @@
 //     eop
 #pragma once
 
-#include "ouessant/rac_if.hpp"
-#include "util/fixed.hpp"
+#include "rac/stream_rac.hpp"
 
 namespace ouessant::rac {
 
-class VecAddRac : public core::Rac {
+class VecAddRac : public StreamRac {
  public:
-  VecAddRac(sim::Kernel& kernel, std::string name, u32 block_len);
+  VecAddRac(sim::Kernel& kernel, std::string name, u32 block_len)
+      : StreamRac(kernel, std::move(name), block_len, 2) {}
 
-  // core::Rac
-  [[nodiscard]] std::vector<FifoSpec> input_specs() const override;
-  [[nodiscard]] std::vector<FifoSpec> output_specs() const override;
-  void bind(std::vector<fifo::WidthFifo*> in,
-            std::vector<fifo::WidthFifo*> out) override;
-  void start() override;
-  [[nodiscard]] bool busy() const override { return busy_; }
-  [[nodiscard]] u64 completed_ops() const override { return completed_; }
-  /// RST: drop the in-flight vector (elements already summed are lost
-  /// with the flushed FIFOs) and return to idle.
-  void abort_op() override {
-    core::Rac::abort_op();
-    busy_ = false;
-    remaining_ = 0;
-  }
-
-  // sim::Component
-  void tick_compute() override;
   void state(snap::Fields& f) override;
-  /// Quiescent while idle or blocked on any of the three FIFOs.
-  [[nodiscard]] bool is_quiescent() const override {
-    if (!busy_) return true;
-    return a_->empty() || b_->empty() || out_->full();
-  }
-
-  [[nodiscard]] u32 block_len() const { return block_len_; }
 
   [[nodiscard]] res::ResourceNode resource_tree() const override;
 
  private:
-  u32 block_len_;
-  fifo::WidthFifo* a_ = nullptr;
-  fifo::WidthFifo* b_ = nullptr;
-  fifo::WidthFifo* out_ = nullptr;
-  bool busy_ = false;
-  u32 remaining_ = 0;
-  u64 completed_ = 0;
+  [[nodiscard]] u32 step(const Tokens& in) override;
 };
 
 }  // namespace ouessant::rac

@@ -29,13 +29,6 @@ void fixed_idct8x8(const i32 in[64], i32 out[64]);
 /// can share it bit-for-bit.
 const std::array<std::array<i32, 8>, 8>& idct_basis_q14();
 
-/// Number of butterfly operations the 1-D even/odd pass performs — used by
-/// the software cost model (charged per multiply/add actually executed).
-struct Idct1dOpCount {
-  u32 muls = 32;
-  u32 adds = 32;
-};
-
 /// Fixed-point iterative radix-2 DIT FFT over Q(kFftFrac) samples.
 ///
 /// re/im are Q(kFftFrac) fixed-point values in i32. Every stage scales by

@@ -185,12 +185,6 @@ TEST(SwKernels, DftSoftfloatCostInPapersBand) {
   EXPECT_LE(c, 750'000u);
 }
 
-TEST(SwKernels, FixedDftIsMuchCheaperThanSoftfloat) {
-  const cpu::CpuCosts costs;
-  EXPECT_LT(cpu::sw::cost_dft_fixed(costs, 256) * 5,
-            cpu::sw::cost_dft_softfloat(costs, 256));
-}
-
 TEST(SwKernels, IdctComputesCorrectValues) {
   platform::Soc soc;
   util::Rng rng(9);

@@ -207,6 +207,21 @@ TEST(Assembler, RejectsBadOperandCounts) {
   EXPECT_THROW(core::assemble("mvtc BANK9,0,DMA64,FIFO0\neop\n"),
                core::AsmError);
   EXPECT_THROW(core::assemble("a:\na: nop\neop\n"), core::AsmError);
+  // Numbers past their field, or in a form strtoul misread, are refused
+  // rather than truncated, and a huge one is an AsmError too.
+  for (const char* bad : {
+           "mvtc BANK258,0,DMA64,FIFO0\neop\n",
+           "mvtc BANK1,4294967296,DMA64,FIFO0\neop\n",
+           "mvtc BANK1,0,DMA64,FIFO256\neop\n",
+           "mvtc BANK1,0,DMA4294967360,FIFO0\neop\n",
+           "loop 0,4294967297\neop\n",
+           "mvtc BANK1,12345678901234567890123,DMA64,FIFO0\neop\n",
+           "mvtc BANK1,010,DMA64,FIFO0\neop\n",
+           "mvtc BANK1,+16,DMA64,FIFO0\neop\n",
+           "mvtc BANK1,0x,DMA64,FIFO0\neop\n",
+       }) {
+    EXPECT_THROW(core::assemble(bad), core::AsmError) << bad;
+  }
 }
 
 TEST(Assembler, DisassembleRoundTrip) {

@@ -102,6 +102,25 @@ TEST(L3Asm, Errors) {
   EXPECT_THROW(l3::assemble("beq r1, r2, nowhere\n"), l3::AsmError);
   EXPECT_THROW(l3::assemble("add r99, r0, r0\n"), l3::AsmError);
   EXPECT_THROW(l3::assemble("x: nop\nx: nop\n"), l3::AsmError);
+  // Numbers past their field, or in a form strtoll misread, are refused
+  // rather than truncated, and a huge one is an AsmError too.
+  for (const char* bad : {
+           "addi r1, r0, 4294967297\n",
+           ".word 4294967297\n",
+           "lw r1, 4294967300(r2)\n",
+           "lui r1, 4294967296\n",
+           "add r99999999999999999999999, r0, r0\n",
+           "addi r1, r0, 12345678901234567890123\n",
+           "addi r1, r0, 010\n",
+           "addi r1, r0, +5\n",
+           "li r1, -2147483649\n",
+       }) {
+    EXPECT_THROW(l3::assemble(bad), l3::AsmError) << bad;
+  }
+  // A word operand takes any 32-bit value, unsigned or negative.
+  EXPECT_EQ(l3::assemble(".word 4294967295\n.word -1\n").words,
+            (std::vector<u32>{0xFFFF'FFFFu, 0xFFFF'FFFFu}));
+  EXPECT_NO_THROW(l3::assemble("addi r1, r0, -8192\nli r2, -16384\n"));
 }
 
 TEST(L3Asm, DisassembleRenders) {

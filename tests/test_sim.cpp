@@ -1,4 +1,4 @@
-// Unit tests for the simulation kernel, wires, stats, and VCD tracing.
+// Unit tests for the simulation kernel, stats, and VCD tracing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,7 +7,6 @@
 
 #include "obs/gauges.hpp"
 #include "sim/kernel.hpp"
-#include "sim/wire.hpp"
 
 namespace ouessant {
 namespace {
@@ -131,30 +130,6 @@ TEST(Stats, CountersAccumulate) {
   EXPECT_NE(rep.find("beats = 4"), std::string::npos);
   s.clear();
   EXPECT_FALSE(s.has("beats"));
-}
-
-TEST(Wire, RegisteredSemantics) {
-  sim::Wire<int> w(5);
-  EXPECT_EQ(w.get(), 5);
-  w.set(9);
-  EXPECT_EQ(w.get(), 5);       // not visible before commit
-  EXPECT_EQ(w.pending(), 9);
-  w.commit();
-  EXPECT_EQ(w.get(), 9);
-  w.reset(0);
-  EXPECT_EQ(w.get(), 0);
-  w.commit();
-  EXPECT_EQ(w.get(), 0);
-}
-
-TEST(Wire, PulseLastsOneCycle) {
-  sim::Pulse p;
-  EXPECT_FALSE(p.get());
-  p.set();
-  p.commit();
-  EXPECT_TRUE(p.get());
-  p.commit();
-  EXPECT_FALSE(p.get());
 }
 
 TEST(Trace, WritesValidVcd) {

@@ -37,7 +37,9 @@
 //      cache, ICAP, both chain modes, injector, flight ring) frozen mid
 //      store-and-forward head — keep their size and every section's
 //      CRC-32, so a field list that drifts from the wire format fails
-//      here naming the section.
+//      here naming the section. The three streaming RACs' sections are
+//      pinned the same way, frozen inside a tap load and mid-block, and
+//      each frozen stack restores and finishes bit-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,14 +67,18 @@
 #include "ouessant/codegen.hpp"
 #include "ouessant/dpr.hpp"
 #include "platform/soc.hpp"
+#include "rac/configurable_fir.hpp"
+#include "rac/fir.hpp"
 #include "rac/idct.hpp"
 #include "rac/passthrough.hpp"
+#include "rac/vecadd.hpp"
 #include "scenarios.hpp"
 #include "sim/kernel.hpp"
 #include "snap/snapshot.hpp"
 #include "snap/state.hpp"
 #include "svc/job.hpp"
 #include "svc/service.hpp"
+#include "util/fixed.hpp"
 #include "util/rng.hpp"
 
 namespace ouessant {
@@ -1994,6 +2000,137 @@ TEST(SnapshotImage, EveryWorkerKindMidRunIsPinned) {
   }
   ASSERT_FALSE(service.finished());
   expect_pinned(service.snapshot(), 116'827, kSections);
+}
+
+/// A bare SoC with the three streaming RACs, one OCP each: a 16-tap
+/// configurable FIR that reloads its taps from FIFO 1 before filtering,
+/// a vector adder whose operands arrive in two bursts, and a 4-tap FIR
+/// whose samples do. The adder and the FIR start after their first
+/// burst; each tail waits out a NOP loop, so both stall mid-block.
+struct StreamingStack {
+  static constexpr u32 kN = 64;
+  static constexpr u32 kTaps = 16;
+
+  platform::Soc soc;
+  rac::ConfigurableFirRac cfir{soc.kernel(), "cfir", kTaps, kN};
+  rac::VecAddRac vadd{soc.kernel(), "vadd", kN};
+  rac::FirRac fir{soc.kernel(), "fir",
+                  {1 << 16, -(1 << 15), 1 << 14, 3 << 12}, kN};
+  std::array<drv::OcpSession, 3> sessions{
+      session(soc.add_ocp(cfir), 0), session(soc.add_ocp(vadd), 1),
+      session(soc.add_ocp(fir), 2)};
+
+  drv::OcpSession session(core::Ocp& ocp, u32 i) {
+    const Addr base = 0x4000'0000 + i * 0x0010'0000;
+    return {soc.cpu(), soc.sram(), ocp,
+            {.prog_base = base,
+             .in_base = base + 0x1'0000,
+             .out_base = base + 0x2'0000,
+             .in_words = kN,
+             .out_words = kN}};
+  }
+  /// Bank 3 of OCP @p i: the coefficient set, or operand B.
+  static Addr bank3(u32 i) { return 0x4003'0000 + i * 0x0010'0000; }
+
+  /// Install the three programs, stage the data and start every OCP.
+  void launch() {
+    core::Program cfir_p;
+    cfir_p.mvtc(3, 0, kTaps, 1).mvtc(1, 0, kN, 0).exec();
+    cfir_p.mvfc(2, 0, kN, 0).eop();
+    core::Program vadd_p;
+    vadd_p.mvtc(1, 0, 8, 0).mvtc(3, 0, 4, 1).execs().nop().loop(3, 30);
+    vadd_p.mvtc(1, 8, kN - 8, 0).mvtc(3, 4, kN - 4, 1);
+    vadd_p.mvfc(2, 0, kN, 0).eop();
+    core::Program fir_p;
+    fir_p.mvtc(1, 0, 8, 0).execs().nop().loop(2, 30);
+    fir_p.mvtc(1, 8, kN - 8, 0).mvfc(2, 0, kN, 0).eop();
+    const core::Program* programs[] = {&cfir_p, &vadd_p, &fir_p};
+    util::Rng rng(31);
+    for (u32 i = 0; i < 3; ++i) {
+      sessions[i].install(*programs[i]);
+      sessions[i].driver().set_bank(3, bank3(i));
+      std::vector<u32> in(kN);
+      for (u32& w : in) w = util::to_word(rng.range(-(3 << 16), 3 << 16));
+      sessions[i].put_input(in);
+      std::vector<u32> b3(i == 0 ? kTaps : kN);
+      for (u32& w : b3) w = util::to_word(rng.range(-(1 << 15), 1 << 15));
+      soc.sram().load(bank3(i), b3);
+    }
+    for (drv::OcpSession& s : sessions) s.start_async();
+  }
+
+  /// Poll every OCP to completion; their outputs, in OCP order.
+  std::vector<u32> finish() {
+    std::vector<u32> out;
+    for (drv::OcpSession& s : sessions) {
+      s.driver().wait_done_poll();
+      const std::vector<u32> o = s.get_output();
+      out.insert(out.end(), o.begin(), o.end());
+    }
+    return out;
+  }
+};
+
+/// The RAC sections of @p image, alone, as an image of their own.
+Snapshot rac_sections(const Snapshot& image) {
+  Snapshot racs;
+  for (const snap::Section& sec : image.sections()) {
+    if (sec.name == "c:cfir" || sec.name == "c:vadd" || sec.name == "c:fir") {
+      racs.add(sec.name, sec.version, sec.bytes);
+    }
+  }
+  return racs;
+}
+
+TEST(SnapshotImage, StreamingRacsMidBlockArePinned) {
+  // Freeze 1 lands inside the configurable FIR's tap load. Freeze 2
+  // lands inside the streamed block: the configurable FIR streams while
+  // the adder waits for operand B and the FIR for samples. Each freeze
+  // pins the three RAC sections; a fresh stack restored from the image
+  // then finishes as the run that never stopped.
+  struct Freeze {
+    Cycle cycle;
+    std::size_t bytes;
+    PinnedSection pinned[3];
+  };
+  static constexpr Freeze kFreezes[] = {
+      {260, 505,
+       {{"c:cfir", 0xc81a3ed3}, {"c:vadd", 0x9f14db78}, {"c:fir", 0x1f0204cb}}},
+      {305, 605,
+       {{"c:cfir", 0x333a763f}, {"c:vadd", 0x2f07a087}, {"c:fir", 0xcea75df5}}},
+  };
+  for (const Freeze& f : kFreezes) {
+    SCOPED_TRACE(f.cycle);
+    StreamingStack a;
+    a.launch();
+    ASSERT_LT(a.soc.kernel().now(), f.cycle);
+    a.soc.kernel().run(f.cycle - a.soc.kernel().now());
+    const auto level = [&a](u32 ocp, u32 fifo) {
+      return a.soc.ocp(ocp).input_fifos()[fifo]->level_bits();
+    };
+    const u32 cfir_out = a.soc.ocp(0).output_fifos()[0]->level_bits();
+    ASSERT_TRUE(a.cfir.busy());
+    if (&f == &kFreezes[0]) {  // taps partly loaded, no sample filtered
+      EXPECT_GT(level(0, 1), 0u);
+      EXPECT_LT(level(0, 1), StreamingStack::kTaps * 32);
+      EXPECT_EQ(cfir_out, 0u);
+    } else {  // mid-stream; the adder and the FIR starved mid-block
+      EXPECT_EQ(level(0, 1), 0u);
+      EXPECT_GT(cfir_out, 0u);
+      ASSERT_TRUE(a.vadd.busy() && a.fir.busy());
+      EXPECT_EQ(level(1, 1), 0u);
+      EXPECT_EQ(level(2, 0), 0u);
+    }
+    const Snapshot image = Snapshot::deserialize(a.soc.snapshot().serialize());
+    expect_pinned(rac_sections(image), f.bytes, f.pinned);
+
+    const std::vector<u32> out_a = a.finish();
+    StreamingStack b;
+    b.soc.restore(image);
+    EXPECT_EQ(b.finish(), out_a);
+    EXPECT_EQ(b.soc.kernel().now(), a.soc.kernel().now());
+    EXPECT_EQ(b.soc.kernel().stats().all(), a.soc.kernel().stats().all());
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <complex>
 
 #include "util/fixed.hpp"
+#include "util/parse.hpp"
 #include "util/reference.hpp"
 #include "util/rng.hpp"
 #include "util/transforms.hpp"
@@ -96,6 +97,25 @@ TEST(Fixed, Pack16) {
 TEST(Fixed, WordConversion) {
   EXPECT_EQ(util::from_word(util::to_word(-123456)), -123456);
   EXPECT_EQ(util::to_word(-1), 0xFFFFFFFFu);
+}
+
+// ---------------------------------------------------------------- parse --
+
+TEST(Parse, BoundedReaderRefusesWhatStrtoulMisread) {
+  EXPECT_EQ(util::read_uint("0", 9), 0u);
+  EXPECT_EQ(util::read_uint("0x0C9A5EED", UINT64_MAX), 0x0C9A'5EEDu);
+  EXPECT_EQ(util::read_uint("18446744073709551615", UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(util::read_uint("255", 255), 255u);
+  for (const char* bad : {"", "256", "-1", "+5", " 5", "5 ", "010", "0x",
+                          "0x-1", "1e3", "18446744073709551616"}) {
+    EXPECT_FALSE(util::read_uint(bad, 255)) << bad;
+  }
+  EXPECT_EQ(util::read_int("-8192", -8192, 8191), -8192);
+  EXPECT_EQ(util::read_int("-0x10", -100, 100), -16);
+  EXPECT_EQ(util::read_int("-9223372036854775808", INT64_MIN, 0), INT64_MIN);
+  EXPECT_FALSE(util::read_int("-8193", -8192, 8191));
+  EXPECT_FALSE(util::read_int("-1", 0, 10));  // no sign on an unsigned field
+  EXPECT_FALSE(util::read_int("--1", -10, 10));
 }
 
 // ------------------------------------------------------------------ rng --
