@@ -6,9 +6,12 @@
 // OCPs. Reported: FPGA area of both options (e7_dpr_area) and end-to-end
 // time for workloads that alternate between the two kernels at different
 // batch granularities (e7_dpr — reconfiguration cost amortizes with batch
-// size).
+// size). The slot swaps through a free-mode configuration port
+// (dpr::IcapPort), which counts bitstream bytes / ICAP rate plus the
+// fixed overhead and commits the swap on completion.
 #include "scenarios.hpp"
 
+#include "dpr/icap.hpp"
 #include "drv/session.hpp"
 #include "obs/collect.hpp"
 #include "ouessant/codegen.hpp"
@@ -42,6 +45,9 @@ u64 run_dpr(u32 batches, u32 batch_len, u32* swaps_out) {
                          q.from_double(0.5), 18);
   core::ReconfigSlot slot(soc.kernel(), "slot", {&kernel_a, &kernel_b});
   core::Ocp& ocp = soc.add_ocp(slot);
+  dpr::IcapPort icap(soc.kernel(), "icap", soc.bus(),
+                     {.mode = dpr::IcapMode::kFree});
+  icap.set_done_callback([&slot](u32) { slot.finish_swap(); });
   drv::OcpSession session(soc.cpu(), soc.sram(), ocp,
                           {.prog_base = kProg, .in_base = kIn,
                            .out_base = kOut, .in_words = kWords,
@@ -54,8 +60,11 @@ u64 run_dpr(u32 batches, u32 batch_len, u32* swaps_out) {
   const Cycle t0 = soc.kernel().now();
   for (u32 b = 0; b < batches; ++b) {
     const std::size_t want = b % 2;
-    if (slot.active_index() != want) {
-      slot.request_swap(want);
+    if (slot.begin_swap(want)) {
+      const core::Rac& next = slot.candidate(want);
+      icap.start_load(0, core::ReconfigSlot::bitstream_bytes_for(
+                             next.resource_tree().total()),
+                      /*from_cache=*/false, 0, next.name());
       soc.kernel().run_until([&] { return !slot.reconfiguring(); });
     }
     for (u32 i = 0; i < batch_len; ++i) {

@@ -27,6 +27,12 @@
 // must close, and tracing may cost at most 2x the bare run's thread CPU
 // time plus 0.25 s. Under --trace-events the traced run's trace and
 // metrics files are kept for ouessant_trace.
+//
+// svc_soak is the service soak guard: four shards, each a 4-OCP stack
+// serving 2,500 closed-loop jobs from 16 clients at seed + shard. On the
+// TSan sweep's worker threads any mutable state shared between
+// "isolated" services shows up as a race; in every build a shard that
+// loses or rejects a job fails.
 #include "scenarios.hpp"
 
 #include <algorithm>
@@ -131,6 +137,32 @@ void run_mixed(const exp::ParamMap& params, const exp::RunContext& ctx,
               svc::JobKind::kJpegBlock};
   wl.high_fraction = 0.25;
   serve(std::move(cfg), wl, ctx, result);
+}
+
+void run_soak(const exp::ParamMap& params, const exp::RunContext& ctx,
+              exp::Result& result) {
+  svc::ServiceConfig cfg;
+  cfg.ocps = {svc::OcpSpec{.kind = svc::JobKind::kIdct, .max_batch = 4},
+              svc::OcpSpec{.kind = svc::JobKind::kDft, .max_batch = 2},
+              svc::OcpSpec{.kind = svc::JobKind::kFir, .max_batch = 2},
+              svc::OcpSpec{.kind = svc::JobKind::kJpegBlock, .max_batch = 2}};
+  cfg.queue_depth = 128;
+  svc::OffloadService service(std::move(cfg));
+  svc::WorkloadConfig wl;
+  wl.mode = svc::LoadMode::kClosedLoop;
+  wl.jobs = 2500;
+  wl.clients = 16;
+  wl.kinds = {svc::JobKind::kIdct, svc::JobKind::kDft, svc::JobKind::kFir,
+              svc::JobKind::kJpegBlock};
+  wl.high_fraction = 0.25;
+  exp::RunContext shard = ctx;
+  shard.seed += params.get_u32("shard");
+  const svc::ServiceReport rep = serve_point(service, wl, shard, result);
+  if (rep.completed != rep.jobs || rep.rejected != 0) {
+    result.fail("lost work: completed " + std::to_string(rep.completed) +
+                ", rejected " + std::to_string(rep.rejected) + " of " +
+                std::to_string(rep.jobs));
+  }
 }
 
 /// One trace_passivity side: what must match, and what it cost.
@@ -263,6 +295,15 @@ void register_serve(exp::Registry& r) {
       .deterministic = false,  // host CPU-time metrics
       .default_seed = svc::kDefaultServiceSeed,
       .run = run_trace_passivity,
+  });
+  r.add(exp::ScenarioSpec{
+      .name = "svc_soak",
+      .experiment = "guard",
+      .title = "4-OCP service shards, 2,500 closed-loop jobs each: no job "
+               "lost or rejected",
+      .grid = {{.name = "shard", .values = {0, 1, 2, 3}}},
+      .default_seed = svc::kDefaultServiceSeed,
+      .run = run_soak,
   });
 }
 

@@ -8,11 +8,14 @@
 //   ouasm demo             print the paper's Fig. 4 program
 //   ouasm rtl <core>       emit the VHDL shell + OCP wrapper for a preset
 //                          core (idct | dft256 | fir16 | cfir | pass48)
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "ouessant/assembler.hpp"
 #include "ouessant/codegen.hpp"
@@ -22,6 +25,7 @@
 #include "rac/fir.hpp"
 #include "rac/idct.hpp"
 #include "rac/passthrough.hpp"
+#include "util/parse.hpp"
 
 using namespace ouessant;
 
@@ -37,12 +41,30 @@ std::string read_file(const char* path) {
   return ss.str();
 }
 
+/// A `dis` input that is not the word list `ouasm asm` prints.
+struct BadHexWord : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The word list `ouasm asm` prints: whitespace-separated bare hex words
+/// of 1-8 digits. BadHexWord names the first other token and its line.
 std::vector<u32> parse_hex_words(const std::string& text) {
   std::vector<u32> words;
-  std::istringstream in(text);
-  std::string tok;
-  while (in >> tok) {
-    words.push_back(static_cast<u32>(std::stoul(tok, nullptr, 16)));
+  std::istringstream lines(text);
+  std::string line;
+  for (int number = 1; std::getline(lines, line); ++number) {
+    std::istringstream in(line);
+    std::string tok;
+    while (in >> tok) {
+      const std::optional<u64> w =
+          tok.size() <= 8 ? util::read_uint("0x" + tok, UINT32_MAX)
+                          : std::nullopt;
+      if (!w) {
+        throw BadHexWord("line " + std::to_string(number) + ": '" + tok +
+                         "' is not a hex word of 1-8 digits");
+      }
+      words.push_back(static_cast<u32>(*w));
+    }
   }
   return words;
 }
@@ -120,6 +142,9 @@ int main(int argc, char** argv) {
       std::printf("FAIL:\n%s", result.to_string().c_str());
       return 1;
     }
+    return usage();
+  } catch (const BadHexWord& e) {
+    std::fprintf(stderr, "ouasm: %s\n", e.what());
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ouasm: %s\n", e.what());

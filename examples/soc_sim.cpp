@@ -11,15 +11,18 @@
 //   soc_sim [--rac idct|dft256|fir16|pass] [--bus ahb|axi4|axilite]
 //           [--env baremetal|linux] [--burst N] [--loop] [--blocks N]
 //           [--trace out.vcd] [--resources] [--json out.json]
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "drv/linux_env.hpp"
 #include "exp/result.hpp"
 #include "obs/collect.hpp"
 #include "ouessant/codegen.hpp"
+#include "ouessant/isa.hpp"
 #include "platform/probes.hpp"
 #include "platform/soc.hpp"
 #include "rac/dft.hpp"
@@ -27,6 +30,7 @@
 #include "rac/idct.hpp"
 #include "rac/passthrough.hpp"
 #include "util/fixed.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 using namespace ouessant;
@@ -56,6 +60,16 @@ int usage() {
   return 2;
 }
 
+/// @p text as a count in 1..@p max; ConfigError naming @p flag otherwise.
+u32 count_arg(const std::string& flag, const char* text, u64 max) {
+  const std::optional<u64> v = util::read_uint(text, max);
+  if (!v || *v == 0) {
+    throw ConfigError(flag + " takes an integer in 1.." + std::to_string(max) +
+                      ", not '" + text + "'");
+  }
+  return static_cast<u32>(*v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -70,16 +84,16 @@ int main(int argc, char** argv) {
       if (arg == "--rac") opt.rac = next();
       else if (arg == "--bus") opt.bus = next();
       else if (arg == "--env") opt.env = next();
-      else if (arg == "--burst") opt.burst = static_cast<u32>(std::stoul(next()));
+      else if (arg == "--burst") opt.burst = count_arg(arg, next(), isa::kMaxBurst);
+      else if (arg == "--blocks") opt.blocks = count_arg(arg, next(), UINT32_MAX);
       else if (arg == "--loop") opt.use_loop = true;
-      else if (arg == "--blocks") opt.blocks = static_cast<u32>(std::stoul(next()));
       else if (arg == "--trace") opt.trace = next();
       else if (arg == "--resources") opt.resources = true;
       else if (arg == "--json") opt.json = next();
       else return usage();
     } catch (const std::exception& e) {
       std::fprintf(stderr, "soc_sim: %s\n", e.what());
-      return 2;
+      return usage();
     }
   }
 

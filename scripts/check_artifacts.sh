@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Artifact round-trip check (tier-1 stage 7 and CI's build-and-test job).
+# Artifact round-trip check (tier-1 stage 6 and CI's build-and-test job).
 #
 # Runs the passivity guards with their artifacts kept — trace_passivity
 # (one serve workload traced vs untraced), fleet_passivity (16

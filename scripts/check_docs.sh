@@ -7,7 +7,7 @@
 #      honest — adding a flag without documenting it fails tier-1);
 #   3. every repo path a doc references must exist — as-is, or as the
 #      <path>.cpp / <path>.hpp source of a same-named binary target
-#      (docs say `bench/svc_soak`, the file is bench/svc_soak.cpp);
+#      (docs say `bench/bench_dpr`, the file is bench/bench_dpr.cpp);
 #   4. every committed BENCH_*.json artifact must be named in
 #      EXPERIMENTS.md — a benchmark record nobody documents is a
 #      benchmark nobody can interpret or regenerate;

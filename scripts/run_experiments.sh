@@ -4,8 +4,8 @@
 # twice (--compare-jobs): once serially and once on a worker pool sized
 # to the host, verifying the two produce bit-identical payloads and
 # recording both wall clocks into BENCH_sweep.json. Every family's rows
-# (serve_*, dpr_*, chain_*) live there; `ouessant_bench --filter DPRF`
-# (or SVC, CHAIN) prints one family's table again.
+# (serve_*, dpr_*, chain_*, fleet_*) live there; `ouessant_bench
+# --filter DPRF` (or SVC, CHAIN, FLEET) prints one family's table again.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,19 +23,6 @@ JOBS="${JOBS:-$DEFAULT_JOBS}"
 ./build/bench/ouessant_bench --compare-jobs "$JOBS" \
   --json BENCH_sweep.json | tee build/experiment-logs/sweep.txt
 
-# The fleet record (docs/fleet.md): fleet_warmboot — >= 8 shards forked
-# from one snapshot per point, with the cold-boot vs per-shard-fork
-# wall-time comparison and the fixed-seed shard-replay check — plus
-# fleet_slo, the fault-armed fleet under full observability (SLO
-# burn-rate alerts, flight-recorder dumps, sketch-derived quantiles).
-# Host wall times make both non-deterministic, so the family gets its
-# own artifact instead of riding in the compare-jobs sweep. fleet_slo
-# also leaves build/experiment-logs/trace_fleet_slo_0.slo.json and the
-# per-shard *.flight.json dumps behind for `ouessant_trace slo` / `flight`.
-./build/bench/ouessant_bench --filter FLEET \
-  --trace-events build/experiment-logs/trace \
-  --json BENCH_fleet.json | tee build/experiment-logs/fleet.txt
-
 # The host-speed record (perfbench/README.md): one 30 s run of each
 # perfbench workload, its meta and result lines kept by workload.
 # run_tier1.sh holds fresh 2 s runs to half of each recorded sim_cps;
@@ -49,5 +36,4 @@ python3 scripts/bench_guards.py record BENCH_perf.json \
 
 echo
 echo "transcript in build/experiment-logs/sweep.txt, results in BENCH_sweep.json"
-echo "fleet warm-boot record in build/experiment-logs/fleet.txt, results in BENCH_fleet.json"
 echo "host-speed record in build/experiment-logs/perf_*.txt, results in BENCH_perf.json"

@@ -22,9 +22,11 @@
 #   5. TSan build running the full scenario sweep at --jobs $(nproc):
 #      every (scenario, grid point) job executes on a worker thread, so
 #      any mutable state shared between "isolated" simulations shows up
-#      as a data race here (the no-mutable-statics rule of DESIGN.md)
-#   6. the TSan svc soak (10k-job closed loop, 4 OCPs per shard)
-#   7. scripts/check_artifacts.sh: the passivity guards with their
+#      as a data race here (the no-mutable-statics rule of DESIGN.md);
+#      the svc_soak guard's four 4-OCP service shards (10k closed-loop
+#      jobs) run on those threads too, and any lost or rejected job
+#      fails the sweep
+#   6. scripts/check_artifacts.sh: the passivity guards with their
 #      artifacts kept (trace_passivity, fleet_passivity, fleet_slo) plus
 #      a serve_single_ocp run with --trace and --trace-events, a
 #      serve_faulty_hang image saved and warm-booted, and dpr_slots'
@@ -32,7 +34,7 @@
 #      written trace, metrics file, flight dump and SLO report
 #      round-trips through ouessant_trace, and every JSON artifact must
 #      pass python3 -m json.tool
-#   8. the host-speed benchmark: its self-test, then a 2-second run of
+#   7. the host-speed benchmark: its self-test, then a 2-second run of
 #      each workload (ocp_stream, serve_mix, fleet_fork), each checked
 #      against perfbench/golden.txt; scripts/bench_guards.py floor then
 #      holds every run's sim_cps to at least half the committed
@@ -75,13 +77,6 @@ cmake -B build-tsan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
 cmake --build build-tsan -j "$(nproc)" --target ouessant_bench
 ./build-tsan/bench/ouessant_bench --jobs "$(nproc)" > /dev/null
-
-echo "==== tier-1: TSan svc soak (10k-job closed loop, 4 OCPs/shard) ===="
-# One OffloadService per worker thread: races between supposedly
-# isolated service instances (shared mutable statics anywhere under
-# src/svc/) surface here, and any lost/rejected job fails the run.
-cmake --build build-tsan -j "$(nproc)" --target svc_soak
-./build-tsan/bench/svc_soak --jobs "$(nproc)" --total 10000
 
 echo "==== tier-1: passivity guards + artifact round-trips ===="
 scripts/check_artifacts.sh build

@@ -59,8 +59,8 @@ void IcapPort::start_load(Addr src, u32 bytes, bool from_cache, u32 token,
     state_ = State::kStream;
     wake();  // the next tick issues the first burst
   } else {
-    // Cache-fed (or free-mode) load: full ICAP rate, no bus traffic —
-    // the same bytes/rate countdown ReconfigSlot::swap_cycles charges.
+    // Cache-fed (or free-mode) load: full ICAP rate, no bus traffic, a
+    // bytes/rate countdown.
     state_ = State::kDirect;
     phase_end_ = kernel().now() + stream_cycles_for(bytes);
     wake_at(phase_end_);

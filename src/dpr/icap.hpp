@@ -1,21 +1,23 @@
-// IcapPort: the SoC's configuration port as a bus master.
+// IcapPort: the SoC's configuration port, the one module that times a
+// partial reconfiguration.
 //
-// The seed's ReconfigSlot models a *free* ICAP: request_swap() counts
-// bitstream_bytes / bytes_per_cycle cycles down inside the slot, as if
-// the configuration fabric had a private path to the bitstream. Real
-// SoCs do not have that luxury — on a Zynq-class part the PCAP/ICAP
-// fetches partial bitstreams out of main memory over the same
-// interconnect the accelerators stream their data through, so a swap
-// steals bus bandwidth from the OCPs (and is itself slowed by them).
+// A reconfigurable region (core::ReconfigSlot) only gates itself between
+// begin_swap() and finish_swap(); the port streams the bitstream and
+// calls its owner back on completion, where the owner commits the swap.
+// On a Zynq-class part the PCAP/ICAP fetches partial bitstreams out of
+// main memory over the same interconnect the accelerators stream their
+// data through, so a swap steals bus bandwidth from the OCPs (and is
+// itself slowed by them).
 //
-// IcapPort models exactly that: a sim::Component owning a BusMasterPort
-// (like the baseline DMA engine) that streams a bitstream image out of
-// SRAM in bursts, consuming words at ICAP width (bytes_per_cycle), then
-// pays the fixed decouple/flush/reset overhead, and finally invokes a
-// completion callback (the svc::SlotManager commits the slot swap
-// there). A `kFree` mode keeps the seed's free-port timing — the same
-// countdown the slot's request_swap() uses — so shared-vs-free is a
-// one-flag ablation (the dpr_icap scenario).
+// In kBusMaster mode the port models exactly that: a sim::Component
+// owning a BusMasterPort (like the baseline DMA engine) that streams a
+// bitstream image out of SRAM in bursts, consuming words at ICAP width
+// (bytes_per_cycle), then pays the fixed decouple/flush/reset overhead,
+// and finally invokes a completion callback. A `kFree` mode models a
+// port with a private path to the bitstream: a fixed-rate countdown of
+// bytes / bytes_per_cycle cycles, no bus traffic, then the same
+// overhead. E7 swaps its region through a free port, and the dpr_icap
+// scenario compares shared against free.
 //
 // Cache-fed loads (BitstreamCache hit) skip the bus entirely and stream
 // at full ICAP rate from the staging BRAM — the latency win the cache
@@ -27,18 +29,24 @@
 
 #include "bus/interconnect.hpp"
 #include "obs/tracer.hpp"
-#include "ouessant/dpr.hpp"
 #include "sim/kernel.hpp"
 
 namespace ouessant::dpr {
 
 enum class IcapMode : u8 {
   kBusMaster = 0,  ///< stream images out of SRAM over the shared bus
-  kFree,           ///< seed-style free port: fixed-rate countdown, no bus
+  kFree,           ///< private path: fixed-rate countdown, no bus
+};
+
+struct IcapConfig {
+  /// 7-series ICAP is 32 bits wide, one word per cycle.
+  u32 bytes_per_cycle = 4;
+  /// Extra cycles per swap: decouple logic, flush, reset sequence.
+  u32 swap_overhead_cycles = 64;
 };
 
 struct IcapPortConfig {
-  core::IcapConfig icap{};
+  IcapConfig icap{};
   IcapMode mode = IcapMode::kBusMaster;
   /// Words per bus read burst (chunking keeps grants bounded so data
   /// traffic interleaves with a long bitstream fetch).
@@ -69,7 +77,7 @@ class IcapPort : public sim::Component, public bus::BeatSink {
 
   [[nodiscard]] bool busy() const { return state_ != State::kIdle; }
   [[nodiscard]] IcapMode mode() const { return cfg_.mode; }
-  [[nodiscard]] const core::IcapConfig& icap() const { return cfg_.icap; }
+  [[nodiscard]] const IcapConfig& icap() const { return cfg_.icap; }
 
   // -- accounting (the obs::collect_icap ledger track reads these) ------
   [[nodiscard]] u64 loads() const { return loads_; }
@@ -88,8 +96,7 @@ class IcapPort : public sim::Component, public bus::BeatSink {
   [[nodiscard]] const bus::MasterStats& master_stats() const;
 
   /// Streaming cycles a @p bytes load takes at ICAP width (the countdown
-  /// used by cache-fed and free-mode loads; matches
-  /// ReconfigSlot::swap_cycles minus the overhead term).
+  /// of cache-fed and free-mode loads, before the overhead).
   [[nodiscard]] u32 stream_cycles_for(u32 bytes) const {
     return bytes / cfg_.icap.bytes_per_cycle;
   }

@@ -29,13 +29,12 @@ bool WidthFifo::full() const {
 }
 
 void WidthFifo::write(u64 value) {
-  if (wrote_this_cycle_) {
+  if (has_pending_write_) {
     throw SimError("WidthFifo " + name() + ": two writes in one cycle");
   }
   if (full()) {
     throw SimError("WidthFifo " + name() + ": write while full");
   }
-  wrote_this_cycle_ = true;
   has_pending_write_ = true;
   pending_write_ = value;
   wake();  // the commit phase must run this cycle
@@ -51,21 +50,17 @@ u64 WidthFifo::peek() const {
 }
 
 u64 WidthFifo::read() {
-  if (read_this_cycle_) {
+  if (pending_pop_) {
     throw SimError("WidthFifo " + name() + ": two reads in one cycle");
   }
   const u64 v = peek();  // checks empty
-  read_this_cycle_ = true;
   pending_pop_ = true;
   wake();  // the commit phase must run this cycle
   return v;
 }
 
 u32 WidthFifo::bulk_writable(u32 want) const {
-  if (wrote_this_cycle_ || read_this_cycle_ || has_pending_write_ ||
-      pending_pop_) {
-    return 0;
-  }
+  if (has_pending_write_ || pending_pop_) return 0;
   // Back-to-back writes succeed while the registered level never exceeds
   // capacity - wr_width at write time: level_ + n * wr_width <= capacity.
   const u32 space = cfg_.capacity_bits - level_;
@@ -73,10 +68,7 @@ u32 WidthFifo::bulk_writable(u32 want) const {
 }
 
 u32 WidthFifo::bulk_readable(u32 want) const {
-  if (wrote_this_cycle_ || read_this_cycle_ || has_pending_write_ ||
-      pending_pop_) {
-    return 0;
-  }
+  if (has_pending_write_ || pending_pop_) return 0;
   return std::min<u32>(want, level_ / cfg_.rd_width);
 }
 
@@ -116,8 +108,6 @@ void WidthFifo::notify_waiters() {
 void WidthFifo::flush() {
   storage_.clear();
   level_ = 0;
-  wrote_this_cycle_ = false;
-  read_this_cycle_ = false;
   has_pending_write_ = false;
   pending_pop_ = false;
   notify_waiters();  // flags may have changed under a gated observer
@@ -138,8 +128,6 @@ void WidthFifo::tick_commit() {
   }
   level_ = static_cast<u32>(storage_.size_bits());
   max_level_ = std::max(max_level_, level_);
-  wrote_this_cycle_ = false;
-  read_this_cycle_ = false;
   if (changed) notify_waiters();  // un-gate producers/consumers blocked
                                   // on the registered flags
 }
@@ -161,11 +149,21 @@ void WidthFifo::state(snap::Fields& f) {
   // level differs from its stored bits is refused.
   f.expect<u32>("level", storage_.size_bits());
   if (f.restoring()) level_ = static_cast<u32>(stored_bits);
-  f.field("wrote_this_cycle", wrote_this_cycle_);
-  f.field("read_this_cycle", read_this_cycle_);
+  // The wire still carries a per-cycle flag beside each pending access,
+  // which always equals it; an image whose pair disagrees is refused.
+  bool wrote = has_pending_write_;
+  bool read = pending_pop_;
+  f.field("wrote_this_cycle", wrote);
+  f.field("read_this_cycle", read);
   f.field("pending_write", pending_write_);
   f.field("has_pending_write", has_pending_write_);
   f.field("pending_pop", pending_pop_);
+  if (wrote != has_pending_write_) {
+    f.fail("'wrote_this_cycle' disagrees with 'has_pending_write'");
+  }
+  if (read != pending_pop_) {
+    f.fail("'read_this_cycle' disagrees with 'pending_pop'");
+  }
   f.field("writes", writes_);
   f.field("reads", reads_);
   f.field("max_level", max_level_);

@@ -92,8 +92,7 @@ class WidthFifo : public sim::Component, public res::ResourceAware {
   /// already-clear flags and recompute an unchanged level. write()/read()
   /// wake the FIFO for the cycle they occur in.
   [[nodiscard]] bool is_quiescent() const override {
-    return !wrote_this_cycle_ && !read_this_cycle_ && !has_pending_write_ &&
-           !pending_pop_;
+    return !has_pending_write_ && !pending_pop_;
   }
 
   // res::ResourceAware
@@ -104,8 +103,8 @@ class WidthFifo : public sim::Component, public res::ResourceAware {
   BitQueue storage_;
   u32 level_ = 0;  // registered level in bits
 
-  bool wrote_this_cycle_ = false;
-  bool read_this_cycle_ = false;
+  // This cycle's accesses, applied by tick_commit: at most one write
+  // (pending_write_) and one read, whose chunk read() already returned.
   u64 pending_write_ = 0;
   bool has_pending_write_ = false;
   bool pending_pop_ = false;

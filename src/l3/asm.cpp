@@ -261,10 +261,13 @@ Assembly assemble(const std::string& source, Addr base) {
         }
         out.words.push_back(encode(
             {.op = Op::kLui, .rd = rd, .imm = static_cast<i32>(value >> 14)}));
-        out.words.push_back(encode({.op = Op::kOri,
-                                    .rd = rd,
-                                    .rs1 = rd,
-                                    .imm = static_cast<i32>(value & 0x3FFF)}));
+        // ori zero-extends its 14 bits; encode takes them as a signed
+        // 14-bit immediate, so bits 13..0 go in sign-extended.
+        out.words.push_back(
+            encode({.op = Op::kOri,
+                    .rd = rd,
+                    .rs1 = rd,
+                    .imm = static_cast<i32>(value << 18) >> 18}));
       } else if (m == "mv") {
         expect(line, 2);
         out.words.push_back(encode({.op = Op::kAddi,

@@ -8,20 +8,13 @@
 // candidate must expose the same pin shape (FIFO count and RAC-side
 // width), and the region's FIFOs are sized to the capacity envelope (the
 // element-wise max over candidates), so every partial bitstream fits the
-// static pins. Swapping streams the new bitstream through the
-// configuration port; two flows exist:
+// static pins.
 //
-//   * request_swap(): the seed's free-ICAP countdown — the slot itself
-//     counts bitstream_bytes / icap_bytes_per_cycle cycles down with no
-//     bus traffic (e7_dpr's model, kept bit-identical).
-//   * begin_external_swap()/finish_external_swap(): the region only
-//     gates itself; an external configuration port (dpr::IcapPort)
-//     streams the bitstream over the shared bus and commits the swap on
-//     completion — reconfiguration that genuinely contends with OCP
-//     transfers.
-//
-// During reconfiguration the slot reports busy and start_op is a fault,
-// exactly like real DPR flows gate the region.
+// The region only gates itself: begin_swap() closes it for a new
+// candidate, and the configuration port that streams the bitstream
+// (dpr::IcapPort, the one module that times a swap) calls finish_swap()
+// when its load completes. In between the slot reports busy and
+// start_op is a fault, exactly like real DPR flows decouple the region.
 #pragma once
 
 #include <vector>
@@ -30,13 +23,6 @@
 
 namespace ouessant::core {
 
-struct IcapConfig {
-  /// 7-series ICAP is 32 bits wide, one word per cycle.
-  u32 bytes_per_cycle = 4;
-  /// Extra cycles per swap: decouple logic, flush, reset sequence.
-  u32 swap_overhead_cycles = 64;
-};
-
 class ReconfigSlot : public Rac {
  public:
   /// @p candidates must all expose the same pin shape (FIFO count and
@@ -44,44 +30,25 @@ class ReconfigSlot : public Rac {
   /// capacities may differ and are enveloped. Candidate 0 is loaded at
   /// construction ("initial configuration").
   ReconfigSlot(sim::Kernel& kernel, std::string name,
-               std::vector<Rac*> candidates, IcapConfig icap = {});
+               std::vector<Rac*> candidates);
 
-  // -- DPR control (host side; models the ICAP driver) -----------------
-  /// Begin loading candidate @p index. Throws SimError while the active
-  /// RAC is busy (a real flow must quiesce the region first).
-  void request_swap(std::size_t index);
+  /// Gate the region for a swap to candidate @p index, whose bitstream a
+  /// configuration port then streams. Throws SimError for an unknown
+  /// candidate or while the region is busy (a real flow must quiesce the
+  /// accelerator first); false when @p index is already active (no swap
+  /// needed). While pending, busy() is high and start() faults.
+  bool begin_swap(std::size_t index);
+  /// Commit the pending swap at the current cycle: the target becomes
+  /// active. Called by the configuration port's completion.
+  void finish_swap();
 
-  // -- externally-driven reconfiguration (dpr::IcapPort flow) -----------
-  /// Gate the region for a swap to candidate @p index whose bitstream an
-  /// external configuration port streams. Validates like request_swap();
-  /// false when @p index is already active (no swap needed). While
-  /// pending, busy() is high and start() faults, but the slot itself
-  /// does no timed work — the streaming cost lives on the port.
-  bool begin_external_swap(std::size_t index);
-  /// Commit the externally-streamed swap at the current cycle: the
-  /// target becomes active and the gated window is folded into
-  /// reconfig_cycles_total().
-  void finish_external_swap();
-
-  [[nodiscard]] bool reconfiguring() const {
-    return reconfig_left_ > 0 || external_swap_;
-  }
+  [[nodiscard]] bool reconfiguring() const { return swapping_; }
   [[nodiscard]] std::size_t active_index() const { return active_; }
   [[nodiscard]] std::size_t candidate_count() const {
     return candidates_.size();
   }
   [[nodiscard]] Rac& candidate(std::size_t i) { return *candidates_.at(i); }
   [[nodiscard]] u64 swaps() const { return swaps_; }
-  /// Total cycles spent streaming bitstreams (or externally gated), with
-  /// cycles the countdown spent clock-gated folded in.
-  [[nodiscard]] u64 reconfig_cycles_total() const {
-    return reconfig_cycles_total_ +
-           (reconfig_left_ > 0 ? pending_credit() : 0);
-  }
-
-  /// Cycles a swap to @p index takes (bitstream size / ICAP throughput
-  /// plus the fixed overhead).
-  [[nodiscard]] u32 swap_cycles(std::size_t index) const;
 
   /// Partial-bitstream size model: configuration frames scale with the
   /// logic/RAM content of the region (Artix7-class constants).
@@ -122,20 +89,11 @@ class ReconfigSlot : public Rac {
     for (Rac* cand : candidates_) cand->abort_op();
   }
 
-  // sim::Component
-  void tick_compute() override;
-  /// Quiescent when no countdown is in flight (request_swap wakes us) or
-  /// once the countdown has armed its completion timer. The brief window
-  /// between request_swap and the first countdown tick stays awake so
-  /// that tick can arm the timer. An external swap never ticks here (the
-  /// configuration port does the timed work), so it stays quiescent.
-  [[nodiscard]] bool is_quiescent() const override {
-    return reconfig_left_ == 0 || countdown_timer_armed_;
-  }
-  /// Active/target index, countdown remainder, sleep-credit anchor, the
-  /// external-swap gate, and the swap counters — a mid-reconfiguration
-  /// snapshot resumes the countdown exactly. Candidate RACs are kernel
-  /// components and carry their own state.
+  /// The slot does no timed work of its own: the candidates tick, and
+  /// the configuration port times every swap.
+  [[nodiscard]] bool is_quiescent() const override { return true; }
+  /// Active/target index, the swap gate and the swap count. Candidate
+  /// RACs are kernel components and carry their own state.
   void state(snap::Fields& f) override;
 
   /// Region resources: the max over candidates (the region must fit the
@@ -146,20 +104,10 @@ class ReconfigSlot : public Rac {
   static void check_specs_match(const std::vector<Rac*>& candidates);
 
   std::vector<Rac*> candidates_;
-  IcapConfig icap_;
   std::size_t active_ = 0;
   std::size_t target_ = 0;
-  u32 reconfig_left_ = 0;
   u64 swaps_ = 0;
-  u64 reconfig_cycles_total_ = 0;
-  bool countdown_timer_armed_ = false;
-  Cycle next_expected_tick_ = 0;  // sleep-credit anchor for the countdown
-  bool external_swap_ = false;    // region gated, port streams the image
-  Cycle external_begin_ = 0;
-  [[nodiscard]] u64 pending_credit() const {
-    const Cycle now = kernel().now();
-    return now > next_expected_tick_ ? now - next_expected_tick_ : 0;
-  }
+  bool swapping_ = false;  // region gated, the port streams the image
 };
 
 }  // namespace ouessant::core

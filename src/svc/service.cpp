@@ -255,8 +255,8 @@ void OffloadService::build_slot_farm() {
                                base_name + "_" + kind_name(k)));
       cands.push_back(racs_.back().get());
     }
-    regions_.push_back(std::make_unique<core::ReconfigSlot>(
-        soc_.kernel(), base_name, cands, fc.icap));
+    regions_.push_back(
+        std::make_unique<core::ReconfigSlot>(soc_.kernel(), base_name, cands));
     const u32 worker = add_ocp_worker(soc_.add_ocp(*regions_.back()),
                                       initial, fc.max_batch);
 

@@ -175,7 +175,7 @@ void SlotManager::begin_swap(SlotState& s, std::size_t target) {
                    "' still busy after quiesce");
   }
   dispatcher_.set_worker_reconfiguring(s.worker, true);
-  if (!s.region->begin_external_swap(target)) {
+  if (!s.region->begin_swap(target)) {
     // Candidate already resident (restored images can leave the worker
     // kind behind the region): retarget without streaming.
     dispatcher_.retarget_worker(s.worker, s.kinds[target]);
@@ -198,7 +198,7 @@ void SlotManager::on_icap_done(u32 token) {
   if (!s.swapping) {
     throw SimError("SlotManager: ICAP completion for a slot not swapping");
   }
-  s.region->finish_external_swap();
+  s.region->finish_swap();
   dispatcher_.retarget_worker(s.worker, s.kinds[s.target]);
   dispatcher_.set_worker_reconfiguring(s.worker, false);
   s.swapping = false;

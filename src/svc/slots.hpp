@@ -58,8 +58,8 @@ struct SlotFarmConfig {
   u32 max_batch = 4;  ///< dispatcher batch bound for slot workers
   SwapPolicy policy = SwapPolicy::kStatic;
   double switch_margin = 2.0;   ///< kHysteresis: challenger demand factor
-  bool shared_icap = true;      ///< false: seed-style free port (ablation)
-  core::IcapConfig icap{};
+  bool shared_icap = true;      ///< false: a free port, no bus (ablation)
+  dpr::IcapConfig icap{};
   u32 icap_burst_words = 64;    ///< bus read burst per ICAP chunk
   u32 cache_bytes = 0;          ///< bitstream staging cache (0 = none)
 

@@ -1,8 +1,10 @@
 // Tests for the paper's future-work features implemented as extensions:
-// Dynamic Partial Reconfiguration (ReconfigSlot), standalone operation,
+// Dynamic Partial Reconfiguration (ReconfigSlot behind a free-mode
+// dpr::IcapPort, E7's flow), standalone operation,
 // the configuration-FIFO RAC, and VHDL interface generation.
 #include <gtest/gtest.h>
 
+#include "dpr/icap.hpp"
 #include "drv/session.hpp"
 #include "mem/sram.hpp"
 #include "ouessant/codegen.hpp"
@@ -31,11 +33,28 @@ struct DprRig {
         slot(soc.kernel(), "slot",
              {&identity, &negate}),
         ocp(soc.add_ocp(slot)),
+        icap(soc.kernel(), "icap", soc.bus(),
+             {.mode = dpr::IcapMode::kFree}),
         session(soc.cpu(), soc.sram(), ocp,
                 {.prog_base = kProg, .in_base = kIn, .out_base = kOut,
                  .in_words = 32, .out_words = 32}) {
+    icap.set_done_callback([this](u32) { slot.finish_swap(); });
     session.install(core::build_stream_program(
         {.in_words = 32, .out_words = 32, .burst = 32}));
+  }
+
+  [[nodiscard]] u32 bitstream_bytes(std::size_t index) {
+    return core::ReconfigSlot::bitstream_bytes_for(
+        slot.candidate(index).resource_tree().total());
+  }
+
+  /// E7's swap: gate the region, then stream the candidate's bitstream
+  /// through the port. False when @p index was already active.
+  bool swap(std::size_t index) {
+    if (!slot.begin_swap(index)) return false;
+    icap.start_load(0, bitstream_bytes(index), /*from_cache=*/false, 0,
+                    slot.candidate(index).name());
+    return true;
   }
 
   platform::Soc soc;
@@ -43,6 +62,7 @@ struct DprRig {
   rac::ScaleRac negate;  // x2.0 gain
   core::ReconfigSlot slot;
   core::Ocp& ocp;
+  dpr::IcapPort icap;
   drv::OcpSession session;
 };
 
@@ -58,7 +78,7 @@ TEST(Dpr, SwapChangesBehaviourWithoutRewiring) {
   EXPECT_EQ(rig.session.get_output(), in);
 
   // Swap to candidate 1 (x2 gain), same OCP, same microcode.
-  rig.slot.request_swap(1);
+  ASSERT_TRUE(rig.swap(1));
   rig.soc.kernel().run_until([&] { return !rig.slot.reconfiguring(); });
   EXPECT_EQ(rig.slot.active_index(), 1u);
 
@@ -73,25 +93,33 @@ TEST(Dpr, SwapChangesBehaviourWithoutRewiring) {
 
 TEST(Dpr, ReconfigurationTakesModeledTime) {
   DprRig rig;
-  const u32 expected = rig.slot.swap_cycles(1);
+  // Bitstream bytes at ICAP width, plus the fixed overhead.
+  const u32 expected = rig.icap.stream_cycles_for(rig.bitstream_bytes(1)) +
+                       rig.icap.icap().swap_overhead_cycles;
   EXPECT_GT(expected, 64u);  // bitstream is never free
   const Cycle t0 = rig.soc.kernel().now();
-  rig.slot.request_swap(1);
+  ASSERT_TRUE(rig.swap(1));
   rig.soc.kernel().run_until([&] { return !rig.slot.reconfiguring(); });
-  EXPECT_EQ(rig.soc.kernel().now() - t0, expected);
-  EXPECT_EQ(rig.slot.reconfig_cycles_total(), expected);
+  // The port commits the swap inside its tick at t0 + expected, so the
+  // host sees the new region once that cycle has ended.
+  EXPECT_EQ(rig.soc.kernel().now() - t0, expected + 1);
+  EXPECT_EQ(rig.icap.busy_cycles_total(), expected);
+  EXPECT_EQ(rig.icap.loads(), 1u);
 }
 
 TEST(Dpr, SwapToSelfIsFree) {
   DprRig rig;
-  rig.slot.request_swap(0);
+  EXPECT_FALSE(rig.swap(0));
   EXPECT_FALSE(rig.slot.reconfiguring());
+  EXPECT_FALSE(rig.icap.busy());
   EXPECT_EQ(rig.slot.swaps(), 0u);
+  EXPECT_THROW(rig.slot.finish_swap(), SimError);  // nothing pending
+  EXPECT_THROW((void)rig.slot.begin_swap(2), SimError);  // no candidate 2
 }
 
 TEST(Dpr, StartDuringReconfigurationFaults) {
   DprRig rig;
-  rig.slot.request_swap(1);
+  ASSERT_TRUE(rig.swap(1));
   EXPECT_TRUE(rig.slot.reconfiguring());
   EXPECT_TRUE(rig.slot.busy());
   EXPECT_THROW(rig.slot.start(), SimError);
@@ -102,7 +130,8 @@ TEST(Dpr, SwapWhileActiveFaults) {
   rig.session.put_input(std::vector<u32>(32, 1));
   rig.session.start_async();
   rig.soc.kernel().run_until([&] { return rig.slot.busy(); });
-  EXPECT_THROW(rig.slot.request_swap(1), SimError);
+  EXPECT_THROW(rig.swap(1), SimError);
+  EXPECT_FALSE(rig.icap.busy());
   rig.session.driver().wait_done_poll();
 }
 

@@ -155,6 +155,33 @@ struct L3Rig {
   std::unique_ptr<l3::Cpu> cpu;
 };
 
+TEST(L3Asm, LiLoadsEveryValue) {
+  // ori zero-extends its 14 bits, so li must encode any low half, bit 13
+  // set included, and the pair must rebuild the whole word.
+  std::string src =
+      "li r1, 0x2000\n"
+      "li r2, 0x3FFF\n"
+      "li r3, 0xFFFFFFFF\n"
+      "li r4, -1\n"
+      "li r5, 0x80002000\n"
+      "li r6, far\n"
+      "halt\n";
+  for (int i = 0; i < 2048; ++i) src += ".word 0\n";
+  src += "far: .word 0\n";
+  const auto a = l3::assemble(src, 0x4000'0000);
+  const u32 far = 0x4000'0000 + a.labels.at("far") * 4;
+  ASSERT_NE(far & 0x2000u, 0u) << "the label must sit past byte 0x2000";
+  L3Rig rig;
+  rig.run(src);
+  ASSERT_TRUE(rig.cpu->halted());
+  EXPECT_EQ(rig.cpu->reg(1), 0x2000u);
+  EXPECT_EQ(rig.cpu->reg(2), 0x3FFFu);
+  EXPECT_EQ(rig.cpu->reg(3), 0xFFFF'FFFFu);
+  EXPECT_EQ(rig.cpu->reg(4), 0xFFFF'FFFFu);
+  EXPECT_EQ(rig.cpu->reg(5), 0x8000'2000u);
+  EXPECT_EQ(rig.cpu->reg(6), far);
+}
+
 TEST(L3Cpu, ArithmeticAndLogic) {
   L3Rig rig;
   rig.run(

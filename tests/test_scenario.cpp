@@ -195,12 +195,14 @@ TEST(Golden, E7DprAreaAndAmortization) {
   EXPECT_EQ(metric(area, "dpr_ff"), 671);
   EXPECT_EQ(metric(area, "static_lut"), 936);
   EXPECT_EQ(metric(area, "static_ff"), 1206);
+  // The free ICAP port commits each of the 7 swaps inside its tick at
+  // start + stream + overhead, one cycle before the host sees it.
   const auto b1 = run_point("e7_dpr", 0);  // batch_len=1
-  EXPECT_EQ(metric(b1, "dpr_cycles"), 11456);
+  EXPECT_EQ(metric(b1, "dpr_cycles"), 11463);
   EXPECT_EQ(metric(b1, "static_cycles"), 2496);
   EXPECT_EQ(metric(b1, "swaps"), 7);
   const auto b128 = run_point("e7_dpr", 4);  // batch_len=128
-  EXPECT_EQ(metric(b128, "dpr_cycles"), 328448);
+  EXPECT_EQ(metric(b128, "dpr_cycles"), 328455);
   EXPECT_EQ(metric(b128, "static_cycles"), 319488);
 }
 

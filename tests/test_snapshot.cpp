@@ -57,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "dpr/icap.hpp"
 #include "drv/chain.hpp"
 #include "drv/session.hpp"
 #include "exp/sweep.hpp"
@@ -996,6 +997,59 @@ TEST(ComponentState, FifoLevelMustMatchItsStorage) {
   }
 }
 
+TEST(ComponentState, FifoFlagPairsMustAgree) {
+  // The wire carries each pending access twice: a per-cycle flag
+  // (wrote_this_cycle, read_this_cycle) and the pending flag beside it.
+  // A FIFO frozen mid-cycle, after one write and one read, holds both.
+  const fifo::WidthFifoConfig cfg{.wr_width = 32, .rd_width = 32};
+  sim::Kernel k;
+  fifo::WidthFifo f(k, "f", cfg);
+  f.write(1);
+  k.tick();
+  f.write(2);
+  ASSERT_EQ(f.read(), 1u);
+  StateWriter w;
+  f.save_state(w);
+  const std::vector<u8> image = w.take();
+  {
+    sim::Kernel k2;
+    fifo::WidthFifo g(k2, "f", cfg);
+    StateReader r(image, "f");
+    g.restore_state(r);
+    r.expect_end();
+    k2.tick();  // commits the restored write and pop
+    EXPECT_EQ(g.level_bits(), 32u);
+    EXPECT_EQ(g.read(), 2u);
+  }
+  // Offset of bool field name's value byte.
+  const auto value_at = [&image](const std::string& name) {
+    std::vector<u8> field{static_cast<u8>(snap::Tag::kBool),
+                          static_cast<u8>(name.size())};
+    field.insert(field.end(), name.begin(), name.end());
+    return static_cast<std::size_t>(
+        std::search(image.begin(), image.end(), field.begin(), field.end()) -
+        image.begin() + static_cast<std::ptrdiff_t>(field.size()));
+  };
+  for (const std::string name : {"wrote_this_cycle", "read_this_cycle"}) {
+    const std::size_t at = value_at(name);
+    ASSERT_LT(at, image.size()) << name;
+    ASSERT_EQ(image[at], 1) << name;
+    std::vector<u8> bad = image;
+    bad[at] = 0;
+    sim::Kernel k3;
+    fifo::WidthFifo h(k3, "f", cfg);
+    StateReader rb(bad, "f");
+    try {
+      h.restore_state(rb);
+      ADD_FAILURE() << "a forged '" << name << "' restored";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + name + "' disagrees"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ComponentState, RngStreamResumesExactly) {
   util::Rng a(12345);
   for (int i = 0; i < 17; ++i) (void)a.next_u32();
@@ -1425,40 +1479,52 @@ TEST(MidRun, MidSwapRestoredFarmRunIsBitIdentical) {
   EXPECT_EQ(b.soc().kernel().stats().all(), stats_a);
 }
 
-/// The E7 region: identity and x2-gain candidates behind one OCP.
+/// The E7 region: identity and x2-gain candidates behind one OCP, swapped
+/// through a free-mode configuration port.
 struct SlotRig {
   platform::Soc soc;
   rac::PassthroughRac identity;
   rac::ScaleRac doubler;
   core::ReconfigSlot slot;
+  dpr::IcapPort icap;
 
   SlotRig()
       : identity(soc.kernel(), "identity", 32, 32, 0),
         doubler(soc.kernel(), "doubler", 32, util::Q(16).from_double(2.0)),
-        slot(soc.kernel(), "slot", {&identity, &doubler}) {
+        slot(soc.kernel(), "slot", {&identity, &doubler}),
+        icap(soc.kernel(), "icap", soc.bus(),
+             {.mode = dpr::IcapMode::kFree}) {
     (void)soc.add_ocp(slot);
+    icap.set_done_callback([this](u32) { slot.finish_swap(); });
   }
 };
 
 TEST(MidRun, MidCountdownSlotSwapFinishesOnTime) {
-  // request_swap's free-ICAP countdown (the E7 flow) sleeps on a wake
-  // timer; only the kernel section carries it across a restore.
+  // The free port's countdown (the E7 flow) sleeps on a wake timer; only
+  // the kernel section carries it across a restore.
   SlotRig a;
-  a.slot.request_swap(1);
+  ASSERT_TRUE(a.slot.begin_swap(1));
+  a.icap.start_load(0,
+                    core::ReconfigSlot::bitstream_bytes_for(
+                        a.doubler.resource_tree().total()),
+                    /*from_cache=*/false, 0, "doubler");
   a.soc.kernel().run(5);
   ASSERT_TRUE(a.slot.reconfiguring());
-  ASSERT_FALSE(a.slot.awake()) << "the countdown should sleep on its timer";
+  ASSERT_TRUE(a.icap.busy());
+  ASSERT_FALSE(a.icap.awake()) << "the countdown should sleep on its timer";
   const Snapshot image = Snapshot::deserialize(a.soc.snapshot().serialize());
   a.soc.kernel().run_until([&a] { return !a.slot.reconfiguring(); });
 
   SlotRig b;
   b.soc.restore(image);
   ASSERT_TRUE(b.slot.reconfiguring());
+  ASSERT_TRUE(b.icap.busy());
   b.soc.kernel().run_until([&b] { return !b.slot.reconfiguring(); });
   EXPECT_EQ(b.soc.kernel().now(), a.soc.kernel().now());
   EXPECT_EQ(b.soc.kernel().stats().all(), a.soc.kernel().stats().all());
   EXPECT_EQ(b.slot.active_index(), 1u);
-  EXPECT_EQ(b.slot.reconfig_cycles_total(), a.slot.reconfig_cycles_total());
+  EXPECT_EQ(b.icap.busy_cycles_total(), a.icap.busy_cycles_total());
+  EXPECT_EQ(b.icap.loads(), 1u);
 }
 
 TEST(MidRun, RestoreIntoDifferentlyShapedServiceThrows) {
@@ -1964,7 +2030,9 @@ TEST(SnapshotImage, EveryWorkerKindMidRunIsPinned) {
       {"c:svc_slots", 0x375e4dfc},
       {"c:svc_slot0_dft32", 0x05e0fe3f},
       {"c:svc_slot0_fir", 0xf0615cc8},
-      {"c:svc_slot0", 0xe4361e65},
+      // The slot's five countdown fields are zeros since the ICAP port
+      // times every swap (same layout, so the version stays).
+      {"c:svc_slot0", 0x2e838c99},
       {"c:ocp1.fifo_in0", 0x3988185b},
       {"c:ocp1.fifo_out0", 0xf45a63e2},
       {"c:ocp1.ctrl", 0xaa23eb86},

@@ -17,15 +17,17 @@
 //
 // Trace and flight files also load in Perfetto / chrome://tracing for
 // the visual timeline; this tool is the terminal-side summary.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "obs/analysis.hpp"
 #include "obs/gauges.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace_reader.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -135,13 +137,14 @@ int main(int argc, char** argv) {
         usage(argv[0]);
         return 2;
       }
-      char* end = nullptr;
-      const long v = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 1) {
+      const std::optional<u64> v = util::read_uint(argv[++i], UINT32_MAX);
+      if (!v || *v == 0) {
+        std::fprintf(stderr, "ouessant_trace: --top takes an integer in "
+                             "1..4294967295, not '%s'\n", argv[i]);
         usage(argv[0]);
         return 2;
       }
-      top_n = static_cast<std::size_t>(v);
+      top_n = static_cast<std::size_t>(*v);
     } else if (arg == "--json") {
       json = true;
     } else if (!arg.empty() && arg[0] == '-') {
